@@ -58,6 +58,8 @@ from .measures import (
 )
 
 SCHEMA_VERSION = 1
+# The manifest behind ``growthcalc suite``, shipped as package data.
+ACCEPTANCE_MANIFEST = Path(__file__).with_name("acceptance.json")
 
 _JOB_KINDS = ("eval", "conditions", "legendre", "lfn", "verify", "fock", "measures")
 _MEASURE_OPS = ("fernique", "poisson", "grey_cf", "grey_integrability", "hida")
@@ -501,114 +503,8 @@ def run(manifest: dict, out_dir: str | Path | None = None, jobs: int = 1,
     return 0
 
 
-# -- the shipped acceptance manifest -------------------------------------------
-
-
-def _truncated_square_exponential(degree: int = 40) -> dict:
-    """Power-series spec of e^(r^2) truncated at the given degree: the
-    canonical U2 counterexample (quadratic exponent beats linear)."""
-    coeffs: list[float | None] = [None] * (degree + 1)
-    for j in range(degree // 2 + 1):
-        coeffs[2 * j] = -math.lgamma(j + 1.0)
-    return {
-        "kind": "power_series",
-        "log_coeffs": coeffs,
-        "claimed_conditions": ["U0", "U1", "U3"],
-        "label": "truncated-exp-square",
-    }
-
-
-def acceptance_manifest() -> dict:
-    """The manifest behind ``growthcalc suite`` (also shipped as
-    ``manifests/acceptance.json``)."""
-    functions = {
-        "ks0": {"kind": "kondratiev_streit", "beta": 0.0},
-        "ks025": {"kind": "kondratiev_streit", "beta": 0.25},
-        "ks05": {"kind": "kondratiev_streit", "beta": 0.5},
-        "ks075": {"kind": "kondratiev_streit", "beta": 0.75},
-        "g2": {"kind": "iterated_exp_sqrt", "k": 2},
-        "g3": {"kind": "iterated_exp_sqrt", "k": 3},
-        "u2": {"kind": "bell_series", "k": 2},
-        "truncsq": _truncated_square_exponential(),
-    }
-    pass_conditions = {"U0": "pass", "U1": "pass", "U2": "pass", "U3": "pass"}
-    jobs: list[dict] = []
-    for fid in ("ks0", "ks05", "g2", "g3", "u2"):
-        jobs.append({"id": f"conditions-{fid}", "kind": "conditions",
-                     "function": fid, "expect": pass_conditions})
-    jobs.append({"id": "conditions-truncsq", "kind": "conditions",
-                 "function": "truncsq", "expect": {"U2": "fail"}})
-    for fid in ("ks0", "ks05", "g2", "g3", "u2"):
-        jobs.append({"id": f"verify-{fid}", "kind": "verify", "function": fid,
-                     "n_max": 60, "a": 2.0})
-    jobs += [
-        {"id": "chain-order", "kind": "verify", "check": "chain-order",
-         "functions": ["g3", "g2", "ks05", "ks025"], "n_max": 60},
-        {"id": "legendre-csv-ks0", "kind": "legendre", "function": "ks0",
-         "n_max": 8, "out": "legendre-ks0.csv"},
-        {"id": "lfn-ks0", "kind": "lfn", "function": "ks0", "r": [1.0],
-         "n_max": 400, "expect_log": [1.8840955903719718], "rel_tol": 1e-9},
-        {"id": "eval-ks0", "kind": "eval", "function": "ks0", "r": [1.0],
-         "expect_log": [1.0], "rel_tol": 1e-12},
-        {"id": "eval-g2", "kind": "eval", "function": "g2",
-         "r": [7.38905609893065], "expect_log": [5.43656365691809],
-         "rel_tol": 1e-9},
-        {"id": "eval-ml-classical", "kind": "eval", "lam": 1.0, "t": [2.0],
-         "expect": [0.1353352832366127], "rel_tol": 1e-10},
-        {"id": "eval-ml-half", "kind": "eval", "lam": 0.5, "t": [1.0],
-         "expect": [0.42758357615580705], "rel_tol": 1e-8},
-        {"id": "fock-ks0", "kind": "fock", "function": "ks0",
-         "xi": [0.5, 1.0, 2.0], "n_max": 200, "rel_tol": 1e-10},
-        {"id": "fernique-finite", "kind": "measures", "op": "fernique",
-         "rho": 0.5, "q": 1, "c2": 0.1, "expect": "finite",
-         "expect_value": 1.0719895202158902, "rel_tol": 1e-6},
-        {"id": "fernique-divergent", "kind": "measures", "op": "fernique",
-         "rho": 0.5, "q": 1, "c2": 1.0, "expect": "divergent"},
-        {"id": "poisson-sqrtlog", "kind": "measures", "op": "poisson",
-         "integrand": "sqrtlog", "theta": 1.0, "w": 1.0, "expect": "finite",
-         "expect_value": 12.875106396491969, "rel_tol": 1e-9},
-        {"id": "poisson-growth-g2", "kind": "measures", "op": "poisson",
-         "integrand": "growth", "function": "g2", "theta": 1.0, "w": 1.0,
-         "expect": "finite"},
-    ]
-    for lam, tag in ((0.3, "03"), (0.5, "05"), (0.7, "07"), (1.0, "10")):
-        jobs.append({"id": f"grey-cf-{tag}", "kind": "measures", "op": "grey_cf",
-                     "lam": lam, "xi": [0.5, 1.0, 2.0], "n": 200000,
-                     "sigma_tol": 3.0})
-    jobs += [
-        {"id": "grey-integrability-lam1", "kind": "measures",
-         "op": "grey_integrability", "lam": 1.0, "w": 0.1, "n": 1000000,
-         "expect": "finite", "expect_value": 1.118033988749895,
-         "sigma_tol": 3.0},
-        {"id": "hida-gaussian-ks0", "kind": "measures", "op": "hida",
-         "measure": {"kind": "gaussian", "rho": 0.5, "q": 1},
-         "function": "ks0", "p": 1, "expect_finite": True,
-         "expect_smallest_p": 1},
-        {"id": "hida-poisson-g2", "kind": "measures", "op": "hida",
-         "measure": {"kind": "poisson", "theta": 1.0}, "function": "g2",
-         "p": 0, "expect_finite": True, "expect_smallest_p": 0},
-        {"id": "hida-grey-ks05", "kind": "measures", "op": "hida",
-         "measure": {"kind": "grey", "lam": 0.5, "n": 200000},
-         "function": "ks05", "p": 1, "expect_finite": True,
-         "expect_smallest_p": 1},
-    ]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "seed": 7,
-        "functions": functions,
-        "jobs": jobs,
-    }
-
-
 def _resolve_suite_manifest(config: str | None) -> dict:
-    if config is not None:
-        return load_manifest(config)
-    repo_file = Path("manifests") / "acceptance.json"
-    if repo_file.is_file():
-        return load_manifest(repo_file)
-    manifest = acceptance_manifest()
-    validate_manifest(manifest)
-    return manifest
+    return load_manifest(ACCEPTANCE_MANIFEST if config is None else config)
 
 
 # -- argument parsing ----------------------------------------------------------

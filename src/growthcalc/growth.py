@@ -49,6 +49,15 @@ KINDS = (
     EXPONENTIAL,
 )
 
+#: The parameter key each kind reads from a config mapping.
+_PARAM_KEYS = {
+    KONDRATIEV_STREIT: "beta",
+    ITERATED_EXP_SQRT: "k",
+    BELL_SERIES: "k",
+    POWER_SERIES: "log_coeffs",
+    EXPONENTIAL: "c",
+}
+
 CONDITION_IDS = ("U0", "U1", "U2", "U3", "C+,1/2", "C+,log")
 
 #: Conditions claimed by the closed-form catalog families.
@@ -369,18 +378,13 @@ def power_series(
 
 def spec_to_dict(spec: GrowthFunctionSpec) -> dict:
     """JSON-ready description of a spec (inverse of :func:`spec_from_dict`)."""
+    key = _PARAM_KEYS[spec.kind]
     out: dict = {"kind": spec.kind}
-    if spec.kind == KONDRATIEV_STREIT:
-        out["beta"] = spec.beta
-    elif spec.kind in (ITERATED_EXP_SQRT, BELL_SERIES):
-        out["k"] = spec.k
-    elif spec.kind == EXPONENTIAL:
-        out["c"] = spec.c
-    else:
+    if spec.kind == POWER_SERIES:
         # JSON has no -Infinity literal; absent terms serialize as null.
-        out["log_coeffs"] = [
-            None if v == -math.inf else v for v in (spec.log_coeffs or ())
-        ]
+        out[key] = [None if v == -math.inf else v for v in (spec.log_coeffs or ())]
+    else:
+        out[key] = getattr(spec, key)
     if spec.claimed_conditions:
         out["claimed_conditions"] = sorted(spec.claimed_conditions)
     if spec.label:
@@ -409,6 +413,12 @@ def spec_from_dict(d: dict) -> GrowthFunctionSpec:
         spec = power_series(coeffs, d.get("claimed_conditions", ()))
     else:
         raise ParameterError(f"unknown growth-function kind {kind!r}")
+    extra = set(d) - {"kind", "label", "claimed_conditions", _PARAM_KEYS[kind]}
+    if extra:
+        raise ParameterError(
+            f"{kind} spec has unknown field(s) {sorted(extra, key=str)}; "
+            f"it reads {_PARAM_KEYS[kind]!r}, 'label' and 'claimed_conditions'"
+        )
     if label:
         spec = GrowthFunctionSpec(
             kind=spec.kind,
@@ -592,15 +602,17 @@ def mittag_leffler_integral(lam: float, t: float) -> float:
     if t == 0.0:
         return 1.0
     c = math.cos(lam * math.pi)
-    x = t ** (1.0 / lam)
+    lt = math.log(t)
+    log_e_cap = math.log(700.0)
 
     def f(s: float) -> float:
-        e = s ** (1.0 / lam) * x
-        return math.exp(-min(e, 700.0)) / (s * s + 2.0 * c * s + 1.0)
+        # (s t)^{1/lam} in the log domain: t^{1/lam} alone overflows for small lam.
+        e = math.exp(min((math.log(s) + lt) / lam, log_e_cap))
+        return math.exp(-e) / (s * s + 2.0 * c * s + 1.0)
 
-    pts = {1.0}
-    if x > 0.0:
-        pts.add(1.0 / x)
+    # The exponent passes 1 at s = 1/t and 50 at s = 50^lam / t: the knee of
+    # the integrand (a step as lam -> 0) and the end of its decay.
+    pts = {1.0, 1.0 / t, 50.0**lam / t}
     if lam > 0.9:
         # The denominator develops a near-pole at s = 1 as lam -> 1.
         pts.update((0.9, 0.99, 1.01, 1.1))

@@ -63,8 +63,19 @@ _R_WIDE = 2.0e9
 _H_DROP = 70.0
 
 
-def _phi(spec: GrowthFunctionSpec, s: float, t: float) -> float:
-    return spec.log_u(math.exp(s)) - t * s
+def _ternary_argmin(f, lo: float, hi: float, tol: float, max_iter: int) -> float:
+    """Midpoint of the bracket left by ternary search for the minimum of a
+    unimodal ``f`` on ``[lo, hi]``; callers maximise by passing ``-g``."""
+    for _ in range(max_iter):
+        if hi - lo <= tol:
+            break
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if f(m1) <= f(m2):
+            hi = m2
+        else:
+            lo = m1
+    return 0.5 * (lo + hi)
 
 
 def _grid_infimum(spec: GrowthFunctionSpec) -> float:
@@ -105,6 +116,9 @@ def legendre_transform(
         )
     s_cap = spec.s_max
 
+    def phi(s: float) -> float:
+        return spec.log_u(math.exp(s)) - t * s
+
     if s_hint is not None and s_hint < s_cap:
         lo, hi = s_hint - 0.75, min(s_hint + 0.75, s_cap)
     else:
@@ -112,10 +126,10 @@ def legendre_transform(
 
     # Expand right while phi is still decreasing at hi.
     step = 40.0
-    while hi < s_cap and _phi(spec, hi - _PROBE, t) > _phi(spec, hi, t):
+    while hi < s_cap and phi(hi - _PROBE) > phi(hi):
         hi = min(hi + step, s_cap)
         step *= 2.0
-    if hi >= s_cap and _phi(spec, hi - _PROBE, t) > _phi(spec, hi, t):
+    if hi >= s_cap and phi(hi - _PROBE) > phi(hi):
         if spec.kind == BELL_SERIES:
             raise CapacityError(
                 f"minimizer for t={t:g} lies beyond the faithful series range "
@@ -127,21 +141,12 @@ def legendre_transform(
         )
     # Expand left while phi is increasing at lo (minimizer further left).
     step = 40.0
-    while lo > _S_FLOOR and _phi(spec, lo + _PROBE, t) > _phi(spec, lo, t):
+    while lo > _S_FLOOR and phi(lo + _PROBE) > phi(lo):
         lo = max(lo - step, _S_FLOOR)
         step *= 2.0
 
-    for _ in range(max_iter):
-        if hi - lo <= s_tol:
-            break
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if _phi(spec, m1, t) <= _phi(spec, m2, t):
-            hi = m2
-        else:
-            lo = m1
-    s_star = 0.5 * (lo + hi)
-    return _phi(spec, s_star, t), math.exp(s_star)
+    s_star = _ternary_argmin(phi, lo, hi, s_tol, max_iter)
+    return phi(s_star), math.exp(s_star)
 
 
 @dataclass(eq=False)
@@ -414,17 +419,8 @@ def l_function_integral(spec: GrowthFunctionSpec, r: float) -> float:
     def g(sg: float) -> float:
         return math.exp(sg) * (float(ce.spline(sg)) + lr)
 
-    a, b = float(ce.sigma[i - 2]), float(ce.sigma[i + 2])
-    for _ in range(90):
-        if b - a <= 1e-11:
-            break
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        if g(m1) >= g(m2):
-            b = m2
-        else:
-            a = m1
-    s_star = 0.5 * (a + b)
+    s_star = _ternary_argmin(lambda sg: -g(sg), float(ce.sigma[i - 2]),
+                             float(ce.sigma[i + 2]), 1e-11, 90)
     h_star = g(s_star)
 
     # The bump in sigma is typically much narrower than the knot spacing, so
@@ -515,15 +511,6 @@ def bidual(spec: GrowthFunctionSpec, r: float, t_cap: float = 4.0e6) -> float:
         raise CapTooSmallError(
             f"objective still rising at t_cap={t_cap:g} for r={r:g}; raise t_cap"
         )
-    lo, hi = 0.0, cap_eff
-    for _ in range(260):
-        if hi - lo <= max(1e-12, 1e-13 * cap_eff):
-            break
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if h(m1) >= h(m2):
-            hi = m2
-        else:
-            lo = m1
-    t_star = 0.5 * (lo + hi)
+    t_star = _ternary_argmin(lambda t: -h(t), 0.0, cap_eff,
+                             max(1e-12, 1e-13 * cap_eff), 260)
     return max(h(t_star), h0)

@@ -13,9 +13,14 @@ import numpy as np
 import pytest
 
 import growthcalc
-from growthcalc import ManifestError, acceptance_manifest, emit_legendre_table, run
+from growthcalc import ACCEPTANCE_MANIFEST, ManifestError, emit_legendre_table, run
 from growthcalc import kondratiev_streit
-from growthcalc.cli import _jsonable, load_manifest, validate_manifest
+from growthcalc.cli import (
+    _jsonable,
+    _resolve_suite_manifest,
+    load_manifest,
+    validate_manifest,
+)
 
 KS0 = {"kind": "kondratiev_streit", "beta": 0.0}
 
@@ -76,12 +81,22 @@ def test_validate_stochastic_jobs_need_seed():
 
 
 def test_validate_accepts_acceptance_manifest():
-    validate_manifest(acceptance_manifest())
+    validate_manifest(load_manifest(ACCEPTANCE_MANIFEST))
 
 
-def test_builtin_manifest_matches_shipped_file():
-    shipped = load_manifest(REPO_ROOT / "manifests" / "acceptance.json")
-    assert _jsonable(acceptance_manifest()) == shipped
+def test_suite_manifest_ignores_working_directory(tmp_path, monkeypatch):
+    decoy = tmp_path / "manifests" / "acceptance.json"
+    decoy.parent.mkdir()
+    decoy.write_text(json.dumps({"schema_version": 1, "jobs": []}))
+    monkeypatch.chdir(tmp_path)
+    jobs = _resolve_suite_manifest(None)["jobs"]
+    assert len(jobs) == 31
+    assert jobs == load_manifest(ACCEPTANCE_MANIFEST)["jobs"]
+
+
+def test_repo_manifest_path_is_the_shipped_file():
+    repo_file = REPO_ROOT / "manifests" / "acceptance.json"
+    assert repo_file.read_bytes() == ACCEPTANCE_MANIFEST.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -361,6 +361,25 @@ def test_spec_from_dict_rejects_malformed_input():
         spec_from_dict({"kind": "kondratiev-streit"})  # missing beta
 
 
+@pytest.mark.parametrize("spec", [
+    kondratiev_streit(0.25), iterated_exp_sqrt(3), bell_series(2),
+    exponential(2.0), truncated_square_exponential(degree=12),
+], ids=lambda spec: spec.kind)
+def test_spec_dict_round_trip_is_exact(spec):
+    assert spec_from_dict(spec_to_dict(spec)) == spec
+
+
+@pytest.mark.parametrize("d,key", [
+    ({"kind": "exponential", "scale": 3}, "scale"),
+    ({"kind": "bell_series", "order": 5}, "order"),
+    ({"kind": "kondratiev_streit", "beta": 0.5, "k": 2}, "k"),
+    ({"kind": "power_series", "log_coeffs": [0.0], "c": 1.0}, "c"),
+])
+def test_spec_from_dict_rejects_keys_it_does_not_read(d, key):
+    with pytest.raises(ParameterError, match=repr(key)):
+        spec_from_dict(d)
+
+
 # ---------------------------------------------------------------------------
 # Mittag-Leffler
 # ---------------------------------------------------------------------------
@@ -395,6 +414,21 @@ def test_mittag_leffler_series_gives_up_when_terms_blow_up():
     # the public entry point falls back to the integral and stays in (0, 1]
     value = mittag_leffler(0.5, 30.0)
     assert 0.0 < value < 0.1
+
+
+# E_lam(-t) from the same spectral integral, evaluated by mpmath.quad at 30
+# digits with breakpoints at the knee s = 1/t; the lam = 0.001, t = 0.5 value
+# agrees to 25 digits with the power series summed by mpmath.
+@pytest.mark.parametrize("lam,t,oracle", [
+    (0.001, 5.0, 0.16658643709583016),
+    (0.001, 0.5, 0.66653844509938088),
+    (0.01, 5.0, 0.16585890616706832),
+    (0.1, 0.01, 0.98959643929735485),
+    (0.1, 1000.0, 0.00093492055360589074),
+])
+def test_mittag_leffler_small_lambda_vs_high_precision_oracle(lam, t, oracle):
+    assert mittag_leffler_integral(lam, t) == pytest.approx(oracle, rel=1e-8)
+    assert mittag_leffler(lam, t) == pytest.approx(oracle, rel=1e-8)
 
 
 def test_mittag_leffler_bounds_and_monotonicity():
