@@ -281,7 +281,7 @@ def _run_lfn(job: dict, funcs: dict, default_tol: float) -> dict:
     spec = funcs[job["function"]]
     evaluator = LFunctionEvaluator.from_spec(spec, n_max=int(job.get("n_max", 400)))
     rs = [float(r) for r in job["r"]]
-    values = [l_function_wide(evaluator, r) for r in rs]
+    values = l_function_wide(evaluator, np.asarray(rs)).tolist()
     check = _expected_values(job, "expect_log", values, default_tol)
     return {"function": spec.function_id, "r": rs, "log_l": values, **check}
 

@@ -58,6 +58,10 @@ _PARAM_KEYS = {
     EXPONENTIAL: "c",
 }
 
+#: Entries kept by each cache keyed by a spec: callers can build any number
+#: of specs, and each entry holds arrays or a spline.
+_SPEC_CACHE = 64
+
 CONDITION_IDS = ("U0", "U1", "U2", "U3", "C+,1/2", "C+,log")
 
 #: Conditions claimed by the closed-form catalog families.
@@ -419,6 +423,14 @@ def spec_from_dict(d: dict) -> GrowthFunctionSpec:
             f"{kind} spec has unknown field(s) {sorted(extra, key=str)}; "
             f"it reads {_PARAM_KEYS[kind]!r}, 'label' and 'claimed_conditions'"
         )
+    claims = d.get("claimed_conditions")
+    if kind != POWER_SERIES and claims is not None and (
+        frozenset(claims) != spec.claimed_conditions
+    ):
+        raise ParameterError(
+            f"{kind} claims {sorted(spec.claimed_conditions)}; "
+            f"claimed_conditions {claims!r} would contradict the catalog"
+        )
     if label:
         spec = GrowthFunctionSpec(
             kind=spec.kind,
@@ -453,7 +465,7 @@ def log_u_grid(spec: GrowthFunctionSpec, rs: np.ndarray) -> np.ndarray:
 # -- series internals ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SPEC_CACHE)
 def _series_logc(spec: GrowthFunctionSpec) -> np.ndarray:
     """Log-coefficients ``log c_n`` of ``u(r) = sum c_n r^n`` for series kinds."""
     if spec.kind == POWER_SERIES:
@@ -474,7 +486,7 @@ def _series_logc(spec: GrowthFunctionSpec) -> np.ndarray:
     return arr
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SPEC_CACHE)
 def _series_gaps(spec: GrowthFunctionSpec) -> np.ndarray:
     """Monotone envelope of ``log c_{n-1} - log c_n`` (dominant-term locator)."""
     logc = _series_logc(spec)

@@ -355,13 +355,13 @@ def check_lfunction_sandwich(
     grid = _prepare_r_grid(spec, r_grid, u_mul=max(a, 1.0), l_mul=4.0)
     const1 = math.log(math.e * a / math.log(a))
     lu_ar = log_u_grid(spec, a * grid)
-    logl_r = np.array([l_function_wide(evaluator, float(r)) for r in grid])
+    logl_r = l_function_wide(evaluator, grid)
     margins = const1 + lu_ar - logl_r
     j = int(np.argmin(margins))
 
     def ratio_max(g: np.ndarray) -> tuple[float, float]:
         lu = log_u_grid(spec, g)
-        ll4 = np.array([l_function_wide(evaluator, float(4.0 * r)) for r in g])
+        ll4 = l_function_wide(evaluator, 4.0 * g)
         diffs = lu - ll4
         i = int(np.argmax(diffs))
         return float(diffs[i]), float(g[i])
@@ -392,8 +392,8 @@ def check_lemma_square(evaluator: LFunctionEvaluator, r_grid=None) -> Verificati
     spec = evaluator.spec
     grid = _prepare_r_grid(spec, r_grid, u_mul=0.0, l_mul=8.0)
     le0 = float(evaluator.table.log_ell[0])
-    logl = np.array([l_function_wide(evaluator, float(r)) for r in grid])
-    logl8 = np.array([l_function_wide(evaluator, float(8.0 * r)) for r in grid])
+    logl = l_function_wide(evaluator, grid)
+    logl8 = l_function_wide(evaluator, 8.0 * grid)
     margins = le0 + logl8 - 2.0 * logl
     j = int(np.argmin(margins))
     return _report(
@@ -419,7 +419,7 @@ def check_lemma_sqrt(
     le0 = float(evaluator.table.log_ell[0])
     const = 0.5 * (le0 + math.log(math.e * a / math.log(a)))
     lu = log_u_grid(spec, 8.0 * a * grid)
-    logl = np.array([l_function_wide(evaluator, float(r)) for r in grid])
+    logl = l_function_wide(evaluator, grid)
     margins = const + 0.5 * lu - logl
     j = int(np.argmin(margins))
     return _report(
@@ -441,10 +441,14 @@ LogFunction = Callable[[float], float]
 def _as_logfun(obj, fallback_id: str) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
     if isinstance(obj, GrowthFunctionSpec):
         return (lambda rs: log_u_grid(obj, rs)), obj.function_id
+    if isinstance(obj, LFunctionEvaluator):
+        return (lambda rs: l_function_wide(obj, rs)), f"L[{obj.spec.function_id}]"
     if callable(obj):
         fun = lambda rs: np.array([obj(float(r)) for r in rs])
         return fun, fallback_id
-    raise ParameterError("equivalence operands must be specs or log-evaluators")
+    raise ParameterError(
+        "equivalence operands must be specs, L-function evaluators or log-callables"
+    )
 
 
 def equivalence_witness(
@@ -464,6 +468,11 @@ def equivalence_witness(
     grid (the constant would keep growing with the grid) or when the constant
     moves by more than ``refinement_tol`` in the log domain under a 2x grid
     refinement.  The first surviving pair on each side is reported.
+
+    Each operand is a spec (``log u``, id ``function_id``), an
+    :class:`LFunctionEvaluator` (``log L_u``, evaluated one array call per
+    grid, id ``L[function_id]``) or a scalar callable returning a log value
+    (id ``f_id`` / ``g_id``).
     """
     f_fun, f_id = _as_logfun(f, f_id)
     g_fun, g_id = _as_logfun(g, g_id)
@@ -640,7 +649,7 @@ def verify_function(
         elif check == "equivalence-lseries":
             rep = equivalence_witness(
                 spec,
-                lambda r: l_function_wide(evaluator, r),
+                evaluator,
                 r_grid=r_grid,
                 g_id=f"L[{spec.function_id}]",
             )

@@ -13,7 +13,9 @@ Tables carry ``log ell`` and the minimizer ``r*``; every value is log-domain.
 Evaluation of ``L_u`` far beyond any storable table (the verification grids
 reach arguments ~1e9) switches from the truncated-series rule to a
 Laplace/quadrature evaluation driven by a cached spline of
-``log ell(e^sigma) / e^sigma``.
+``log ell(e^sigma) / e^sigma``.  The L functions take one radius or an array
+of radii; an array is evaluated a block of radii at a time, with the same
+arithmetic per radius as a lone call.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import logsumexp
 
 from .growth import (
     BELL_SERIES,
     CapacityError,
     GrowthFunctionSpec,
     ParameterError,
+    _SPEC_CACHE,
     default_r_grid,
     log_u_grid,
 )
@@ -61,6 +63,12 @@ _LN2 = math.log(2.0)
 _R_WIDE = 2.0e9
 #: The Laplace window keeps every integrand value within this drop of the peak.
 _H_DROP = 70.0
+#: Radii evaluated together; bounds the (radii x table length) temporaries.
+_BLOCK = 64
+#: Step size at which a bracketed Newton iteration counts as converged, and
+#: its iteration cap (enough for pure bisection down to that step).
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 100
 
 
 def _ternary_argmin(f, lo: float, hi: float, tol: float, max_iter: int) -> float:
@@ -105,8 +113,8 @@ def legendre_transform(
     cannot support the requested ``t``.
     """
     t = float(t)
-    if math.isnan(t) or t < 0.0:
-        raise ParameterError(f"legendre_transform requires t >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ParameterError(f"legendre_transform requires finite t >= 0, got {t}")
     if t == 0.0:
         return _grid_infimum(spec), 0.0
     if t > spec.t_sup:
@@ -265,8 +273,10 @@ class LFunctionEvaluator:
     table: LegendreTable
 
     def __post_init__(self) -> None:
-        if not self.table.is_integer_grid:
-            raise ParameterError("L-series evaluation requires an integer t-grid")
+        if not self.table.is_integer_grid or self.table.n_points < 2:
+            raise ParameterError(
+                "L-series evaluation requires an integer t-grid with n_max >= 1"
+            )
 
     @classmethod
     def from_spec(
@@ -280,60 +290,104 @@ class LFunctionEvaluator:
         return self.table.n_max
 
 
-def l_function(evaluator: LFunctionEvaluator, r: float, rel_tol: float = 1e-12) -> float:
+def _radii(r, name: str) -> np.ndarray:
+    """``r`` as a float array; NaN, infinite or negative entries raise."""
+    rs = np.asarray(r, dtype=float)
+    bad = ~((rs >= 0.0) & (rs < math.inf))
+    if bad.any():
+        raise ParameterError(f"{name} requires finite r >= 0, got {rs[bad][0]}")
+    return rs
+
+
+def _blockwise(rule, rs: np.ndarray):
+    """``rule`` applied to ``rs`` in blocks of ``_BLOCK`` radii: a float for a
+    0-d ``rs``, else an array of its shape."""
+    flat = rs.ravel()
+    out = np.empty(flat.size)
+    for lo in range(0, flat.size, _BLOCK):
+        out[lo : lo + _BLOCK] = rule(flat[lo : lo + _BLOCK])
+    return float(out[0]) if rs.ndim == 0 else out.reshape(rs.shape)
+
+
+def _table_rule(
+    table: LegendreTable, rs: np.ndarray, rel_tol: float
+) -> tuple[np.ndarray, InsufficientTableError | None]:
+    """The truncation rule on a block of radii: the values (NaN where the
+    rule cannot finish inside the table) and the error of the first such
+    radius, or ``None``."""
+    le = table.log_ell
+    N = le.size - 1
+    zero = rs == 0.0
+    lt = le + np.log(np.where(zero, 1.0, rs))[:, None] * table.t
+    d = np.diff(lt, axis=1)
+    small = d < -_LN2
+    # hit[:, j]: the five ratios from term j on are all below 1/2.
+    hit = np.ones((rs.size, max(N - 4, 0)), dtype=bool)
+    for j in range(5):
+        hit &= small[:, j : j + hit.shape[1]]
+    rows = np.flatnonzero(hit.any(axis=1) & ~zero)
+    vals = np.full(rs.size, np.nan)
+    vals[zero] = le[0]
+    excess = np.full(rs.size, np.nan)  # log(tail bound / sum) at the table end
+    if rows.size:
+        lt_r, d_r = lt[rows], d[rows]
+        past_cut = np.arange(N + 1) >= hit[rows].argmax(axis=1)[:, None] + 5
+        # Geometric tail bound from term k on, with rho = ratio k -> k+1 (the
+        # last stored ratio, capped at 1/2, at the table end).
+        log_rho = np.empty_like(lt_r)
+        log_rho[:, :-1] = np.minimum(d_r, -1e-12)
+        log_rho[:, -1] = np.minimum(d_r[:, -1], -_LN2)
+        tail = lt_r + log_rho - np.log1p(-np.exp(log_rho))
+        m = lt_r.max(axis=1, keepdims=True)
+        partial = m + np.log(
+            np.cumsum(np.exp(lt_r - m), axis=1),
+            out=np.full_like(lt_r, -np.inf),
+            where=past_cut,
+        )
+        stop = past_cut & (tail <= math.log(rel_tol) + partial)
+        done = stop.any(axis=1)
+        vals[rows[done]] = partial[done, stop[done].argmax(axis=1)]
+        excess[rows] = tail[:, -1] - partial[:, -1]
+    failed = np.isnan(vals)
+    if not failed.any():
+        return vals, None
+    j = int(failed.argmax())
+    last = math.exp(d[j, -1])
+    if np.isnan(excess[j]):
+        msg = (f"truncation rule did not trigger by n={N} at r={rs[j]:g} "
+               f"(last term ratio {last:.3g})")
+    else:
+        msg = (f"tail bound still {math.exp(excess[j]):.3g} of the sum at the "
+               f"table end (n={N}, r={rs[j]:g})")
+    return vals, InsufficientTableError(msg, last_ratio=last, n_max=N)
+
+
+def l_function(evaluator: LFunctionEvaluator, r, rel_tol: float = 1e-12):
     """``log L_u(r)`` by the ratio-based truncation rule.
 
-    The series is cut at the first index from which the term ratio stays
-    below 1/2 for five consecutive steps, then extended until the geometric
-    tail bound drops below ``rel_tol`` times the partial sum.  (Once ratios
-    fall below 1/2 they stay there: ``ell`` is log-concave, so term ratios
-    are monotone in ``n``.)  The returned value excludes the bounded tail.
+    ``r`` is a radius or an array of radii; a scalar gives a float, an array
+    an array of its shape.  The series is cut at the first index from which
+    the term ratio stays below 1/2 for five consecutive steps, then extended
+    until the geometric tail bound drops below ``rel_tol`` times the partial
+    sum.  (Once ratios fall below 1/2 they stay there: ``ell`` is
+    log-concave, so term ratios are monotone in ``n``.)  The returned value
+    excludes the bounded tail.
 
-    Raises :class:`InsufficientTableError` (with the last observed ratio)
-    when the rule cannot trigger inside the stored table.
+    Raises :class:`InsufficientTableError` (with the last observed ratio of
+    the first radius that fails) when the rule cannot trigger inside the
+    stored table.
     """
-    r = float(r)
-    if math.isnan(r) or r < 0.0:
-        raise ParameterError(f"l_function requires r >= 0, got {r}")
+    rs = _radii(r, "l_function")
     if rel_tol <= 0.0:
         raise ParameterError("rel_tol must be positive")
-    le = evaluator.table.log_ell
-    if r == 0.0:
-        return float(le[0])
-    lt = le + evaluator.table.t * math.log(r)
-    d = np.diff(lt)
-    N = len(lt) - 1
-    small = d < -_LN2
-    run = np.convolve(small.astype(int), np.ones(5, dtype=int), mode="valid") == 5
-    hits = np.flatnonzero(run)
-    if hits.size == 0:
-        raise InsufficientTableError(
-            f"truncation rule did not trigger by n={N} at r={r:g} "
-            f"(last term ratio {math.exp(d[-1]):.3g})",
-            last_ratio=math.exp(d[-1]),
-            n_max=N,
-        )
-    n_cut = int(hits[0]) + 5
-    partial = float(logsumexp(lt[: n_cut + 1]))
-    log_rel = math.log(rel_tol)
-    while True:
-        if n_cut < N:
-            rho = math.exp(min(d[n_cut], -1e-12))
-            tail_log = lt[n_cut] + math.log(rho) - math.log1p(-rho)
-        else:
-            rho = min(math.exp(d[-1]), 0.5)
-            tail_log = lt[N] + math.log(rho) - math.log1p(-rho)
-        if tail_log <= log_rel + partial:
-            return partial
-        if n_cut == N:
-            raise InsufficientTableError(
-                f"tail bound still {math.exp(tail_log - partial):.3g} of the sum "
-                f"at the table end (n={N}, r={r:g})",
-                last_ratio=math.exp(d[-1]),
-                n_max=N,
-            )
-        n_cut += 1
-        partial = float(np.logaddexp(partial, lt[n_cut]))
+
+    def rule(block: np.ndarray) -> np.ndarray:
+        vals, err = _table_rule(evaluator.table, block, rel_tol)
+        if err is not None:
+            raise err
+        return vals
+
+    return _blockwise(rule, rs)
 
 
 # -- wide-range L evaluation -------------------------------------------------
@@ -357,7 +411,7 @@ class _ContinuousEll:
     t_hi: float
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SPEC_CACHE)
 def _continuous_ell(spec: GrowthFunctionSpec) -> _ContinuousEll:
     """Cached spline of ``f(sigma) = log ell(e^sigma)/e^sigma`` used by the
     Laplace evaluation of ``L_u`` beyond any storable table."""
@@ -391,85 +445,141 @@ def _continuous_ell(spec: GrowthFunctionSpec) -> _ContinuousEll:
     return _ContinuousEll(sigma, ts, f, spline, t_lo, t_hi)
 
 
-def l_function_integral(spec: GrowthFunctionSpec, r: float) -> float:
+def _bracketed_newton(fun, x: np.ndarray, pos: np.ndarray, neg: np.ndarray):
+    """Roots of ``fun`` by Newton steps, each replaced by the bracket midpoint
+    when it leaves the bracket.  ``fun(x, idx)`` gives the values and slopes
+    at the entries ``idx``; ``pos`` and ``neg`` are bracket ends where the
+    value is positive and not.  Converged entries stop moving, so an entry's
+    result does not depend on the others.  Returns the roots and the last
+    slopes."""
+    x, pos, neg = x.copy(), pos.copy(), neg.copy()
+    slope = np.empty_like(x)
+    act = np.arange(x.size)
+    for _ in range(_NEWTON_MAX_ITER):
+        xa = x[act]
+        v, dv = fun(xa, act)
+        slope[act] = dv
+        up = v > 0.0
+        pos[act[up]] = xa[up]
+        neg[act[~up]] = xa[~up]
+        p, n = pos[act], neg[act]
+        newton = xa - v / dv
+        inside = (newton - p) * (newton - n) < 0.0
+        step = np.where(v == 0.0, xa, np.where(inside, newton, 0.5 * (p + n)))
+        x[act] = step
+        act = act[np.abs(step - xa) > _NEWTON_TOL]
+        if act.size == 0:
+            break
+    return x, slope
+
+
+def _laplace_rule(spec: GrowthFunctionSpec, rs: np.ndarray) -> np.ndarray:
+    """``log integral_0^inf ell_u(t) r^t dt`` for a block of radii ``r > 0``."""
+    ce = _continuous_ell(spec)
+    spline = ce.spline
+    lr = np.log(rs)
+    n = rs.size
+    i = np.argmax(ce.ts * (ce.f + lr[:, None]), axis=1)
+    for bad, what in (
+        (i >= ce.sigma.size - 3,
+         f"lies beyond the wide-evaluation range of {spec.function_id}"),
+        (i <= 2, "is below the wide-evaluation range; use the table rule"),
+    ):
+        if bad.any():
+            raise CapacityError(f"r={rs[bad][0]:g} {what}")
+
+    # Peak of h(sigma) = e^sigma (f(sigma) + log r): the root of
+    # q = f + f' + log r, which falls through zero there, near knot i.
+    def q(s, k):
+        d1 = spline(s, 1)
+        return spline(s) + d1 + lr[k], d1 + spline(s, 2)
+
+    s_star, dq = _bracketed_newton(q, ce.sigma[i], ce.sigma[i - 2], ce.sigma[i + 2])
+    h_star = np.exp(s_star) * (spline(s_star) + lr)
+
+    # Window edges, where h falls _H_DROP below the peak: steps out of the
+    # peak, starting at the Gaussian width and doubling, until h drops below
+    # the target or the wide domain ends, then Newton inside the bracket.
+    side = np.repeat([-1.0, 1.0], n)
+    row = np.tile(np.arange(n), 2)
+    end = np.where(side < 0.0, ce.sigma[0], ce.sigma[-1])
+    target = h_star[row] - _H_DROP
+    s_in = s_star[row]
+    step = np.sqrt(2.0 * _H_DROP / np.abs(np.exp(s_star) * dq))[row]
+    s_out = np.empty(2 * n)
+    h_out = np.empty(2 * n)
+    at_end = np.zeros(2 * n, dtype=bool)
+    act = np.arange(2 * n)
+    while act.size:
+        s = s_in[act] + side[act] * step[act]
+        crossed = ~(side[act] * (end[act] - s) > 0.0)  # NaN ends the search too
+        s = np.where(crossed, end[act], s)
+        h = np.exp(s) * (spline(s) + lr[row[act]])
+        s_out[act], h_out[act] = s, h
+        at_end[act[crossed]] = True
+        moving = ~(crossed | (h <= target[act]))
+        s_in[act[moving]] = s[moving]
+        step[act[moving]] *= 2.0
+        act = act[moving]
+    clipped = row[at_end & (h_out > h_star[row] - 45.0)]
+    if clipped.size:
+        raise CapacityError(
+            f"integration window for r={rs[clipped.min()]:g} is clipped at the "
+            f"wide-domain edge of {spec.function_id}"
+        )
+    inner = np.flatnonzero(~at_end)
+
+    def drop(s, idx):
+        k = inner[idx]
+        v, d1 = spline(s), spline(s, 1)
+        e = np.exp(s)
+        return e * (v + lr[row[k]]) - target[k], e * (v + d1 + lr[row[k]])
+
+    s_out[inner] = _bracketed_newton(drop, s_out[inner], s_in[inner], s_out[inner])[0]
+
+    x, w = _gl_nodes()
+    t_a, t_b = np.exp(s_out[:n]), np.exp(s_out[n:])
+    half = 0.5 * (t_b - t_a)
+    tt = (0.5 * (t_a + t_b))[:, None] + half[:, None] * x
+    hh = tt * (spline(np.log(tt)) + lr[:, None])
+    return h_star + np.log(np.exp(hh - h_star[:, None]) @ w) + np.log(half)
+
+
+def l_function_integral(spec: GrowthFunctionSpec, r):
     """``log L_u(r)`` via ``log integral_0^inf ell_u(t) r^t dt``.
 
-    Valid once the dominant index of the series is large (hundreds and up):
-    there the sum and the integral agree to spectral accuracy (the summand is
-    a wide near-Gaussian bump in ``t``), and a Gauss-Legendre rule over the
-    window where the integrand stays within ``exp(-70)`` of its peak captures
-    everything that matters.
+    ``r`` is a radius or an array of radii; a scalar gives a float, an array
+    an array of its shape.  Valid once the dominant index of the series is
+    large (hundreds and up): there the sum and the integral agree to
+    spectral accuracy (the summand is a wide near-Gaussian bump in ``t``),
+    and a Gauss-Legendre rule over the window where the integrand stays
+    within ``exp(-70)`` of its peak captures everything that matters.
+    Errors name the first radius they concern.
     """
-    r = float(r)
-    if not r > 0.0:
+    rs = _radii(r, "l_function_integral")
+    if not (rs > 0.0).all():
         raise ParameterError("the integral form needs r > 0")
-    ce = _continuous_ell(spec)
-    lr = math.log(r)
-    h = ce.ts * (ce.f + lr)
-    i = int(np.argmax(h))
-    if i >= len(h) - 3:
-        raise CapacityError(
-            f"r={r:g} lies beyond the wide-evaluation range of {spec.function_id}"
-        )
-    if i <= 2:
-        raise CapacityError(
-            f"r={r:g} is below the wide-evaluation range; use the table rule"
-        )
-
-    def g(sg: float) -> float:
-        return math.exp(sg) * (float(ce.spline(sg)) + lr)
-
-    s_star = _ternary_argmin(lambda sg: -g(sg), float(ce.sigma[i - 2]),
-                             float(ce.sigma[i + 2]), 1e-11, 90)
-    h_star = g(s_star)
-
-    # The bump in sigma is typically much narrower than the knot spacing, so
-    # the window edges (where h falls _H_DROP below the peak) are located by
-    # doubling steps out of the peak followed by bisection.
-    lo_edge, hi_edge = float(ce.sigma[0]), float(ce.sigma[-1])
-    target = h_star - _H_DROP
-
-    def edge(direction: int) -> float:
-        s_in = s_star
-        step = 1e-6
-        while True:
-            s_out = s_in + direction * step
-            if (direction > 0 and s_out >= hi_edge) or (
-                direction < 0 and s_out <= lo_edge
-            ):
-                s_out = hi_edge if direction > 0 else lo_edge
-                if g(s_out) > h_star - 45.0:
-                    raise CapacityError(
-                        "integration window clipped at the wide-domain edge"
-                    )
-                return s_out
-            if g(s_out) <= target:
-                for _ in range(50):
-                    mid = 0.5 * (s_in + s_out)
-                    if g(mid) <= target:
-                        s_out = mid
-                    else:
-                        s_in = mid
-                return s_out
-            s_in = s_out
-            step *= 2.0
-
-    t_a, t_b = math.exp(edge(-1)), math.exp(edge(+1))
-    x, w = _gl_nodes()
-    tt = 0.5 * (t_a + t_b) + 0.5 * (t_b - t_a) * x
-    hh = tt * (ce.spline(np.log(tt)) + lr)
-    val = float(np.dot(w, np.exp(hh - h_star)))
-    return h_star + math.log(val) + math.log(0.5 * (t_b - t_a))
+    return _blockwise(lambda block: _laplace_rule(spec, block), rs)
 
 
-def l_function_wide(
-    evaluator: LFunctionEvaluator, r: float, rel_tol: float = 1e-12
-) -> float:
-    """``log L_u(r)``: table rule where it triggers, Laplace integral beyond."""
-    try:
-        return l_function(evaluator, r, rel_tol=rel_tol)
-    except InsufficientTableError:
-        return l_function_integral(evaluator.spec, r)
+def l_function_wide(evaluator: LFunctionEvaluator, r, rel_tol: float = 1e-12):
+    """``log L_u(r)``: table rule where it triggers, Laplace integral beyond.
+
+    ``r`` is a radius or an array of radii; a scalar gives a float, an array
+    an array of its shape.
+    """
+    rs = _radii(r, "l_function_wide")
+    if rel_tol <= 0.0:
+        raise ParameterError("rel_tol must be positive")
+
+    def rule(block: np.ndarray) -> np.ndarray:
+        vals = _table_rule(evaluator.table, block, rel_tol)[0]
+        rest = np.isnan(vals)
+        if rest.any():
+            vals[rest] = _laplace_rule(evaluator.spec, block[rest])
+        return vals
+
+    return _blockwise(rule, rs)
 
 
 def bidual(spec: GrowthFunctionSpec, r: float, t_cap: float = 4.0e6) -> float:

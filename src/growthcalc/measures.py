@@ -31,6 +31,7 @@ from .growth import (
     KONDRATIEV_STREIT,
     ITERATED_EXP_SQRT,
     ParameterError,
+    _SPEC_CACHE,
     iterated_log,
 )
 
@@ -290,8 +291,8 @@ def grey_integrability(
     """
     if not 0.0 < lam <= 1.0:
         raise ParameterError(f"lambda must lie in (0, 1], got {lam}")
-    if w < 0.0:
-        raise ParameterError(f"w must be >= 0, got {w}")
+    if not 0.0 <= w < math.inf:
+        raise ParameterError(f"w must be finite and >= 0, got {w}")
     x = grey_sample(lam, n, seed)
     expo = 1.0 / (2.0 - lam)
     le = 0.5 * (2.0 - lam) * (w * x * x) ** expo
@@ -346,7 +347,7 @@ class HidaReport:
 _ENVELOPE_C2 = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SPEC_CACHE)
 def _gaussian_envelope(spec: GrowthFunctionSpec) -> tuple[float, float]:
     """Smallest ``c2`` from a fixed ladder with ``u(r)^{1/2} <= c1 e^{c2 r}``
     certified on a grid (the score must peak away from the right edge)."""

@@ -380,6 +380,23 @@ def test_spec_from_dict_rejects_keys_it_does_not_read(d, key):
         spec_from_dict(d)
 
 
+def test_spec_from_dict_rejects_claims_a_catalog_kind_does_not_make():
+    d = {"kind": "kondratiev_streit", "beta": 0.5, "claimed_conditions": ["U0"]}
+    with pytest.raises(ParameterError, match="claimed_conditions"):
+        spec_from_dict(d)
+    d["claimed_conditions"] = ["U3", "U2", "U1", "U0"]
+    assert spec_from_dict(d) == kondratiev_streit(0.5)
+
+
+def test_spec_keyed_caches_are_bounded():
+    from growthcalc.growth import _series_gaps, _series_logc
+    from growthcalc.legendre import _continuous_ell
+    from growthcalc.measures import _gaussian_envelope
+
+    for cached in (_series_logc, _series_gaps, _continuous_ell, _gaussian_envelope):
+        assert cached.cache_info().maxsize is not None, cached.__name__
+
+
 # ---------------------------------------------------------------------------
 # Mittag-Leffler
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from growthcalc import (
     exponential,
     iterated_exp_sqrt,
     kondratiev_streit,
+    l_function_wide,
     legendre_sequence,
     summary_table,
     verify_function,
@@ -137,6 +138,19 @@ def test_equivalence_bell_vs_iterated_exp(batteries, u2):
     assert report.passed
     assert math.isfinite(report.constants["c1"])
     assert math.isfinite(report.constants["c2"])
+
+
+def test_equivalence_accepts_an_evaluator(catalog, evaluators):
+    # one array call per grid gives the constants of one call per radius
+    spec, ev = catalog["g2"], evaluators["g2"]
+    by_array = equivalence_witness(spec, ev)
+    by_lone_calls = equivalence_witness(
+        spec, lambda r: l_function_wide(ev, r), g_id="L[g2]"
+    )
+    assert by_array.function_id == by_lone_calls.function_id == "(g2,L[g2])"
+    assert by_array.status == by_lone_calls.status == "pass"
+    assert by_array.constants == pytest.approx(by_lone_calls.constants, rel=1e-13)
+    assert by_array.witness == by_lone_calls.witness
 
 
 def test_equivalence_rejects_inequivalent_pair():

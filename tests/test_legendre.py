@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from growthcalc import (
     UnboundedBelowError,
     bell_series,
     bidual,
+    exponential,
     kondratiev_streit,
     l_function,
     l_function_integral,
@@ -69,6 +71,12 @@ def test_transform_against_dense_grid_minimization():
 def test_transform_rejects_negative_t():
     with pytest.raises(ParameterError):
         legendre_transform(kondratiev_streit(0.0), -1.0)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_transform_rejects_non_finite_t(t):
+    with pytest.raises(ParameterError):
+        legendre_transform(kondratiev_streit(0.5), t)
 
 
 def test_transform_beyond_series_capacity():
@@ -232,6 +240,129 @@ def test_l_function_monotone_in_radius(evaluators):
     ev = evaluators["g2"]
     values = [l_function(ev, r) for r in (0.0, 0.1, 1.0, 5.0, 25.0)]
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+# ---------------------------------------------------------------------------
+# L-function on arrays of radii
+# ---------------------------------------------------------------------------
+
+#: Runs from r = 0 through the table rule into the Laplace rule for every
+#: evaluator below, over more than one block of radii.
+RULE_CROSSING_GRID = np.concatenate([[0.0], np.geomspace(1e-4, 1.5e9, 90)])
+
+
+@pytest.fixture(scope="module")
+def kind_evaluators(evaluators, u2):
+    """One evaluator per catalog kind (u2 with a shorter table: its
+    transforms are the slow ones)."""
+    return {
+        **{fid: evaluators[fid] for fid in ("ks0", "ks05", "g2", "g3")},
+        "exp2": LFunctionEvaluator.from_spec(exponential(2.0)),
+        "u2": LFunctionEvaluator.from_spec(u2, n_max=200),
+    }
+
+
+def _table_rule_applies(ev, r):
+    try:
+        l_function(ev, r)
+    except InsufficientTableError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("fid", ["ks0", "ks05", "g2", "g3", "exp2", "u2"])
+def test_l_functions_on_arrays_match_lone_calls(kind_evaluators, fid):
+    ev = kind_evaluators[fid]
+    grid = RULE_CROSSING_GRID
+    table = np.array([_table_rule_applies(ev, float(r)) for r in grid])
+    assert table[0] and not table[-1] and 0 < table.sum() < grid.size
+    wide = l_function_wide(ev, grid)
+    np.testing.assert_allclose(
+        wide, [l_function_wide(ev, float(r)) for r in grid], rtol=1e-13
+    )
+    np.testing.assert_allclose(
+        l_function(ev, grid[table]),
+        [l_function(ev, float(r)) for r in grid[table]],
+        rtol=1e-13,
+    )
+    laplace = l_function_integral(ev.spec, grid[~table])
+    np.testing.assert_allclose(
+        laplace, [l_function_integral(ev.spec, float(r)) for r in grid[~table]],
+        rtol=1e-13,
+    )
+    np.testing.assert_allclose(wide[~table], laplace, rtol=1e-13)
+
+
+@pytest.mark.parametrize("fid,r,expect", [
+    ("ks0", 1e8, 100000010.1292794),
+    ("ks05", 2.0, 3.299701718261836),
+    ("ks05", 1e4, 700.0245845899242),
+    ("g2", 1e4, 432.5432434126663),
+    ("g3", 1e8, 29806.92141696703),
+    ("u2", 2.0, 2.239320836531081),
+    ("u2", 1e8, 53640.761078519834),
+])
+def test_l_function_wide_pinned_values(kind_evaluators, fid, r, expect):
+    # reference values from evaluating one radius per call
+    ev = kind_evaluators[fid]
+    value = l_function_wide(ev, np.array([1.0, r]))[1]
+    assert value == pytest.approx(expect, rel=1e-10)
+
+
+def test_l_functions_keep_the_input_shape(evaluators):
+    ev = evaluators["ks0"]
+    for value in (
+        l_function(ev, np.float64(2.0)),
+        l_function(ev, np.array(2.0)),
+        l_function_wide(ev, np.array(900.0)),
+        l_function_integral(ev.spec, np.array(900.0)),
+    ):
+        assert type(value) is float
+    assert l_function_wide(ev, np.array([[2.0, 900.0]])).shape == (1, 2)
+    assert l_function_wide(ev, np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("name", ["l_function", "l_function_wide", "l_function_integral"])
+def test_l_functions_reject_a_bad_radius_anywhere(evaluators, name, bad):
+    ev = evaluators["ks0"]
+    call, good = {
+        "l_function": (lambda rs: l_function(ev, rs), 2.0),
+        "l_function_wide": (lambda rs: l_function_wide(ev, rs), 900.0),
+        "l_function_integral": (lambda rs: l_function_integral(ev.spec, rs), 900.0),
+    }[name]
+    radii = np.full(70, good)
+    radii[67] = bad
+    with pytest.raises(ParameterError):
+        call(radii)
+
+
+def test_evaluator_needs_more_than_the_constant_term():
+    with pytest.raises(ParameterError):
+        LFunctionEvaluator.from_spec(kondratiev_streit(0.0), n_max=0)
+
+
+def test_insufficient_table_error_names_the_first_failing_radius():
+    ev = LFunctionEvaluator.from_spec(kondratiev_streit(0.0), n_max=40)
+    radii = np.concatenate([np.full(70, 1.0), [1e8, 1e9]])
+    with pytest.raises(InsufficientTableError, match=r"r=1e\+08") as exc:
+        l_function(ev, radii)
+    with pytest.raises(InsufficientTableError) as lone:
+        l_function(ev, 1e8)
+    assert exc.value.last_ratio == lone.value.last_ratio
+    assert exc.value.n_max == 40
+
+
+@pytest.mark.parametrize("bad,what", [
+    (1e10, "beyond the wide-evaluation range"),
+    (1e-9, "below the wide-evaluation range"),
+    (1.0, "clipped at the wide-domain edge"),
+])
+def test_capacity_errors_name_the_first_offending_radius(bad, what):
+    radii = np.concatenate([np.full(70, 1e3), [bad, 1.5 * bad]])
+    with pytest.raises(CapacityError, match=re.escape(f"r={bad:g} ")) as exc:
+        l_function_integral(kondratiev_streit(0.0), radii)
+    assert what in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

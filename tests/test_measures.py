@@ -185,6 +185,12 @@ def test_grey_integrability_zero_weight():
     assert result.value == 1.0 and result.stderr == 0.0
 
 
+@pytest.mark.parametrize("w", [-0.1, math.nan, math.inf])
+def test_grey_integrability_rejects_bad_weight(w):
+    with pytest.raises(ParameterError):
+        grey_integrability(0.5, w, n=1000, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # measure surrogates and the integrability sweep
 # ---------------------------------------------------------------------------
