@@ -19,8 +19,9 @@ concurrent callers at worst duplicate a computation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import integrate
@@ -88,6 +89,11 @@ _BELL_EXACT_CAP = 1200
 #: 1e4 cap that noise stays near 1e-10 absolute, keeping the series at least
 #: two digits inside the 1e-8 agreement tolerance wherever it is used.
 _ML_SERIES_TERM_CAP = 1.0e4
+
+#: Largest ratio of the biggest series term to the sum itself: past it the
+#: terms' rounding, not the function, sets the result's relative error (near
+#: lam = 1 and t ~ 10 terms reach thousands while the sum is about 1e-3).
+_ML_SERIES_CANCELLATION = 1.0e4
 
 
 def iterated_log(k: int, r: float) -> float:
@@ -162,7 +168,7 @@ def _log_bell_dobinski(n_hi: int) -> np.ndarray:
     """
     out = np.empty(n_hi + 1)
     out[0] = 0.0
-    block = 1024
+    block, rows = 1024, 32
     n0 = 1
     while n0 <= n_hi:
         n1 = min(n0 + block - 1, n_hi)
@@ -175,10 +181,18 @@ def _log_bell_dobinski(n_hi: int) -> np.ndarray:
         j = np.arange(lo, hi + 1, dtype=float)
         lj = np.log(j)
         lg = gammaln(j + 1.0)
-        ns = np.arange(n0, n1 + 1, dtype=float)[:, None]
-        ex = ns * lj[None, :] - lg[None, :]
-        m = ex.max(axis=1)
-        out[n0 : n1 + 1] = m + np.log(np.exp(ex - m[:, None]).sum(axis=1)) - 1.0
+        # The block's rows share the j-window but not their sums: evaluate
+        # them a cache-sized slab at a time in one reused buffer.
+        buf = np.empty((rows, j.size))
+        for a in range(n0, n1 + 1, rows):
+            b = min(a + rows, n1 + 1)
+            ex = buf[: b - a]
+            np.multiply(np.arange(a, b, dtype=float)[:, None], lj, out=ex)
+            ex -= lg
+            m = ex.max(axis=1)
+            ex -= m[:, None]
+            np.exp(ex, out=ex)
+            out[a:b] = m + np.log(ex.sum(axis=1)) - 1.0
         n0 = n1 + 1
     out.setflags(write=False)
     return out
@@ -233,8 +247,8 @@ class GrowthFunctionSpec:
             raise ParameterError(f"beta must lie in [0, 1), got {self.beta}")
         if self.kind in (ITERATED_EXP_SQRT, BELL_SERIES) and self.k < 1:
             raise ParameterError(f"k must be a positive integer, got {self.k}")
-        if self.kind == EXPONENTIAL and not self.c > 0:
-            raise ParameterError(f"exponential rate must be positive, got {self.c}")
+        if self.kind == EXPONENTIAL and not 0 < self.c < math.inf:
+            raise ParameterError(f"exponential rate must be positive and finite, got {self.c}")
         if self.kind == POWER_SERIES:
             if not self.log_coeffs:
                 raise ParameterError("power_series requires at least one log-coefficient")
@@ -267,19 +281,21 @@ class GrowthFunctionSpec:
     def log_u(self, r: float) -> float:
         """``log u(r)`` for a single nonnegative ``r``."""
         r = float(r)
-        if math.isnan(r) or r < 0.0:
+        if not r >= 0.0:  # NaN or negative
             raise ParameterError(f"growth functions are defined for r >= 0, got {r}")
-        if self.kind == KONDRATIEV_STREIT:
-            b1 = 1.0 + self.beta
-            return b1 * r ** (1.0 / b1)
-        if self.kind == EXPONENTIAL:
-            return self.c * r
-        if self.kind == ITERATED_EXP_SQRT:
-            if r == 0.0:
-                return 0.0
-            x = iterated_log(self.k - 1, math.sqrt(r))
-            return 2.0 * math.sqrt(r * x)
-        return _series_log_value(self, r)
+        return self.kernel(r)
+
+    @cached_property
+    def kernel(self):
+        """``log u`` for a float ``r >= 0``, unchecked: the hot loops' entry
+        point, built once per spec from the kind's formula."""
+        return _KERNELS[self.kind](self)
+
+    def __getstate__(self) -> dict:
+        # The kernel is a closure: rebuild it after unpickling.
+        state = dict(self.__dict__)
+        state.pop("kernel", None)
+        return state
 
     # -- evaluation-range metadata ----------------------------------------
 
@@ -403,17 +419,22 @@ def spec_from_dict(d: dict) -> GrowthFunctionSpec:
     kind = d["kind"]
     label = d.get("label", "")
     if kind == KONDRATIEV_STREIT:
-        spec = kondratiev_streit(d.get("beta", 0.0))
+        spec = kondratiev_streit(_config_param(d, kind, 0.0))
     elif kind == ITERATED_EXP_SQRT:
-        spec = iterated_exp_sqrt(d.get("k", 2))
+        spec = iterated_exp_sqrt(_config_param(d, kind, 2))
     elif kind == BELL_SERIES:
-        spec = bell_series(d.get("k", 2))
+        spec = bell_series(_config_param(d, kind, 2))
     elif kind == EXPONENTIAL:
-        spec = exponential(d.get("c", 1.0))
+        spec = exponential(_config_param(d, kind, 1.0))
     elif kind == POWER_SERIES:
-        coeffs = [
-            -math.inf if v is None else float(v) for v in d.get("log_coeffs", ())
-        ]
+        coeffs = d.get("log_coeffs", ())
+        if not isinstance(coeffs, (list, tuple)) or not all(
+            v is None or _is_real(v) for v in coeffs
+        ):
+            raise ParameterError(
+                "power_series field 'log_coeffs' must be a list of numbers and nulls"
+            )
+        coeffs = [-math.inf if v is None else float(v) for v in coeffs]
         spec = power_series(coeffs, d.get("claimed_conditions", ()))
     else:
         raise ParameterError(f"unknown growth-function kind {kind!r}")
@@ -444,6 +465,22 @@ def spec_from_dict(d: dict) -> GrowthFunctionSpec:
     return spec
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _config_param(d: dict, kind: str, default):
+    """The kind's parameter from a config mapping.  Strings and booleans are
+    not numbers, and ``k`` must be integral: none of them is coerced."""
+    key = _PARAM_KEYS[kind]
+    v = d.get(key, default)
+    if not _is_real(v):
+        raise ParameterError(f"{kind} field {key!r} must be a number, got {v!r}")
+    if key == "k" and not (isinstance(v, numbers.Integral) or float(v).is_integer()):
+        raise ParameterError(f"{kind} field 'k' must be an integer, got {v!r}")
+    return v
+
+
 def log_u(spec: GrowthFunctionSpec, r: float) -> float:
     """``log u(r)``; see :meth:`GrowthFunctionSpec.log_u`."""
     return spec.log_u(r)
@@ -459,7 +496,103 @@ def log_u_grid(spec: GrowthFunctionSpec, rs: np.ndarray) -> np.ndarray:
         return b1 * rs ** (1.0 / b1)
     if spec.kind == EXPONENTIAL:
         return spec.c * rs
-    return np.array([spec.log_u(float(r)) for r in rs])
+    kernel = spec.kernel
+    return np.array([kernel(r) for r in rs.tolist()])
+
+
+# -- scalar kernels ----------------------------------------------------------
+#
+# One builder per kind.  ``GrowthFunctionSpec.log_u`` and the loop in
+# ``log_u_grid`` both call the spec's kernel, so they agree bit for bit.
+
+
+def _ks_kernel(spec: GrowthFunctionSpec):
+    b1 = 1.0 + spec.beta
+    power = 1.0 / b1
+    return lambda r: b1 * r**power
+
+
+def _exponential_kernel(spec: GrowthFunctionSpec):
+    c = spec.c
+    return lambda r: c * r
+
+
+def _iterated_exp_sqrt_kernel(spec: GrowthFunctionSpec):
+    depth = spec.k - 1
+    e, log, sqrt = math.e, math.log, math.sqrt
+
+    def kernel(r: float) -> float:
+        if r == 0.0:
+            return 0.0
+        x = sqrt(r)
+        for _ in range(depth):  # iterated_log(k - 1, sqrt(r))
+            x = log(x if x > e else e)
+        return 2.0 * sqrt(r * x)
+
+    return kernel
+
+
+def _bell_kernel(spec: GrowthFunctionSpec):
+    """Windowed log-sum-exp of the series terms around the dominant one."""
+    logc = _series_logc(spec)
+    locate = _series_gaps(spec).searchsorted
+    index = np.arange(logc.size, dtype=float)
+    top = logc.size - 1
+    log_c0 = float(logc[0])
+    peak_cap = _PEAK_FRACTION * top
+    log, sqrt, exp = math.log, math.sqrt, np.exp
+
+    def kernel(r: float) -> float:
+        if r == 0.0:
+            return log_c0
+        lr = log(r)
+        peak = int(locate(lr, side="right"))
+        if peak > peak_cap:
+            raise CapacityError(
+                f"r={r:g} lies beyond the faithful range of {spec.function_id} "
+                f"(series stored to n={top}, max safe r ~ {spec.series_cap:.3g})"
+            )
+        half = int(10.0 * sqrt(peak + 25.0) + 50.0)
+        while True:
+            lo = max(0, peak - half)
+            hi = min(top, peak + half)
+            terms = index[lo : hi + 1] * lr
+            terms += logc[lo : hi + 1]
+            m = float(terms.max())
+            if not ((lo > 0 and terms[0] > m - 46.0)
+                    or (hi < top and terms[-1] > m - 46.0)):
+                break
+            half *= 2
+        terms -= m
+        exp(terms, out=terms)
+        return m + log(terms.sum())
+
+    return kernel
+
+
+def _power_series_kernel(spec: GrowthFunctionSpec):
+    """Log-sum-exp over every stored term: a power series is taken at face
+    value (a finite sum is a legitimate function), so no truncation guard
+    applies."""
+    logc = _series_logc(spec)
+    index = np.arange(logc.size, dtype=float)
+    log_c0 = float(logc[0])
+
+    def kernel(r: float) -> float:
+        if r == 0.0:
+            return log_c0
+        return float(logsumexp(logc + index * math.log(r)))
+
+    return kernel
+
+
+_KERNELS = {
+    KONDRATIEV_STREIT: _ks_kernel,
+    EXPONENTIAL: _exponential_kernel,
+    ITERATED_EXP_SQRT: _iterated_exp_sqrt_kernel,
+    BELL_SERIES: _bell_kernel,
+    POWER_SERIES: _power_series_kernel,
+}
 
 
 # -- series internals ------------------------------------------------------
@@ -512,37 +645,6 @@ def _power_faithful_cap(spec: GrowthFunctionSpec) -> float:
     return float(math.exp(min(slopes[j], 700.0)))
 
 
-def _series_log_value(spec: GrowthFunctionSpec, r: float) -> float:
-    logc = _series_logc(spec)
-    if r == 0.0:
-        return float(logc[0])
-    lr = math.log(r)
-    n_len = len(logc)
-    if spec.kind == POWER_SERIES:
-        # Power series are taken at face value (a finite sum is a legitimate
-        # function); no truncation guard applies.
-        return float(logsumexp(logc + np.arange(n_len, dtype=float) * lr))
-    gaps = _series_gaps(spec)
-    peak = int(np.searchsorted(gaps, lr, side="right"))
-    if peak > _PEAK_FRACTION * (n_len - 1):
-        raise CapacityError(
-            f"r={r:g} lies beyond the faithful range of {spec.function_id} "
-            f"(series stored to n={n_len - 1}, max safe r ~ {spec.series_cap:.3g})"
-        )
-    half = int(10.0 * math.sqrt(peak + 25.0) + 50.0)
-    while True:
-        lo = max(0, peak - half)
-        hi = min(n_len - 1, peak + half)
-        terms = logc[lo : hi + 1] + np.arange(lo, hi + 1, dtype=float) * lr
-        m = float(terms.max())
-        left_bad = lo > 0 and terms[0] > m - 46.0
-        right_bad = hi < n_len - 1 and terms[-1] > m - 46.0
-        if not (left_bad or right_bad):
-            break
-        half *= 2
-    return float(m + math.log(np.exp(terms - m).sum()))
-
-
 # -- Mittag-Leffler ---------------------------------------------------------
 
 
@@ -575,8 +677,9 @@ def mittag_leffler_series(
 ) -> float | None:
     """Alternating series ``sum (-t)^n / Gamma(1 + lam n)`` via ``math.fsum``.
 
-    Returns ``None`` when any term magnitude would exceed ``term_cap`` —
-    past that point cancellation eats the significand and the spectral
+    Returns ``None`` when any term magnitude would exceed ``term_cap``, or
+    the largest term exceeds ``_ML_SERIES_CANCELLATION`` times the sum —
+    past either point cancellation eats the significand and the spectral
     integral must be used instead.
     """
     if t == 0.0:
@@ -595,7 +698,10 @@ def mittag_leffler_series(
         n += 1
         if n > 10_000:  # pragma: no cover - defensive
             return None
-    return math.fsum(terms)
+    total = math.fsum(terms)
+    if max(map(abs, terms)) > _ML_SERIES_CANCELLATION * abs(total):
+        return None
+    return total
 
 
 def mittag_leffler_integral(lam: float, t: float) -> float:

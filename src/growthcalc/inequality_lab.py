@@ -359,15 +359,16 @@ def check_lfunction_sandwich(
     margins = const1 + lu_ar - logl_r
     j = int(np.argmin(margins))
 
-    def ratio_max(g: np.ndarray) -> tuple[float, float]:
-        lu = log_u_grid(spec, g)
-        ll4 = l_function_wide(evaluator, 4.0 * g)
-        diffs = lu - ll4
-        i = int(np.argmax(diffs))
-        return float(diffs[i]), float(g[i])
+    def log_ratio(g: np.ndarray) -> np.ndarray:
+        return log_u_grid(spec, g) - l_function_wide(evaluator, 4.0 * g)
 
-    log_c, r_at = ratio_max(grid)
-    log_c_fine, _ = ratio_max(_prepare_r_grid(spec, refine_grid(grid), u_mul=1.0, l_mul=4.0))
+    ratios = log_ratio(grid)
+    i = int(np.argmax(ratios))
+    log_c, r_at = float(ratios[i]), float(grid[i])
+    # The refined grid holds every radius of the grid: evaluate only the rest.
+    fine = _prepare_r_grid(spec, refine_grid(grid), u_mul=1.0, l_mul=4.0)
+    added = fine[~np.isin(fine, grid)]
+    log_c_fine = float(np.max(np.concatenate([ratios, log_ratio(added)])))
     stable = abs(log_c_fine - log_c) <= 0.1
     margin = float(margins[j]) if stable else -math.inf
     notes = "" if stable else "part-2 constant drifts under grid refinement"

@@ -309,6 +309,35 @@ def _blockwise(rule, rs: np.ndarray):
     return float(out[0]) if rs.ndim == 0 else out.reshape(rs.shape)
 
 
+def _stopped_sums(
+    lt: np.ndarray, d: np.ndarray, m: np.ndarray, start: np.ndarray, log_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated sums of the log terms ``lt`` (a leading run of each row's
+    columns, with the log ratios ``d`` between them and the row maxima
+    ``m``): per row, the log partial sum at the first term from ``start`` on
+    where the log tail bound is at most ``log_tol`` plus that sum (NaN where
+    no term is), and the log ratio of bound to sum at the last column."""
+    cols = lt.shape[1]
+    past_cut = np.arange(cols) >= start[:, None]
+    # Geometric tail bound from term k on, with rho = ratio k -> k+1 (the
+    # last stored ratio, capped at 1/2, at the table end).
+    log_rho = np.empty_like(lt)
+    log_rho[:, : d.shape[1]] = np.minimum(d, -1e-12)
+    if cols > d.shape[1]:
+        log_rho[:, -1] = np.minimum(d[:, -1], -_LN2)
+    tail = lt + log_rho - np.log1p(-np.exp(log_rho))
+    partial = m + np.log(
+        np.cumsum(np.exp(lt - m), axis=1),
+        out=np.full_like(lt, -np.inf),
+        where=past_cut,
+    )
+    stop = past_cut & (tail <= log_tol + partial)
+    done = stop.any(axis=1)
+    sums = np.full(lt.shape[0], np.nan)
+    sums[done] = partial[done, stop[done].argmax(axis=1)]
+    return sums, tail[:, -1] - partial[:, -1]
+
+
 def _table_rule(
     table: LegendreTable, rs: np.ndarray, rel_tol: float
 ) -> tuple[np.ndarray, InsufficientTableError | None]:
@@ -330,24 +359,22 @@ def _table_rule(
     vals[zero] = le[0]
     excess = np.full(rs.size, np.nan)  # log(tail bound / sum) at the table end
     if rows.size:
-        lt_r, d_r = lt[rows], d[rows]
-        past_cut = np.arange(N + 1) >= hit[rows].argmax(axis=1)[:, None] + 5
-        # Geometric tail bound from term k on, with rho = ratio k -> k+1 (the
-        # last stored ratio, capped at 1/2, at the table end).
-        log_rho = np.empty_like(lt_r)
-        log_rho[:, :-1] = np.minimum(d_r, -1e-12)
-        log_rho[:, -1] = np.minimum(d_r[:, -1], -_LN2)
-        tail = lt_r + log_rho - np.log1p(-np.exp(log_rho))
-        m = lt_r.max(axis=1, keepdims=True)
-        partial = m + np.log(
-            np.cumsum(np.exp(lt_r - m), axis=1),
-            out=np.full_like(lt_r, -np.inf),
-            where=past_cut,
-        )
-        stop = past_cut & (tail <= math.log(rel_tol) + partial)
-        done = stop.any(axis=1)
-        vals[rows[done]] = partial[done, stop[done].argmax(axis=1)]
-        excess[rows] = tail[:, -1] - partial[:, -1]
+        start = hit[rows].argmax(axis=1) + 5
+        m = lt[rows].max(axis=1, keepdims=True)
+        log_tol = math.log(rel_tol)
+        # Past ``start`` each term is below half the one before (the table is
+        # log-concave), so the tail bound falls under rel_tol within
+        # log2(1/rel_tol) terms: sum only that far, then retry at full width
+        # the rows that did not stop.
+        width = int(start.max()) + max(math.ceil(-math.log2(rel_tol)), 0) + 1
+        if width <= N:
+            vals[rows] = _stopped_sums(lt[rows, :width], d[rows, :width], m, start,
+                                       log_tol)[0]
+            retry = np.isnan(vals[rows])
+            rows, m, start = rows[retry], m[retry], start[retry]
+        if rows.size:
+            vals[rows], excess[rows] = _stopped_sums(lt[rows], d[rows], m, start,
+                                                     log_tol)
     failed = np.isnan(vals)
     if not failed.any():
         return vals, None

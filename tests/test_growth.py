@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import pickle
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthcalc import (
+    BELL_SERIES,
     CONDITION_IDS,
+    EXPONENTIAL,
+    ITERATED_EXP_SQRT,
+    KONDRATIEV_STREIT,
     CapacityError,
     ParameterError,
     bell_numbers,
@@ -465,3 +471,171 @@ def test_mittag_leffler_rejects_bad_parameters():
         mittag_leffler(1.5, 1.0)
     with pytest.raises(ParameterError):
         mittag_leffler(0.5, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# scalar kernels and the Dobinski table: bit for bit against the formulas
+# they replace
+# ---------------------------------------------------------------------------
+
+
+def _reference_series_log_value(spec, r):
+    """The windowed log-sum-exp over the series terms, as first written."""
+    from scipy.special import logsumexp
+
+    from growthcalc.growth import _PEAK_FRACTION, _series_gaps, _series_logc
+
+    logc = _series_logc(spec)
+    if r == 0.0:
+        return float(logc[0])
+    lr = math.log(r)
+    n_len = len(logc)
+    if spec.kind != BELL_SERIES:
+        return float(logsumexp(logc + np.arange(n_len, dtype=float) * lr))
+    peak = int(np.searchsorted(_series_gaps(spec), lr, side="right"))
+    if peak > _PEAK_FRACTION * (n_len - 1):
+        raise CapacityError(f"r={r:g} is past the faithful range")
+    half = int(10.0 * math.sqrt(peak + 25.0) + 50.0)
+    while True:
+        lo = max(0, peak - half)
+        hi = min(n_len - 1, peak + half)
+        terms = logc[lo : hi + 1] + np.arange(lo, hi + 1, dtype=float) * lr
+        m = float(terms.max())
+        left_bad = lo > 0 and terms[0] > m - 46.0
+        right_bad = hi < n_len - 1 and terms[-1] > m - 46.0
+        if not (left_bad or right_bad):
+            break
+        half *= 2
+    return float(m + math.log(np.exp(terms - m).sum()))
+
+
+def _reference_log_u(spec, r):
+    """Per-kind ``log u`` formulas, as first written."""
+    r = float(r)
+    if spec.kind == KONDRATIEV_STREIT:
+        b1 = 1.0 + spec.beta
+        return b1 * r ** (1.0 / b1)
+    if spec.kind == EXPONENTIAL:
+        return spec.c * r
+    if spec.kind == ITERATED_EXP_SQRT:
+        if r == 0.0:
+            return 0.0
+        return 2.0 * math.sqrt(r * iterated_log(spec.k - 1, math.sqrt(r)))
+    return _reference_series_log_value(spec, r)
+
+
+KERNEL_SPECS = [
+    kondratiev_streit(0.0), kondratiev_streit(0.37), exponential(2.5),
+    iterated_exp_sqrt(1), iterated_exp_sqrt(2), iterated_exp_sqrt(3),
+    bell_series(1), bell_series(2), bell_series(3),
+    truncated_square_exponential(degree=12),
+]
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: s.function_id)
+def test_kernel_matches_reference_formula_bit_for_bit(spec):
+    rng = np.random.default_rng(11)
+    top = min(0.95 * spec.series_cap, 1e12)
+    rs = [0.0, 1e-300, 0.5, 1.0, math.e, math.e**math.e, *np.exp(
+        rng.uniform(-30.0, math.log(top), 400)).tolist()]
+    want = [_reference_log_u(spec, r) for r in rs]
+    assert [spec.kernel(r) for r in rs] == want
+    assert [spec.log_u(r) for r in rs] == want
+    if spec.kind not in (KONDRATIEV_STREIT, EXPONENTIAL):  # numpy's own formula
+        assert log_u_grid(spec, np.array(rs)).tolist() == want
+
+
+def test_kernel_keeps_the_capacity_error_past_the_series_cap():
+    u2 = bell_series(2)
+    r = 1.5 * u2.series_cap
+    with pytest.raises(CapacityError, match="beyond the faithful range of u2") as err:
+        u2.kernel(r)
+    with pytest.raises(CapacityError, match=re.escape(str(err.value))):
+        u2.log_u(r)
+    with pytest.raises(CapacityError, match="past the faithful range"):
+        _reference_log_u(u2, r)
+
+
+def test_spec_pickles_after_its_kernel_is_built():
+    spec = bell_series(3)
+    assert spec.log_u(2.0) == spec.kernel(2.0)
+    clone = pickle.loads(pickle.dumps(spec))
+    assert clone == spec
+    assert clone.log_u(2.0) == spec.log_u(2.0)
+
+
+def test_dobinski_table_matches_whole_block_formula():
+    from scipy.special import gammaln
+
+    from growthcalc.growth import _bell_peak, _log_bell_dobinski
+
+    n_hi = 5000  # five 1024-row blocks, the last one partial
+    want = np.empty(n_hi + 1)
+    want[0] = 0.0
+    for n0 in range(1, n_hi + 1, 1024):
+        n1 = min(n0 + 1023, n_hi)
+        j_lo_c, j_hi_c = _bell_peak(float(n0)), _bell_peak(float(n1))
+        lo = max(1, int(j_lo_c - 14.0 * (j_lo_c / math.sqrt(n0 + j_lo_c)) - 8.0))
+        hi = int(j_hi_c + 14.0 * (j_hi_c / math.sqrt(n1 + j_hi_c)) + 8.0)
+        j = np.arange(lo, hi + 1, dtype=float)
+        ns = np.arange(n0, n1 + 1, dtype=float)[:, None]
+        ex = ns * np.log(j)[None, :] - gammaln(j + 1.0)[None, :]
+        m = ex.max(axis=1)
+        want[n0 : n1 + 1] = m + np.log(np.exp(ex - m[:, None]).sum(axis=1)) - 1.0
+    assert np.array_equal(_log_bell_dobinski(n_hi), want)
+    exact = bell_numbers(2, 60)
+    assert np.allclose(want[:61], [math.log(b) for b in exact], rtol=1e-13, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# config types
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [
+    {"kind": "kondratiev_streit", "beta": "0.5"},
+    {"kind": "kondratiev_streit", "beta": True},
+    {"kind": "exponential", "c": "2"},
+    {"kind": "exponential", "c": None},
+    {"kind": "iterated_exp_sqrt", "k": 2.7},
+    {"kind": "bell_series", "k": 2.7},
+    {"kind": "bell_series", "k": "2"},
+    {"kind": "bell_series", "k": True},
+    {"kind": "bell_series", "k": float("nan")},
+    {"kind": "power_series", "log_coeffs": "0.0"},
+    {"kind": "power_series", "log_coeffs": [0.0, "-1.0"]},
+    {"kind": "power_series", "log_coeffs": [0.0, False]},
+], ids=repr)
+def test_spec_from_dict_coerces_no_types(d):
+    with pytest.raises(ParameterError):
+        spec_from_dict(d)
+
+
+def test_spec_from_dict_takes_ints_for_floats_and_integral_floats_for_k():
+    assert spec_from_dict({"kind": "kondratiev_streit", "beta": 0}) == kondratiev_streit(0.0)
+    assert spec_from_dict({"kind": "exponential", "c": 3}) == exponential(3.0)
+    assert spec_from_dict({"kind": "bell_series", "k": 3.0}) == bell_series(3)
+    assert spec_from_dict({"kind": "power_series", "log_coeffs": [0, None, -2]}) == (
+        power_series([0.0, -math.inf, -2.0]))
+
+
+def test_exponential_rate_must_be_finite():
+    with pytest.raises(ParameterError, match="finite"):
+        exponential(math.inf)
+
+
+# ---------------------------------------------------------------------------
+# Mittag-Leffler near lambda = 1
+# ---------------------------------------------------------------------------
+
+
+# E_lam(-t) from the power series summed by mpmath at 50 digits.
+@pytest.mark.parametrize("lam,t,oracle", [
+    (0.99, 10.0, 0.0013478638060832084),
+    (0.95, 10.0, 0.006507135312256063),
+])
+def test_mittag_leffler_near_one_vs_exact_series(lam, t, oracle):
+    # The float series cancels terms near 3e3 down to a sum near 1e-3; the
+    # spectral integral takes over there.
+    assert mittag_leffler_series(lam, t) is None
+    assert mittag_leffler(lam, t) == pytest.approx(oracle, rel=1e-12, abs=0.0)

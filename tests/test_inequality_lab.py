@@ -21,6 +21,8 @@ from growthcalc import (
     kondratiev_streit,
     l_function_wide,
     legendre_sequence,
+    log_u_grid,
+    refine_grid,
     summary_table,
     verify_function,
 )
@@ -240,3 +242,27 @@ def test_audit_tolerance_is_adjustable(tables60):
     bad = corrupt_table(tables60["ks0"], 17, 1.01, "ell")
     # a sloppy tolerance waves the same corruption through
     assert check_table_definition(spec, bad, tol=10.0).passed
+
+
+@pytest.mark.parametrize("fid", ["ks05", "g2"])
+def test_sandwich_refinement_evaluates_only_the_added_radii(
+    catalog, evaluators, monkeypatch, fid
+):
+    from growthcalc import inequality_lab
+    from growthcalc.inequality_lab import _prepare_r_grid, check_lfunction_sandwich
+
+    spec, evaluator = catalog[fid], evaluators[fid]
+    grid = _prepare_r_grid(spec, np.geomspace(1e-3, 1e8, 61), u_mul=2.0, l_mul=4.0)
+    fine = _prepare_r_grid(spec, refine_grid(grid), u_mul=1.0, l_mul=4.0)
+    sizes = []
+
+    def counted(ev, r, *args):
+        sizes.append(np.size(r))
+        return l_function_wide(ev, r, *args)
+
+    monkeypatch.setattr(inequality_lab, "l_function_wide", counted)
+    report = check_lfunction_sandwich(spec, evaluator, r_grid=grid)
+    assert sizes == [grid.size, grid.size, fine.size - grid.size]
+    # The same constant as evaluating the whole refined grid afresh.
+    full = log_u_grid(spec, fine) - l_function_wide(evaluator, 4.0 * fine)
+    assert report.constants["C_part2_refined"] == math.exp(float(np.max(full)))

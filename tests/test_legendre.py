@@ -21,6 +21,7 @@ from growthcalc import (
     bell_series,
     bidual,
     exponential,
+    iterated_exp_sqrt,
     kondratiev_streit,
     l_function,
     l_function_integral,
@@ -28,6 +29,7 @@ from growthcalc import (
     legendre_sequence,
     legendre_table,
     legendre_transform,
+    log_u_grid,
     power_series,
 )
 
@@ -384,3 +386,110 @@ def test_bidual_cap_too_small():
 
 def test_bidual_at_zero(catalog):
     assert bidual(catalog["ks0"], 0.0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# pinned values: the solver, the bidual and log u grids, bit for bit
+# ---------------------------------------------------------------------------
+
+PINNED_SPECS = {
+    "ks0": kondratiev_streit(0.0),
+    "ks0.37": kondratiev_streit(0.37),
+    "exp2.5": exponential(2.5),
+    "g1": iterated_exp_sqrt(1),
+    "g3": iterated_exp_sqrt(3),
+    "u2": bell_series(2),
+    "u3": bell_series(3),
+}
+
+# Per function: (log ell(n), r*(n)) of legendre_sequence(spec, 30) at
+# n = 1, 7, 30; bidual at r = 0.5, 40; log_u_grid at r = 0, 0.3, 7, 1e5.
+PINNED = {
+    "ks0": (
+        [
+            (1.0, 0.9999999849092844),
+            (-6.621371043387193, 6.999999991824242),
+            (-72.03592144986466, 29.999999262199058),
+        ],
+        [0.49999999999999994, 40.0],
+        [0.0, 0.3, 7.0, 100000.0],
+    ),
+    "ks0.37": (
+        [
+            (1.3700000000000003, 0.999999972469817),
+            (-9.071278329440451, 14.380842137242443),
+            (-98.68921238631458, 105.5981021206987),
+        ],
+        [0.8260201531401692, 20.235196315688626],
+        [0.0, 0.568927922942502, 5.6699659442315555, 6114.424737791278],
+    ),
+    "exp2.5": (
+        [
+            (1.9162907318741553, 0.39999999260845953),
+            (-0.20733592026810843, 2.7999999931433432),
+            (-44.54719949364001, 11.999999768292577),
+        ],
+        [1.2500000000000004, 100.0],
+        [0.0, 0.75, 17.5, 250000.0],
+    ),
+    "g1": (
+        [
+            (1.8739534774775524, 0.582386979315196),
+            (-5.04415371550672, 7.798463176438231),
+            (-79.82929094215964, 54.288351403487205),
+        ],
+        [1.1892071150027181, 31.81082915068201],
+        [0.0, 0.8107200928842205, 8.607034141317701, 11246.826503806982],
+    ),
+    "g3": (
+        [
+            (2.0, 0.9999999755065655),
+            (-13.242742086774387, 48.99999918593587),
+            (-139.08359742201006, 601.3774449750994),
+        ],
+        [1.4142135623730916, 12.64911064067352],
+        [0.0, 1.0954451150103321, 5.291502622129181, 836.7372770761706],
+    ),
+    "u2": (
+        [
+            (0.7527148961198944, 1.6168352511632107),
+            (-13.642529113994978, 31.76846133471498),
+            (-127.40289378446498, 360.5827737209901),
+        ],
+        [0.4490642951273611, 12.300025916614693],
+        [-0.0, 0.2802214821746374, 3.73952514283006, 1267.5427595084436],
+    ),
+    "u3": (
+        [
+            (0.6388033094614167, 2.067739505763367),
+            (-16.773762214303304, 57.971350675404324),
+            (-146.94498888878053, 786.0386307968259),
+        ],
+        [0.4340181729464122, 9.306623982059167],
+        [-0.0, 0.2741261157321584, 3.1383015744141867, 749.780571933995],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED, ids=str)
+def test_pinned_transform_bidual_and_grid_values(name):
+    spec = PINNED_SPECS[name]
+    seq_want, bidual_want, grid_want = PINNED[name]
+    seq = legendre_sequence(spec, 30)
+    assert [(seq.log_ell[n], seq.r_star[n]) for n in (1, 7, 30)] == seq_want
+    assert [bidual(spec, r) for r in (0.5, 40.0)] == bidual_want
+    assert log_u_grid(spec, np.array([0.0, 0.3, 7.0, 1e5])).tolist() == grid_want
+
+
+def test_table_rule_sums_past_its_window_when_ratios_rise_again():
+    # Terms fall by e^-1 up to n = 20, then only by e^-0.05: at r = 1 the
+    # rule triggers at once but stops only near n = 223, far past the 46
+    # terms a log-concave table would need; at r = 0.5 it stops early.
+    n = np.arange(401, dtype=float)
+    log_ell = np.where(n <= 20, -n, -20.0 - 0.05 * (n - 20))
+    table = LegendreTable("kinked", n, log_ell, np.ones_like(n))
+    evaluator = LFunctionEvaluator(kondratiev_streit(0.0), table)
+    vals = l_function(evaluator, np.array([0.5, 1.0]))
+    assert vals.tolist() == [0.20326705491487954, 0.4586751700397648]
+    head = log_ell[:224]
+    assert vals[1] == pytest.approx(math.log(np.exp(head).sum()), rel=1e-14)
