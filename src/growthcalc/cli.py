@@ -26,7 +26,6 @@ import math
 import re
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -446,7 +445,7 @@ def _run_job(job: dict, funcs: dict, out_dir: Path | None,
     return {"id": job["id"], "kind": kind, **payload}
 
 
-def run(manifest: dict, out_dir: str | Path | None = None, jobs: int = 1,
+def run(manifest: dict, out_dir: str | Path | None = None,
         seed: int | None = None, tol: float | None = None,
         stream=None, print_payloads: bool = False) -> int:
     """Execute a validated manifest; returns the process exit code."""
@@ -469,12 +468,7 @@ def run(manifest: dict, out_dir: str | Path | None = None, jobs: int = 1,
         return 0
 
     top_seed = manifest.get("seed")
-    runner = lambda job: _run_job(job, funcs, out_path, top_seed, default_tol)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(runner, job_list))
-    else:
-        results = [runner(job) for job in job_list]
+    results = [_run_job(job, funcs, out_path, top_seed, default_tol) for job in job_list]
 
     failed = [res["id"] for res in results if res["status"] != "pass"]
     for res in results:
@@ -539,8 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="directory for JSON/CSV artifacts")
     common.add_argument("--seed", type=int, help="override the manifest seed")
     common.add_argument("--tol", type=float, help="default relative tolerance")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for manifest runs")
 
     parser = argparse.ArgumentParser(
         prog="growthcalc",
@@ -701,7 +693,6 @@ def main(argv=None) -> int:
         return run(
             manifest,
             out_dir=args.out,
-            jobs=args.jobs,
             seed=args.seed,
             tol=args.tol,
             print_payloads=args.command != "suite",

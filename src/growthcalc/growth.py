@@ -291,10 +291,17 @@ class GrowthFunctionSpec:
         point, built once per spec from the kind's formula."""
         return _KERNELS[self.kind](self)
 
+    @cached_property
+    def s_kernel(self):
+        """``f, f', f''`` of ``f(s) = log u(e^s)`` over a 1-d array of finite
+        ``s <= s_max``, unchecked: the batched Legendre solve's entry point."""
+        return _S_KERNELS[self.kind](self)
+
     def __getstate__(self) -> dict:
-        # The kernel is a closure: rebuild it after unpickling.
+        # The kernels are closures: rebuild them after unpickling.
         state = dict(self.__dict__)
         state.pop("kernel", None)
+        state.pop("s_kernel", None)
         return state
 
     # -- evaluation-range metadata ----------------------------------------
@@ -548,10 +555,7 @@ def _bell_kernel(spec: GrowthFunctionSpec):
         lr = log(r)
         peak = int(locate(lr, side="right"))
         if peak > peak_cap:
-            raise CapacityError(
-                f"r={r:g} lies beyond the faithful range of {spec.function_id} "
-                f"(series stored to n={top}, max safe r ~ {spec.series_cap:.3g})"
-            )
+            raise _beyond_series(spec, r)
         half = int(10.0 * sqrt(peak + 25.0) + 50.0)
         while True:
             lo = max(0, peak - half)
@@ -592,6 +596,155 @@ _KERNELS = {
     ITERATED_EXP_SQRT: _iterated_exp_sqrt_kernel,
     BELL_SERIES: _bell_kernel,
     POWER_SERIES: _power_series_kernel,
+}
+
+
+def _beyond_series(spec: GrowthFunctionSpec, r: float) -> CapacityError:
+    top = len(_series_logc(spec)) - 1
+    return CapacityError(
+        f"r={r:g} lies beyond the faithful range of {spec.function_id} "
+        f"(series stored to n={top}, max safe r ~ {spec.series_cap:.3g})"
+    )
+
+
+# -- array kernels in s = log r ----------------------------------------------
+#
+# One builder per kind.  Each kernel maps a 1-d array ``s`` to ``f``, ``f'``
+# and ``f''`` of ``f(s) = log u(e^s)``: the conjugate slope ``f'`` is the
+# Legendre argument ``t`` whose minimizer is ``r = e^s``.
+
+#: Cells in one (points x window) block of series terms.
+_SERIES_BLOCK = 1 << 16
+
+
+def _ks_s_kernel(spec: GrowthFunctionSpec):
+    b1 = 1.0 + spec.beta
+
+    def kernel(s):
+        d1 = np.exp(s / b1)  # f = b1 e^{s/b1}
+        return b1 * d1, d1, d1 / b1
+
+    return kernel
+
+
+def _exponential_s_kernel(spec: GrowthFunctionSpec):
+    log_c = math.log(spec.c)
+
+    def kernel(s):
+        with np.errstate(over="ignore"):  # c e^s past the double range is inf
+            f = np.exp(s + log_c)  # f = f' = f'' = c e^s
+        return f, f, f
+
+    return kernel
+
+
+def _iterated_exp_sqrt_s_kernel(spec: GrowthFunctionSpec):
+    depth = spec.k - 1
+
+    def kernel(s):
+        # v = log x with x = iterated_log(k - 1, sqrt(r)), carried with its
+        # s-derivatives; log(max(e, x)) = max(1, log x), flat where clamped.
+        v, d1v, d2v = 0.5 * s, np.full_like(s, 0.5), np.zeros_like(s)
+        for _ in range(depth):
+            live = v > 1.0
+            x = np.where(live, v, 1.0)
+            d1v = np.where(live, d1v, 0.0) / x
+            d2v = np.where(live, d2v, 0.0) / x - d1v * d1v
+            v = np.log(x)
+        # log u = 2 sqrt(r x) = 2 e^{(s + v)/2}.
+        f = 2.0 * np.exp(0.5 * (s + v))
+        g = 0.5 * (1.0 + d1v)
+        return f, f * g, f * (g * g + 0.5 * d2v)
+
+    return kernel
+
+
+def _series_moments(logc: np.ndarray, s: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Per point, over the terms ``logc[n] + n s`` for ``n`` in ``[lo, hi]``:
+    the largest term, and the log-sum-exp of the terms with the mean and
+    variance of ``n`` under their weights.  Points go in blocks of similar
+    window width of at most ``_SERIES_BLOCK`` cells."""
+    m = np.empty(s.size)
+    out = np.empty((3, s.size))
+    width = hi - lo + 1
+    order = np.argsort(width, kind="stable")
+    a = 0
+    while a < s.size:
+        b = min(a + max(1, _SERIES_BLOCK // int(width[order[a]])), s.size)
+        b = min(a + max(1, _SERIES_BLOCK // int(width[order[b - 1]])), s.size)
+        idx = order[a:b]
+        a = b
+        w = int(width[idx[-1]])
+        j = np.arange(w, dtype=float)
+        st = s[idx, None]
+        terms = logc.take(lo[idx, None] + np.arange(w), mode="clip")
+        terms += st * j
+        terms += st * lo[idx, None]
+        if width[idx[0]] < w:
+            terms[j > (hi - lo)[idx, None]] = -np.inf
+        top = terms.max(axis=1)
+        terms -= top[:, None]
+        np.exp(terms, out=terms)
+        total = terms.sum(axis=1)
+        mean = (terms @ j) / total
+        d = j - mean[:, None]
+        d *= d
+        m[idx] = top
+        out[0, idx] = top + np.log(total)
+        out[1, idx] = lo[idx] + mean
+        out[2, idx] = np.einsum("ij,ij->i", terms, d) / total
+    return m, out
+
+
+def _bell_s_kernel(spec: GrowthFunctionSpec):
+    """The scalar kernel's window rule, per point: the window around the
+    dominant term doubles until both edge terms lie 46 nats below the peak."""
+    logc = _series_logc(spec)
+    gaps = _series_gaps(spec)
+    top = logc.size - 1
+    peak_cap = _PEAK_FRACTION * top
+
+    def kernel(s):
+        peak = gaps.searchsorted(s, side="right")
+        over = peak > peak_cap
+        if over.any():
+            raise _beyond_series(spec, math.exp(s[over][0]))
+        half = (10.0 * np.sqrt(peak + 25.0) + 50.0).astype(np.intp)
+        out = np.empty((3, s.size))
+        todo = np.arange(s.size)
+        while todo.size:
+            st, pk, hf = s[todo], peak[todo], half[todo]
+            lo = np.maximum(pk - hf, 0)
+            hi = np.minimum(pk + hf, top)
+            m, vals = _series_moments(logc, st, lo, hi)
+            edge = m - 46.0
+            wide = (((lo > 0) & (logc[lo] + lo * st > edge))
+                    | ((hi < top) & (logc[hi] + hi * st > edge)))
+            out[:, todo[~wide]] = vals[:, ~wide]
+            half[todo[wide]] *= 2
+            todo = todo[wide]
+        return out
+
+    return kernel
+
+
+def _power_series_s_kernel(spec: GrowthFunctionSpec):
+    """Every stored term, as in the scalar kernel."""
+    logc = _series_logc(spec)
+
+    def kernel(s):
+        lo = np.zeros(s.size, dtype=np.intp)
+        return _series_moments(logc, s, lo, lo + (logc.size - 1))[1]
+
+    return kernel
+
+
+_S_KERNELS = {
+    KONDRATIEV_STREIT: _ks_s_kernel,
+    EXPONENTIAL: _exponential_s_kernel,
+    ITERATED_EXP_SQRT: _iterated_exp_sqrt_s_kernel,
+    BELL_SERIES: _bell_s_kernel,
+    POWER_SERIES: _power_series_s_kernel,
 }
 
 

@@ -621,9 +621,18 @@ def verify_function(
     unknown = set(wanted) - set(CHECK_IDS)
     if unknown:
         raise ParameterError(f"unknown checks: {sorted(unknown)}")
-    table = legendre_sequence(spec, n_max)
-    if evaluator is None:
+    own = evaluator is None
+    if own:
         evaluator = LFunctionEvaluator.from_spec(spec)
+    if own and 0 <= n_max <= evaluator.n_max:
+        # The evaluator's table is the same warm-started sweep, so its first
+        # n_max + 1 rows are the n_max table bit for bit.
+        rows = slice(n_max + 1)
+        full = evaluator.table
+        table = full.replace(t=full.t[rows], log_ell=full.log_ell[rows],
+                             r_star=full.r_star[rows])
+    else:
+        table = legendre_sequence(spec, n_max)
     reports = []
     for check in wanted:
         if check == "table-definition":

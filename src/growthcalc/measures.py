@@ -194,28 +194,39 @@ def poisson_integrability(
 ) -> PoissonResult:
     """``E[g(N)] = sum_k g(k) e^{-theta} theta^k / k!`` for Poisson ``N``.
 
-    Terms are accumulated in the log domain.  Divergence is declared when the
-    weighted terms keep growing for a sustained stretch (the integrand beats
-    the factorial); convergence stops once a geometric bound on the remaining
-    tail drops below ``tail_tol`` relative to the partial sum.
+    Terms are accumulated in the log domain.  Divergence is declared when,
+    past the Poisson mode (from ``k = max(theta, 30)`` on), the log ratio of
+    consecutive terms stays positive and non-decreasing for 25 steps: the
+    integrand beats the factorial with no sign of turning.  (The weights
+    alone rise up to their mode, so rising terms before it say nothing.)
+    Convergence stops once a geometric bound on the remaining tail drops
+    below ``tail_tol`` relative to the partial sum.
     """
     if not theta > 0.0:
         raise ParameterError(f"theta must be positive, got {theta}")
     if not tail_tol > 0.0:
         raise ParameterError("tail_tol must be positive")
     log_theta = math.log(theta)
+    k_mode = max(theta, 30.0)
     partial = -math.inf
     prev = math.inf
+    step = -math.inf
     rises = 0
     for k in range(k_cap + 1):
-        lw = log_integrand(k) - theta + k * log_theta - gammaln(k + 1.0)
+        lg, lf = log_integrand(k), gammaln(k + 1.0)
+        lw = lg - theta + k * log_theta - lf
         partial = float(np.logaddexp(partial, lw))
-        if k >= 30 and lw > prev:
+        # Rounding in the log terms makes ratios that are equal in exact
+        # arithmetic wobble by about 1e-16 of the terms' size.
+        noise = 1e-12 * (abs(lg) + lf + k * abs(log_theta) + theta)
+        last, step = step, (lw - prev if lw > -math.inf else -math.inf)
+        if k >= k_mode and step > 0.0 and step >= last - noise:
             rises += 1
             if rises >= 25:
                 return PoissonResult(
                     math.inf, math.inf, False, k + 1, math.inf, witness_k=k,
-                    note="terms grow for 25 consecutive k; the factorial loses",
+                    note="terms grow at a non-falling ratio for 25 consecutive k "
+                         "past the mode; the factorial loses",
                 )
         else:
             rises = 0
@@ -225,9 +236,8 @@ def poisson_integrability(
                 log_tail = lw + math.log(r / (1.0 - r))
                 if log_tail < math.log(tail_tol) + partial:
                     value = math.exp(partial) if partial < 709.0 else math.inf
-                    return PoissonResult(
-                        value, partial, True, k + 1, math.exp(log_tail)
-                    )
+                    tail = math.exp(log_tail) if log_tail < 709.0 else math.inf
+                    return PoissonResult(value, partial, True, k + 1, tail)
         prev = lw
     raise RuntimeError(f"poisson_integrability undecided after {k_cap} terms")
 

@@ -176,15 +176,11 @@ def test_run_empty_jobs_is_a_warning_not_an_error(tmp_path):
     assert code == 0
 
 
-def test_run_parallel_matches_serial(tmp_path):
-    jobs = [eval_job(f"eval-{i}", r=[float(i)], expect_log=[float(i)])
-            for i in range(1, 6)]
-    code1 = run(manifest(jobs), out_dir=tmp_path / "serial", jobs=1)
-    code4 = run(manifest(jobs), out_dir=tmp_path / "parallel", jobs=4)
-    assert code1 == code4 == 0
-    s1 = json.loads((tmp_path / "serial" / "summary.json").read_text())
-    s4 = json.loads((tmp_path / "parallel" / "summary.json").read_text())
-    assert s1["jobs"] == s4["jobs"]
+def test_suite_has_no_jobs_option(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        growthcalc.cli.main(["suite", "--jobs", "2"])
+    assert exit_.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_run_grey_artifacts_reproducible(tmp_path):

@@ -639,3 +639,100 @@ def test_mittag_leffler_near_one_vs_exact_series(lam, t, oracle):
     # spectral integral takes over there.
     assert mittag_leffler_series(lam, t) is None
     assert mittag_leffler(lam, t) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# array kernels in s = log r: f, f' and f'' of f(s) = log u(e^s)
+# ---------------------------------------------------------------------------
+
+
+S_KERNEL_SPECS = KERNEL_SPECS + [power_series([0.0, 0.0, -math.inf, -math.log(6.0)])]
+
+
+def _smooth_s_points(spec):
+    """Radii in s = log r across the kind's range, clear of the kinks of the
+    clamped iterated log (sqrt(r) = e, e^e, ...)."""
+    s_top = min(spec.s_max - 0.5, 60.0)
+    return np.array([s for s in (-12.0, -3.0, -0.7, 0.5, 1.3, 3.3, 4.6, 7.1, 12.0,
+                                 18.5, 21.9, 40.0, 59.0) if s <= s_top])
+
+
+@pytest.mark.parametrize("spec", S_KERNEL_SPECS, ids=lambda s: s.function_id)
+def test_s_kernel_matches_the_scalar_kernel_and_its_differences(spec):
+    s = _smooth_s_points(spec)
+    f, d1, d2 = spec.s_kernel(s)
+    scalar = lambda x: np.array([spec.kernel(math.exp(v)) for v in x])
+    # A log-sum-exp near log 1 is exact to rounding in absolute terms only.
+    np.testing.assert_allclose(f, scalar(s), rtol=1e-13, atol=1e-15)
+    h = 1e-4
+    np.testing.assert_allclose(d1, (scalar(s + h) - scalar(s - h)) / (2 * h), rtol=1e-6)
+    h = 1e-3
+    second = (scalar(s + h) - 2.0 * scalar(s) + scalar(s - h)) / (h * h)
+    np.testing.assert_allclose(d2, second, rtol=1e-5, atol=1e-9 * np.abs(f).max())
+
+
+@pytest.mark.parametrize("spec", [kondratiev_streit(0.0), kondratiev_streit(0.37),
+                                  exponential(1.0), exponential(2.5)],
+                         ids=lambda s: s.function_id)
+def test_s_kernel_closed_forms(spec):
+    s = np.linspace(-30.0, 40.0, 71)
+    f, d1, d2 = spec.s_kernel(s)
+    r = np.exp(s)
+    if spec.kind == KONDRATIEV_STREIT:
+        b1 = 1.0 + spec.beta
+        want = (b1 * r ** (1.0 / b1), r ** (1.0 / b1), r ** (1.0 / b1) / b1)
+    else:
+        want = (spec.c * r,) * 3
+    for got, expect in zip((f, d1, d2), want):
+        np.testing.assert_allclose(got, expect, rtol=1e-13)
+
+
+def test_s_kernel_of_u2_against_a_30_digit_dobinski_series():
+    import mpmath as mp
+
+    u2 = bell_series(2)
+    radii = (0.3, 2.0, 40.0, 900.0)
+    f, d1, d2 = u2.s_kernel(np.log(radii))
+    with mp.workdps(30):
+        for i, r in enumerate(radii):
+            x = mp.mpf(r)
+            term = lambda n: x**n / (mp.bell(int(n)) * mp.factorial(int(n)))
+            assert f[i] == pytest.approx(float(mp.log(mp.nsum(term, [0, mp.inf]))), rel=1e-14)
+            # The moments by a direct sum out to a 1e-40 relative tail.
+            terms, n = [], 0
+            while n < 10 or terms[-1] > mp.mpf(10) ** -40 * max(terms):
+                terms.append(term(n))
+                n += 1
+            s0 = mp.fsum(terms)
+            mean = mp.fsum(k * t for k, t in enumerate(terms)) / s0
+            var = mp.fsum((k - mean) ** 2 * t for k, t in enumerate(terms)) / s0
+            assert d1[i] == pytest.approx(float(mean), rel=1e-13)
+            assert d2[i] == pytest.approx(float(var), rel=1e-12)
+
+
+def test_s_kernel_widens_a_window_the_scalar_rule_widens():
+    # A power series is summed whole; the Bell kernel widens where a window
+    # edge is within 46 nats of the peak, exactly as the scalar kernel does.
+    u2 = bell_series(2)
+    s = np.linspace(-40.0, u2.s_max, 301)
+    np.testing.assert_allclose(u2.s_kernel(s)[0],
+                               [u2.kernel(math.exp(v)) for v in s], rtol=1e-13)
+
+
+def test_s_kernel_keeps_the_capacity_error_past_the_series_cap():
+    u2 = bell_series(2)
+    s = np.array([0.0, math.log(1.5 * u2.series_cap)])
+    with pytest.raises(CapacityError, match="beyond the faithful range of u2"):
+        u2.s_kernel(s)
+
+
+def test_s_kernel_is_quiet_up_to_s_max():
+    import warnings
+
+    for spec in S_KERNEL_SPECS + [exponential(1e6), bell_series(2)]:
+        s = np.append(np.arange(-745.0, spec.s_max, 0.5), spec.s_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f, d1, d2 = spec.s_kernel(s)
+        assert not np.isnan(f).any()
+        assert (d1[1:] >= d1[:-1] * (1.0 - 1e-12)).all()  # f is convex

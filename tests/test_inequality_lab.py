@@ -102,6 +102,33 @@ def test_battery_subset_selection():
     assert all(r.passed for r in reports)
 
 
+@pytest.mark.parametrize("spec", [kondratiev_streit(0.5), iterated_exp_sqrt(3)],
+                         ids=lambda s: s.function_id)
+def test_battery_takes_its_table_from_its_own_evaluator(spec, monkeypatch):
+    from growthcalc import LFunctionEvaluator, inequality_lab
+
+    checks = ("table-definition", "log-concavity", "decreasing-tail")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return legendre_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(inequality_lab, "legendre_sequence", counted)
+    own = verify_function(spec, n_max=60, checks=checks)
+    assert calls == []
+    evaluator = LFunctionEvaluator.from_spec(spec)
+    given = verify_function(spec, n_max=60, evaluator=evaluator, checks=checks)
+    assert len(calls) == 1
+    assert [r.to_json_dict() for r in own] == [r.to_json_dict() for r in given]
+    table = legendre_sequence(spec, 60)
+    for col in ("t", "log_ell", "r_star"):
+        assert np.array_equal(getattr(evaluator.table, col)[:61], getattr(table, col))
+    # Past the evaluator's table the battery solves its own.
+    verify_function(spec, n_max=1300, checks=("log-concavity",))
+    assert len(calls) == 2 and calls[-1][1] == 1300
+
+
 def test_battery_rejects_non_dyadic_scale():
     with pytest.raises(ParameterError):
         verify_function(kondratiev_streit(0.0), checks=("lseries-sandwich",), a=1.0)

@@ -493,3 +493,98 @@ def test_table_rule_sums_past_its_window_when_ratios_rise_again():
     assert vals.tolist() == [0.20326705491487954, 0.4586751700397648]
     head = log_ell[:224]
     assert vals[1] == pytest.approx(math.log(np.exp(head).sum()), rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the batched Newton transform behind the continuous-ell spline
+# ---------------------------------------------------------------------------
+
+
+def _close(got, want, rel):
+    """Each entry within ``rel`` of ``max(1, |want|)``."""
+    return bool((np.abs(got - want) <= rel * np.maximum(1.0, np.abs(want))).all())
+
+
+def _exp_polynomial(degree):
+    """``sum_{n <= degree} r^n / n!``: a power series with a finite degree."""
+    return power_series([-math.lgamma(n + 1.0) for n in range(degree + 1)])
+
+
+@pytest.fixture(scope="module")
+def spline_specs(catalog, u2):
+    return {**catalog, "ks075": kondratiev_streit(0.75), "exp2": exponential(2.0),
+            "u2": u2}
+
+
+@pytest.mark.parametrize("fid", ["ks0", "ks025", "ks05", "ks075", "g2", "g3", "exp2", "u2"])
+def test_newton_transform_matches_the_ternary_at_the_spline_knots(spline_specs, fid):
+    from growthcalc.legendre import _continuous_ell, _newton_transform
+
+    spec = spline_specs[fid]
+    ts = np.asarray(_continuous_ell(spec).ts[::7])
+    log_ell, r_star, err = _newton_transform(spec, ts)
+    assert err is None
+    want = np.array([legendre_transform(spec, t) for t in ts])
+    assert _close(log_ell, want[:, 0], 1e-12)
+    # The ternary's r* is good to about sqrt(eps) only.
+    np.testing.assert_allclose(r_star, want[:, 1], rtol=1e-6)
+    if spec.kind == "kondratiev_streit":
+        b1 = 1.0 + spec.beta
+        np.testing.assert_allclose(r_star, ts**b1, rtol=1e-12)
+        assert _close(log_ell, b1 * ts * (1.0 - np.log(ts)), 1e-12)
+
+
+def test_newton_transform_of_a_power_series():
+    from growthcalc.legendre import _newton_transform
+
+    spec = _exp_polynomial(60)
+    ts = np.geomspace(1e-4, 55.0, 60)
+    log_ell, r_star, err = _newton_transform(spec, ts)
+    assert err is None
+    want = np.array([legendre_transform(spec, t) for t in ts])
+    assert _close(log_ell, want[:, 0], 1e-12)
+    np.testing.assert_allclose(r_star, want[:, 1], rtol=1e-6)
+
+
+@pytest.mark.parametrize("case", ["u2-past-t_sup", "degree-3"])
+def test_newton_transform_errors_match_the_ternary(u2, case):
+    from growthcalc.legendre import _continuous_ell, _newton_transform
+
+    if case == "degree-3":
+        spec, bad = power_series([0.0, 0.0, -math.log(2.0), -math.log(6.0)]), 3.5
+        with pytest.raises(UnboundedBelowError):
+            _continuous_ell(spec)
+    else:
+        spec, bad = u2, u2.t_sup * (1.0 + 1e-9)
+    with pytest.raises((CapacityError, UnboundedBelowError)) as want:
+        legendre_transform(spec, bad)
+    log_ell, r_star, err = _newton_transform(spec, np.array([1.0, bad, 2.0 * bad]))
+    assert type(err) is type(want.value) and str(err) == str(want.value)
+    assert np.isfinite(log_ell[0]) and np.isnan(log_ell[1:]).all() and np.isnan(r_star[1:]).all()
+
+
+#: t_hi of the continuous-ell spline, as the ternary-built spline had it.
+SPLINE_T_HI = {
+    "ks0": 2470255018.5001655, "ks025": 38668743.46252072, "ks05": 2432048.9656301807,
+    "ks075": 308683.6, "g2": 308683.6, "g3": 155851.34140754517,
+    "exp2": 4940129944.4, "u2": 216845.51679999998,
+}
+
+
+@pytest.mark.parametrize("fid", SPLINE_T_HI)
+def test_spline_grid_is_unchanged_and_built_without_ternary_solves(
+        spline_specs, monkeypatch, fid):
+    import warnings
+
+    from growthcalc import legendre
+
+    def no_ternary(*args, **kwargs):
+        raise AssertionError("the spline build called legendre_transform")
+
+    monkeypatch.setattr(legendre, "legendre_transform", no_ternary)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ce = legendre._continuous_ell.__wrapped__(spline_specs[fid])
+    assert ce.t_hi == SPLINE_T_HI[fid]
+    assert np.array_equal(ce.sigma, np.linspace(math.log(1e-4), math.log(ce.t_hi), 1200))
+    assert np.isfinite(ce.f).all()

@@ -110,6 +110,60 @@ def test_poisson_divergence_detected():
     assert "grow" in result.note
 
 
+@pytest.mark.parametrize("theta", [0.5, 1.0, 5.0, 30.0, 60.0, 100.0])
+def test_poisson_moment_generating_function(theta):
+    # E[e^{sN}] = exp(theta (e^s - 1)); above theta ~ 30 the weights rise
+    # for dozens of terms before their mode, which is not divergence.
+    for s in (-1.0, 0.0, 0.5, 1.0, 1.5):
+        result = poisson_integrability(theta, lambda k: s * k)
+        assert result.finite
+        assert result.log_value == pytest.approx(theta * math.expm1(s), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [1.0, 60.0])
+def test_poisson_factorial_moments(theta):
+    # E[N (N-1) ... (N-m+1)] = theta^m.
+    for m in (1, 2, 3):
+        log_g = lambda k: math.lgamma(k + 1.0) - math.lgamma(k - m + 1.0) if k >= m else -math.inf
+        result = poisson_integrability(theta, log_g)
+        assert result.finite
+        assert result.log_value == pytest.approx(m * math.log(theta), rel=1e-12)
+
+
+def _direct_log_sum(theta, log_g, k_max):
+    from scipy.special import logsumexp
+
+    k = np.arange(k_max + 1)
+    lw = [log_g(int(j)) for j in k]
+    return float(logsumexp(np.array(lw) - theta + k * math.log(theta)
+                           - np.array([math.lgamma(j + 1.0) for j in k])))
+
+
+@pytest.mark.parametrize("theta", [1.0, 10.0, 60.0])
+def test_poisson_factorial_powers(theta):
+    # g(k) = (k!)^a: finite for a < 1, divergent for a > 1.
+    half = lambda k: 0.5 * math.lgamma(k + 1.0)
+    result = poisson_integrability(theta, half)
+    assert result.finite
+    k_max = int(4.0 * (theta / 0.9) ** 2) + 100
+    assert result.log_value == pytest.approx(_direct_log_sum(theta, half, k_max), rel=1e-11)
+    result = poisson_integrability(theta, lambda k: 1.5 * math.lgamma(k + 1.0))
+    assert not result.finite and result.witness_k >= max(theta, 30.0)
+
+
+@pytest.mark.parametrize("theta", [1.0, 20.0, 40.0, 60.0, 100.0])
+def test_poisson_sqrtlog_is_finite_for_every_theta(theta):
+    log_g = poisson_sqrtlog_integrand(1.0)
+    result = poisson_integrability(theta, log_g)
+    assert result.finite
+    assert result.log_value == pytest.approx(_direct_log_sum(theta, log_g, 6000), rel=1e-12)
+
+
+def test_hida_poisson_past_the_old_divergence_threshold(catalog):
+    report = hida_condition(poisson_count(theta=60.0), catalog["g2"], p=0)
+    assert report.finite and report.smallest_finite_p == 0
+
+
 def test_poisson_validation():
     with pytest.raises(ParameterError):
         poisson_integrability(0.0, lambda k: 0.0)
