@@ -710,13 +710,36 @@ def test_s_kernel_of_u2_against_a_30_digit_dobinski_series():
             assert d2[i] == pytest.approx(float(var), rel=1e-12)
 
 
-def test_s_kernel_widens_a_window_the_scalar_rule_widens():
-    # A power series is summed whole; the Bell kernel widens where a window
-    # edge is within 46 nats of the peak, exactly as the scalar kernel does.
+def test_s_kernel_of_u2_matches_the_scalar_kernel_up_to_s_max():
     u2 = bell_series(2)
     s = np.linspace(-40.0, u2.s_max, 301)
     np.testing.assert_allclose(u2.s_kernel(s)[0],
                                [u2.kernel(math.exp(v)) for v in s], rtol=1e-13)
+
+
+def test_bell_s_kernel_widens_its_window_as_the_scalar_kernel_does(monkeypatch):
+    # Coefficients so flat that the edge terms of the first windows lie
+    # within 46 nats of the peak: both kernels must double their windows
+    # (the catalog's Bell series never need to).
+    from scipy.special import logsumexp
+
+    from growthcalc import growth
+
+    n = np.arange(5001, dtype=float)
+    logc = -1e-4 * n * n
+    logc.setflags(write=False)
+    gaps = np.maximum.accumulate(logc[:-1] - logc[1:])
+    monkeypatch.setattr(growth, "_series_logc", lambda spec: logc)
+    monkeypatch.setattr(growth, "_series_gaps", lambda spec: gaps)
+    spec = bell_series(2)
+    s = np.array([-1.0, 0.0, 0.05, 0.2])
+    f, d1, _ = growth._bell_s_kernel(spec)(s)
+    scalar = growth._bell_kernel(spec)
+    np.testing.assert_allclose(f, [scalar(math.exp(v)) for v in s], rtol=1e-13)
+    terms = logc + n * s[:, None]
+    np.testing.assert_allclose(f, logsumexp(terms, axis=1), rtol=1e-13)
+    weights = np.exp(terms - logsumexp(terms, axis=1)[:, None])
+    np.testing.assert_allclose(d1, weights @ n, rtol=1e-12)
 
 
 def test_s_kernel_keeps_the_capacity_error_past_the_series_cap():
