@@ -12,10 +12,12 @@ a list of jobs referencing them:
       ]
     }
 
-Job kinds: ``eval``, ``conditions``, ``legendre``, ``lfn``, ``verify``,
-``fock``, ``measures``.  Stochastic jobs (grey-noise Monte Carlo) need a seed,
-either per job or at the top level.  Exit codes: 0 all jobs pass, 1 at least
-one verification failure or job error, 2 usage/configuration problems.
+Job kinds, in the order of their runner table ``_JOB_RUNNERS``: ``eval``,
+``conditions``, ``legendre``, ``lfn``, ``verify``, ``fock``, ``measures``
+(whose ops are the keys of ``_MEASURE_RUNNERS``).  Stochastic jobs
+(grey-noise Monte Carlo) need a seed, either per job or at the top level.
+Exit codes: 0 all jobs pass, 1 at least one verification failure or job
+error, 2 usage/configuration problems.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import math
 import re
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +49,7 @@ from .inequality_lab import (
 )
 from .fock import ChaosSequence, dual_norm, exp_vector_norm, s_transform_1d
 from .measures import (
+    MEASURE_KINDS,
     MeasureSurrogate,
     fernique_product,
     grey_integrability,
@@ -60,9 +64,30 @@ SCHEMA_VERSION = 1
 # The manifest behind ``growthcalc suite``, shipped as package data.
 ACCEPTANCE_MANIFEST = Path(__file__).with_name("acceptance.json")
 
-_JOB_KINDS = ("eval", "conditions", "legendre", "lfn", "verify", "fock", "measures")
-_MEASURE_OPS = ("fernique", "poisson", "grey_cf", "grey_integrability", "hida")
-_MEASURE_KEYS = {"kind", "rho", "q", "d", "theta", "w", "lam", "n", "seed"}
+#: The runner of each job kind, called as ``(job, funcs, out_dir, top_seed,
+#: default_tol)``.  Each entry names its runner, so a patched runner is seen.
+_JOB_RUNNERS = {
+    "eval": lambda job, funcs, out, seed, tol: _run_eval(job, funcs, tol),
+    "conditions": lambda job, funcs, out, seed, tol: _run_conditions(job, funcs),
+    "legendre": lambda job, funcs, out, seed, tol: _run_legendre(job, funcs, out),
+    "lfn": lambda job, funcs, out, seed, tol: _run_lfn(job, funcs, tol),
+    "verify": lambda job, funcs, out, seed, tol: _run_verify(job, funcs),
+    "fock": lambda job, funcs, out, seed, tol: _run_fock(job, funcs, tol),
+    "measures": lambda job, funcs, out, seed, tol: _run_measures(job, funcs, seed, tol),
+}
+_JOB_KINDS = tuple(_JOB_RUNNERS)
+
+#: The runner of each ``measures`` op, called as ``(job, funcs, seed, default_tol)``.
+_MEASURE_RUNNERS = {
+    "fernique": lambda job, funcs, seed, tol: _fernique_op(job, tol),
+    "poisson": lambda job, funcs, seed, tol: _poisson_op(job, funcs, tol),
+    "grey_cf": lambda job, funcs, seed, tol: _grey_cf_op(job, seed),
+    "grey_integrability": lambda job, funcs, seed, tol: _grey_integrability_op(job, seed),
+    "hida": lambda job, funcs, seed, tol: _hida_op(job, funcs, seed),
+}
+_MEASURE_OPS = tuple(_MEASURE_RUNNERS)
+
+_MEASURE_KEYS = {f.name for f in fields(MeasureSurrogate)}
 _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
 
@@ -335,90 +360,102 @@ def _run_fock(job: dict, funcs: dict, default_tol: float) -> dict:
     }
 
 
+def _verdict(job: dict, **misses) -> str:
+    """``fail`` if, for some key of ``misses`` that the job sets,
+    ``misses[key](job[key])`` says the result misses that expectation."""
+    missed = [key for key, miss in misses.items() if key in job and miss(job[key])]
+    return "fail" if missed else "pass"
+
+
+def _value_verdict(job: dict, finite: bool, value: float, default_tol: float) -> str:
+    """An exact integrability result against ``expect`` ("finite" or not)
+    and ``expect_value`` (within ``rel_tol``)."""
+    return _verdict(
+        job,
+        expect=lambda want: (want == "finite") != finite,
+        expect_value=lambda want: not _within(
+            value, float(want), float(job.get("rel_tol", default_tol))),
+    )
+
+
 def _run_measures(job: dict, funcs: dict, top_seed: int | None, default_tol: float) -> dict:
-    op = job["op"]
-    seed = job.get("seed", top_seed)
-    if op == "fernique":
-        res = fernique_product(float(job["rho"]), float(job["q"]), float(job["c2"]))
-        payload = {
-            "value": res.value, "finite": res.finite,
-            "boundary": res.boundary, "n_factors": res.n_factors,
-        }
-        status = "pass"
-        if "expect" in job and (job["expect"] == "finite") != res.finite:
-            status = "fail"
-        if "expect_value" in job and not _within(
-            res.value, float(job["expect_value"]), float(job.get("rel_tol", default_tol))
-        ):
-            status = "fail"
-        return {**payload, "status": status}
-    if op == "poisson":
-        theta = float(job.get("theta", 1.0))
-        w = float(job.get("w", 1.0))
-        if job.get("integrand", "sqrtlog") == "growth":
-            log_g = poisson_growth_integrand(funcs[job["function"]], w)
-        else:
-            log_g = poisson_sqrtlog_integrand(w)
-        res = poisson_integrability(theta, log_g)
-        status = "pass"
-        if "expect" in job and (job["expect"] == "finite") != res.finite:
-            status = "fail"
-        if "expect_value" in job and not _within(
-            res.value, float(job["expect_value"]), float(job.get("rel_tol", default_tol))
-        ):
-            status = "fail"
-        return {
-            "value": res.value, "finite": res.finite, "n_terms": res.n_terms,
-            "tail_bound": res.tail_bound, "status": status,
-        }
-    if op == "grey_cf":
-        lam = float(job["lam"])
-        n = int(job.get("n", 200_000))
-        sigma_tol = float(job.get("sigma_tol", 3.0))
-        x = grey_sample(lam, n, int(seed))
-        rows = []
-        ok = True
-        for xi in job.get("xi", (0.5, 1.0, 2.0)):
-            xi = float(xi)
-            c = np.cos(xi * x)
-            emp = float(c.mean())
-            se = float(c.std(ddof=1) / math.sqrt(n))
-            target = mittag_leffler(lam, xi * xi)
-            dev = abs(emp - target) / se
-            ok = ok and dev <= sigma_tol
-            rows.append({"xi": xi, "empirical": emp, "target": target,
-                         "stderr": se, "sigmas": dev})
-        return {"lam": lam, "n": n, "seed": int(seed), "cf": rows,
-                "sigma_tol": sigma_tol, "status": "pass" if ok else "fail"}
-    if op == "grey_integrability":
-        res = grey_integrability(
-            float(job["lam"]), float(job["w"]),
-            n=int(job.get("n", 10**6)), seed=int(seed),
-        )
-        status = "pass"
-        finite = res.stable and math.isfinite(res.value)
-        if "expect" in job and (job["expect"] == "finite") != finite:
-            status = "fail"
-        if "expect_value" in job:
-            sigma_tol = float(job.get("sigma_tol", 3.0))
-            if abs(res.value - float(job["expect_value"])) > sigma_tol * res.stderr:
-                status = "fail"
-        return {
-            "value": res.value, "stderr": res.stderr, "n": res.n, "seed": res.seed,
-            "stable": res.stable, "top_share": res.top_share, "note": res.note,
-            "status": status,
-        }
-    # op == "hida"
+    return _MEASURE_RUNNERS[job["op"]](job, funcs, job.get("seed", top_seed), default_tol)
+
+
+def _fernique_op(job: dict, default_tol: float) -> dict:
+    res = fernique_product(float(job["rho"]), float(job["q"]), float(job["c2"]))
+    return {
+        "value": res.value, "finite": res.finite,
+        "boundary": res.boundary, "n_factors": res.n_factors,
+        "status": _value_verdict(job, res.finite, res.value, default_tol),
+    }
+
+
+def _poisson_op(job: dict, funcs: dict, default_tol: float) -> dict:
+    theta = float(job.get("theta", 1.0))
+    w = float(job.get("w", 1.0))
+    if job.get("integrand", "sqrtlog") == "growth":
+        log_g = poisson_growth_integrand(funcs[job["function"]], w)
+    else:
+        log_g = poisson_sqrtlog_integrand(w)
+    res = poisson_integrability(theta, log_g)
+    return {
+        "value": res.value, "finite": res.finite, "n_terms": res.n_terms,
+        "tail_bound": res.tail_bound,
+        "status": _value_verdict(job, res.finite, res.value, default_tol),
+    }
+
+
+def _grey_cf_op(job: dict, seed: int | None) -> dict:
+    lam = float(job["lam"])
+    n = int(job.get("n", 200_000))
+    sigma_tol = float(job.get("sigma_tol", 3.0))
+    x = grey_sample(lam, n, int(seed))
+    rows = []
+    ok = True
+    for xi in job.get("xi", (0.5, 1.0, 2.0)):
+        xi = float(xi)
+        c = np.cos(xi * x)
+        emp = float(c.mean())
+        se = float(c.std(ddof=1) / math.sqrt(n))
+        target = mittag_leffler(lam, xi * xi)
+        dev = abs(emp - target) / se
+        ok = ok and dev <= sigma_tol
+        rows.append({"xi": xi, "empirical": emp, "target": target,
+                     "stderr": se, "sigmas": dev})
+    return {"lam": lam, "n": n, "seed": int(seed), "cf": rows,
+            "sigma_tol": sigma_tol, "status": "pass" if ok else "fail"}
+
+
+def _grey_integrability_op(job: dict, seed: int | None) -> dict:
+    res = grey_integrability(
+        float(job["lam"]), float(job["w"]),
+        n=int(job.get("n", 10**6)), seed=int(seed),
+    )
+    status = _verdict(
+        job,
+        expect=lambda want: (want == "finite") != (res.stable and math.isfinite(res.value)),
+        expect_value=lambda want: float(job.get("sigma_tol", 3.0)) * res.stderr
+        < abs(res.value - float(want)),
+    )
+    return {
+        "value": res.value, "stderr": res.stderr, "n": res.n, "seed": res.seed,
+        "stable": res.stable, "top_share": res.top_share, "note": res.note,
+        "status": status,
+    }
+
+
+def _hida_op(job: dict, funcs: dict, seed: int | None) -> dict:
     mdict = dict(job["measure"])
     if mdict.get("kind") == "grey":
         mdict.setdefault("seed", int(seed))
     surrogate = MeasureSurrogate(**mdict)
     report = hida_condition(surrogate, funcs[job["function"]], p=int(job.get("p", 0)))
-    status = "pass"
-    if "expect_finite" in job and bool(job["expect_finite"]) != report.finite:
-        status = "fail"
-    if "expect_smallest_p" in job and report.smallest_finite_p != job["expect_smallest_p"]:
-        status = "fail"
+    status = _verdict(
+        job,
+        expect_finite=lambda want: bool(want) != report.finite,
+        expect_smallest_p=lambda want: report.smallest_finite_p != want,
+    )
     return {"report": report.to_json_dict(), "status": status}
 
 
@@ -426,20 +463,7 @@ def _run_job(job: dict, funcs: dict, out_dir: Path | None,
              top_seed: int | None, default_tol: float) -> dict:
     kind = job["kind"]
     try:
-        if kind == "eval":
-            payload = _run_eval(job, funcs, default_tol)
-        elif kind == "conditions":
-            payload = _run_conditions(job, funcs)
-        elif kind == "legendre":
-            payload = _run_legendre(job, funcs, out_dir)
-        elif kind == "lfn":
-            payload = _run_lfn(job, funcs, default_tol)
-        elif kind == "verify":
-            payload = _run_verify(job, funcs)
-        elif kind == "fock":
-            payload = _run_fock(job, funcs, default_tol)
-        else:
-            payload = _run_measures(job, funcs, top_seed, default_tol)
+        payload = _JOB_RUNNERS[kind](job, funcs, out_dir, top_seed, default_tol)
     except Exception as exc:  # noqa: BLE001 - job isolation
         payload = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
     return {"id": job["id"], "kind": kind, **payload}
@@ -597,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi", type=float, nargs="+", default=[0.5, 1.0, 2.0])
     p.add_argument("--p", type=int, default=0)
     p.add_argument("--integrand", choices=["sqrtlog", "growth"], default="sqrtlog")
-    p.add_argument("--measure-kind", choices=["gaussian", "poisson", "grey"],
+    p.add_argument("--measure-kind", choices=MEASURE_KINDS,
                    help="measure family for --op hida")
 
     sub.add_parser("suite", parents=[common],

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
 from scipy import integrate
@@ -41,23 +42,6 @@ ITERATED_EXP_SQRT = "iterated_exp_sqrt"
 BELL_SERIES = "bell_series"
 POWER_SERIES = "power_series"
 EXPONENTIAL = "exponential"
-
-KINDS = (
-    KONDRATIEV_STREIT,
-    ITERATED_EXP_SQRT,
-    BELL_SERIES,
-    POWER_SERIES,
-    EXPONENTIAL,
-)
-
-#: The parameter key each kind reads from a config mapping.
-_PARAM_KEYS = {
-    KONDRATIEV_STREIT: "beta",
-    ITERATED_EXP_SQRT: "k",
-    BELL_SERIES: "k",
-    POWER_SERIES: "log_coeffs",
-    EXPONENTIAL: "c",
-}
 
 #: Entries kept by each cache keyed by a spec: callers can build any number
 #: of specs, and each entry holds arrays or a spline.
@@ -264,17 +248,7 @@ class GrowthFunctionSpec:
 
     @property
     def function_id(self) -> str:
-        if self.label:
-            return self.label
-        if self.kind == KONDRATIEV_STREIT:
-            return f"ks(beta={self.beta:g})"
-        if self.kind == ITERATED_EXP_SQRT:
-            return f"g{self.k}"
-        if self.kind == BELL_SERIES:
-            return f"u{self.k}"
-        if self.kind == EXPONENTIAL:
-            return f"exp({self.c:g}r)"
-        return f"power_series[{len(self.log_coeffs or ())}]"
+        return self.label or _KIND_TABLE[self.kind].name(self)
 
     # -- evaluation ------------------------------------------------------
 
@@ -289,13 +263,13 @@ class GrowthFunctionSpec:
     def kernel(self):
         """``log u`` for a float ``r >= 0``, unchecked: the hot loops' entry
         point, built once per spec from the kind's formula."""
-        return _KERNELS[self.kind](self)
+        return _KIND_TABLE[self.kind].kernel(self)
 
     @cached_property
     def s_kernel(self):
         """``f, f', f''`` of ``f(s) = log u(e^s)`` over a 1-d array of finite
         ``s <= s_max``, unchecked: the batched Legendre solve's entry point."""
-        return _S_KERNELS[self.kind](self)
+        return _KIND_TABLE[self.kind].s_kernel(self)
 
     def __getstate__(self) -> dict:
         # The kernels are closures: rebuild them after unpickling.
@@ -405,13 +379,12 @@ def power_series(
 
 def spec_to_dict(spec: GrowthFunctionSpec) -> dict:
     """JSON-ready description of a spec (inverse of :func:`spec_from_dict`)."""
-    key = _PARAM_KEYS[spec.kind]
-    out: dict = {"kind": spec.kind}
-    if spec.kind == POWER_SERIES:
-        # JSON has no -Infinity literal; absent terms serialize as null.
-        out[key] = [None if v == -math.inf else v for v in (spec.log_coeffs or ())]
-    else:
-        out[key] = getattr(spec, key)
+    key = _KIND_TABLE[spec.kind].param
+    value = getattr(spec, key)
+    if isinstance(value, tuple):
+        # JSON has no -Infinity literal; absent series terms serialize as null.
+        value = [None if v == -math.inf else v for v in value]
+    out: dict = {"kind": spec.kind, key: value}
     if spec.claimed_conditions:
         out["claimed_conditions"] = sorted(spec.claimed_conditions)
     if spec.label:
@@ -424,63 +397,44 @@ def spec_from_dict(d: dict) -> GrowthFunctionSpec:
     if not isinstance(d, dict) or "kind" not in d:
         raise ParameterError("function spec must be a mapping with a 'kind' field")
     kind = d["kind"]
-    label = d.get("label", "")
-    if kind == KONDRATIEV_STREIT:
-        spec = kondratiev_streit(_config_param(d, kind, 0.0))
-    elif kind == ITERATED_EXP_SQRT:
-        spec = iterated_exp_sqrt(_config_param(d, kind, 2))
-    elif kind == BELL_SERIES:
-        spec = bell_series(_config_param(d, kind, 2))
-    elif kind == EXPONENTIAL:
-        spec = exponential(_config_param(d, kind, 1.0))
-    elif kind == POWER_SERIES:
-        coeffs = d.get("log_coeffs", ())
-        if not isinstance(coeffs, (list, tuple)) or not all(
-            v is None or _is_real(v) for v in coeffs
-        ):
-            raise ParameterError(
-                "power_series field 'log_coeffs' must be a list of numbers and nulls"
-            )
-        coeffs = [-math.inf if v is None else float(v) for v in coeffs]
-        spec = power_series(coeffs, d.get("claimed_conditions", ()))
-    else:
+    if kind not in KINDS:
         raise ParameterError(f"unknown growth-function kind {kind!r}")
-    extra = set(d) - {"kind", "label", "claimed_conditions", _PARAM_KEYS[kind]}
+    entry = _KIND_TABLE[kind]
+    key = entry.param
+    spec = entry.factory(_config_param(d, kind), d.get("claimed_conditions", ()))
+    extra = set(d) - {"kind", "label", "claimed_conditions", key}
     if extra:
         raise ParameterError(
             f"{kind} spec has unknown field(s) {sorted(extra, key=str)}; "
-            f"it reads {_PARAM_KEYS[kind]!r}, 'label' and 'claimed_conditions'"
+            f"it reads {key!r}, 'label' and 'claimed_conditions'"
         )
+    # A catalog kind fixes its claims; a power series takes the config's.
     claims = d.get("claimed_conditions")
-    if kind != POWER_SERIES and claims is not None and (
-        frozenset(claims) != spec.claimed_conditions
-    ):
+    if claims is not None and frozenset(claims) != spec.claimed_conditions:
         raise ParameterError(
             f"{kind} claims {sorted(spec.claimed_conditions)}; "
             f"claimed_conditions {claims!r} would contradict the catalog"
         )
-    if label:
-        spec = GrowthFunctionSpec(
-            kind=spec.kind,
-            beta=spec.beta,
-            k=spec.k,
-            c=spec.c,
-            log_coeffs=spec.log_coeffs,
-            claimed_conditions=spec.claimed_conditions,
-            label=label,
-        )
-    return spec
+    label = d.get("label", "")
+    return replace(spec, label=label) if label else spec
 
 
 def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
-def _config_param(d: dict, kind: str, default):
+def _config_param(d: dict, kind: str):
     """The kind's parameter from a config mapping.  Strings and booleans are
-    not numbers, and ``k`` must be integral: none of them is coerced."""
-    key = _PARAM_KEYS[kind]
-    v = d.get(key, default)
+    not numbers, ``k`` must be integral, and series coefficients are numbers
+    or nulls (absent terms): none of them is coerced."""
+    key = _KIND_TABLE[kind].param
+    v = d.get(key, _KIND_TABLE[kind].default)
+    if key == "log_coeffs":
+        if not isinstance(v, (list, tuple)) or not all(x is None or _is_real(x) for x in v):
+            raise ParameterError(
+                "power_series field 'log_coeffs' must be a list of numbers and nulls"
+            )
+        return [-math.inf if x is None else float(x) for x in v]
     if not _is_real(v):
         raise ParameterError(f"{kind} field {key!r} must be a number, got {v!r}")
     if key == "k" and not (isinstance(v, numbers.Integral) or float(v).is_integer()):
@@ -494,23 +448,19 @@ def log_u(spec: GrowthFunctionSpec, r: float) -> float:
 
 
 def log_u_grid(spec: GrowthFunctionSpec, rs: np.ndarray) -> np.ndarray:
-    """Vectorized ``log u`` over an array of radii."""
+    """Vectorized ``log u`` over an array of radii: the spec's kernel at each
+    radius, so every value equals :meth:`GrowthFunctionSpec.log_u` bit for bit."""
     rs = np.asarray(rs, dtype=float)
     if rs.size and (np.isnan(rs).any() or rs.min() < 0.0):
         raise ParameterError("growth functions are defined for r >= 0")
-    if spec.kind == KONDRATIEV_STREIT:
-        b1 = 1.0 + spec.beta
-        return b1 * rs ** (1.0 / b1)
-    if spec.kind == EXPONENTIAL:
-        return spec.c * rs
     kernel = spec.kernel
-    return np.array([kernel(r) for r in rs.tolist()])
+    return np.array([kernel(r) for r in rs.ravel().tolist()]).reshape(rs.shape)
 
 
 # -- scalar kernels ----------------------------------------------------------
 #
-# One builder per kind.  ``GrowthFunctionSpec.log_u`` and the loop in
-# ``log_u_grid`` both call the spec's kernel, so they agree bit for bit.
+# One builder per kind.  ``GrowthFunctionSpec.log_u`` and ``log_u_grid`` both
+# call the spec's kernel, so they agree bit for bit.
 
 
 def _ks_kernel(spec: GrowthFunctionSpec):
@@ -588,15 +538,6 @@ def _power_series_kernel(spec: GrowthFunctionSpec):
         return float(logsumexp(logc + index * math.log(r)))
 
     return kernel
-
-
-_KERNELS = {
-    KONDRATIEV_STREIT: _ks_kernel,
-    EXPONENTIAL: _exponential_kernel,
-    ITERATED_EXP_SQRT: _iterated_exp_sqrt_kernel,
-    BELL_SERIES: _bell_kernel,
-    POWER_SERIES: _power_series_kernel,
-}
 
 
 def _beyond_series(spec: GrowthFunctionSpec, r: float) -> CapacityError:
@@ -739,13 +680,43 @@ def _power_series_s_kernel(spec: GrowthFunctionSpec):
     return kernel
 
 
-_S_KERNELS = {
-    KONDRATIEV_STREIT: _ks_s_kernel,
-    EXPONENTIAL: _exponential_s_kernel,
-    ITERATED_EXP_SQRT: _iterated_exp_sqrt_s_kernel,
-    BELL_SERIES: _bell_s_kernel,
-    POWER_SERIES: _power_series_s_kernel,
+# -- the kind registry --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """How one kind is read from a config mapping, named and evaluated."""
+
+    param: str  # the config key it reads, and the spec field that holds it
+    default: object  # the key's value when a config omits it
+    factory: Callable  # (parameter, config claims) -> spec
+    name: Callable  # unlabeled spec -> function_id
+    kernel: Callable  # spec -> scalar ``log u`` kernel
+    s_kernel: Callable  # spec -> array kernel in ``s = log r``
+
+
+#: One record per kind.  A catalog factory fixes the claims, so it drops the
+#: config's; ``spec_from_dict`` then rejects claims that contradict it.
+_KIND_TABLE = {
+    KONDRATIEV_STREIT: _Kind(
+        "beta", 0.0, lambda beta, _: kondratiev_streit(beta),
+        lambda s: f"ks(beta={s.beta:g})", _ks_kernel, _ks_s_kernel),
+    ITERATED_EXP_SQRT: _Kind(
+        "k", 2, lambda k, _: iterated_exp_sqrt(k),
+        lambda s: f"g{s.k}", _iterated_exp_sqrt_kernel, _iterated_exp_sqrt_s_kernel),
+    BELL_SERIES: _Kind(
+        "k", 2, lambda k, _: bell_series(k),
+        lambda s: f"u{s.k}", _bell_kernel, _bell_s_kernel),
+    POWER_SERIES: _Kind(
+        "log_coeffs", (), power_series,
+        lambda s: f"power_series[{len(s.log_coeffs)}]",
+        _power_series_kernel, _power_series_s_kernel),
+    EXPONENTIAL: _Kind(
+        "c", 1.0, lambda c, _: exponential(c),
+        lambda s: f"exp({s.c:g}r)", _exponential_kernel, _exponential_s_kernel),
 }
+
+KINDS = tuple(_KIND_TABLE)
 
 
 # -- series internals ------------------------------------------------------

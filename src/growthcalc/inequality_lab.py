@@ -15,8 +15,8 @@ unstable, and accepted constants must survive a 2x grid refinement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,23 +39,6 @@ from .legendre import (
 )
 
 SLACK = 1e-9
-
-#: Battery order used by :func:`verify_function` and the CLI.
-CHECK_IDS = (
-    "table-definition",
-    "log-concavity",
-    "submultiplicativity",
-    "supermultiplicativity",
-    "t2t-log-convexity",
-    "decreasing-tail",
-    "nth-root-decay",
-    "lseries-sandwich",
-    "lseries-square-bound",
-    "lseries-sqrt-bound",
-    "equivalence-lseries",
-    "equivalence-square",
-)
-
 
 @dataclass
 class VerificationReport:
@@ -608,6 +591,45 @@ def check_chain_order(
 # -- battery -----------------------------------------------------------------
 
 
+class _Battery(NamedTuple):
+    """What the checks of one :func:`verify_function` call read."""
+
+    spec: GrowthFunctionSpec
+    table: LegendreTable  # integer t = 0..n_max
+    evaluator: LFunctionEvaluator
+    a: float
+    r_grid: object
+
+
+#: The battery, in order.  Each entry calls its check through this module's
+#: globals, so a check patched here (as a tracer does) is the one that runs.
+_CHECKS = {
+    "table-definition": lambda b: check_table_definition(b.spec, b.table),
+    "log-concavity": lambda b: check_log_concavity(b.table),
+    "submultiplicativity": lambda b: check_submultiplicativity(b.table),
+    "supermultiplicativity": lambda b: check_supermultiplicativity(b.table),
+    "t2t-log-convexity": lambda b: check_t2t_logconvex(
+        legendre_table(b.spec, np.arange(0.5, 50.01, 0.25))),
+    "decreasing-tail": lambda b: check_decreasing_tail(b.table),
+    "nth-root-decay": lambda b: check_nth_root(b.evaluator.table),
+    "lseries-sandwich": lambda b: check_lfunction_sandwich(
+        b.spec, b.evaluator, a=b.a, r_grid=b.r_grid),
+    "lseries-square-bound": lambda b: check_lemma_square(b.evaluator, r_grid=b.r_grid),
+    "lseries-sqrt-bound": lambda b: check_lemma_sqrt(
+        b.spec, b.evaluator, a=b.a, r_grid=b.r_grid),
+    "equivalence-lseries": lambda b: replace(equivalence_witness(
+        b.spec, b.evaluator, r_grid=b.r_grid, g_id=f"L[{b.spec.function_id}]",
+    ), check_id="equivalence-lseries"),
+    "equivalence-square": lambda b: replace(equivalence_witness(
+        b.spec, lambda r: 2.0 * b.spec.log_u(r), r_grid=b.r_grid,
+        g_id=f"{b.spec.function_id}^2",
+    ), check_id="equivalence-square"),
+}
+
+#: Battery order used by :func:`verify_function` and the CLI.
+CHECK_IDS = tuple(_CHECKS)
+
+
 def verify_function(
     spec: GrowthFunctionSpec,
     n_max: int = 60,
@@ -633,48 +655,8 @@ def verify_function(
                              r_star=full.r_star[rows])
     else:
         table = legendre_sequence(spec, n_max)
-    reports = []
-    for check in wanted:
-        if check == "table-definition":
-            reports.append(check_table_definition(spec, table))
-        elif check == "log-concavity":
-            reports.append(check_log_concavity(table))
-        elif check == "submultiplicativity":
-            reports.append(check_submultiplicativity(table))
-        elif check == "supermultiplicativity":
-            reports.append(check_supermultiplicativity(table))
-        elif check == "t2t-log-convexity":
-            t_real = legendre_table(spec, np.arange(0.5, 50.01, 0.25))
-            reports.append(check_t2t_logconvex(t_real))
-        elif check == "decreasing-tail":
-            reports.append(check_decreasing_tail(table))
-        elif check == "nth-root-decay":
-            reports.append(check_nth_root(evaluator.table))
-        elif check == "lseries-sandwich":
-            reports.append(check_lfunction_sandwich(spec, evaluator, a=a, r_grid=r_grid))
-        elif check == "lseries-square-bound":
-            reports.append(check_lemma_square(evaluator, r_grid=r_grid))
-        elif check == "lseries-sqrt-bound":
-            reports.append(check_lemma_sqrt(spec, evaluator, a=a, r_grid=r_grid))
-        elif check == "equivalence-lseries":
-            rep = equivalence_witness(
-                spec,
-                evaluator,
-                r_grid=r_grid,
-                g_id=f"L[{spec.function_id}]",
-            )
-            rep.check_id = "equivalence-lseries"
-            reports.append(rep)
-        elif check == "equivalence-square":
-            rep = equivalence_witness(
-                spec,
-                lambda r: 2.0 * spec.log_u(r),
-                r_grid=r_grid,
-                g_id=f"{spec.function_id}^2",
-            )
-            rep.check_id = "equivalence-square"
-            reports.append(rep)
-    return reports
+    battery = _Battery(spec, table, evaluator, a, r_grid)
+    return [_CHECKS[check](battery) for check in wanted]
 
 
 def summary_table(reports: Sequence[VerificationReport]) -> str:

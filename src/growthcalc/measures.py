@@ -32,13 +32,14 @@ from .growth import (
     ITERATED_EXP_SQRT,
     ParameterError,
     _SPEC_CACHE,
+    default_r_grid,
     iterated_log,
+    log_u_grid,
 )
 
 _GAUSSIAN = "gaussian"
 _POISSON = "poisson"
 _GREY = "grey"
-MEASURE_KINDS = (_GAUSSIAN, _POISSON, _GREY)
 
 
 @dataclass(frozen=True)
@@ -58,18 +59,7 @@ class MeasureSurrogate:
     def __post_init__(self) -> None:
         if self.kind not in MEASURE_KINDS:
             raise ParameterError(f"unknown measure kind {self.kind!r}")
-        if self.kind == _GAUSSIAN:
-            if not 0.0 < self.rho < 1.0:
-                raise ParameterError(f"rho must lie in (0, 1), got {self.rho}")
-            if self.q < 0:
-                raise ParameterError(f"q must be >= 0, got {self.q}")
-        if self.kind == _POISSON and not self.theta > 0.0:
-            raise ParameterError(f"theta must be positive, got {self.theta}")
-        if self.kind == _GREY:
-            if not 0.0 < self.lam <= 1.0:
-                raise ParameterError(f"lambda must lie in (0, 1], got {self.lam}")
-            if self.n < 100:
-                raise ParameterError("grey sampling needs n >= 100")
+        _MEASURE_TABLE[self.kind].validate(self)
         if self.w < 0.0:
             raise ParameterError(f"the weight w must be >= 0, got {self.w}")
 
@@ -361,11 +351,9 @@ _ENVELOPE_C2 = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0)
 def _gaussian_envelope(spec: GrowthFunctionSpec) -> tuple[float, float]:
     """Smallest ``c2`` from a fixed ladder with ``u(r)^{1/2} <= c1 e^{c2 r}``
     certified on a grid (the score must peak away from the right edge)."""
-    from .growth import default_r_grid
-
     grid = default_r_grid()
     grid = grid[grid <= 0.98 * spec.faithful_cap]
-    lu = np.array([0.5 * spec.log_u(r) for r in grid])
+    lu = 0.5 * log_u_grid(spec, grid)
     for c2 in _ENVELOPE_C2:
         score = lu - c2 * grid
         i = int(np.argmax(score))
@@ -377,24 +365,28 @@ def _gaussian_envelope(spec: GrowthFunctionSpec) -> tuple[float, float]:
 
 
 def _check_compatibility(surrogate: MeasureSurrogate, spec: GrowthFunctionSpec) -> None:
-    if surrogate.kind == _GAUSSIAN:
-        if spec.kind != KONDRATIEV_STREIT:
-            raise ParameterError(
-                "the Gaussian product surrogate pairs with the exp((1+beta) r^(1/(1+beta))) "
-                f"family, not {spec.function_id}"
-            )
-    elif surrogate.kind == _POISSON:
-        if not (spec.kind == ITERATED_EXP_SQRT and spec.k == 2):
-            raise ParameterError(
-                f"the Poisson surrogate pairs with g2, not {spec.function_id}"
-            )
-    else:
-        beta = 1.0 - surrogate.lam
-        if spec.kind != KONDRATIEV_STREIT or abs(spec.beta - beta) > 1e-9:
-            raise ParameterError(
-                f"grey noise with lambda={surrogate.lam} pairs with "
-                f"ks(beta={beta:g}), not {spec.function_id}"
-            )
+    measure = _MEASURE_TABLE[surrogate.kind]
+    if not measure.pairs(surrogate, spec):
+        raise ParameterError(f"{measure.partner(surrogate)}, not {spec.function_id}")
+
+
+def _check_gaussian(surrogate: MeasureSurrogate) -> None:
+    if not 0.0 < surrogate.rho < 1.0:
+        raise ParameterError(f"rho must lie in (0, 1), got {surrogate.rho}")
+    if surrogate.q < 0:
+        raise ParameterError(f"q must be >= 0, got {surrogate.q}")
+
+
+def _check_poisson(surrogate: MeasureSurrogate) -> None:
+    if not surrogate.theta > 0.0:
+        raise ParameterError(f"theta must be positive, got {surrogate.theta}")
+
+
+def _check_grey(surrogate: MeasureSurrogate) -> None:
+    if not 0.0 < surrogate.lam <= 1.0:
+        raise ParameterError(f"lambda must lie in (0, 1], got {surrogate.lam}")
+    if surrogate.n < 100:
+        raise ParameterError("grey sampling needs n >= 100")
 
 
 def _gaussian_level(surrogate: MeasureSurrogate, spec: GrowthFunctionSpec, p: int) -> dict:
@@ -427,7 +419,7 @@ def _poisson_level(surrogate: MeasureSurrogate, spec: GrowthFunctionSpec, p: int
     }
 
 
-def _grey_level(surrogate: MeasureSurrogate, p: int) -> dict:
+def _grey_level(surrogate: MeasureSurrogate, spec: GrowthFunctionSpec, p: int) -> dict:
     w = surrogate.rho ** (2.0 * p) * surrogate.w
     res = grey_integrability(surrogate.lam, w, n=surrogate.n, seed=surrogate.seed)
     return {
@@ -457,22 +449,50 @@ def hida_condition(
         raise ParameterError(f"p must be >= 0, got {p}")
     _check_compatibility(surrogate, spec)
     top = max(p, 4 if p_max is None else p_max)
-    levels = []
-    smallest = None
-    for q in range(top + 1):
-        if surrogate.kind == _GAUSSIAN:
-            entry = _gaussian_level(surrogate, spec, q)
-        elif surrogate.kind == _POISSON:
-            entry = _poisson_level(surrogate, spec, q)
-        else:
-            entry = _grey_level(surrogate, q)
-        levels.append(entry)
-        if smallest is None and entry["finite"]:
-            smallest = q
+    measure = _MEASURE_TABLE[surrogate.kind]
+    levels = [measure.level(surrogate, spec, q) for q in range(top + 1)]
+    smallest = next((q for q, entry in enumerate(levels) if entry["finite"]), None)
     finite = levels[p]["finite"] if p < len(levels) else False
-    seed = surrogate.seed if surrogate.kind == _GREY else None
+    seed = surrogate.seed if measure.sampled else None
     notes = "" if smallest is not None else "no finite level up to the sweep cap"
     return HidaReport(
         surrogate.kind, spec.function_id, p, finite, smallest,
         tuple(levels), seed, notes,
     )
+
+
+# -- the measure registry -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Measure:
+    """What one reference measure checks, pairs with and integrates."""
+
+    validate: Callable  # surrogate -> None; raises ParameterError
+    pairs: Callable  # (surrogate, spec) -> whether the spec is its partner
+    partner: Callable  # surrogate -> what it pairs with, for the error text
+    level: Callable  # (surrogate, spec, p) -> one level of the Hida sweep
+    sampled: bool  # Monte Carlo: its report carries the seed
+
+
+_MEASURE_TABLE = {
+    _GAUSSIAN: _Measure(
+        _check_gaussian,
+        lambda m, spec: spec.kind == KONDRATIEV_STREIT,
+        lambda m: "the Gaussian product surrogate pairs with the "
+                  "exp((1+beta) r^(1/(1+beta))) family",
+        _gaussian_level, sampled=False),
+    _POISSON: _Measure(
+        _check_poisson,
+        lambda m, spec: spec.kind == ITERATED_EXP_SQRT and spec.k == 2,
+        lambda m: "the Poisson surrogate pairs with g2",
+        _poisson_level, sampled=False),
+    _GREY: _Measure(
+        _check_grey,
+        lambda m, spec: spec.kind == KONDRATIEV_STREIT
+        and abs(spec.beta - (1.0 - m.lam)) <= 1e-9,
+        lambda m: f"grey noise with lambda={m.lam} pairs with ks(beta={1.0 - m.lam:g})",
+        _grey_level, sampled=True),
+}
+
+MEASURE_KINDS = tuple(_MEASURE_TABLE)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -168,6 +169,22 @@ def test_run_marks_broken_job_as_error(tmp_path):
     payload = json.loads((tmp_path / "job-eval-x.json").read_text())
     assert payload["status"] == "error"
     assert "ParameterError" in payload["error"]
+
+
+def test_run_calls_the_job_runner_bound_in_the_module_once_per_job(monkeypatch):
+    # The benchmark times jobs by patching ``cli._run_job``.
+    from growthcalc import cli
+
+    ids = []
+    run_job = cli._run_job
+
+    def patched(job, *args, **kwargs):
+        ids.append(job["id"])
+        return run_job(job, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_run_job", patched)
+    assert run(manifest([eval_job("a"), eval_job("b")]), stream=io.StringIO()) == 0
+    assert ids == ["a", "b"]
 
 
 def test_run_empty_jobs_is_a_warning_not_an_error(tmp_path):

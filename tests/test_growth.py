@@ -17,6 +17,7 @@ from growthcalc import (
     CONDITION_IDS,
     EXPONENTIAL,
     ITERATED_EXP_SQRT,
+    KINDS,
     KONDRATIEV_STREIT,
     CapacityError,
     ParameterError,
@@ -541,8 +542,16 @@ def test_kernel_matches_reference_formula_bit_for_bit(spec):
     want = [_reference_log_u(spec, r) for r in rs]
     assert [spec.kernel(r) for r in rs] == want
     assert [spec.log_u(r) for r in rs] == want
-    if spec.kind not in (KONDRATIEV_STREIT, EXPONENTIAL):  # numpy's own formula
-        assert log_u_grid(spec, np.array(rs)).tolist() == want
+    assert log_u_grid(spec, np.array(rs)).tolist() == want
+
+
+def test_log_u_grid_equals_scalar_log_u_for_every_kind():
+    # ks(0.37) at r = e: numpy's array power rounds one ulp away from Python's.
+    rs = [0.0, 0.3, 1.0, math.e, 7.0, 1e5]
+    assert {spec.kind for spec in KERNEL_SPECS} == set(KINDS)
+    for spec in KERNEL_SPECS:
+        want = [spec.log_u(r) for r in rs]
+        assert log_u_grid(spec, np.array(rs)).tolist() == want, spec.function_id
 
 
 def test_kernel_keeps_the_capacity_error_past_the_series_cap():

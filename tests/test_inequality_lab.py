@@ -293,3 +293,23 @@ def test_sandwich_refinement_evaluates_only_the_added_radii(
     # The same constant as evaluating the whole refined grid afresh.
     full = log_u_grid(spec, fine) - l_function_wide(evaluator, 4.0 * fine)
     assert report.constants["C_part2_refined"] == math.exp(float(np.max(full)))
+
+
+def test_battery_calls_the_check_bound_in_the_module_at_call_time(
+    catalog, evaluators, monkeypatch
+):
+    # Tracers wrap the checks by patching the module globals.
+    from growthcalc import inequality_lab
+
+    seen = []
+    check_nth_root = inequality_lab.check_nth_root
+
+    def patched(table, *args, **kwargs):
+        seen.append(table)
+        return check_nth_root(table, *args, **kwargs)
+
+    monkeypatch.setattr(inequality_lab, "check_nth_root", patched)
+    evaluator = evaluators["ks0"]
+    reports = verify_function(catalog["ks0"], evaluator=evaluator, checks=["nth-root-decay"])
+    assert seen == [evaluator.table]
+    assert [r.check_id for r in reports] == ["nth-root-decay"]

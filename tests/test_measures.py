@@ -309,3 +309,19 @@ def test_hida_json_round_trip(catalog):
     assert d["p"] == 1 and d["finite"] is True
     assert d["smallest_finite_p"] == 1
     assert len(d["levels"]) >= 2
+
+
+def test_hida_poisson_calls_the_integrator_bound_in_the_module(catalog, monkeypatch):
+    # Tracers wrap the integrators by patching the module globals.
+    from growthcalc import measures
+
+    thetas = []
+
+    def patched(theta, *args, **kwargs):
+        thetas.append(theta)
+        return poisson_integrability(theta, *args, **kwargs)
+
+    monkeypatch.setattr(measures, "poisson_integrability", patched)
+    report = hida_condition(poisson_count(theta=1.0), catalog["g2"], p=0, p_max=2)
+    assert thetas == [1.0, 1.0, 1.0]
+    assert len(report.levels) == 3
