@@ -86,6 +86,12 @@ _MEASURE_RUNNERS = {
     "hida": lambda job, funcs, seed, tol: _hida_op(job, funcs, seed),
 }
 _MEASURE_OPS = tuple(_MEASURE_RUNNERS)
+#: The job fields a ``measures`` op reads without a default.
+_MEASURE_REQUIRED = {
+    "fernique": ("rho", "q", "c2"),
+    "grey_cf": ("lam",),
+    "grey_integrability": ("lam", "w"),
+}
 
 _MEASURE_KEYS = {f.name for f in fields(MeasureSurrogate)}
 _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
@@ -186,12 +192,17 @@ def validate_manifest(manifest) -> None:
             _fail(f"{where}: missing 'function'")
         if kind == "lfn" and ("function" not in job or "r" not in job):
             _fail(f"{where}: lfn needs 'function' and 'r'")
-        if kind == "verify" and "function" not in job and "functions" not in job:
-            _fail(f"{where}: verify needs 'function' or 'functions'")
+        if kind == "verify":
+            need = "functions" if job.get("check") == "chain-order" else "function"
+            if need not in job:
+                _fail(f"{where}: verify needs '{need}'")
         if kind == "measures":
             op = job.get("op")
             if op not in _MEASURE_OPS:
                 _fail(f"{where}: op must be one of {', '.join(_MEASURE_OPS)}")
+            for key in _MEASURE_REQUIRED.get(op, ()):
+                if key not in job:
+                    _fail(f"{where}: {op} needs '{key}'")
             if op == "poisson" and job.get("integrand") == "growth" \
                     and "function" not in job:
                 _fail(f"{where}: the growth integrand needs a 'function'")
@@ -435,8 +446,8 @@ def _grey_integrability_op(job: dict, seed: int | None) -> dict:
     status = _verdict(
         job,
         expect=lambda want: (want == "finite") != (res.stable and math.isfinite(res.value)),
-        expect_value=lambda want: float(job.get("sigma_tol", 3.0)) * res.stderr
-        < abs(res.value - float(want)),
+        expect_value=lambda want: not abs(res.value - float(want))
+        <= float(job.get("sigma_tol", 3.0)) * res.stderr,
     )
     return {
         "value": res.value, "stderr": res.stderr, "n": res.n, "seed": res.seed,

@@ -311,28 +311,6 @@ class GrowthFunctionSpec:
             return 0.88 * (len(_series_logc(self)) - 1)
         return math.inf
 
-    @property
-    def domain_cap(self) -> float:
-        """``r`` beyond which ``u(r)`` itself overflows a double (log u > 709);
-        past this point only the log-domain value is meaningful."""
-        target = 709.0
-        if self.log_u(0.0) > target:  # pragma: no cover - not reachable in catalog
-            return 0.0
-        lo, hi = 0.0, 1.0
-        while self.log_u(min(hi, self.faithful_cap)) < target:
-            if hi >= self.faithful_cap:
-                return self.faithful_cap
-            lo, hi = hi, hi * 4.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.log_u(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-9 * max(1.0, hi):
-                break
-        return 0.5 * (lo + hi)
-
 
 # -- factories ------------------------------------------------------------
 

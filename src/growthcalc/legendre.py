@@ -5,9 +5,12 @@ For a growth function ``u`` the transform is
     ``ell_u(t) = inf_{r > 0} u(r) / r^t``,    t >= 0,
 
 computed here as a convex minimization of ``phi(s) = log u(e^s) - t s`` in
-``s = log r``.  The associated L-series ``L_u(r) = sum_n ell_u(n) r^n`` is the
-natural comparison object for exponential-vector norms, and the biduality map
-``r -> sup_t ell_u(t) r^t`` reconstructs ``u``.
+``s = log r``: by ternary search for the tables, and by one batched Newton
+solve of ``phi'(s) = 0`` for the continuous-ell spline and the bidual.  The
+associated L-series ``L_u(r) = sum_n ell_u(n) r^n`` is the natural comparison
+object for exponential-vector norms, and the biduality map
+``r -> sup_t ell_u(t) r^t`` reconstructs ``u``; its supremum sits at the
+slope ``t = d log u / d log r``, so it needs no search over ``t``.
 
 Tables carry ``log ell`` and the minimizer ``r*``; every value is log-domain.
 Evaluation of ``L_u`` far beyond any storable table (the verification grids
@@ -73,21 +76,6 @@ _NEWTON_MAX_ITER = 100
 _BRACKET_STEP = 0.5
 
 
-def _ternary_argmin(f, lo: float, hi: float, tol: float, max_iter: int) -> float:
-    """Midpoint of the bracket left by ternary search for the minimum of a
-    unimodal ``f`` on ``[lo, hi]``; callers maximise by passing ``-g``."""
-    for _ in range(max_iter):
-        if hi - lo <= tol:
-            break
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if f(m1) <= f(m2):
-            hi = m2
-        else:
-            lo = m1
-    return 0.5 * (lo + hi)
-
-
 def _grid_infimum(spec: GrowthFunctionSpec) -> float:
     grid = default_r_grid()
     cap = spec.faithful_cap
@@ -116,11 +104,7 @@ def _range_error(spec: GrowthFunctionSpec, t: float) -> RuntimeError:
 
 
 def legendre_transform(
-    spec: GrowthFunctionSpec,
-    t: float,
-    s_tol: float = 1e-12,
-    max_iter: int = 200,
-    s_hint: float | None = None,
+    spec: GrowthFunctionSpec, t: float, s_hint: float | None = None
 ) -> tuple[float, float]:
     """``(log ell_u(t), r*)`` by bracketed ternary search on the convex ``phi``.
 
@@ -163,7 +147,16 @@ def legendre_transform(
         lo = max(lo - step, _S_FLOOR)
         step *= 2.0
 
-    s_star = _ternary_argmin(phi, lo, hi, s_tol, max_iter)
+    # Ternary search down to a 1e-12 bracket; from the widest bracket (about
+    # 1445) that takes about 86 steps.
+    while hi - lo > 1e-12:
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if phi(m1) <= phi(m2):
+            hi = m2
+        else:
+            lo = m1
+    s_star = 0.5 * (lo + hi)
     return phi(s_star), math.exp(s_star)
 
 
@@ -216,7 +209,6 @@ class LegendreTable:
     t: np.ndarray
     log_ell: np.ndarray
     r_star: np.ndarray
-    s_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         self.t = np.asarray(self.t, dtype=float)
@@ -251,7 +243,6 @@ class LegendreTable:
             "t": self.t.copy(),
             "log_ell": self.log_ell.copy(),
             "r_star": self.r_star.copy(),
-            "s_tol": self.s_tol,
         }
         data.update(kw)
         return LegendreTable(**data)
@@ -274,7 +265,6 @@ class LegendreTable:
             "t": self.t.tolist(),
             "log_ell": self.log_ell.tolist(),
             "r_star": self.r_star.tolist(),
-            "s_tol": self.s_tol,
         }
 
     @classmethod
@@ -284,22 +274,17 @@ class LegendreTable:
             t=np.asarray(d["t"], dtype=float),
             log_ell=np.asarray(d["log_ell"], dtype=float),
             r_star=np.asarray(d["r_star"], dtype=float),
-            s_tol=float(d.get("s_tol", 1e-12)),
         )
 
 
-def legendre_sequence(
-    spec: GrowthFunctionSpec, n_max: int, s_tol: float = 1e-12
-) -> LegendreTable:
+def legendre_sequence(spec: GrowthFunctionSpec, n_max: int) -> LegendreTable:
     """Table of ``log ell(n)``, ``r*(n)`` for n = 0..n_max (warm-started sweep)."""
     if n_max < 0:
         raise ParameterError(f"legendre_sequence requires n_max >= 0, got {n_max}")
-    return legendre_table(spec, np.arange(n_max + 1, dtype=float), s_tol=s_tol)
+    return legendre_table(spec, np.arange(n_max + 1, dtype=float))
 
 
-def legendre_table(
-    spec: GrowthFunctionSpec, t_values, s_tol: float = 1e-12
-) -> LegendreTable:
+def legendre_table(spec: GrowthFunctionSpec, t_values) -> LegendreTable:
     """Table of the transform on an arbitrary increasing t-grid."""
     ts = np.asarray(t_values, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
@@ -308,12 +293,12 @@ def legendre_table(
     r_star = np.empty(ts.size)
     hint: float | None = None
     for i, t in enumerate(ts):
-        val, rs = legendre_transform(spec, float(t), s_tol=s_tol, s_hint=hint)
+        val, rs = legendre_transform(spec, float(t), s_hint=hint)
         log_ell[i] = val
         r_star[i] = rs
         if rs > 0.0:
             hint = math.log(rs)
-    return LegendreTable(spec.function_id, ts, log_ell, r_star, s_tol=s_tol)
+    return LegendreTable(spec.function_id, ts, log_ell, r_star)
 
 
 @dataclass(eq=False)
@@ -330,11 +315,9 @@ class LFunctionEvaluator:
             )
 
     @classmethod
-    def from_spec(
-        cls, spec: GrowthFunctionSpec, n_max: int = 1200, s_tol: float = 1e-12
-    ) -> "LFunctionEvaluator":
+    def from_spec(cls, spec: GrowthFunctionSpec, n_max: int = 1200) -> "LFunctionEvaluator":
         n_max = min(n_max, int(spec.t_sup)) if spec.t_sup < math.inf else n_max
-        return cls(spec, legendre_sequence(spec, n_max, s_tol=s_tol))
+        return cls(spec, legendre_sequence(spec, n_max))
 
     @property
     def n_max(self) -> int:
@@ -499,7 +482,7 @@ def _continuous_ell(spec: GrowthFunctionSpec) -> _ContinuousEll:
     (or to ``0.94 t_sup``).  The ladder and the knots are each one batched
     Newton solve (:func:`_newton_transform`), not a ternary search per
     ``t``: the spline needs only ``log ell``, which both solvers give to
-    rounding.  The tables and the bidual keep the ternary search because
+    rounding.  The tables keep the ternary search because
     ``perfbench/reference`` pins the last bits of its ``r*`` (good to about
     1e-8 only); they can move once that reference comes from an exact
     oracle.
@@ -670,10 +653,14 @@ def l_function_wide(evaluator: LFunctionEvaluator, r, rel_tol: float = 1e-12):
 def bidual(spec: GrowthFunctionSpec, r: float, t_cap: float = 4.0e6) -> float:
     """``sup_{t >= 0} [log ell_u(t) + t log r]`` — reconstructs ``log u(r)``.
 
-    The objective is concave in ``t`` (an infimum of affine functions plus a
-    linear term), so a ternary search over [0, t_cap] suffices.  Raises
-    :class:`CapTooSmallError` when the supremum sits against ``t_cap`` with
-    the objective still rising.
+    The objective ``h(t)`` is concave with ``h'(t) = log r - log r*(t)``, so
+    the supremum sits at the ``t*`` whose minimizer is ``r`` itself: the
+    slope ``t* = f'(log r)`` of ``f(s) = log u(e^s)`` (the gradient of a
+    conjugate is its maximizer).  ``t*`` is read from ``spec.s_kernel`` and
+    ``log ell(t*)`` comes from one batched Newton solve; no search over
+    ``t`` is made.  Raises :class:`~growthcalc.growth.CapacityError` when
+    ``t*`` lies past the faithful range of a series, and
+    :class:`CapTooSmallError` when it lies past ``t_cap``.
     """
     r = float(r)
     if math.isnan(r) or r < 0.0:
@@ -685,19 +672,8 @@ def bidual(spec: GrowthFunctionSpec, r: float, t_cap: float = 4.0e6) -> float:
         return h0
     lr = math.log(r)
     cap_eff = min(t_cap, spec.t_sup * 0.97)
-    hint: float | None = None
-
-    def h(t: float) -> float:
-        nonlocal hint
-        if t == 0.0:
-            return h0
-        val, rs = legendre_transform(spec, t, s_hint=hint)
-        if rs > 0.0:
-            hint = math.log(rs)
-        return val + t * lr
-
-    delta = cap_eff * 1e-9
-    if h(cap_eff) > h(cap_eff - delta):
+    t_star = float(spec.s_kernel(np.array([lr]))[1][0]) if lr < spec.s_max else math.inf
+    if t_star > cap_eff:
         if cap_eff < t_cap:
             raise CapacityError(
                 f"the supremum for r={r:g} needs t beyond the faithful range "
@@ -706,6 +682,9 @@ def bidual(spec: GrowthFunctionSpec, r: float, t_cap: float = 4.0e6) -> float:
         raise CapTooSmallError(
             f"objective still rising at t_cap={t_cap:g} for r={r:g}; raise t_cap"
         )
-    t_star = _ternary_argmin(lambda t: -h(t), 0.0, cap_eff,
-                             max(1e-12, 1e-13 * cap_eff), 260)
-    return max(h(t_star), h0)
+    if t_star == 0.0:  # f' underflows: the supremum is the t = 0 value
+        return h0
+    log_ell, _, err = _newton_transform(spec, np.array([t_star]))
+    if err is not None:
+        raise err
+    return max(float(log_ell[0]) + t_star * lr, h0)

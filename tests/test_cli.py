@@ -60,6 +60,25 @@ def eval_job(job_id="eval-1", **extra):
     (lambda m: m.update(jobs=[{"id": "x", "kind": "eval"}]), "eval"),
     (lambda m: m.update(jobs=[eval_job(function="ghost")]), "ghost"),
     (lambda m: m.update(jobs=[{"id": "x", "kind": "lfn", "function": "ks0"}]), "r"),
+    # Each of these would otherwise end in a bare KeyError when the job runs.
+    (lambda m: m.update(jobs=[{"id": "x", "kind": "verify", "functions": ["ks0"]}]),
+     "verify needs 'function'"),
+    (lambda m: m.update(jobs=[{"id": "x", "kind": "verify", "check": "chain-order",
+                               "function": "ks0"}]), "verify needs 'functions'"),
+    (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "fernique",
+                               "q": 1.0, "c2": 0.1}]), "fernique needs 'rho'"),
+    (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "fernique",
+                               "rho": 0.5, "c2": 0.1}]), "fernique needs 'q'"),
+    (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "fernique",
+                               "rho": 0.5, "q": 1.0}]), "fernique needs 'c2'"),
+    (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "grey_cf"}]),
+     "grey_cf needs 'lam'"),
+    (lambda m: m.update(jobs=[{"id": "x", "kind": "measures",
+                               "op": "grey_integrability", "w": 0.1}]),
+     "grey_integrability needs 'lam'"),
+    (lambda m: m.update(jobs=[{"id": "x", "kind": "measures",
+                               "op": "grey_integrability", "lam": 1.0}]),
+     "grey_integrability needs 'w'"),
 ])
 def test_validate_manifest_rejects(mutate, fragment):
     m = manifest([eval_job()])
@@ -212,6 +231,19 @@ def test_run_grey_artifacts_reproducible(tmp_path):
     v_one = json.loads((tmp_path / "one" / "job-g.json").read_text())["value"]
     v_three = json.loads((tmp_path / "three" / "job-g.json").read_text())["value"]
     assert v_one != v_three
+
+
+def test_grey_integrability_nan_estimate_fails_expect_value(tmp_path, monkeypatch):
+    from growthcalc import cli
+    from growthcalc.measures import GreyResult
+
+    nan = GreyResult(value=math.nan, stderr=0.01, log_value=math.nan, n=100,
+                     seed=9, stable=True, top_share=0.0)
+    monkeypatch.setattr(cli, "grey_integrability", lambda *args, **kwargs: nan)
+    grey = {"id": "g", "kind": "measures", "op": "grey_integrability",
+            "lam": 1.0, "w": 0.1, "n": 100, "expect_value": 1.0}
+    assert run(manifest([grey], seed=9), out_dir=tmp_path) == 1
+    assert json.loads((tmp_path / "job-g.json").read_text())["status"] == "fail"
 
 
 def test_run_seed_argument_overrides_manifest(tmp_path):

@@ -384,6 +384,63 @@ def test_bidual_cap_too_small():
         bidual(kondratiev_streit(0.0), math.exp(2.0), t_cap=5.0)
 
 
+#: One spec per kind, with a Bell series of each order and a finite power
+#: series (degree 3), whose supremum the old search over t in [0, t_cap]
+#: could not find: it probed t far past the degree.
+BIDUAL_SPECS = {
+    "ks0": kondratiev_streit(0.0), "ks05": kondratiev_streit(0.5),
+    "g1": iterated_exp_sqrt(1), "g2": iterated_exp_sqrt(2), "g3": iterated_exp_sqrt(3),
+    "u2": bell_series(2), "u3": bell_series(3),
+    "exp1": exponential(1.0), "exp2.5": exponential(2.5),
+    "degree-3": power_series([0.0, 0.0, -math.log(2.0), -math.log(6.0)]),
+}
+
+
+@pytest.mark.parametrize("name", BIDUAL_SPECS, ids=str)
+def test_bidual_is_log_u_to_rounding(name):
+    spec = BIDUAL_SPECS[name]
+    radii = (1e-3, 0.5, 1.0, 40.0, 1e4)
+    got = np.array([bidual(spec, r) for r in radii])
+    assert _close(got, np.array([spec.log_u(r) for r in radii]), 1e-13), name
+
+
+def test_bidual_makes_no_ternary_solve_past_t_zero(monkeypatch):
+    from growthcalc import legendre
+
+    ts = []
+    ternary = legendre.legendre_transform
+
+    def recording(spec, t, *args, **kwargs):
+        ts.append(t)
+        return ternary(spec, t, *args, **kwargs)
+
+    monkeypatch.setattr(legendre, "legendre_transform", recording)
+    for spec in BIDUAL_SPECS.values():
+        bidual(spec, 40.0)
+    assert ts and all(t == 0.0 for t in ts)
+
+
+def test_bidual_error_texts(u2):
+    for r in (0.99 * u2.series_cap, 1.5 * u2.series_cap):
+        with pytest.raises(CapacityError) as exc:
+            bidual(u2, r)
+        assert str(exc.value) == (
+            f"the supremum for r={r:g} needs t beyond the faithful range of u2")
+    with pytest.raises(CapTooSmallError) as exc:
+        bidual(exponential(1.0), 5e6)
+    assert str(exc.value) == "objective still rising at t_cap=4e+06 for r=5e+06; raise t_cap"
+    for r in (math.nan, -1.0):
+        with pytest.raises(ParameterError, match="bidual requires r >= 0"):
+            bidual(u2, r)
+    with pytest.raises(ParameterError, match="t_cap must be positive"):
+        bidual(u2, 1.0, t_cap=0.0)
+
+
+def test_bidual_where_the_slope_underflows():
+    # u(r) = 1 + e^-800 r: d log u / d log r is 0 in doubles, so t* = 0.
+    assert bidual(power_series([0.0, -800.0]), 1.0) == 0.0
+
+
 def test_bidual_at_zero(catalog):
     assert bidual(catalog["ks0"], 0.0) == 0.0
 
@@ -411,7 +468,7 @@ PINNED = {
             (-6.621371043387193, 6.999999991824242),
             (-72.03592144986466, 29.999999262199058),
         ],
-        [0.49999999999999994, 40.0],
+        [0.5, 40.0],
         [0.0, 0.3, 7.0, 100000.0],
     ),
     "ks0.37": (
@@ -420,7 +477,7 @@ PINNED = {
             (-9.071278329440451, 14.380842137242443),
             (-98.68921238631458, 105.5981021206987),
         ],
-        [0.8260201531401692, 20.235196315688626],
+        [0.8260201531401707, 20.235196315688626],
         [0.0, 0.568927922942502, 5.6699659442315555, 6114.424737791278],
     ),
     "exp2.5": (
@@ -429,7 +486,7 @@ PINNED = {
             (-0.20733592026810843, 2.7999999931433432),
             (-44.54719949364001, 11.999999768292577),
         ],
-        [1.2500000000000004, 100.0],
+        [1.25, 100.0],
         [0.0, 0.75, 17.5, 250000.0],
     ),
     "g1": (
@@ -438,7 +495,7 @@ PINNED = {
             (-5.04415371550672, 7.798463176438231),
             (-79.82929094215964, 54.288351403487205),
         ],
-        [1.1892071150027181, 31.81082915068201],
+        [1.1892071150027212, 31.810829150682025],
         [0.0, 0.8107200928842205, 8.607034141317701, 11246.826503806982],
     ),
     "g3": (
@@ -447,7 +504,7 @@ PINNED = {
             (-13.242742086774387, 48.99999918593587),
             (-139.08359742201006, 601.3774449750994),
         ],
-        [1.4142135623730916, 12.64911064067352],
+        [1.414213562373095, 12.649110640673516],
         [0.0, 1.0954451150103321, 5.291502622129181, 836.7372770761706],
     ),
     "u2": (
@@ -456,7 +513,7 @@ PINNED = {
             (-13.642529113994978, 31.76846133471498),
             (-127.40289378446498, 360.5827737209901),
         ],
-        [0.4490642951273611, 12.300025916614693],
+        [0.4490642951273612, 12.30002591661469],
         [-0.0, 0.2802214821746374, 3.73952514283006, 1267.5427595084436],
     ),
     "u3": (
@@ -465,7 +522,7 @@ PINNED = {
             (-16.773762214303304, 57.971350675404324),
             (-146.94498888878053, 786.0386307968259),
         ],
-        [0.4340181729464122, 9.306623982059167],
+        [0.4340181729464122, 9.306623982059165],
         [-0.0, 0.2741261157321584, 3.1383015744141867, 749.780571933995],
     ),
 }
@@ -478,6 +535,8 @@ def test_pinned_transform_bidual_and_grid_values(name):
     seq = legendre_sequence(spec, 30)
     assert [(seq.log_ell[n], seq.r_star[n]) for n in (1, 7, 30)] == seq_want
     assert [bidual(spec, r) for r in (0.5, 40.0)] == bidual_want
+    assert _close(np.array(bidual_want), np.array([spec.log_u(r) for r in (0.5, 40.0)]),
+                  1e-13)
     assert log_u_grid(spec, np.array([0.0, 0.3, 7.0, 1e5])).tolist() == grid_want
 
 
