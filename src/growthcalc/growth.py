@@ -25,7 +25,6 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln, logsumexp
 
 
@@ -816,6 +815,8 @@ def mittag_leffler_integral(lam: float, t: float) -> float:
     of decaying exponentials).  Cross-validated against the alternating
     series in their overlap and against ``e^{t^2} erfc(t)`` at ``lam = 1/2``.
     """
+    from scipy import integrate  # here: it adds ~25 MB, and only this needs it
+
     lam, t = float(lam), float(t)
     if not 0.0 < lam < 1.0:
         raise ParameterError(f"the spectral integral requires lambda in (0, 1), got {lam}")

@@ -133,55 +133,33 @@ def check_log_concavity(table: LegendreTable) -> VerificationReport:
     )
 
 
+def _pair_check(table: LegendreTable, check_id: str, margin, constants: dict):
+    """The worst ``margin(le, n, m, n + m)`` over the pairs ``n + m <= n_max``
+    of an integer-grid table, taken over one (n, m) array; the witness is the
+    first worst pair in row-major order."""
+    if not table.is_integer_grid:
+        raise ParameterError(f"{check_id} check needs an integer grid")
+    N = table.n_max
+    n, m = np.ogrid[: N + 1, : N + 1]
+    inside = n + m <= N
+    margins = np.where(inside, margin(table.log_ell, n, m, np.where(inside, n + m, 0)), np.inf)
+    j = int(np.argmin(margins))
+    return _report(check_id, table.function_id, float(margins.flat[j]),
+                   {"n": j // (N + 1), "m": j % (N + 1)}, constants, _int_grid_info(table))
+
+
 def check_submultiplicativity(table: LegendreTable) -> VerificationReport:
     """``ell(0) ell(n+m) <= ell(n) ell(m)`` for all pairs with n+m <= n_max."""
-    if not table.is_integer_grid:
-        raise ParameterError("submultiplicativity check needs an integer grid")
-    le = table.log_ell
-    N = table.n_max
-    worst = math.inf
-    wit = (0, 0)
-    for n in range(N + 1):
-        m = np.arange(N - n + 1)
-        margins = le[n] + le[: N - n + 1] - le[0] - le[n : N + 1]
-        j = int(np.argmin(margins))
-        if margins[j] < worst:
-            worst = float(margins[j])
-            wit = (n, int(m[j]))
-    return _report(
-        "submultiplicativity",
-        table.function_id,
-        worst,
-        {"n": wit[0], "m": wit[1]},
-        {},
-        _int_grid_info(table),
-    )
+    return _pair_check(table, "submultiplicativity",
+                       lambda le, n, m, nm: le[n] + le[m] - le[0] - le[nm], {})
 
 
 def check_supermultiplicativity(table: LegendreTable) -> VerificationReport:
     """``ell(n) ell(m) <= ell(0) 2^{2(n+m)} ell(n+m)`` for all pairs n+m <= n_max."""
-    if not table.is_integer_grid:
-        raise ParameterError("supermultiplicativity check needs an integer grid")
-    le = table.log_ell
-    N = table.n_max
     two = 2.0 * math.log(2.0)
-    worst = math.inf
-    wit = (0, 0)
-    for n in range(N + 1):
-        m = np.arange(N - n + 1)
-        margins = le[0] + two * (n + m) + le[n : N + 1] - le[n] - le[: N - n + 1]
-        j = int(np.argmin(margins))
-        if margins[j] < worst:
-            worst = float(margins[j])
-            wit = (n, int(m[j]))
-    return _report(
-        "supermultiplicativity",
-        table.function_id,
-        worst,
-        {"n": wit[0], "m": wit[1]},
-        {"factor": "2^(2(n+m))"},
-        _int_grid_info(table),
-    )
+    return _pair_check(table, "supermultiplicativity",
+                       lambda le, n, m, nm: le[0] + two * (n + m) + le[nm] - le[n] - le[m],
+                       {"factor": "2^(2(n+m))"})
 
 
 def check_t2t_logconvex(table: LegendreTable) -> VerificationReport:
@@ -643,19 +621,9 @@ def verify_function(
     unknown = set(wanted) - set(CHECK_IDS)
     if unknown:
         raise ParameterError(f"unknown checks: {sorted(unknown)}")
-    own = evaluator is None
-    if own:
+    if evaluator is None:
         evaluator = LFunctionEvaluator.from_spec(spec)
-    if own and 0 <= n_max <= evaluator.n_max:
-        # The evaluator's table is the same warm-started sweep, so its first
-        # n_max + 1 rows are the n_max table bit for bit.
-        rows = slice(n_max + 1)
-        full = evaluator.table
-        table = full.replace(t=full.t[rows], log_ell=full.log_ell[rows],
-                             r_star=full.r_star[rows])
-    else:
-        table = legendre_sequence(spec, n_max)
-    battery = _Battery(spec, table, evaluator, a, r_grid)
+    battery = _Battery(spec, legendre_sequence(spec, n_max), evaluator, a, r_grid)
     return [_CHECKS[check](battery) for check in wanted]
 
 

@@ -5,17 +5,20 @@ For a growth function ``u`` the transform is
     ``ell_u(t) = inf_{r > 0} u(r) / r^t``,    t >= 0,
 
 computed here as a convex minimization of ``phi(s) = log u(e^s) - t s`` in
-``s = log r``: by ternary search for the tables, and by one batched Newton
-solve of ``phi'(s) = 0`` for the continuous-ell spline and the bidual.  The
-associated L-series ``L_u(r) = sum_n ell_u(n) r^n`` is the natural comparison
-object for exponential-vector norms, and the biduality map
-``r -> sup_t ell_u(t) r^t`` reconstructs ``u``; its supremum sits at the
-slope ``t = d log u / d log r``, so it needs no search over ``t``.
+``s = log r``: by ternary search for the published tables
+(:func:`legendre_sequence`, :func:`legendre_table`: the benchmark reference
+pins their ``r*``, good to about 1e-8 only, at 1e-9), and by one batched
+Newton solve of ``phi'(s) = 0`` for the L-series evaluator's table, the
+continuous-ell spline and the bidual.  The associated L-series
+``L_u(r) = sum_n ell_u(n) r^n`` is the natural comparison object for
+exponential-vector norms, and the biduality map ``r -> sup_t ell_u(t) r^t``
+reconstructs ``u``; its supremum sits at the slope ``t = d log u / d log r``,
+so it needs no search over ``t``.
 
 Tables carry ``log ell`` and the minimizer ``r*``; every value is log-domain.
 Evaluation of ``L_u`` far beyond any storable table (the verification grids
 reach arguments ~1e9) switches from the truncated-series rule to a
-Laplace/quadrature evaluation driven by a cached spline of
+Laplace/quadrature evaluation driven by a cached cubic Hermite spline of
 ``log ell(e^sigma) / e^sigma``.  The L functions take one radius or an array
 of radii; an array is evaluated a block of radii at a time, with the same
 arithmetic per radius as a lone call.
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .growth import (
     BELL_SERIES,
@@ -76,6 +78,7 @@ _NEWTON_MAX_ITER = 100
 _BRACKET_STEP = 0.5
 
 
+@lru_cache(maxsize=_SPEC_CACHE)
 def _grid_infimum(spec: GrowthFunctionSpec) -> float:
     grid = default_r_grid()
     cap = spec.faithful_cap
@@ -316,8 +319,16 @@ class LFunctionEvaluator:
 
     @classmethod
     def from_spec(cls, spec: GrowthFunctionSpec, n_max: int = 1200) -> "LFunctionEvaluator":
+        """The table ``n = 0..n_max`` (capped at ``t_sup``) by one batched Newton
+        solve, with the ``t = 0`` row of :func:`legendre_transform`."""
         n_max = min(n_max, int(spec.t_sup)) if spec.t_sup < math.inf else n_max
-        return cls(spec, legendre_sequence(spec, n_max))
+        ts = np.arange(1.0, n_max + 1.0)
+        log_ell, r_star, err = _newton_transform(spec, ts)
+        if err is not None:
+            raise err
+        table = LegendreTable(spec.function_id, np.arange(ts.size + 1.0),
+                              np.append(_grid_infimum(spec), log_ell), np.append(0.0, r_star))
+        return cls(spec, table)
 
     @property
     def n_max(self) -> int:
@@ -462,13 +473,36 @@ def _gl_nodes(n: int = 192) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+class _Hermite:
+    """The piecewise cubic through knots ``x`` with values ``y`` and slopes
+    ``dy``, continued past the ends by its end pieces: ``spline(s)`` is its
+    value at ``s``, ``spline(s, k)`` (k = 1, 2) that and the first k slopes."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, dy: np.ndarray):
+        h = np.diff(x)
+        d = np.diff(y) / h
+        self.x, self.inner = x, x[1:-1]
+        self.coef = ((dy[:-1] + dy[1:] - 2.0 * d) / h**2,
+                     (3.0 * d - 2.0 * dy[:-1] - dy[1:]) / h, dy[:-1], y[:-1])
+
+    def __call__(self, s, k: int = 0):
+        i = self.inner.searchsorted(s, "right")
+        u = s - self.x[i]
+        a, b, c, d = self.coef
+        a, b, c = a[i], b[i], c[i]
+        v = ((a * u + b) * u + c) * u + d[i]
+        if k == 0:
+            return v
+        d1 = (3.0 * a * u + 2.0 * b) * u + c
+        return (v, d1) if k == 1 else (v, d1, 6.0 * a * u + 2.0 * b)
+
+
 @dataclass(eq=False)
 class _ContinuousEll:
     sigma: np.ndarray      # log t at knots
     ts: np.ndarray         # t at knots
     f: np.ndarray          # log ell(t) / t at knots
-    spline: CubicSpline
-    t_lo: float
+    spline: _Hermite
     t_hi: float
 
 
@@ -479,13 +513,10 @@ def _continuous_ell(spec: GrowthFunctionSpec) -> _ContinuousEll:
 
     The spline spans ``t`` from ``1e-4`` to a ``t_hi`` past the first rung
     of the ladder ``t = 64, 128, ...`` whose minimizer reaches ``_R_WIDE``
-    (or to ``0.94 t_sup``).  The ladder and the knots are each one batched
-    Newton solve (:func:`_newton_transform`), not a ternary search per
-    ``t``: the spline needs only ``log ell``, which both solvers give to
-    rounding.  The tables keep the ternary search because
-    ``perfbench/reference`` pins the last bits of its ``r*`` (good to about
-    1e-8 only); they can move once that reference comes from an exact
-    oracle.
+    (or to ``0.94 t_sup``).  That rung is read off the slope: the minimizer
+    for ``t`` is at least ``_R_WIDE`` exactly when ``t >= f'(log _R_WIDE)``,
+    ``f(s) = log u(e^s)``.  One batched Newton solve (:func:`_newton_transform`)
+    gives the knots and their exact slopes, so the spline needs no linear solve.
     """
     t_lo = 1e-4
     t_sup_eff = min(spec.t_sup * 0.94, 1e10)
@@ -493,24 +524,23 @@ def _continuous_ell(spec: GrowthFunctionSpec) -> _ContinuousEll:
     while ladder[-1] < t_sup_eff:
         ladder.append(2.0 * ladder[-1])
     ladder = np.minimum(ladder, t_sup_eff)
-    _, rs, err = _newton_transform(spec, ladder)
-    stop = ~(rs < _R_WIDE)  # reached, or not solvable
-    stop[-1] = True
-    k = int(stop.argmax())
-    if np.isnan(rs[k]):
-        raise err
-    found = float(ladder[k])
+    s_top = np.array([min(math.log(_R_WIDE), spec.s_max), spec.s_max])
+    t_wide, t_top = spec.s_kernel(s_top)[1]
+    found = float(ladder[min(int(ladder.searchsorted(t_wide)), ladder.size - 1)])
+    if found > min(t_top, spec.t_sup):
+        raise _range_error(spec, found)
     t_hi = min(1.15 * found + 14.0 * math.sqrt(found) + 50.0, t_sup_eff)
     sigma = np.linspace(math.log(t_lo), math.log(t_hi), 1200)
     ts = np.exp(sigma)
-    vals, _, err = _newton_transform(spec, ts)
+    vals, rs, err = _newton_transform(spec, ts)
     if err is not None:
         raise err
     f = vals / ts
-    spline = CubicSpline(sigma, f)
+    # Exact slopes: d log ell / dt = -log r*, so df / dsigma = -log r* - f.
+    spline = _Hermite(sigma, f, -np.log(rs) - f)
     for arr in (sigma, ts, f):
         arr.setflags(write=False)
-    return _ContinuousEll(sigma, ts, f, spline, t_lo, t_hi)
+    return _ContinuousEll(sigma, ts, f, spline, t_hi)
 
 
 def _bracketed_newton(fun, x: np.ndarray, pos: np.ndarray, neg: np.ndarray):
@@ -559,8 +589,8 @@ def _laplace_rule(spec: GrowthFunctionSpec, rs: np.ndarray) -> np.ndarray:
     # Peak of h(sigma) = e^sigma (f(sigma) + log r): the root of
     # q = f + f' + log r, which falls through zero there, near knot i.
     def q(s, k):
-        d1 = spline(s, 1)
-        return spline(s) + d1 + lr[k], d1 + spline(s, 2)
+        v, d1, d2 = spline(s, 2)
+        return v + d1 + lr[k], d1 + d2
 
     s_star, dq = _bracketed_newton(q, ce.sigma[i], ce.sigma[i - 2], ce.sigma[i + 2])
     h_star = np.exp(s_star) * (spline(s_star) + lr)
@@ -599,7 +629,7 @@ def _laplace_rule(spec: GrowthFunctionSpec, rs: np.ndarray) -> np.ndarray:
 
     def drop(s, idx):
         k = inner[idx]
-        v, d1 = spline(s), spline(s, 1)
+        v, d1 = spline(s, 1)
         e = np.exp(s)
         return e * (v + lr[row[k]]) - target[k], e * (v + d1 + lr[row[k]])
 
@@ -663,8 +693,8 @@ def bidual(spec: GrowthFunctionSpec, r: float, t_cap: float = 4.0e6) -> float:
     :class:`CapTooSmallError` when it lies past ``t_cap``.
     """
     r = float(r)
-    if math.isnan(r) or r < 0.0:
-        raise ParameterError(f"bidual requires r >= 0, got {r}")
+    if not 0.0 <= r < math.inf:
+        raise ParameterError(f"bidual requires finite r >= 0, got {r}")
     if t_cap <= 0.0:
         raise ParameterError("t_cap must be positive")
     h0 = legendre_transform(spec, 0.0)[0]

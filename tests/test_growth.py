@@ -397,10 +397,11 @@ def test_spec_from_dict_rejects_claims_a_catalog_kind_does_not_make():
 
 def test_spec_keyed_caches_are_bounded():
     from growthcalc.growth import _series_gaps, _series_logc
-    from growthcalc.legendre import _continuous_ell
+    from growthcalc.legendre import _continuous_ell, _grid_infimum
     from growthcalc.measures import _gaussian_envelope
 
-    for cached in (_series_logc, _series_gaps, _continuous_ell, _gaussian_envelope):
+    for cached in (_series_logc, _series_gaps, _continuous_ell, _grid_infimum,
+                   _gaussian_envelope):
         assert cached.cache_info().maxsize is not None, cached.__name__
 
 

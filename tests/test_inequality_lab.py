@@ -104,29 +104,54 @@ def test_battery_subset_selection():
 
 @pytest.mark.parametrize("spec", [kondratiev_streit(0.5), iterated_exp_sqrt(3)],
                          ids=lambda s: s.function_id)
-def test_battery_takes_its_table_from_its_own_evaluator(spec, monkeypatch):
+def test_battery_reports_do_not_depend_on_who_built_the_evaluator(spec, monkeypatch):
     from growthcalc import LFunctionEvaluator, inequality_lab
 
-    checks = ("table-definition", "log-concavity", "decreasing-tail")
+    checks = ("table-definition", "log-concavity", "decreasing-tail", "nth-root-decay")
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(args[1:])
         return legendre_sequence(*args, **kwargs)
 
     monkeypatch.setattr(inequality_lab, "legendre_sequence", counted)
     own = verify_function(spec, n_max=60, checks=checks)
-    assert calls == []
-    evaluator = LFunctionEvaluator.from_spec(spec)
-    given = verify_function(spec, n_max=60, evaluator=evaluator, checks=checks)
-    assert len(calls) == 1
+    given = verify_function(spec, n_max=60, evaluator=LFunctionEvaluator.from_spec(spec),
+                            checks=checks)
     assert [r.to_json_dict() for r in own] == [r.to_json_dict() for r in given]
-    table = legendre_sequence(spec, 60)
-    for col in ("t", "log_ell", "r_star"):
-        assert np.array_equal(getattr(evaluator.table, col)[:61], getattr(table, col))
-    # Past the evaluator's table the battery solves its own.
-    verify_function(spec, n_max=1300, checks=("log-concavity",))
-    assert len(calls) == 2 and calls[-1][1] == 1300
+    assert calls == [(60,), (60,)]
+
+
+def _brute_worst_pair(le, margin):
+    """The least ``margin(n, m)`` over n + m <= N, first witness in (n, m) order."""
+    worst, wit = math.inf, None
+    for n in range(le.size):
+        for m in range(le.size - n):
+            value = margin(n, m)
+            if value < worst:
+                worst, wit = value, {"n": n, "m": m}
+    return worst, wit
+
+
+def test_pair_checks_match_a_double_loop(tables60):
+    from growthcalc import LegendreTable, check_submultiplicativity, check_supermultiplicativity
+
+    rng = np.random.default_rng(7)
+    tables = list(tables60.values())
+    for size in (1, 2, 9, 30):
+        le = np.round(np.cumsum(rng.normal(size=size)), 1)  # rounded: ties in the margins
+        tables.append(LegendreTable("random", np.arange(size, dtype=float), le, np.ones(size)))
+    two = 2.0 * math.log(2.0)
+    for table in tables:
+        le = [float(v) for v in table.log_ell]
+        for check, margin in (
+            (check_submultiplicativity, lambda n, m: le[n] + le[m] - le[0] - le[n + m]),
+            (check_supermultiplicativity,
+             lambda n, m: le[0] + two * (n + m) + le[n + m] - le[n] - le[m]),
+        ):
+            report = check(table)
+            worst, wit = _brute_worst_pair(table.log_ell, margin)
+            assert (report.worst_margin, report.witness) == (worst, wit), check.__name__
 
 
 def test_battery_rejects_non_dyadic_scale():

@@ -171,6 +171,70 @@ def test_table_json_round_trip(tables60):
 
 
 # ---------------------------------------------------------------------------
+# the L-series evaluator's table: one batched Newton solve
+# ---------------------------------------------------------------------------
+
+EVALUATOR_SPECS = {
+    "ks0": kondratiev_streit(0.0), "ks05": kondratiev_streit(0.5),
+    "ks075": kondratiev_streit(0.75), "g1": iterated_exp_sqrt(1),
+    "g2": iterated_exp_sqrt(2), "g3": iterated_exp_sqrt(3),
+    "u2": bell_series(2), "u3": bell_series(3),
+    "exp0.1": exponential(0.1), "exp10": exponential(10.0),
+}
+
+
+@pytest.mark.parametrize("fid", EVALUATOR_SPECS)
+def test_evaluator_table_agrees_with_the_sequence(fid):
+    spec = EVALUATOR_SPECS[fid]
+    got = LFunctionEvaluator.from_spec(spec, n_max=300).table
+    want = legendre_sequence(spec, 300)
+    assert np.array_equal(got.t, want.t)
+    assert (got.log_ell[0], got.r_star[0]) == (want.log_ell[0], want.r_star[0])
+    assert _close(got.log_ell, want.log_ell, 1e-12)
+    # The ternary's r* is good to about sqrt(eps) only.
+    np.testing.assert_allclose(got.r_star[1:], want.r_star[1:], rtol=1e-6)
+
+
+@pytest.mark.parametrize("fid", ["ks0", "ks05", "ks075", "exp0.1", "exp10"])
+def test_evaluator_table_matches_the_closed_forms(fid):
+    spec = EVALUATOR_SPECS[fid]
+    table = LFunctionEvaluator.from_spec(spec).table
+    t = table.t[1:]
+    if spec.kind == "kondratiev_streit":
+        b1 = 1.0 + spec.beta
+        want_r, want_l = t**b1, b1 * t * (1.0 - np.log(t))
+    else:
+        want_r, want_l = t / spec.c, t - t * np.log(t / spec.c)
+    np.testing.assert_allclose(table.r_star[1:], want_r, rtol=1e-12)
+    assert _close(table.log_ell[1:], want_l, 1e-12)
+
+
+def test_evaluator_makes_no_ternary_solve_past_t_zero(monkeypatch):
+    from growthcalc import legendre
+
+    ts = []
+    ternary = legendre.legendre_transform
+
+    def recording(spec, t, *args, **kwargs):
+        ts.append(t)
+        return ternary(spec, t, *args, **kwargs)
+
+    monkeypatch.setattr(legendre, "legendre_transform", recording)
+    for spec in EVALUATOR_SPECS.values():
+        LFunctionEvaluator.from_spec(spec, n_max=40)
+    assert all(t == 0.0 for t in ts)
+
+
+def test_evaluator_raises_what_the_sequence_raises():
+    spec = power_series([0.0, 0.0, -math.log(2.0), -math.log(6.0)])
+    with pytest.raises(UnboundedBelowError) as want:
+        legendre_sequence(spec, 10)
+    with pytest.raises(UnboundedBelowError) as got:
+        LFunctionEvaluator.from_spec(spec, n_max=10)
+    assert str(got.value) == str(want.value) and "t=4;" in str(got.value)
+
+
+# ---------------------------------------------------------------------------
 # L-function
 # ---------------------------------------------------------------------------
 
@@ -340,8 +404,9 @@ def test_l_functions_reject_a_bad_radius_anywhere(evaluators, name, bad):
 
 
 def test_evaluator_needs_more_than_the_constant_term():
-    with pytest.raises(ParameterError):
-        LFunctionEvaluator.from_spec(kondratiev_streit(0.0), n_max=0)
+    for n_max in (0, -1):
+        with pytest.raises(ParameterError):
+            LFunctionEvaluator.from_spec(kondratiev_streit(0.0), n_max=n_max)
 
 
 def test_insufficient_table_error_names_the_first_failing_radius():
@@ -429,11 +494,26 @@ def test_bidual_error_texts(u2):
     with pytest.raises(CapTooSmallError) as exc:
         bidual(exponential(1.0), 5e6)
     assert str(exc.value) == "objective still rising at t_cap=4e+06 for r=5e+06; raise t_cap"
-    for r in (math.nan, -1.0):
-        with pytest.raises(ParameterError, match="bidual requires r >= 0"):
-            bidual(u2, r)
+    for spec in (u2, kondratiev_streit(0.0)):
+        for r in (math.nan, -1.0, math.inf):
+            with pytest.raises(ParameterError, match="bidual requires finite r >= 0"):
+                bidual(spec, r)
     with pytest.raises(ParameterError, match="t_cap must be positive"):
         bidual(u2, 1.0, t_cap=0.0)
+
+
+def test_bidual_solves_the_grid_infimum_once_per_spec(monkeypatch):
+    from growthcalc import legendre
+
+    calls = []
+    grid = legendre.log_u_grid
+    monkeypatch.setattr(legendre, "log_u_grid", lambda *a: calls.append(a) or grid(*a))
+    legendre._grid_infimum.cache_clear()
+    spec = BIDUAL_SPECS["degree-3"]
+    bidual(spec, 40.0)
+    assert len(calls) == 1
+    bidual(spec, 40.0)
+    assert len(calls) == 1
 
 
 def test_bidual_where_the_slope_underflows():
@@ -611,7 +691,7 @@ def test_newton_transform_errors_match_the_ternary(u2, case):
 
     if case == "degree-3":
         spec, bad = power_series([0.0, 0.0, -math.log(2.0), -math.log(6.0)]), 3.5
-        with pytest.raises(UnboundedBelowError):
+        with pytest.raises(UnboundedBelowError, match="for t=64;"):
             _continuous_ell(spec)
     else:
         spec, bad = u2, u2.t_sup * (1.0 + 1e-9)
@@ -628,6 +708,24 @@ SPLINE_T_HI = {
     "ks075": 308683.6, "g2": 308683.6, "g3": 155851.34140754517,
     "exp2": 4940129944.4, "u2": 216845.51679999998,
 }
+
+
+@pytest.mark.parametrize("fid", EVALUATOR_SPECS)
+def test_spline_top_rung_is_the_first_whose_minimizer_reaches_r_wide(fid):
+    from growthcalc.legendre import _R_WIDE, _continuous_ell, _newton_transform
+
+    spec = EVALUATOR_SPECS[fid]
+    t_sup_eff = min(spec.t_sup * 0.94, 1e10)
+    ladder = [64.0]
+    while ladder[-1] < t_sup_eff:
+        ladder.append(2.0 * ladder[-1])
+    ladder = np.minimum(ladder, t_sup_eff)
+    _, r_star, err = _newton_transform(spec, ladder)
+    assert err is None
+    reached = np.append(r_star[:-1] >= _R_WIDE, True)
+    rung = float(ladder[reached.argmax()])
+    t_hi = min(1.15 * rung + 14.0 * math.sqrt(rung) + 50.0, t_sup_eff)
+    assert _continuous_ell(spec).t_hi == t_hi
 
 
 @pytest.mark.parametrize("fid", SPLINE_T_HI)
@@ -647,3 +745,32 @@ def test_spline_grid_is_unchanged_and_built_without_ternary_solves(
     assert ce.t_hi == SPLINE_T_HI[fid]
     assert np.array_equal(ce.sigma, np.linspace(math.log(1e-4), math.log(ce.t_hi), 1200))
     assert np.isfinite(ce.f).all()
+
+
+def test_hermite_spline_is_exact_on_a_cubic():
+    from growthcalc.legendre import _Hermite
+
+    p = np.polynomial.Polynomial([0.3, -1.0, 0.5, 0.25])
+    x = np.linspace(-1.0, 2.0, 13)
+    spline = _Hermite(x, p(x), p.deriv()(x))
+    s = np.array([[-1.5, -1.0, 0.1], [0.75, 2.0, 2.5]])  # ends, knots, past both ends
+    v, d1, d2 = spline(s, 2)
+    for got, want in ((v, p(s)), (d1, p.deriv()(s)), (d2, p.deriv(2)(s))):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+    assert np.array_equal(spline(s), v) and np.array_equal(spline(s, 1)[1], d1)
+
+
+def test_importing_the_package_leaves_scipy_integrate_and_interpolate_out():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import growthcalc
+
+    src = str(Path(growthcalc.__file__).resolve().parents[1])
+    code = ("import sys, growthcalc; "
+            "print([m for m in ('scipy.integrate', 'scipy.interpolate') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "[]"
