@@ -336,3 +336,122 @@ def test_cli_suite_with_custom_config(tmp_path):
     proc = run_cli("suite", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert "1 job" in proc.stdout or "pass" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# one-off subcommands, in process
+# ---------------------------------------------------------------------------
+
+KS05 = {"kind": "kondratiev_streit", "beta": 0.5}
+G2 = {"kind": "iterated_exp_sqrt", "k": 2}
+
+
+def one_off(capsys, *args):
+    """Run a one-off subcommand in process: (exit code, payload, stderr)."""
+    code = growthcalc.cli.main([str(a) for a in args])
+    out, err = capsys.readouterr()
+    return code, (parse_payload(out) if "{" in out else None), err
+
+
+@pytest.mark.parametrize("rs,flags,n_max", [([0.5, 2.0], (), 400),
+                                            ([1.0], ("--n-max", 100), 100)])
+def test_cli_lfn_one_off(capsys, rs, flags, n_max):
+    code, payload, _ = one_off(capsys, "lfn", "--spec", json.dumps(KS0), "--r", *rs, *flags)
+    assert code == 0
+    evaluator = growthcalc.LFunctionEvaluator.from_spec(kondratiev_streit(0.0), n_max=n_max)
+    assert payload["r"] == rs
+    assert payload["log_l"] == growthcalc.l_function_wide(evaluator, np.asarray(rs)).tolist()
+
+
+@pytest.mark.parametrize("flags,n_max", [((), 8), (("--n-max", 3), 3)])
+def test_cli_legendre_one_off_table_size(capsys, flags, n_max):
+    code, payload, _ = one_off(capsys, "legendre", "--spec", json.dumps(KS0), *flags)
+    assert code == 0
+    assert payload["n_points"] == n_max + 1
+    assert payload["csv"] == growthcalc.legendre_sequence(kondratiev_streit(0.0),
+                                                          n_max).csv_text()
+
+
+def test_cli_verify_one_off_runs_the_checks_given(capsys):
+    code, payload, _ = one_off(capsys, "verify", "--spec", json.dumps(KS0),
+                               "--checks", "log-concavity", "decreasing-tail")
+    assert code == 0 and payload["status"] == "pass"
+    assert [r["check"] for r in payload["reports"]] == ["log-concavity", "decreasing-tail"]
+    assert {r["grid"]["n_max"] for r in payload["reports"]} == {60}
+
+
+def test_cli_verify_one_off_passes_n_max_and_a(capsys):
+    code, payload, _ = one_off(capsys, "verify", "--spec", json.dumps(KS0), "--n-max", 30,
+                               "--a", 3, "--checks", "log-concavity", "lseries-sandwich")
+    assert code == 0
+    concavity, sandwich = payload["reports"]
+    assert concavity["grid"]["n_max"] == 30
+    assert sandwich["constants"]["a"] == 3.0
+
+
+@pytest.mark.parametrize("flags,xis", [((), [0.5, 1.0, 2.0]),
+                                       (("--xi", 1.0, "--n-max", 100), [1.0])])
+def test_cli_fock_one_off(capsys, flags, xis):
+    code, payload, _ = one_off(capsys, "fock", "--spec", json.dumps(KS0), *flags)
+    assert code == 0 and payload["status"] == "pass"
+    assert [row["xi"] for row in payload["exp_vector_identity"]] == xis
+    assert len(payload["s_transform_monomials"]) == 7
+
+
+@pytest.mark.parametrize("flags,args", [((), (0.5, 1.0, 0.1)),
+                                        (("--rho", 0.3, "--q", 2, "--c2", 2.0),
+                                         (0.3, 2.0, 2.0))])
+def test_cli_measures_fernique_one_off(capsys, flags, args):
+    code, payload, _ = one_off(capsys, "measures", "--op", "fernique", *flags)
+    res = growthcalc.fernique_product(*args)
+    assert code == 0
+    assert (payload["value"], payload["boundary"], payload["n_factors"]) == \
+           (res.value, res.boundary, res.n_factors)
+
+
+def test_cli_measures_poisson_one_off(capsys):
+    code, payload, _ = one_off(capsys, "measures", "--op", "poisson")
+    res = growthcalc.poisson_integrability(1.0, growthcalc.poisson_sqrtlog_integrand(1.0))
+    assert code == 0 and payload["value"] == res.value
+    code, payload, _ = one_off(capsys, "measures", "--op", "poisson", "--integrand", "growth",
+                               "--spec", json.dumps(G2), "--theta", 2, "--w", 0.5)
+    log_g = growthcalc.poisson_growth_integrand(growthcalc.iterated_exp_sqrt(2), 0.5)
+    assert code == 0
+    assert payload["value"] == growthcalc.poisson_integrability(2.0, log_g).value
+
+
+def test_cli_measures_grey_cf_one_off(capsys):
+    code, payload, _ = one_off(capsys, "measures", "--op", "grey_cf", "--lam", 0.5,
+                               "--n", 20000, "--xi", 1.0)
+    assert code == 0
+    assert (payload["lam"], payload["n"], payload["seed"]) == (0.5, 20000, 0)
+    assert [row["xi"] for row in payload["cf"]] == [1.0]
+    assert payload["cf"][0]["target"] == growthcalc.mittag_leffler(0.5, 1.0)
+
+
+@pytest.mark.parametrize("flags,lam,seed", [((), 1.0, 0), (("--lam", 0.5, "--seed", 4), 0.5, 4)])
+def test_cli_measures_grey_integrability_one_off(capsys, flags, lam, seed):
+    code, payload, _ = one_off(capsys, "measures", "--op", "grey_integrability",
+                               "--w", 0.1, "--n", 20000, *flags)
+    assert code == 0
+    assert (payload["n"], payload["seed"]) == (20000, seed)
+    assert payload["value"] == growthcalc.grey_integrability(lam, 0.1, n=20000, seed=seed).value
+
+
+@pytest.mark.parametrize("flags,spec,measure,p", [
+    (("--measure-kind", "gaussian", "--spec", json.dumps(KS0)), kondratiev_streit(0.0),
+     growthcalc.gaussian_product(), 0),
+    (("--measure-kind", "gaussian", "--spec", json.dumps(KS0), "--rho", 0.2, "--p", 1),
+     kondratiev_streit(0.0), growthcalc.gaussian_product(rho=0.2), 1),
+    (("--measure-kind", "poisson", "--spec", json.dumps(G2)), growthcalc.iterated_exp_sqrt(2),
+     growthcalc.poisson_count(), 0),
+    (("--measure-kind", "poisson", "--spec", json.dumps(G2), "--theta", 3),
+     growthcalc.iterated_exp_sqrt(2), growthcalc.poisson_count(theta=3.0), 0),
+    (("--measure-kind", "grey", "--lam", 0.5, "--spec", json.dumps(KS05), "--n", 2000,
+      "--p", 1), kondratiev_streit(0.5), growthcalc.grey_1d(0.5, n=2000), 1),
+])
+def test_cli_measures_hida_one_off(capsys, flags, spec, measure, p):
+    code, payload, _ = one_off(capsys, "measures", "--op", "hida", *flags)
+    assert code == 0
+    report = growthcalc.hida_condition(measure, spec, p=p).to_json_dict()
+    assert payload["report"] == _jsonable(report)
