@@ -16,6 +16,9 @@ Job kinds, in the order of their runner table ``_JOB_RUNNERS``: ``eval``,
 ``conditions``, ``legendre``, ``lfn``, ``verify``, ``fock``, ``measures``
 (whose ops are the keys of ``_MEASURE_RUNNERS``).  Stochastic jobs
 (grey-noise Monte Carlo) need a seed, either per job or at the top level.
+Each one-off subcommand runs a one-job manifest holding the flags given
+(``_one_off_manifest``), so ``validate_manifest`` alone decides what a job
+needs.
 Exit codes: 0 all jobs pass, 1 at least one verification failure or job
 error, 2 usage/configuration problems.
 """
@@ -28,7 +31,6 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +41,6 @@ from .growth import (
     check_conditions,
     mittag_leffler,
     spec_from_dict,
-    spec_to_dict,
 )
 from .legendre import LFunctionEvaluator, l_function_wide, legendre_sequence, legendre_table
 from .inequality_lab import (
@@ -86,14 +87,20 @@ _MEASURE_RUNNERS = {
     "hida": lambda job, funcs, seed, tol: _hida_op(job, funcs, seed),
 }
 _MEASURE_OPS = tuple(_MEASURE_RUNNERS)
-#: The job fields a ``measures`` op reads without a default.
-_MEASURE_REQUIRED = {
+#: The job fields each job kind, or each ``measures`` op, reads without a
+#: default.  (A chain-order verify job reads ``functions`` instead.)
+_REQUIRED = {
+    "conditions": ("function",),
+    "legendre": ("function",),
+    "lfn": ("function", "r"),
+    "verify": ("function",),
+    "fock": ("function",),
     "fernique": ("rho", "q", "c2"),
     "grey_cf": ("lam",),
     "grey_integrability": ("lam", "w"),
+    "hida": ("function",),
 }
 
-_MEASURE_KEYS = {f.name for f in fields(MeasureSurrogate)}
 _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
 
@@ -183,46 +190,35 @@ def validate_manifest(manifest) -> None:
         for ref in refs:
             if ref not in functions:
                 _fail(f"{where}: undeclared function {ref!r}")
+        if kind == "measures" and job.get("op") not in _MEASURE_OPS:
+            _fail(f"{where}: op must be one of {', '.join(_MEASURE_OPS)}")
+        name = job["op"] if kind == "measures" else kind
+        required = _REQUIRED.get(name, ())
+        if kind == "verify" and job.get("check") == "chain-order":
+            required = ("functions",)
+        for key in required:
+            if key not in job:
+                _fail(f"{where}: {name} needs '{key}'")
         if kind == "eval":
             if "lam" in job and "t" not in job:
                 _fail(f"{where}: Mittag-Leffler eval needs 't' values")
             if "lam" not in job and ("function" not in job or "r" not in job):
                 _fail(f"{where}: eval needs either 'function' + 'r' or 'lam' + 't'")
-        if kind in ("conditions", "legendre", "fock") and "function" not in job:
-            _fail(f"{where}: missing 'function'")
-        if kind == "lfn" and ("function" not in job or "r" not in job):
-            _fail(f"{where}: lfn needs 'function' and 'r'")
-        if kind == "verify":
-            need = "functions" if job.get("check") == "chain-order" else "function"
-            if need not in job:
-                _fail(f"{where}: verify needs '{need}'")
-        if kind == "measures":
-            op = job.get("op")
-            if op not in _MEASURE_OPS:
-                _fail(f"{where}: op must be one of {', '.join(_MEASURE_OPS)}")
-            for key in _MEASURE_REQUIRED.get(op, ()):
-                if key not in job:
-                    _fail(f"{where}: {op} needs '{key}'")
-            if op == "poisson" and job.get("integrand") == "growth" \
-                    and "function" not in job:
-                _fail(f"{where}: the growth integrand needs a 'function'")
-            if op == "hida":
-                measure = job.get("measure")
-                if not isinstance(measure, dict) or "kind" not in measure:
-                    _fail(f"{where}: hida needs a 'measure' object with a 'kind'")
-                extra = set(measure) - _MEASURE_KEYS
-                if extra:
-                    _fail(f"{where}: unknown measure fields {sorted(extra)}")
-                if "function" not in job:
-                    _fail(f"{where}: hida needs a 'function'")
-            stochastic = op in ("grey_cf", "grey_integrability") or (
-                op == "hida" and job.get("measure", {}).get("kind") == "grey"
-            )
-            if stochastic:
-                seed = job.get("seed", top_seed)
-                if not isinstance(seed, int):
-                    _fail(f"{where}: stochastic job needs an integer seed "
-                          "(job-level or top-level)")
+        if name == "poisson" and job.get("integrand") == "growth" and "function" not in job:
+            _fail(f"{where}: the growth integrand needs a 'function'")
+        if name == "hida":
+            measure = job.get("measure")
+            if not isinstance(measure, dict) or "kind" not in measure:
+                _fail(f"{where}: hida needs a 'measure' object with a 'kind'")
+            try:
+                MeasureSurrogate(**measure)
+            except (ParameterError, TypeError) as exc:
+                _fail(f"{where}: measure: {exc}")
+        stochastic = name in ("grey_cf", "grey_integrability") or (
+            name == "hida" and job["measure"]["kind"] == "grey"
+        )
+        if stochastic and not isinstance(job.get("seed", top_seed), int):
+            _fail(f"{where}: stochastic job needs an integer seed (job-level or top-level)")
 
 
 def load_manifest(path: str | Path) -> dict:
@@ -539,27 +535,22 @@ def _resolve_suite_manifest(config: str | None) -> dict:
 # -- argument parsing ----------------------------------------------------------
 
 
-def _spec_from_args(args, funcs: dict | None) -> GrowthFunctionSpec:
-    if getattr(args, "spec", None):
+def _spec_from_args(args) -> dict:
+    """The growth function given as ``--spec`` JSON, or as a ``--function`` id
+    that the ``--config`` manifest declares."""
+    if args.spec is not None:
         try:
-            return spec_from_dict(json.loads(args.spec))
+            return json.loads(args.spec)
         except json.JSONDecodeError as exc:
             raise ManifestError(f"--spec is not valid JSON: {exc}") from exc
-    name = getattr(args, "function", None)
-    if name is None:
-        raise ManifestError("give a function with --spec JSON or --function ID")
-    if funcs is None or name not in funcs:
+    declared = {}
+    if args.config is not None:
+        declared = load_manifest(args.config).get("functions", {})
+    if args.function not in declared:
         raise ManifestError(
-            f"--function {name!r} needs a --config manifest declaring it"
+            f"--function {args.function!r} needs a --config manifest declaring it"
         )
-    return funcs[name]
-
-
-def _config_functions(args) -> dict | None:
-    if args.config is None:
-        return None
-    manifest = load_manifest(args.config)
-    return {fid: spec_from_dict(d) for fid, d in manifest.get("functions", {}).items()}
+    return declared[args.function]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -568,6 +559,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="directory for JSON/CSV artifacts")
     common.add_argument("--seed", type=int, help="override the manifest seed")
     common.add_argument("--tol", type=float, help="default relative tolerance")
+    one_off = argparse.ArgumentParser(add_help=False, parents=[common])
+    one_off.add_argument("--spec", help="inline growth-function spec as JSON")
+    one_off.add_argument("--function", help="function id from --config")
 
     parser = argparse.ArgumentParser(
         prog="growthcalc",
@@ -575,63 +569,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", parents=[common],
+    p = sub.add_parser("eval", parents=[one_off],
                        help="evaluate log u(r) or the Mittag-Leffler function")
-    p.add_argument("--spec", help="inline growth-function spec as JSON")
-    p.add_argument("--function", help="function id from --config")
     p.add_argument("--r", type=float, nargs="+", help="radii for log u")
     p.add_argument("--lam", type=float, help="Mittag-Leffler parameter in (0, 1]")
     p.add_argument("--t", type=float, nargs="+", help="Mittag-Leffler arguments")
 
-    p = sub.add_parser("legendre", parents=[common],
+    p = sub.add_parser("legendre", parents=[one_off],
                        help="tabulate the transform (t, log ell, r*)")
-    p.add_argument("--spec")
-    p.add_argument("--function")
-    p.add_argument("--n-max", type=int, default=8)
+    p.add_argument("--n-max", type=int)
     p.add_argument("--t", type=float, nargs="+", help="explicit t grid")
     p.add_argument("--csv", help="write the table to this CSV path")
 
-    p = sub.add_parser("lfn", parents=[common], help="evaluate log L_u(r)")
-    p.add_argument("--spec")
-    p.add_argument("--function")
-    p.add_argument("--r", type=float, nargs="+", required=True)
-    p.add_argument("--n-max", type=int, default=400)
+    p = sub.add_parser("lfn", parents=[one_off], help="evaluate log L_u(r)")
+    p.add_argument("--r", type=float, nargs="+")
+    p.add_argument("--n-max", type=int)
 
-    p = sub.add_parser("conditions", parents=[common],
-                       help="grid-check the growth/convexity conditions")
-    p.add_argument("--spec")
-    p.add_argument("--function")
+    sub.add_parser("conditions", parents=[one_off],
+                   help="grid-check the growth/convexity conditions")
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[one_off],
                        help="run the inequality battery for one function")
-    p.add_argument("--spec")
-    p.add_argument("--function")
-    p.add_argument("--n-max", type=int, default=60)
-    p.add_argument("--a", type=float, default=2.0)
+    p.add_argument("--n-max", type=int)
+    p.add_argument("--a", type=float)
     p.add_argument("--checks", nargs="+", help="subset of check ids")
 
-    p = sub.add_parser("fock", parents=[common],
+    p = sub.add_parser("fock", parents=[one_off],
                        help="exponential-vector identity and S-transform checks")
-    p.add_argument("--spec")
-    p.add_argument("--function")
-    p.add_argument("--xi", type=float, nargs="+", default=[0.5, 1.0, 2.0])
-    p.add_argument("--n-max", type=int, default=200)
+    p.add_argument("--xi", type=float, nargs="+")
+    p.add_argument("--n-max", type=int)
 
-    p = sub.add_parser("measures", parents=[common],
+    p = sub.add_parser("measures", parents=[one_off],
                        help="measure integrability estimators")
-    p.add_argument("--op", choices=_MEASURE_OPS, required=True)
-    p.add_argument("--spec")
-    p.add_argument("--function")
+    p.add_argument("--op", choices=_MEASURE_OPS)
     p.add_argument("--rho", type=float, default=0.5)
     p.add_argument("--q", type=float, default=1.0)
     p.add_argument("--c2", type=float, default=0.1)
-    p.add_argument("--theta", type=float, default=1.0)
+    p.add_argument("--theta", type=float)
     p.add_argument("--w", type=float, default=1.0)
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--n", type=int, default=200000)
-    p.add_argument("--xi", type=float, nargs="+", default=[0.5, 1.0, 2.0])
-    p.add_argument("--p", type=int, default=0)
-    p.add_argument("--integrand", choices=["sqrtlog", "growth"], default="sqrtlog")
+    p.add_argument("--xi", type=float, nargs="+")
+    p.add_argument("--p", type=int)
+    p.add_argument("--integrand", choices=["sqrtlog", "growth"])
     p.add_argument("--measure-kind", choices=MEASURE_KINDS,
                    help="measure family for --op hida")
 
@@ -640,80 +620,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The job fields each one-off subcommand, and each ``measures`` op, copies
+#: from its flags of the same name.  An unset flag sets nothing, so the
+#: runner's default applies.
+_ONE_OFF_FIELDS = {
+    "eval": ("r", "lam", "t"),
+    "conditions": (),
+    "legendre": ("n_max", "t"),
+    "lfn": ("r", "n_max"),
+    "verify": ("n_max", "a", "checks"),
+    "fock": ("xi", "n_max"),
+    "measures": ("op",),
+    "fernique": ("rho", "q", "c2"),
+    "poisson": ("theta", "w", "integrand"),
+    "grey_cf": ("lam", "xi", "n"),
+    "grey_integrability": ("lam", "w", "n"),
+    "hida": ("p",),
+}
+#: The ``measure`` fields a hida one-off copies for each ``--measure-kind``.
+_HIDA_MEASURE_FIELDS = {"gaussian": ("rho", "q"), "poisson": ("theta", "w"),
+                        "grey": ("lam", "n")}
+
+
+def _given(args, names) -> dict:
+    return {key: getattr(args, key) for key in names if getattr(args, key) is not None}
+
+
 def _one_off_manifest(args) -> dict:
-    """Translate a single-shot subcommand invocation into a one-job manifest."""
-    funcs = _config_functions(args)
-    spec = None
-    if args.command != "measures" or args.op in ("poisson", "hida"):
-        needs_spec = args.command not in ("eval",) or args.lam is None
-        if args.command == "measures":
-            needs_spec = args.op == "hida" or (
-                args.op == "poisson" and args.integrand == "growth"
-            )
-        if needs_spec:
-            spec = _spec_from_args(args, funcs)
+    """Translate a single-shot subcommand invocation into a one-job manifest.
 
-    functions = {}
+    The job holds the flags that were given; ``validate_manifest`` decides
+    whether they are enough.
+    """
     job: dict = {"id": args.command, "kind": args.command}
-    if spec is not None:
-        functions["f"] = spec_to_dict(spec)
+    for name in filter(None, (args.command, getattr(args, "op", None))):
+        job.update(_given(args, _ONE_OFF_FIELDS[name]))
+    if getattr(args, "csv", None) is not None:
+        job["out"] = args.csv
+    if getattr(args, "measure_kind", None) is not None:
+        job["measure"] = {"kind": args.measure_kind,
+                          **_given(args, _HIDA_MEASURE_FIELDS[args.measure_kind])}
+    functions = {}
+    if args.spec is not None or args.function is not None:
+        functions["f"] = _spec_from_args(args)
         job["function"] = "f"
-
-    if args.command == "eval":
-        if args.lam is not None:
-            if not args.t:
-                raise ManifestError("eval --lam needs --t values")
-            job.update(lam=args.lam, t=list(args.t))
-        else:
-            if not args.r:
-                raise ManifestError("eval needs --r values (or --lam/--t)")
-            job.update(r=list(args.r))
-    elif args.command == "legendre":
-        job["n_max"] = args.n_max
-        if args.t:
-            job["t"] = list(args.t)
-        if args.csv:
-            job["out"] = args.csv
-    elif args.command == "lfn":
-        job.update(r=list(args.r), n_max=args.n_max)
-    elif args.command == "verify":
-        job.update(n_max=args.n_max, a=args.a)
-        if args.checks:
-            job["checks"] = list(args.checks)
-    elif args.command == "fock":
-        job.update(xi=list(args.xi), n_max=args.n_max)
-    elif args.command == "measures":
-        job["op"] = args.op
-        if args.op == "fernique":
-            job.update(rho=args.rho, q=args.q, c2=args.c2)
-        elif args.op == "poisson":
-            job.update(theta=args.theta, w=args.w, integrand=args.integrand)
-        elif args.op == "grey_cf":
-            job.update(lam=args.lam, xi=list(args.xi), n=args.n)
-        elif args.op == "grey_integrability":
-            job.update(lam=args.lam, w=args.w, n=args.n)
-        else:
-            kind = args.measure_kind
-            if kind is None:
-                raise ManifestError("--op hida needs --measure-kind")
-            measure: dict = {"kind": kind}
-            if kind == "gaussian":
-                measure.update(rho=args.rho, q=int(args.q))
-            elif kind == "poisson":
-                measure.update(theta=args.theta, w=args.w)
-            else:
-                measure.update(lam=args.lam, n=args.n)
-            job.update(measure=measure, p=args.p)
-
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "functions": functions,
-        "jobs": [job],
-    }
-    if args.seed is not None:
-        manifest["seed"] = args.seed
-    elif args.command == "measures":
-        manifest["seed"] = 0
+    manifest = {"schema_version": SCHEMA_VERSION, "functions": functions, "jobs": [job]}
+    if args.command == "measures":
+        manifest["seed"] = 0  # ``run`` puts --seed over it
     return manifest
 
 

@@ -419,11 +419,6 @@ def _config_param(d: dict, kind: str):
     return v
 
 
-def log_u(spec: GrowthFunctionSpec, r: float) -> float:
-    """``log u(r)``; see :meth:`GrowthFunctionSpec.log_u`."""
-    return spec.log_u(r)
-
-
 def log_u_grid(spec: GrowthFunctionSpec, rs: np.ndarray) -> np.ndarray:
     """Vectorized ``log u`` over an array of radii: the spec's kernel at each
     radius, so every value equals :meth:`GrowthFunctionSpec.log_u` bit for bit."""
@@ -773,20 +768,19 @@ def mittag_leffler(lam: float, t: float) -> float:
     return mittag_leffler_integral(lam, t)
 
 
-def mittag_leffler_series(
-    lam: float, t: float, term_cap: float = _ML_SERIES_TERM_CAP
-) -> float | None:
+def mittag_leffler_series(lam: float, t: float) -> float | None:
     """Alternating series ``sum (-t)^n / Gamma(1 + lam n)`` via ``math.fsum``.
 
-    Returns ``None`` when any term magnitude would exceed ``term_cap``, or
-    the largest term exceeds ``_ML_SERIES_CANCELLATION`` times the sum —
-    past either point cancellation eats the significand and the spectral
-    integral must be used instead.
+    Returns ``None`` when any term magnitude would exceed
+    ``_ML_SERIES_TERM_CAP``, or the largest term exceeds
+    ``_ML_SERIES_CANCELLATION`` times the sum — past either point
+    cancellation eats the significand and the spectral integral must be used
+    instead.
     """
     if t == 0.0:
         return 1.0
     lt = math.log(t)
-    log_cap = math.log(term_cap)
+    log_cap = math.log(_ML_SERIES_TERM_CAP)
     terms = []
     n = 0
     while True:
@@ -852,11 +846,9 @@ def mittag_leffler_integral(lam: float, t: float) -> float:
 # -- grids and condition certificates ---------------------------------------
 
 
-def default_r_grid(r_max: float = 1e8, points: int = 400) -> np.ndarray:
-    """Geometric grid on [1e-6, r_max] plus a linear refinement down to r = 0."""
-    if points < 2 or r_max <= 1e-6:
-        raise ParameterError("default_r_grid needs r_max > 1e-6 and points >= 2")
-    geo = np.geomspace(1e-6, r_max, points)
+def default_r_grid() -> np.ndarray:
+    """400 geometric points on [1e-6, 1e8] plus a linear refinement down to r = 0."""
+    geo = np.geomspace(1e-6, 1e8, 400)
     lin = np.linspace(0.0, 1e-6, 33)
     return np.unique(np.concatenate([lin, geo]))
 

@@ -39,6 +39,16 @@ from .legendre import (
 )
 
 SLACK = 1e-9
+#: The decreasing-tail check starts at this index.
+_TAIL_FROM = 10
+#: The n-th root check certifies ``ell(n)^{1/n}`` below this.
+_ROOT_THRESHOLD = 0.01
+#: Multiples of ``r*`` at which the table audit probes the infimum.
+_PROBE_FACTORS = (0.25, 0.5, 0.9, 1.1, 2.0, 4.0)
+#: Dyadic scale factors ``2^p`` searched up to this ``p``.
+_MAX_POW = 12
+#: Largest log-domain move of a witness constant under 2x grid refinement.
+_REFINEMENT_TOL = 0.1
 
 @dataclass
 class VerificationReport:
@@ -182,33 +192,33 @@ def check_t2t_logconvex(table: LegendreTable) -> VerificationReport:
     )
 
 
-def check_decreasing_tail(table: LegendreTable, n_from: int = 10) -> VerificationReport:
-    """``ell(n)`` decreasing from ``n_from`` on."""
-    if not table.is_integer_grid or table.n_max <= n_from:
-        raise ParameterError(f"decreasing-tail check needs n_max > {n_from}")
+def check_decreasing_tail(table: LegendreTable) -> VerificationReport:
+    """``ell(n)`` decreasing from ``_TAIL_FROM`` on."""
+    if not table.is_integer_grid or table.n_max <= _TAIL_FROM:
+        raise ParameterError(f"decreasing-tail check needs n_max > {_TAIL_FROM}")
     le = table.log_ell
-    margins = le[n_from:-1] - le[n_from + 1 :]
+    margins = le[_TAIL_FROM:-1] - le[_TAIL_FROM + 1 :]
     j = int(np.argmin(margins))
     return _report(
         "decreasing-tail",
         table.function_id,
         float(margins[j]),
-        {"n": n_from + j},
-        {"n_from": n_from},
+        {"n": _TAIL_FROM + j},
+        {"n_from": _TAIL_FROM},
         _int_grid_info(table),
     )
 
 
-def check_nth_root(table: LegendreTable, threshold: float = 0.01) -> VerificationReport:
-    """Certify ``ell(n)^{1/n} < threshold`` at some stored n."""
+def check_nth_root(table: LegendreTable) -> VerificationReport:
+    """Certify ``ell(n)^{1/n} < _ROOT_THRESHOLD`` at some stored n."""
     if not table.is_integer_grid or table.n_max < 1:
         raise ParameterError("nth-root check needs an integer grid with n_max >= 1")
     n = np.arange(1, table.n_max + 1, dtype=float)
     roots = np.exp(table.log_ell[1:] / n)
     j = int(np.argmin(roots))
-    below = np.flatnonzero(roots < threshold)
-    margin = threshold - float(roots[j])
-    constants = {"threshold": threshold, "min_root": float(roots[j])}
+    below = np.flatnonzero(roots < _ROOT_THRESHOLD)
+    margin = _ROOT_THRESHOLD - float(roots[j])
+    constants = {"threshold": _ROOT_THRESHOLD, "min_root": float(roots[j])}
     if below.size:
         constants["n_certificate"] = int(below[0] + 1)
     notes = "" if below.size else "no index certifies the threshold; grow the table"
@@ -226,7 +236,6 @@ def check_nth_root(table: LegendreTable, threshold: float = 0.01) -> Verificatio
 def check_table_definition(
     spec: GrowthFunctionSpec,
     table: LegendreTable,
-    probe_factors: Sequence[float] = (0.25, 0.5, 0.9, 1.1, 2.0, 4.0),
     tol: float = 1e-7,
 ) -> VerificationReport:
     """Audit stored rows against the transform's definition.
@@ -257,7 +266,7 @@ def check_table_definition(
         margin = scale - abs(direct - li)
         if margin < worst:
             worst, wit = margin, {"t": float(ti), "property": "value-at-r_star"}
-        for fac in probe_factors:
+        for fac in _PROBE_FACTORS:
             rp = fac * ri
             if not 0.0 < rp <= 0.98 * cap:
                 continue
@@ -270,7 +279,7 @@ def check_table_definition(
         table.function_id,
         worst,
         wit,
-        {"tol": tol, "probe_factors": list(probe_factors)},
+        {"tol": tol, "probe_factors": list(_PROBE_FACTORS)},
         _int_grid_info(table) if table.is_integer_grid else {"kind": "real_t"},
         slack=0.0,
     )
@@ -417,10 +426,8 @@ def equivalence_witness(
     f,
     g,
     r_grid=None,
-    max_pow: int = 12,
     f_id: str = "f",
     g_id: str = "g",
-    refinement_tol: float = 0.1,
 ) -> VerificationReport:
     """Search dyadic witnesses for ``c1 f(a1 r) <= g(r) <= c2 f(a2 r)``.
 
@@ -428,7 +435,7 @@ def equivalence_witness(
     candidate the constant is the extremal log-difference over the grid.  A
     candidate is rejected when its extremum sits on the right edge of the
     grid (the constant would keep growing with the grid) or when the constant
-    moves by more than ``refinement_tol`` in the log domain under a 2x grid
+    moves by more than ``_REFINEMENT_TOL`` in the log domain under a 2x grid
     refinement.  The first surviving pair on each side is reported.
 
     Each operand is a spec (``log u``, id ``function_id``), an
@@ -449,7 +456,7 @@ def equivalence_witness(
 
     def side(direction: int) -> dict | None:
         # direction +1: upper bound (c2, a2); -1: lower bound (c1, a1)
-        for p in range(max_pow + 1):
+        for p in range(_MAX_POW + 1):
             a = float(2.0**p) if direction > 0 else float(2.0**-p)
             try:
                 diffs = g_base - f_fun(a * grid)
@@ -465,7 +472,7 @@ def equivalence_witness(
             except CapacityError:
                 return None
             log_c_fine = float(np.max(diffs_fine) if direction > 0 else np.min(diffs_fine))
-            if abs(log_c_fine - log_c) > refinement_tol:
+            if abs(log_c_fine - log_c) > _REFINEMENT_TOL:
                 continue
             return {
                 "a": a,
@@ -508,7 +515,7 @@ def equivalence_witness(
 
 
 def check_chain_order(
-    specs: Sequence[GrowthFunctionSpec], n_max: int = 60, max_pow: int = 12
+    specs: Sequence[GrowthFunctionSpec], n_max: int = 60, max_pow: int = _MAX_POW
 ) -> VerificationReport:
     """Certify the embedding order of a chain of spaces, smallest first.
 

@@ -70,6 +70,9 @@ _R_WIDE = 2.0e9
 _H_DROP = 70.0
 #: Radii evaluated together; bounds the (radii x table length) temporaries.
 _BLOCK = 64
+#: The table rule stops once its geometric tail bound is below this share of
+#: the partial sum.
+_L_REL_TOL = 1e-12
 #: Step size at which a bracketed Newton iteration counts as converged, and
 #: its iteration cap (enough for pure bisection down to that step).
 _NEWTON_TOL = 1e-12
@@ -384,7 +387,7 @@ def _stopped_sums(
 
 
 def _table_rule(
-    table: LegendreTable, rs: np.ndarray, rel_tol: float
+    table: LegendreTable, rs: np.ndarray
 ) -> tuple[np.ndarray, InsufficientTableError | None]:
     """The truncation rule on a block of radii: the values (NaN where the
     rule cannot finish inside the table) and the error of the first such
@@ -406,12 +409,12 @@ def _table_rule(
     if rows.size:
         start = hit[rows].argmax(axis=1) + 5
         m = lt[rows].max(axis=1, keepdims=True)
-        log_tol = math.log(rel_tol)
+        log_tol = math.log(_L_REL_TOL)
         # Past ``start`` each term is below half the one before (the table is
-        # log-concave), so the tail bound falls under rel_tol within
-        # log2(1/rel_tol) terms: sum only that far, then retry at full width
-        # the rows that did not stop.
-        width = int(start.max()) + max(math.ceil(-math.log2(rel_tol)), 0) + 1
+        # log-concave), so the tail bound falls under _L_REL_TOL within
+        # log2(1/_L_REL_TOL) terms: sum only that far, then retry at full
+        # width the rows that did not stop.
+        width = int(start.max()) + math.ceil(-math.log2(_L_REL_TOL)) + 1
         if width <= N:
             vals[rows] = _stopped_sums(lt[rows, :width], d[rows, :width], m, start,
                                        log_tol)[0]
@@ -434,13 +437,13 @@ def _table_rule(
     return vals, InsufficientTableError(msg, last_ratio=last, n_max=N)
 
 
-def l_function(evaluator: LFunctionEvaluator, r, rel_tol: float = 1e-12):
+def l_function(evaluator: LFunctionEvaluator, r):
     """``log L_u(r)`` by the ratio-based truncation rule.
 
     ``r`` is a radius or an array of radii; a scalar gives a float, an array
     an array of its shape.  The series is cut at the first index from which
     the term ratio stays below 1/2 for five consecutive steps, then extended
-    until the geometric tail bound drops below ``rel_tol`` times the partial
+    until the geometric tail bound drops below ``_L_REL_TOL`` times the partial
     sum.  (Once ratios fall below 1/2 they stay there: ``ell`` is
     log-concave, so term ratios are monotone in ``n``.)  The returned value
     excludes the bounded tail.
@@ -450,11 +453,9 @@ def l_function(evaluator: LFunctionEvaluator, r, rel_tol: float = 1e-12):
     stored table.
     """
     rs = _radii(r, "l_function")
-    if rel_tol <= 0.0:
-        raise ParameterError("rel_tol must be positive")
 
     def rule(block: np.ndarray) -> np.ndarray:
-        vals, err = _table_rule(evaluator.table, block, rel_tol)
+        vals, err = _table_rule(evaluator.table, block)
         if err is not None:
             raise err
         return vals
@@ -660,18 +661,16 @@ def l_function_integral(spec: GrowthFunctionSpec, r):
     return _blockwise(lambda block: _laplace_rule(spec, block), rs)
 
 
-def l_function_wide(evaluator: LFunctionEvaluator, r, rel_tol: float = 1e-12):
+def l_function_wide(evaluator: LFunctionEvaluator, r):
     """``log L_u(r)``: table rule where it triggers, Laplace integral beyond.
 
     ``r`` is a radius or an array of radii; a scalar gives a float, an array
     an array of its shape.
     """
     rs = _radii(r, "l_function_wide")
-    if rel_tol <= 0.0:
-        raise ParameterError("rel_tol must be positive")
 
     def rule(block: np.ndarray) -> np.ndarray:
-        vals = _table_rule(evaluator.table, block, rel_tol)[0]
+        vals = _table_rule(evaluator.table, block)[0]
         rest = np.isnan(vals)
         if rest.any():
             vals[rest] = _laplace_rule(evaluator.spec, block[rest])

@@ -40,6 +40,11 @@ from .growth import (
 _GAUSSIAN = "gaussian"
 _POISSON = "poisson"
 _GREY = "grey"
+#: ``poisson_integrability`` stops once a geometric bound on the remaining
+#: tail is below this share of the partial sum, and gives up after
+#: ``_POISSON_K_CAP`` terms.
+_POISSON_TAIL_TOL = 1e-12
+_POISSON_K_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -49,7 +54,6 @@ class MeasureSurrogate:
     kind: str
     rho: float = 0.5
     q: int = 1
-    d: int = 32
     theta: float = 1.0
     w: float = 1.0
     lam: float = 1.0
@@ -64,8 +68,8 @@ class MeasureSurrogate:
             raise ParameterError(f"the weight w must be >= 0, got {self.w}")
 
 
-def gaussian_product(rho: float = 0.5, q: int = 1, d: int = 32) -> MeasureSurrogate:
-    return MeasureSurrogate(_GAUSSIAN, rho=rho, q=q, d=d)
+def gaussian_product(rho: float = 0.5, q: int = 1) -> MeasureSurrogate:
+    return MeasureSurrogate(_GAUSSIAN, rho=rho, q=q)
 
 
 def poisson_count(theta: float = 1.0, w: float = 1.0) -> MeasureSurrogate:
@@ -177,10 +181,7 @@ def poisson_growth_integrand(spec: GrowthFunctionSpec, w: float = 1.0) -> Callab
 
 
 def poisson_integrability(
-    theta: float,
-    log_integrand: Callable[[int], float],
-    tail_tol: float = 1e-12,
-    k_cap: int = 100_000,
+    theta: float, log_integrand: Callable[[int], float]
 ) -> PoissonResult:
     """``E[g(N)] = sum_k g(k) e^{-theta} theta^k / k!`` for Poisson ``N``.
 
@@ -190,19 +191,17 @@ def poisson_integrability(
     integrand beats the factorial with no sign of turning.  (The weights
     alone rise up to their mode, so rising terms before it say nothing.)
     Convergence stops once a geometric bound on the remaining tail drops
-    below ``tail_tol`` relative to the partial sum.
+    below ``_POISSON_TAIL_TOL`` relative to the partial sum.
     """
     if not theta > 0.0:
         raise ParameterError(f"theta must be positive, got {theta}")
-    if not tail_tol > 0.0:
-        raise ParameterError("tail_tol must be positive")
     log_theta = math.log(theta)
     k_mode = max(theta, 30.0)
     partial = -math.inf
     prev = math.inf
     step = -math.inf
     rises = 0
-    for k in range(k_cap + 1):
+    for k in range(_POISSON_K_CAP + 1):
         lg, lf = log_integrand(k), gammaln(k + 1.0)
         lw = lg - theta + k * log_theta - lf
         partial = float(np.logaddexp(partial, lw))
@@ -224,12 +223,12 @@ def poisson_integrability(
             r = math.exp(lw - prev)
             if r < 0.9:
                 log_tail = lw + math.log(r / (1.0 - r))
-                if log_tail < math.log(tail_tol) + partial:
+                if log_tail < math.log(_POISSON_TAIL_TOL) + partial:
                     value = math.exp(partial) if partial < 709.0 else math.inf
                     tail = math.exp(log_tail) if log_tail < 709.0 else math.inf
                     return PoissonResult(value, partial, True, k + 1, tail)
         prev = lw
-    raise RuntimeError(f"poisson_integrability undecided after {k_cap} terms")
+    raise RuntimeError(f"poisson_integrability undecided after {_POISSON_K_CAP} terms")
 
 
 # -- Grey noise ---------------------------------------------------------------
@@ -373,8 +372,8 @@ def _check_compatibility(surrogate: MeasureSurrogate, spec: GrowthFunctionSpec) 
 def _check_gaussian(surrogate: MeasureSurrogate) -> None:
     if not 0.0 < surrogate.rho < 1.0:
         raise ParameterError(f"rho must lie in (0, 1), got {surrogate.rho}")
-    if surrogate.q < 0:
-        raise ParameterError(f"q must be >= 0, got {surrogate.q}")
+    if not (surrogate.q >= 0 and float(surrogate.q).is_integer()):
+        raise ParameterError(f"q must be an integer >= 0, got {surrogate.q}")
 
 
 def _check_poisson(surrogate: MeasureSurrogate) -> None:

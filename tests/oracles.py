@@ -1,0 +1,72 @@
+"""Independent 30-digit references for the Legendre transform, in mpmath.
+
+``log u`` is written out again from each kind's defining formula, and the
+transform ``log ell(t) = inf_r [log u(r) - t log r]`` is solved by bisection
+on ``f'(s) = t`` for ``f(s) = log u(e^s)``.  ``f`` is convex, so ``f'`` is
+nondecreasing and ``{s : f'(s) < t}`` is a half-line whose end is the
+minimizer, also where ``f'`` jumps over ``t`` (the clamp kink of ``g_k``).
+Nothing here calls growthcalc's kernels or solvers: only the spec's
+parameters are read.
+"""
+
+from __future__ import annotations
+
+import mpmath as mp
+
+from growthcalc.growth import (
+    EXPONENTIAL,
+    ITERATED_EXP_SQRT,
+    KONDRATIEV_STREIT,
+    POWER_SERIES,
+)
+
+DPS = 30
+
+
+def _f_and_slope(spec, s):
+    """``f(s) = log u(e^s)`` and its right derivative in ``s``."""
+    if spec.kind == KONDRATIEV_STREIT:
+        b1 = 1 + mp.mpf(spec.beta)
+        return b1 * mp.exp(s / b1), mp.exp(s / b1)
+    if spec.kind == EXPONENTIAL:
+        return mp.mpf(spec.c) * mp.exp(s), mp.mpf(spec.c) * mp.exp(s)
+    if spec.kind == ITERATED_EXP_SQRT:
+        # g_k(r) = exp[2 sqrt(r x)], x = log_{k-1} sqrt(r) with log_1 y = log max(e, y).
+        x = mp.exp(s / 2)
+        dx = x / 2
+        for _ in range(spec.k - 1):
+            x, dx = (mp.log(x), dx / x) if x > mp.e else (mp.mpf(1), mp.mpf(0))
+        f = 2 * mp.sqrt(mp.exp(s) * x)
+        return f, f / 2 * (1 + dx / x)
+    if spec.kind == POWER_SERIES:
+        terms = [(n, mp.exp(mp.mpf(c) + n * s))
+                 for n, c in enumerate(spec.log_coeffs) if c != float("-inf")]
+        total = mp.fsum(t for _, t in terms)
+        return mp.log(total), mp.fsum(n * t for n, t in terms) / total
+    raise ValueError(f"no oracle for kind {spec.kind!r}")
+
+
+def log_u(spec, r) -> mp.mpf:
+    """``log u(r)`` for ``r > 0`` at ``DPS`` digits."""
+    with mp.workdps(DPS):
+        return +_f_and_slope(spec, mp.log(mp.mpf(r)))[0]
+
+
+def transform(spec, t) -> tuple[mp.mpf, mp.mpf]:
+    """``(log ell(t), r*(t))`` for ``t > 0`` at ``DPS`` digits."""
+    with mp.workdps(DPS):
+        t = mp.mpf(t)
+
+        def below(s):
+            return _f_and_slope(spec, s)[1] < t
+
+        lo, hi = mp.mpf(-1), mp.mpf(1)
+        while not below(lo):
+            lo *= 2
+        while below(hi):
+            hi *= 2
+        while hi - lo > mp.mpf(10) ** (2 - DPS) * max(1, abs(lo)):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if below(mid) else (lo, mid)
+        s = (lo + hi) / 2
+        return _f_and_slope(spec, s)[0] - t * s, mp.exp(s)

@@ -455,3 +455,73 @@ def test_cli_measures_hida_one_off(capsys, flags, spec, measure, p):
     assert code == 0
     report = growthcalc.hida_condition(measure, spec, p=p).to_json_dict()
     assert payload["report"] == _jsonable(report)
+
+
+@pytest.mark.parametrize("args,field", [
+    (("eval", "--lam", 0.5), "Mittag-Leffler eval needs 't'"),
+    (("legendre",), "legendre needs 'function'"),
+    (("lfn", "--spec", json.dumps(KS0)), "lfn needs 'r'"),
+    (("measures", "--op", "hida", "--spec", json.dumps(KS0)),
+     "hida needs a 'measure' object with a 'kind'"),
+    (("measures", "--op", "hida", "--measure-kind", "gaussian"), "hida needs 'function'"),
+    (("measures",), "op must be one of"),
+])
+def test_cli_one_off_names_the_missing_field(capsys, args, field):
+    code, payload, err = one_off(capsys, *args)
+    assert (code, payload) == (2, None)
+    assert f"job '{args[0]}': {field}" in err
+
+
+@pytest.mark.parametrize("measure,fragment", [
+    ({"kind": "gaussian", "rho": 2.0}, "rho must lie in (0, 1)"),
+    ({"kind": "gaussian", "q": 1.5}, "q must be an integer >= 0"),
+    ({"kind": "grey", "lam": 0.5, "n": 10}, "n >= 100"),
+    ({"kind": "poisson", "theta": "one"}, "measure:"),
+    ({"kind": "gaussian", "sigma": 1.0}, "sigma"),
+])
+def test_validate_manifest_builds_each_hida_measure(measure, fragment):
+    m = manifest([{"id": "h", "kind": "measures", "op": "hida", "function": "ks0",
+                   "measure": measure}])
+    with pytest.raises(ManifestError) as exc:
+        validate_manifest(m)
+    assert str(exc.value).startswith("job 'h': measure: ")
+    assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("flag", [("--q", 1.5), ("--rho", 2.0)])
+def test_cli_hida_rejects_a_bad_gaussian_measure_before_running(capsys, flag):
+    code, payload, err = one_off(capsys, "measures", "--op", "hida", "--measure-kind",
+                                 "gaussian", "--spec", json.dumps(KS0), *flag)
+    assert (code, payload) == (2, None)
+    assert f"{flag[0][2:]} must" in err
+
+
+def test_cli_parses_a_spec_the_command_does_not_use(capsys):
+    code, payload, err = one_off(capsys, "measures", "--op", "fernique", "--spec", "{nope")
+    assert (code, payload) == (2, None)
+    assert "--spec is not valid JSON" in err
+
+
+def test_one_off_and_required_tables_cover_every_job_kind_and_op():
+    import argparse
+    from dataclasses import fields
+
+    from growthcalc import cli
+    from growthcalc.measures import MEASURE_KINDS, MeasureSurrogate
+
+    names = set(cli._JOB_RUNNERS) | set(cli._MEASURE_RUNNERS)
+    assert set(cli._ONE_OFF_FIELDS) == names
+    assert set(cli._REQUIRED) <= names
+    subparsers = next(action.choices for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+
+    def dests(name):
+        parser = subparsers["measures" if name in cli._MEASURE_RUNNERS else name]
+        return {action.dest for action in parser._actions}
+
+    for name, keys in cli._ONE_OFF_FIELDS.items():
+        assert set(keys) <= dests(name), name
+    assert set(cli._HIDA_MEASURE_FIELDS) == set(MEASURE_KINDS)
+    surrogate_fields = {f.name for f in fields(MeasureSurrogate)}
+    for keys in cli._HIDA_MEASURE_FIELDS.values():
+        assert set(keys) <= dests("hida") & surrogate_fields

@@ -325,3 +325,10 @@ def test_hida_poisson_calls_the_integrator_bound_in_the_module(catalog, monkeypa
     report = hida_condition(poisson_count(theta=1.0), catalog["g2"], p=0, p_max=2)
     assert thetas == [1.0, 1.0, 1.0]
     assert len(report.levels) == 3
+
+
+@pytest.mark.parametrize("q", [1.5, -1, math.inf, math.nan])
+def test_gaussian_surrogate_needs_an_integral_level(q):
+    with pytest.raises(ParameterError, match="q must be an integer >= 0"):
+        gaussian_product(q=q)
+    assert gaussian_product(q=2.0).q == 2.0
