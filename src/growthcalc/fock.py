@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
-from .growth import GrowthFunctionSpec, ParameterError, log_u_grid
+from .growth import GrowthFunctionSpec, ParameterError, _log_factorials, _logsumexp, log_u_grid
 from .inequality_lab import VerificationReport, _report
 from .legendre import LegendreTable, LFunctionEvaluator, l_function
 
@@ -139,12 +138,11 @@ class ChaosSequence:
         xi = float(xi)
         if xi < 0.0:
             raise ParameterError("exponential vectors take |xi| >= 0")
-        n = np.arange(n_max + 1, dtype=float)
         if xi == 0.0:
             logs = np.full(n_max + 1, -math.inf)
             logs[0] = 0.0
         else:
-            logs = n * math.log(xi) - gammaln(n + 1.0)
+            logs = np.arange(n_max + 1) * math.log(xi) - _log_factorials(n_max)
         return cls(tuple(logs), p=p, log_domain=True)
 
 
@@ -162,7 +160,7 @@ def log_test_norm(seq: ChaosSequence, table: LegendreTable) -> float:
     """``log sqrt(sum c_n^2 / ell(n))`` — the test-side weighted norm."""
     _require_table(seq, table, "test_norm")
     la = seq.log_abs()
-    return 0.5 * float(logsumexp(2.0 * la - table.log_ell[: len(seq)]))
+    return 0.5 * _logsumexp(2.0 * la - table.log_ell[: len(seq)])
 
 
 def test_norm(seq: ChaosSequence, table: LegendreTable) -> float:
@@ -174,9 +172,8 @@ def log_dual_norm(seq: ChaosSequence, table: LegendreTable) -> float:
     """``log sqrt(sum (n!)^2 ell(n) c_n^2)`` — the dual-side weighted norm."""
     _require_table(seq, table, "dual_norm")
     la = seq.log_abs()
-    n = np.arange(len(seq), dtype=float)
-    terms = 2.0 * (gammaln(n + 1.0) + la) + table.log_ell[: len(seq)]
-    return 0.5 * float(logsumexp(terms))
+    terms = 2.0 * (_log_factorials(len(seq) - 1) + la) + table.log_ell[: len(seq)]
+    return 0.5 * _logsumexp(terms)
 
 
 def dual_norm(seq: ChaosSequence, table: LegendreTable) -> float:
@@ -189,7 +186,8 @@ def exp_vector_norm(xi_abs: float, evaluator: LFunctionEvaluator) -> float:
     xi_abs = float(xi_abs)
     if xi_abs < 0.0:
         raise ParameterError("exp_vector_norm takes the modulus |xi| >= 0")
-    return math.exp(0.5 * l_function(evaluator, xi_abs * xi_abs))
+    v = 0.5 * l_function(evaluator, xi_abs * xi_abs)
+    return math.exp(v) if v < 709.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -209,8 +207,7 @@ def pairing_bound(
             f"pairing needs equal lengths, got {len(test_seq)} and {len(dual_seq)}"
         )
     _require_table(test_seq, table, "pairing_bound")
-    n = np.arange(len(test_seq), dtype=float)
-    log_mag = gammaln(n + 1.0) + test_seq.log_abs() + dual_seq.log_abs()
+    log_mag = _log_factorials(len(test_seq) - 1) + test_seq.log_abs() + dual_seq.log_abs()
     # linear() of a log-domain sequence is nonnegative with exact zeros at
     # -inf entries, so its sign works uniformly for both storage modes.
     with np.errstate(over="ignore"):

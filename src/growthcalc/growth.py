@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 
 class ParameterError(ValueError):
@@ -68,7 +67,7 @@ _BELL_EXACT_CAP = 1200
 
 #: Largest magnitude the alternating Mittag-Leffler series may reach before
 #: the spectral integral takes over.  fsum itself is exactly rounded, but
-#: each term carries an exp(gammaln) rounding of order term * 1e-14; with a
+#: each term carries an exp(lgamma) rounding of order term * 1e-14; with a
 #: 1e4 cap that noise stays near 1e-10 absolute, keeping the series at least
 #: two digits inside the 1e-8 agreement tolerance wherever it is used.
 _ML_SERIES_TERM_CAP = 1.0e4
@@ -77,6 +76,45 @@ _ML_SERIES_TERM_CAP = 1.0e4
 #: terms' rounding, not the function, sets the result's relative error (near
 #: lam = 1 and t ~ 10 terms reach thousands while the sum is about 1e-3).
 _ML_SERIES_CANCELLATION = 1.0e4
+
+
+# -- log-space arithmetic -----------------------------------------------------
+
+_log_fact = np.zeros(0)
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """``log k!`` for k = 0..n: a read-only prefix of one ``math.lgamma``
+    table, which at least doubles whenever a caller needs more rows."""
+    global _log_fact
+    table = _log_fact
+    if table.size <= n:
+        k = range(table.size, max(n + 1, 2 * table.size))
+        table = np.concatenate([table, [math.lgamma(j + 1.0) for j in k]])
+        table.setflags(write=False)
+        _log_fact = table
+    return table[: n + 1]
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """``log sum exp(a)`` over a 1-d array.  The maxima leave the sum and
+    come back as ``log1p(rest / count) + log(count) + max``, so a dominant
+    term adds no rounding of its own."""
+    m = a.max()
+    if not math.isfinite(m):
+        return float(m)
+    top = a == m
+    count = np.count_nonzero(top)
+    rest = np.exp(np.where(top, -math.inf, a - m)).sum()
+    return float(np.log1p(rest / count) + np.log(count) + m)
+
+
+@lru_cache(maxsize=None)
+def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def iterated_log(k: int, r: float) -> float:
@@ -163,7 +201,7 @@ def _log_bell_dobinski(n_hi: int) -> np.ndarray:
         hi = int(j_hi_c + 14.0 * s_hi + 8.0)
         j = np.arange(lo, hi + 1, dtype=float)
         lj = np.log(j)
-        lg = gammaln(j + 1.0)
+        lg = _log_factorials(hi)[lo:]
         # The block's rows share the j-window but not their sums: evaluate
         # them a cache-sized slab at a time in one reused buffer.
         buf = np.empty((rows, j.size))
@@ -191,16 +229,15 @@ def _egf_log_coeffs(k: int, n_hi: int) -> np.ndarray:
     """
     if k < 1:
         raise ParameterError(f"exp_k requires k >= 1, got {k}")
-    n = np.arange(n_hi + 1, dtype=float)
     if k == 1:
-        out = -gammaln(n + 1.0)
+        out = -_log_factorials(n_hi)
     else:
         la = _egf_log_coeffs(k - 1, n_hi)
         wa = la[1:] + np.log(np.arange(1, n_hi + 1, dtype=float))
         out = np.empty(n_hi + 1)
         out[0] = 0.0
         for m in range(n_hi):
-            out[m + 1] = logsumexp(wa[: m + 1] + out[m::-1]) - math.log(m + 1)
+            out[m + 1] = _logsumexp(wa[: m + 1] + out[m::-1]) - math.log(m + 1)
     out.setflags(write=False)
     return out
 
@@ -507,7 +544,7 @@ def _power_series_kernel(spec: GrowthFunctionSpec):
     def kernel(r: float) -> float:
         if r == 0.0:
             return log_c0
-        return float(logsumexp(logc + index * math.log(r)))
+        return _logsumexp(logc + index * math.log(r))
 
     return kernel
 
@@ -701,14 +738,11 @@ def _series_logc(spec: GrowthFunctionSpec) -> np.ndarray:
         arr = np.asarray(spec.log_coeffs, dtype=float).copy()
     elif spec.kind == BELL_SERIES:
         if spec.k == 1:
-            n = np.arange(_N_BELL2 + 1, dtype=float)
-            arr = -gammaln(n + 1.0)
+            arr = -_log_factorials(_N_BELL2)
         elif spec.k == 2:
-            n = np.arange(_N_BELL2 + 1, dtype=float)
-            arr = -(_log_bell_dobinski(_N_BELL2) + gammaln(n + 1.0))
+            arr = -(_log_bell_dobinski(_N_BELL2) + _log_factorials(_N_BELL2))
         else:
-            n = np.arange(_N_BELL_HIGH + 1, dtype=float)
-            arr = -(2.0 * gammaln(n + 1.0) + _egf_log_coeffs(spec.k, _N_BELL_HIGH))
+            arr = -(2.0 * _log_factorials(_N_BELL_HIGH) + _egf_log_coeffs(spec.k, _N_BELL_HIGH))
     else:  # pragma: no cover - guarded by callers
         raise ParameterError(f"{spec.kind} is not series-backed")
     arr.setflags(write=False)
@@ -784,11 +818,11 @@ def mittag_leffler_series(lam: float, t: float) -> float | None:
     terms = []
     n = 0
     while True:
-        lv = n * lt - gammaln(1.0 + lam * n)
+        lv = n * lt - math.lgamma(1.0 + lam * n)
         if lv > log_cap:
             return None
         terms.append(math.exp(lv) if n % 2 == 0 else -math.exp(lv))
-        if lv < -41.0 and n > 0 and lv < (n - 1) * lt - gammaln(1.0 + lam * (n - 1)):
+        if lv < -41.0 and n > 0 and lv < (n - 1) * lt - math.lgamma(1.0 + lam * (n - 1)):
             break
         n += 1
         if n > 10_000:  # pragma: no cover - defensive
@@ -806,41 +840,35 @@ def mittag_leffler_integral(lam: float, t: float) -> float:
     \\int_0^inf exp(-s^{1/lam} t^{1/lam}) / (s^2 + 2 s cos(lam pi) + 1) ds``.
 
     Completely monotone in ``t`` by construction (the integrand is a mixture
-    of decaying exponentials).  Cross-validated against the alternating
-    series in their overlap and against ``e^{t^2} erfc(t)`` at ``lam = 1/2``.
+    of decaying exponentials).  In ``x = log s`` the integrand decays like
+    ``e^{-|x|}``, drops from 1 to 0 over a knee of width ~``lam`` at
+    ``x = -log t`` and has poles at ``x = ±i pi (1 - lam)``: a fixed 20-point
+    Gauss-Legendre rule on panels graded down to a quarter of each feature's
+    scale is exact to rounding.
     """
-    from scipy import integrate  # here: it adds ~25 MB, and only this needs it
-
     lam, t = float(lam), float(t)
     if not 0.0 < lam < 1.0:
         raise ParameterError(f"the spectral integral requires lambda in (0, 1), got {lam}")
     if t == 0.0:
         return 1.0
-    c = math.cos(lam * math.pi)
     lt = math.log(t)
-    log_e_cap = math.log(700.0)
-
-    def f(s: float) -> float:
-        # (s t)^{1/lam} in the log domain: t^{1/lam} alone overflows for small lam.
-        e = math.exp(min((math.log(s) + lt) / lam, log_e_cap))
-        return math.exp(-e) / (s * s + 2.0 * c * s + 1.0)
-
-    # The exponent passes 1 at s = 1/t and 50 at s = 50^lam / t: the knee of
-    # the integrand (a step as lam -> 0) and the end of its decay.
-    pts = {1.0, 1.0 / t, 50.0**lam / t}
-    if lam > 0.9:
-        # The denominator develops a near-pole at s = 1 as lam -> 1.
-        pts.update((0.9, 0.99, 1.01, 1.1))
-    total = 0.0
-    lo = 0.0
-    for p in sorted(pts):
-        if p > lo:
-            v, _ = integrate.quad(f, lo, p, epsabs=1e-15, epsrel=1e-13, limit=300)
-            total += v
-            lo = p
-    v, _ = integrate.quad(f, lo, np.inf, epsabs=1e-15, epsrel=1e-13, limit=300)
-    total += v
-    return math.sin(lam * math.pi) / (lam * math.pi) * total
+    # The tails past lo and hi are below e^{-40} of the integral.
+    lo, hi = min(-lt, 0.0) - 40.0, min(lam * math.log(800.0) - lt, 40.0)
+    edges = [lo, hi]
+    for c, h in ((-lt, 0.25 * lam), (0.0, 0.25 * math.pi * (1.0 - lam))):
+        edges.append(c)
+        while c - h > lo or c + h < hi:  # panels double in width away from c
+            edges += [c - h, c + h]
+            h *= 2.0
+    edges = np.unique(np.clip(edges, lo, hi))
+    half = 0.5 * np.diff(edges)
+    nodes, weights = _gl_nodes(20)
+    x = (edges[:-1] + half)[:, None] + half[:, None] * nodes
+    # z / (expm1(-|x|)^2 + 4 q z) is 1 / (s + 1/s + 2 cos(lam pi)) without
+    # its cancellation near s = 1.
+    z, q = np.exp(-np.abs(x)), math.sin(0.5 * math.pi * (1.0 - lam)) ** 2
+    g = np.exp(-np.exp((x + lt) / lam)) * z / (np.expm1(-np.abs(x)) ** 2 + 4.0 * q * z)
+    return math.sin(math.pi * min(lam, 1.0 - lam)) / (lam * math.pi) * float(half @ (g @ weights))
 
 
 # -- grids and condition certificates ---------------------------------------
@@ -874,13 +902,7 @@ class ConditionCheck:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "status": self.status,
-            "witness_r": self.witness_r,
-            "observed": self.observed,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -902,11 +924,7 @@ class ConditionReport:
         return all(self.checks[c].status == "pass" for c in conditions)
 
     def to_json_dict(self) -> dict:
-        return {
-            "function_id": self.function_id,
-            "grid": self.grid,
-            "checks": {k: v.to_json_dict() for k, v in self.checks.items()},
-        }
+        return asdict(self)
 
 
 def check_conditions(

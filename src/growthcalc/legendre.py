@@ -38,6 +38,7 @@ from .growth import (
     GrowthFunctionSpec,
     ParameterError,
     _SPEC_CACHE,
+    _gl_nodes,
     default_r_grid,
     log_u_grid,
 )
@@ -466,14 +467,6 @@ def l_function(evaluator: LFunctionEvaluator, r):
 # -- wide-range L evaluation -------------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def _gl_nodes(n: int = 192) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
 class _Hermite:
     """The piecewise cubic through knots ``x`` with values ``y`` and slopes
     ``dy``, continued past the ends by its end pieces: ``spline(s)`` is its
@@ -636,7 +629,7 @@ def _laplace_rule(spec: GrowthFunctionSpec, rs: np.ndarray) -> np.ndarray:
 
     s_out[inner] = _bracketed_newton(drop, s_out[inner], s_in[inner], s_out[inner])[0]
 
-    x, w = _gl_nodes()
+    x, w = _gl_nodes(192)
     t_a, t_b = np.exp(s_out[:n]), np.exp(s_out[n:])
     half = 0.5 * (t_b - t_a)
     tt = (0.5 * (t_a + t_b))[:, None] + half[:, None] * x

@@ -19,12 +19,12 @@ integral is finite.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .growth import (
     GrowthFunctionSpec,
@@ -32,6 +32,8 @@ from .growth import (
     ITERATED_EXP_SQRT,
     ParameterError,
     _SPEC_CACHE,
+    _is_real,
+    _logsumexp,
     default_r_grid,
     iterated_log,
     log_u_grid,
@@ -63,6 +65,11 @@ class MeasureSurrogate:
     def __post_init__(self) -> None:
         if self.kind not in MEASURE_KINDS:
             raise ParameterError(f"unknown measure kind {self.kind!r}")
+        for name in ("rho", "q", "theta", "w", "lam", "n", "seed"):
+            v, whole = getattr(self, name), name in ("n", "seed")
+            if not _is_real(v) or (whole and not isinstance(v, numbers.Integral)):
+                raise ParameterError(f"{self.kind} field {name!r} must be "
+                                     f"{'an integer' if whole else 'a number'}, got {v!r}")
         _MEASURE_TABLE[self.kind].validate(self)
         if self.w < 0.0:
             raise ParameterError(f"the weight w must be >= 0, got {self.w}")
@@ -202,7 +209,7 @@ def poisson_integrability(
     step = -math.inf
     rises = 0
     for k in range(_POISSON_K_CAP + 1):
-        lg, lf = log_integrand(k), gammaln(k + 1.0)
+        lg, lf = log_integrand(k), math.lgamma(k + 1.0)
         lw = lg - theta + k * log_theta - lf
         partial = float(np.logaddexp(partial, lw))
         # Rounding in the log terms makes ratios that are equal in exact
@@ -295,9 +302,9 @@ def grey_integrability(
     x = grey_sample(lam, n, seed)
     expo = 1.0 / (2.0 - lam)
     le = 0.5 * (2.0 - lam) * (w * x * x) ** expo
-    log_sum = float(logsumexp(le))
+    log_sum = _logsumexp(le)
     log_mean = log_sum - math.log(n)
-    log_m2 = float(logsumexp(2.0 * le)) - math.log(n)
+    log_m2 = _logsumexp(2.0 * le) - math.log(n)
     note = ""
     if log_m2 < 700.0 and log_mean < 350.0:
         m1 = math.exp(log_mean)
@@ -308,7 +315,7 @@ def grey_integrability(
         note = "second moment overflows; the estimate is untrustworthy"
     k_top = max(1, n // 1000)
     top = np.partition(le, n - k_top)[n - k_top:]
-    top_share = math.exp(float(logsumexp(top)) - log_sum)
+    top_share = math.exp(_logsumexp(top) - log_sum)
     stable = math.isfinite(stderr) and top_share <= 0.5
     if not stable and not note:
         note = f"top 0.1% of samples carry {top_share:.1%} of the mass"

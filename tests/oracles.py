@@ -1,4 +1,5 @@
-"""Independent 30-digit references for the Legendre transform, in mpmath.
+"""Independent 30-digit references, in mpmath: the Legendre transform, the
+classical Bell numbers and the Mittag-Leffler function.
 
 ``log u`` is written out again from each kind's defining formula, and the
 transform ``log ell(t) = inf_r [log u(r) - t log r]`` is solved by bisection
@@ -70,3 +71,30 @@ def transform(spec, t) -> tuple[mp.mpf, mp.mpf]:
             lo, hi = (mid, hi) if below(mid) else (lo, mid)
         s = (lo + hi) / 2
         return _f_and_slope(spec, s)[0] - t * s, mp.exp(s)
+
+
+def log_bell(n: int) -> mp.mpf:
+    """``log B(n)`` of the classical Bell number ``B(n)`` at ``DPS`` digits."""
+    with mp.workdps(DPS):
+        return mp.log(mp.bell(n))
+
+
+def mittag_leffler(lam, t) -> mp.mpf:
+    """``E_lam(-t)`` for ``0 < lam < 1`` and ``t > 0`` at ``DPS`` digits, from
+    the spectral integral as written, ``sin(lam pi) / (lam pi) * int_0^inf
+    exp(-(s t)^{1/lam}) / (s^2 + 2 s cos(lam pi) + 1) ds``, by ``mp.quad``
+    split around the knee at ``s = 1/t`` (width ~lam in ``log s``) and the
+    near-pole at ``s = 1`` (width ~pi (1 - lam)).  Past ``s = 2000^lam / t``
+    the integrand is below ``e^-2000``."""
+    with mp.workdps(DPS):
+        lam, t = mp.mpf(lam), mp.mpf(t)
+        c = mp.cos(lam * mp.pi)
+
+        def f(s):
+            return mp.exp(-(s * t) ** (1 / lam)) / (s * s + 2 * s * c + 1)
+
+        end = mp.mpf(2000) ** lam / t
+        knee = [mp.exp(lam * k) / t for k in range(-8, 8)]
+        pole = [mp.exp(sign * mp.pi * (1 - lam) * 2**k) for k in range(-2, 6) for sign in (-1, 1)]
+        pts = sorted(p for p in {*knee, *pole, mp.mpf(1)} if p < end)
+        return mp.sin(lam * mp.pi) / (lam * mp.pi) * mp.quad(f, [0, *pts, end])

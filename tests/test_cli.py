@@ -478,6 +478,10 @@ def test_cli_one_off_names_the_missing_field(capsys, args, field):
     ({"kind": "grey", "lam": 0.5, "n": 10}, "n >= 100"),
     ({"kind": "poisson", "theta": "one"}, "measure:"),
     ({"kind": "gaussian", "sigma": 1.0}, "sigma"),
+    ({"kind": "poisson", "theta": "one"}, "field 'theta' must be a number, got 'one'"),
+    ({"kind": "poisson", "theta": True}, "field 'theta' must be a number, got True"),
+    ({"kind": "grey", "lam": 0.5, "n": 1000.0}, "field 'n' must be an integer, got 1000.0"),
+    ({"kind": "grey", "lam": 0.5, "seed": "7"}, "field 'seed' must be an integer, got '7'"),
 ])
 def test_validate_manifest_builds_each_hida_measure(measure, fragment):
     m = manifest([{"id": "h", "kind": "measures", "op": "hida", "function": "ks0",

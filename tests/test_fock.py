@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from growthcalc import (
     ChaosSequence,
     HypothesisViolationError,
+    LFunctionEvaluator,
     ParameterError,
     SequenceSpaceModel,
     a_norm_1d,
@@ -22,6 +23,7 @@ from growthcalc import (
     growth_bound_check,
     hermite_eval_1d,
     kondratiev_streit,
+    l_function,
     legendre_sequence,
     legendre_table,
     log_test_norm,
@@ -155,6 +157,14 @@ def test_exp_vector_norm_identity(evaluators):
     for xi in (0.5, 1.0, 2.0):
         direct = dual_norm(ChaosSequence.exponential_vector(xi, 200), tab)
         assert exp_vector_norm(xi, ev) == pytest.approx(direct, rel=1e-10)
+
+
+def test_exp_vector_norm_is_inf_past_the_double_range():
+    # log L_u(650^2) is about 1.5e3 for ks(0.95), so the norm e^{log L / 2}
+    # is past e^709: inf, as dual_norm and test_norm give, not OverflowError.
+    ev = LFunctionEvaluator.from_spec(kondratiev_streit(0.95))
+    assert l_function(ev, 650.0**2) > 1418.0
+    assert exp_vector_norm(650.0, ev) == math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+
 from growthcalc import (
     BELL_SERIES,
     CONDITION_IDS,
@@ -575,9 +577,7 @@ def test_spec_pickles_after_its_kernel_is_built():
 
 
 def test_dobinski_table_matches_whole_block_formula():
-    from scipy.special import gammaln
-
-    from growthcalc.growth import _bell_peak, _log_bell_dobinski
+    from growthcalc.growth import _bell_peak, _log_bell_dobinski, _log_factorials
 
     n_hi = 5000  # five 1024-row blocks, the last one partial
     want = np.empty(n_hi + 1)
@@ -589,12 +589,30 @@ def test_dobinski_table_matches_whole_block_formula():
         hi = int(j_hi_c + 14.0 * (j_hi_c / math.sqrt(n1 + j_hi_c)) + 8.0)
         j = np.arange(lo, hi + 1, dtype=float)
         ns = np.arange(n0, n1 + 1, dtype=float)[:, None]
-        ex = ns * np.log(j)[None, :] - gammaln(j + 1.0)[None, :]
+        ex = ns * np.log(j)[None, :] - _log_factorials(hi)[None, lo:]
         m = ex.max(axis=1)
         want[n0 : n1 + 1] = m + np.log(np.exp(ex - m[:, None]).sum(axis=1)) - 1.0
     assert np.array_equal(_log_bell_dobinski(n_hi), want)
     exact = bell_numbers(2, 60)
     assert np.allclose(want[:61], [math.log(b) for b in exact], rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [61, 300, 5000, 40000, 1 << 18])
+def test_dobinski_table_matches_the_bell_oracle_to_two_ulp(n):
+    from growthcalc.growth import _N_BELL2, _log_bell_dobinski
+
+    got = float(_log_bell_dobinski(_N_BELL2)[n])
+    assert abs(got - oracles.log_bell(n)) <= 2 * math.ulp(got)
+
+
+def test_log_factorial_table_is_a_read_only_lgamma_table():
+    from growthcalc.growth import _log_factorials
+
+    head = _log_factorials(10).copy()
+    table = _log_factorials(3000)
+    assert not table.flags.writeable
+    assert np.array_equal(table[:11], head)
+    assert table[3000] == math.lgamma(3001.0)
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +667,13 @@ def test_mittag_leffler_near_one_vs_exact_series(lam, t, oracle):
     # spectral integral takes over there.
     assert mittag_leffler_series(lam, t) is None
     assert mittag_leffler(lam, t) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("lam", [0.001, 0.1, 0.5, 0.9, 0.99, 0.999])
+@pytest.mark.parametrize("t", [0.01, 1.0, 30.0, 1e3, 1e6])
+def test_mittag_leffler_integral_vs_the_spectral_oracle(lam, t):
+    assert mittag_leffler_integral(lam, t) == pytest.approx(
+        float(oracles.mittag_leffler(lam, t)), rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
