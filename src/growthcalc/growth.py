@@ -11,9 +11,9 @@ at least like ``exp(c r^eps)``, so linear-domain evaluation overflows doubles
 long before the ranges of interest.  Series kinds are summed by windowed
 log-sum-exp around the dominant term.
 
-All operations are pure and deterministic.  Module-level caches are
-``functools.lru_cache`` memoizations of immutable (read-only) arrays;
-concurrent callers at worst duplicate a computation.
+All operations are pure and deterministic.  Module-level caches (the
+``functools.lru_cache`` memoizations and the log-factorial table) hold
+read-only arrays; concurrent callers at worst duplicate a computation.
 """
 
 from __future__ import annotations
