@@ -12,8 +12,9 @@ long before the ranges of interest.  Series kinds are summed by windowed
 log-sum-exp around the dominant term.
 
 All operations are pure and deterministic.  Module-level caches (the
-``functools.lru_cache`` memoizations and the log-factorial table) hold
-read-only arrays; concurrent callers at worst duplicate a computation.
+``functools.lru_cache`` memoizations, among them the Bell table, and the
+log-factorial table) hold read-only arrays; concurrent callers at worst
+duplicate a computation.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ CONDITION_IDS = ("U0", "U1", "U2", "U3", "C+,1/2", "C+,log")
 _STANDARD_CLAIMS = frozenset({"U0", "U1", "U2", "U3"})
 
 # Series tables: number of stored coefficients.  The classical Bell series
-# (k=2) gets a large table because the verification grids push it to
-# r ~ 1e8 and the L-series machinery probes several times farther; the
-# higher-order series are only exercised at moderate r.
+# (k=2) gets a large table, built by ``_log_bell``'s trapezoid rule, because
+# the verification grids push it to r ~ 1e8 and the L-series machinery
+# probes several times farther; the higher-order series stay at moderate r.
 _N_BELL2 = 1 << 18
 _N_BELL_HIGH = 4096
 
@@ -166,55 +167,55 @@ def bell_numbers(k: int, n_max: int) -> list[int]:
     return level[: n_max + 1]
 
 
-def _bell_peak(n: float) -> float:
-    """Solve ``j log j = n`` (location of the dominant Dobinski term)."""
-    j = max(2.0, n / max(1.0, math.log(max(n, 2.0))))
-    for _ in range(50):
-        f = j * math.log(j) - n
-        j -= f / (math.log(j) + 1.0)
-        j = max(j, 1.5)
-        if abs(f) < 1e-9 * max(1.0, n):
-            break
-    return j
-
-
 @lru_cache(maxsize=None)
-def _log_bell_dobinski(n_hi: int) -> np.ndarray:
+def _log_bell(n_hi: int) -> np.ndarray:
     """``log B(n)`` for the classical Bell numbers, n = 0..n_hi.
 
-    Dobinski sum ``B(n) = e^{-1} sum_j j^n / j!`` evaluated blockwise: a run
-    of consecutive n shares one window of j around the dominant term, which
-    keeps the whole table linear-time.  Window half-width 14 sigma leaves a
-    relative tail below e^{-90}.
+    Dobinski: ``B(n) = e^{-1} sum_{j >= 1} j^n / j!``, whose terms peak at
+    ``j log j = n`` with width ``sigma = j / sqrt(n + j)``.  Rows n <= 256
+    are that sum over j = 1..130 (the peak j < 63 plus 14 sigma < 49).
+    Past n = 256 the sum, a unit-step trapezoid rule of the smooth peak
+    ``x -> exp(n log x - lgamma(x + 1))``, is its integral to a relative
+    ``exp(-2 pi^2 sigma^2)``, and so is the trapezoid rule at step h to
+    ``exp(-2 pi^2 sigma^2 / h^2)`` (Trefethen and Weideman 2014): h = sigma/2
+    gives e^-78.  Its 41 nodes span +-10 sigma around the peak (a vectorized
+    Newton solve): the cut tails start at least 38 nats below it.  Each node
+    takes one log: ``lgamma(x + 1) = lgamma(x) + log x``, with Stirling's
+    series for ``lgamma(x)`` to ``x^-7``, exact to rounding for x >= 25 (the
+    nodes start above 27).
     """
     out = np.empty(n_hi + 1)
     out[0] = 0.0
-    block, rows = 1024, 32
-    n0 = 1
-    while n0 <= n_hi:
-        n1 = min(n0 + block - 1, n_hi)
-        j_lo_c = _bell_peak(float(n0))
-        j_hi_c = _bell_peak(float(n1))
-        s_lo = j_lo_c / math.sqrt(n0 + j_lo_c)
-        s_hi = j_hi_c / math.sqrt(n1 + j_hi_c)
-        lo = max(1, int(j_lo_c - 14.0 * s_lo - 8.0))
-        hi = int(j_hi_c + 14.0 * s_hi + 8.0)
-        j = np.arange(lo, hi + 1, dtype=float)
-        lj = np.log(j)
-        lg = _log_factorials(hi)[lo:]
-        # The block's rows share the j-window but not their sums: evaluate
-        # them a cache-sized slab at a time in one reused buffer.
-        buf = np.empty((rows, j.size))
-        for a in range(n0, n1 + 1, rows):
-            b = min(a + rows, n1 + 1)
-            ex = buf[: b - a]
-            np.multiply(np.arange(a, b, dtype=float)[:, None], lj, out=ex)
-            ex -= lg
-            m = ex.max(axis=1)
-            ex -= m[:, None]
-            np.exp(ex, out=ex)
-            out[a:b] = m + np.log(ex.sum(axis=1)) - 1.0
-        n0 = n1 + 1
+    top = min(n_hi, 256)
+    ex = np.arange(1.0, top + 1.0)[:, None] * np.log(np.arange(1.0, 131.0))
+    ex -= _log_factorials(130)[1:]
+    m = ex.max(axis=1)
+    out[1 : top + 1] = m + np.log(np.exp(ex - m[:, None]).sum(axis=1)) - 1.0
+    nodes = np.arange(-10.0, 10.25, 0.5)
+    const = 1.0 + 0.5 * math.log(2.0 * math.pi)  # Dobinski's e^-1, Stirling's sqrt(2 pi)
+    x, lx, f = (np.empty((1024, nodes.size)) for _ in range(3))
+    for a in range(top + 1, n_hi + 1, 1024):
+        n = np.arange(a, min(a + 1024, n_hi + 1), dtype=float)
+        j = n / np.log(n)
+        for _ in range(6):  # Newton on j log j = n
+            j = (j + n) / (np.log(j) + 1.0)
+        sigma = j / np.sqrt(n + j)
+        x_, lx_, f_ = x[: n.size], lx[: n.size], f[: n.size]
+        np.multiply(sigma[:, None], nodes, out=x_)
+        x_ += j[:, None]
+        # n log x - lgamma(x + 1) + log sqrt(2 pi) = (n - x - 1/2) log x + x - S,
+        # S = 1/12x - 1/360x^3 + 1/1260x^5 - 1/1680x^7.
+        np.log(x_, out=lx_)
+        np.subtract((n - 0.5)[:, None], x_, out=f_)
+        f_ *= lx_
+        f_ += x_
+        np.reciprocal(x_, out=x_)
+        np.multiply(x_, x_, out=lx_)
+        f_ -= x_ * (1 / 12 - lx_ * (1 / 360 - lx_ * (1 / 1260 - lx_ / 1680)))
+        m = f_.max(axis=1)
+        f_ -= m[:, None]
+        np.exp(f_, out=f_)
+        out[a : a + n.size] = m + (np.log(f_.sum(axis=1) * (0.5 * sigma)) - const)
     out.setflags(write=False)
     return out
 
@@ -740,7 +741,7 @@ def _series_logc(spec: GrowthFunctionSpec) -> np.ndarray:
         if spec.k == 1:
             arr = -_log_factorials(_N_BELL2)
         elif spec.k == 2:
-            arr = -(_log_bell_dobinski(_N_BELL2) + _log_factorials(_N_BELL2))
+            arr = -(_log_bell(_N_BELL2) + _log_factorials(_N_BELL2))
         else:
             arr = -(2.0 * _log_factorials(_N_BELL_HIGH) + _egf_log_coeffs(spec.k, _N_BELL_HIGH))
     else:  # pragma: no cover - guarded by callers

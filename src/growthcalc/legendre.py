@@ -36,6 +36,7 @@ from .growth import (
     BELL_SERIES,
     CapacityError,
     GrowthFunctionSpec,
+    ITERATED_EXP_SQRT,
     ParameterError,
     _SPEC_CACHE,
     _gl_nodes,
@@ -201,10 +202,19 @@ def _newton_transform(
                 d1, d2 = kernel(x)[1:]
                 return d1 - t[k], d2
 
-            s_star[act] = _bracketed_newton(g, x0, b, a)[0]
+            s_star[act], _, pos, neg = _bracketed_newton(g, x0, b, a)
     ok = ~bad
     log_ell = np.full(ts.size, np.nan)
     log_ell[ok] = kernel(s_star[ok])[0] - ts[ok] * s_star[ok]
+    if spec.kind == ITERATED_EXP_SQRT and 2 <= spec.k <= 4 and act.size:
+        # f' jumps where g_k's outer clamp binds, s = 2 exp^{k-2}(1) (past
+        # s_max for k > 4), which Newton nears only to _NEWTON_TOL: rows whose
+        # final bracket straddles it keep phi there if smaller.
+        kink = 2.0 * (1.0, math.e, math.e**math.e)[spec.k - 2]
+        on = act[(neg <= kink) & (kink <= pos)]
+        phi = kernel(np.full(on.size, kink))[0] - ts[on] * kink
+        low = phi < log_ell[on]
+        log_ell[on[low]], s_star[on[low]] = phi[low], kink
     return log_ell, np.exp(s_star), err
 
 
@@ -542,8 +552,8 @@ def _bracketed_newton(fun, x: np.ndarray, pos: np.ndarray, neg: np.ndarray):
     when it leaves the bracket.  ``fun(x, idx)`` gives the values and slopes
     at the entries ``idx``; ``pos`` and ``neg`` are bracket ends where the
     value is positive and not.  Converged entries stop moving, so an entry's
-    result does not depend on the others.  Returns the roots and the last
-    slopes."""
+    result does not depend on the others.  Returns the roots, the last
+    slopes and the final bracket ends."""
     x, pos, neg = x.copy(), pos.copy(), neg.copy()
     slope = np.empty_like(x)
     act = np.arange(x.size)
@@ -562,7 +572,7 @@ def _bracketed_newton(fun, x: np.ndarray, pos: np.ndarray, neg: np.ndarray):
         act = act[np.abs(step - xa) > _NEWTON_TOL]
         if act.size == 0:
             break
-    return x, slope
+    return x, slope, pos, neg
 
 
 def _laplace_rule(spec: GrowthFunctionSpec, rs: np.ndarray) -> np.ndarray:
@@ -586,7 +596,7 @@ def _laplace_rule(spec: GrowthFunctionSpec, rs: np.ndarray) -> np.ndarray:
         v, d1, d2 = spline(s, 2)
         return v + d1 + lr[k], d1 + d2
 
-    s_star, dq = _bracketed_newton(q, ce.sigma[i], ce.sigma[i - 2], ce.sigma[i + 2])
+    s_star, dq = _bracketed_newton(q, ce.sigma[i], ce.sigma[i - 2], ce.sigma[i + 2])[:2]
     h_star = np.exp(s_star) * (spline(s_star) + lr)
 
     # Window edges, where h falls _H_DROP below the peak: steps out of the

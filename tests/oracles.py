@@ -1,7 +1,9 @@
 """Independent 30-digit references, in mpmath: the Legendre transform, the
 classical Bell numbers and the Mittag-Leffler function.
 
-``log u`` is written out again from each kind's defining formula, and the
+``log u`` is written out again from each kind's defining formula (for the
+Bell series ``u_2``, a sum over exact Bell numbers from the Bell triangle),
+and the
 transform ``log ell(t) = inf_r [log u(r) - t log r]`` is solved by bisection
 on ``f'(s) = t`` for ``f(s) = log u(e^s)``.  ``f`` is convex, so ``f'`` is
 nondecreasing and ``{s : f'(s) < t}`` is a half-line whose end is the
@@ -12,9 +14,12 @@ parameters are read.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import mpmath as mp
 
 from growthcalc.growth import (
+    BELL_SERIES,
     EXPONENTIAL,
     ITERATED_EXP_SQRT,
     KONDRATIEV_STREIT,
@@ -22,6 +27,26 @@ from growthcalc.growth import (
 )
 
 DPS = 30
+
+#: Terms of the Bell-series oracle: they leave a tail below 1e-40 up to
+#: r ~ 1e5, so ``transform`` reaches t ~ 300.
+BELL_TERMS = 1200
+
+
+@lru_cache(maxsize=None)
+def _bell_coeffs() -> tuple[mp.mpf, ...]:
+    """``1 / (B(n) n!)`` for n = 0..BELL_TERMS, from the exact Bell numbers
+    of the Bell triangle (each row starts with the last entry of the row
+    above; every other entry adds its left neighbour and the entry above it)."""
+    row, bell = [1], [1]
+    for _ in range(BELL_TERMS):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+        bell.append(row[0])
+    with mp.workdps(DPS + 10):
+        return tuple(1 / (mp.mpf(b) * mp.factorial(n)) for n, b in enumerate(bell))
 
 
 def _f_and_slope(spec, s):
@@ -39,6 +64,19 @@ def _f_and_slope(spec, s):
             x, dx = (mp.log(x), dx / x) if x > mp.e else (mp.mpf(1), mp.mpf(0))
         f = 2 * mp.sqrt(mp.exp(s) * x)
         return f, f / 2 * (1 + dx / x)
+    if spec.kind == BELL_SERIES and spec.k == 2:
+        # u_2(r) = sum_n r^n / (B(n) n!).  1 / (B(n) n!) is log-concave, so
+        # past the peak the terms' ratios fall and the last ratio bounds the
+        # tail by a geometric series: stop once that bound is below 1e-40.
+        x, power, terms, total = mp.exp(s), mp.mpf(1), [], mp.mpf(0)
+        for c in _bell_coeffs():
+            terms.append(c * power)
+            total += terms[-1]
+            power *= x
+            ratio = terms[-1] / terms[-2] if len(terms) > 1 else 1
+            if ratio < 1 and terms[-1] * ratio / (1 - ratio) < mp.mpf(10) ** -40 * total:
+                return mp.log(total), mp.fsum(n * t for n, t in enumerate(terms)) / total
+        raise AssertionError(f"the {BELL_TERMS}-term Bell oracle does not reach r = {x}")
     if spec.kind == POWER_SERIES:
         terms = [(n, mp.exp(mp.mpf(c) + n * s))
                  for n, c in enumerate(spec.log_coeffs) if c != float("-inf")]
@@ -64,8 +102,8 @@ def transform(spec, t) -> tuple[mp.mpf, mp.mpf]:
         lo, hi = mp.mpf(-1), mp.mpf(1)
         while not below(lo):
             lo *= 2
-        while below(hi):
-            hi *= 2
+        while below(hi):  # unit steps: the Bell oracle reaches s = 11.5 only
+            hi += 1
         while hi - lo > mp.mpf(10) ** (2 - DPS) * max(1, abs(lo)):
             mid = (lo + hi) / 2
             lo, hi = (mid, hi) if below(mid) else (lo, mid)

@@ -398,6 +398,17 @@ def test_cli_fock_one_off(capsys, flags, xis):
     assert len(payload["s_transform_monomials"]) == 7
 
 
+def test_cli_fock_compares_the_norms_in_logs_past_the_double_range(capsys):
+    # At xi = 650 both norms are about e^750: their linear values read inf.
+    spec = {"kind": "kondratiev_streit", "beta": 0.95}
+    code, payload, _ = one_off(capsys, "fock", "--spec", json.dumps(spec), "--xi", 650,
+                               "--n-max", 1200)
+    (row,) = payload["exp_vector_identity"]
+    assert row["dual_norm"] == row["exp_vector_norm"] == "inf"
+    assert 0.0 <= row["rel_err"] <= 1e-12
+    assert code == 0 and payload["status"] == "pass"
+
+
 @pytest.mark.parametrize("flags,args", [((), (0.5, 1.0, 0.1)),
                                         (("--rho", 0.3, "--q", 2, "--c2", 2.0),
                                          (0.3, 2.0, 2.0))])

@@ -576,32 +576,32 @@ def test_spec_pickles_after_its_kernel_is_built():
     assert clone.log_u(2.0) == spec.log_u(2.0)
 
 
-def test_dobinski_table_matches_whole_block_formula():
-    from growthcalc.growth import _bell_peak, _log_bell_dobinski, _log_factorials
+def test_bell_table_matches_exact_bell_numbers_and_the_oracle_at_the_seam():
+    # Rows n <= 256 are Dobinski sums, the rest the trapezoid rule.
+    from growthcalc.growth import _N_BELL2, _log_bell
 
-    n_hi = 5000  # five 1024-row blocks, the last one partial
-    want = np.empty(n_hi + 1)
-    want[0] = 0.0
-    for n0 in range(1, n_hi + 1, 1024):
-        n1 = min(n0 + 1023, n_hi)
-        j_lo_c, j_hi_c = _bell_peak(float(n0)), _bell_peak(float(n1))
-        lo = max(1, int(j_lo_c - 14.0 * (j_lo_c / math.sqrt(n0 + j_lo_c)) - 8.0))
-        hi = int(j_hi_c + 14.0 * (j_hi_c / math.sqrt(n1 + j_hi_c)) + 8.0)
-        j = np.arange(lo, hi + 1, dtype=float)
-        ns = np.arange(n0, n1 + 1, dtype=float)[:, None]
-        ex = ns * np.log(j)[None, :] - _log_factorials(hi)[None, lo:]
-        m = ex.max(axis=1)
-        want[n0 : n1 + 1] = m + np.log(np.exp(ex - m[:, None]).sum(axis=1)) - 1.0
-    assert np.array_equal(_log_bell_dobinski(n_hi), want)
+    table = _log_bell(_N_BELL2)
     exact = bell_numbers(2, 60)
-    assert np.allclose(want[:61], [math.log(b) for b in exact], rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(table[:61], [math.log(b) for b in exact], rtol=1e-15, atol=0.0)
+    for n in range(255, 259):
+        got = float(table[n])
+        assert abs(got - oracles.log_bell(n)) <= 2 * math.ulp(got), n
 
 
-@pytest.mark.parametrize("n", [61, 300, 5000, 40000, 1 << 18])
+@given(st.integers(min_value=257, max_value=1 << 18))
+@settings(max_examples=6, deadline=None)
+def test_bell_table_trapezoid_rows_match_the_oracle_to_two_ulp(n):
+    from growthcalc.growth import _N_BELL2, _log_bell
+
+    got = float(_log_bell(_N_BELL2)[n])
+    assert abs(got - oracles.log_bell(n)) <= 2 * math.ulp(got)
+
+
+@pytest.mark.parametrize("n", [61, 300, 1000, 5000, 40000, 100000, 1 << 18])
 def test_dobinski_table_matches_the_bell_oracle_to_two_ulp(n):
-    from growthcalc.growth import _N_BELL2, _log_bell_dobinski
+    from growthcalc.growth import _N_BELL2, _log_bell
 
-    got = float(_log_bell_dobinski(_N_BELL2)[n])
+    got = float(_log_bell(_N_BELL2)[n])
     assert abs(got - oracles.log_bell(n)) <= 2 * math.ulp(got)
 
 
