@@ -36,7 +36,6 @@ from pathlib import Path
 import numpy as np
 
 from .growth import (
-    GrowthFunctionSpec,
     ParameterError,
     check_conditions,
     mittag_leffler,
@@ -240,11 +239,6 @@ def load_manifest(path: str | Path) -> dict:
 
 
 # -- job runners ---------------------------------------------------------------
-
-
-def emit_legendre_table(spec: GrowthFunctionSpec, n_max: int, path: str | Path) -> None:
-    """Write the transform table for integer t = 0..n_max as deterministic CSV."""
-    legendre_sequence(spec, n_max).write_csv(path)
 
 
 def _within(value: float, expect: float, rel_tol: float) -> bool:

@@ -11,6 +11,12 @@ at least like ``exp(c r^eps)``, so linear-domain evaluation overflows doubles
 long before the ranges of interest.  Series kinds are summed by windowed
 log-sum-exp around the dominant term.
 
+The module also evaluates the Mittag-Leffler function ``E_lam(-t)``, the
+characteristic function of the grey noise measure, by one rule:
+``exp(-t)`` at ``lam = 1``, and a fixed Gauss-Legendre rule on its spectral
+integral for every ``lam < 1``, which the tests hold to 1e-12 of a 30-digit
+quadrature.
+
 All operations are pure and deterministic.  Module-level caches (the
 ``functools.lru_cache`` memoizations, among them the Bell table, and the
 log-factorial table) hold read-only arrays; concurrent callers at worst
@@ -62,21 +68,10 @@ _N_BELL_HIGH = 4096
 #: before truncation error becomes unaccountable.
 _PEAK_FRACTION = 0.92
 
-#: Exact Bell-number computations are quadratic in ``n`` with big integers;
-#: beyond this the log-domain float path must be used instead.
+#: The exact Bell-number recurrence takes about n^2 / 2 big-integer products
+#: per order (n = 1200 at k = 2: about 2.3 s with CPython 3.11 on a 2-vCPU
+#: Xeon); beyond this the log-domain float path must be used instead.
 _BELL_EXACT_CAP = 1200
-
-#: Largest magnitude the alternating Mittag-Leffler series may reach before
-#: the spectral integral takes over.  fsum itself is exactly rounded, but
-#: each term carries an exp(lgamma) rounding of order term * 1e-14; with a
-#: 1e4 cap that noise stays near 1e-10 absolute, keeping the series at least
-#: two digits inside the 1e-8 agreement tolerance wherever it is used.
-_ML_SERIES_TERM_CAP = 1.0e4
-
-#: Largest ratio of the biggest series term to the sum itself: past it the
-#: terms' rounding, not the function, sets the result's relative error (near
-#: lam = 1 and t ~ 10 terms reach thousands while the sum is about 1e-3).
-_ML_SERIES_CANCELLATION = 1.0e4
 
 
 # -- log-space arithmetic -----------------------------------------------------
@@ -146,7 +141,8 @@ def bell_numbers(k: int, n_max: int) -> list[int]:
 
         b_j(n+1) = sum_{i=0..n} C(n, i) * b_{j-1}(i+1) * b_j(n-i)
 
-    starting from ``b_1 ≡ 1``.
+    starting from ``b_1 ≡ 1``, with the binomial row ``C(n, .)`` carried
+    from one ``n`` to the next by Pascal's rule.
     """
     if k < 1:
         raise ParameterError(f"bell_numbers requires k >= 1, got {k}")
@@ -159,11 +155,10 @@ def bell_numbers(k: int, n_max: int) -> list[int]:
         )
     level = [1] * (n_max + 2)
     for _ in range(k - 1):
-        prev, level = level, [1]
-        for n in range(n_max + 1):
-            level.append(
-                sum(math.comb(n, i) * prev[i + 1] * level[n - i] for i in range(n + 1))
-            )
+        prev, level, comb = level, [1], [1]
+        for n in range(n_max + 1):  # comb = C(n, 0..n)
+            level.append(sum(c * p * b for c, p, b in zip(comb, prev[1:], reversed(level))))
+            comb = [1, *(a + b for a, b in zip(comb, comb[1:])), 1]
     return level[: n_max + 1]
 
 
@@ -318,18 +313,11 @@ class GrowthFunctionSpec:
     # -- evaluation-range metadata ----------------------------------------
 
     @property
-    def series_cap(self) -> float:
-        """Largest ``r`` a series-backed kind can evaluate faithfully."""
-        if self.kind == BELL_SERIES:
-            return _series_r_cap(self)
-        return math.inf
-
-    @property
     def faithful_cap(self) -> float:
         """Largest ``r`` at which the stored representation still represents
         the intended function (used to clip condition-check grids)."""
         if self.kind == BELL_SERIES:
-            return self.series_cap
+            return _series_r_cap(self)
         if self.kind == POWER_SERIES:
             return _power_faithful_cap(self)
         return math.inf
@@ -338,7 +326,7 @@ class GrowthFunctionSpec:
     def s_max(self) -> float:
         """Upper bracket bound for minimization in ``s = log r``."""
         if self.kind == BELL_SERIES:
-            return math.log(self.series_cap)
+            return math.log(self.faithful_cap)
         return 700.0
 
     @property
@@ -554,7 +542,7 @@ def _beyond_series(spec: GrowthFunctionSpec, r: float) -> CapacityError:
     top = len(_series_logc(spec)) - 1
     return CapacityError(
         f"r={r:g} lies beyond the faithful range of {spec.function_id} "
-        f"(series stored to n={top}, max safe r ~ {spec.series_cap:.3g})"
+        f"(series stored to n={top}, max safe r ~ {spec.faithful_cap:.3g})"
     )
 
 
@@ -780,13 +768,21 @@ def _power_faithful_cap(spec: GrowthFunctionSpec) -> float:
 
 
 def mittag_leffler(lam: float, t: float) -> float:
-    """``E_lam(-t)`` for ``lam`` in (0, 1] and ``t >= 0``.
+    """``E_lam(-t)`` for ``lam`` in (0, 1] and ``t >= 0``: ``exp(-t)`` at
+    ``lam = 1``, otherwise the spectral integral
 
-    Dispatch: exact exponential at ``lam = 1``; the alternating series with
-    compensated summation while its largest term stays below
-    ``_ML_SERIES_TERM_CAP``; otherwise the spectral-integral representation
-    (see :func:`mittag_leffler_integral`).  The result lies in (0, 1] and is
-    strictly decreasing in ``t``.
+    ``E_lam(-t) = (sin(lam pi) / (lam pi)) *
+    \\int_0^inf exp(-s^{1/lam} t^{1/lam}) / (s^2 + 2 s cos(lam pi) + 1) ds``.
+
+    Completely monotone in ``t`` by construction (the integrand is a mixture
+    of decaying exponentials), so the result lies in (0, 1] and decreases in
+    ``t``.  In ``x = log s`` the integrand decays like ``e^{-|x|}``, drops
+    from 1 to 0 over a knee of width ~``lam`` at ``x = -log t`` and has poles
+    at ``x = ±i pi (1 - lam)``: a fixed 20-point Gauss-Legendre rule on
+    panels graded down to a quarter of each feature's scale is exact to
+    rounding.  The tests hold it to 1e-12 relative of a 30-digit quadrature
+    of the same integral, from ``t = 1e-9`` to ``1e6`` and ``lam = 0.001``
+    to ``0.999``.
     """
     lam, t = float(lam), float(t)
     if not 0.0 < lam <= 1.0:
@@ -797,61 +793,6 @@ def mittag_leffler(lam: float, t: float) -> float:
         return 1.0
     if lam == 1.0:
         return math.exp(-t)
-    s = mittag_leffler_series(lam, t)
-    if s is not None:
-        return s
-    return mittag_leffler_integral(lam, t)
-
-
-def mittag_leffler_series(lam: float, t: float) -> float | None:
-    """Alternating series ``sum (-t)^n / Gamma(1 + lam n)`` via ``math.fsum``.
-
-    Returns ``None`` when any term magnitude would exceed
-    ``_ML_SERIES_TERM_CAP``, or the largest term exceeds
-    ``_ML_SERIES_CANCELLATION`` times the sum — past either point
-    cancellation eats the significand and the spectral integral must be used
-    instead.
-    """
-    if t == 0.0:
-        return 1.0
-    lt = math.log(t)
-    log_cap = math.log(_ML_SERIES_TERM_CAP)
-    terms = []
-    n = 0
-    while True:
-        lv = n * lt - math.lgamma(1.0 + lam * n)
-        if lv > log_cap:
-            return None
-        terms.append(math.exp(lv) if n % 2 == 0 else -math.exp(lv))
-        if lv < -41.0 and n > 0 and lv < (n - 1) * lt - math.lgamma(1.0 + lam * (n - 1)):
-            break
-        n += 1
-        if n > 10_000:  # pragma: no cover - defensive
-            return None
-    total = math.fsum(terms)
-    if max(map(abs, terms)) > _ML_SERIES_CANCELLATION * abs(total):
-        return None
-    return total
-
-
-def mittag_leffler_integral(lam: float, t: float) -> float:
-    """Spectral-integral representation of ``E_lam(-t)`` for ``lam`` in (0, 1).
-
-    ``E_lam(-t) = (sin(lam pi) / (lam pi)) *
-    \\int_0^inf exp(-s^{1/lam} t^{1/lam}) / (s^2 + 2 s cos(lam pi) + 1) ds``.
-
-    Completely monotone in ``t`` by construction (the integrand is a mixture
-    of decaying exponentials).  In ``x = log s`` the integrand decays like
-    ``e^{-|x|}``, drops from 1 to 0 over a knee of width ~``lam`` at
-    ``x = -log t`` and has poles at ``x = ±i pi (1 - lam)``: a fixed 20-point
-    Gauss-Legendre rule on panels graded down to a quarter of each feature's
-    scale is exact to rounding.
-    """
-    lam, t = float(lam), float(t)
-    if not 0.0 < lam < 1.0:
-        raise ParameterError(f"the spectral integral requires lambda in (0, 1), got {lam}")
-    if t == 0.0:
-        return 1.0
     lt = math.log(t)
     # The tails past lo and hi are below e^{-40} of the integral.
     lo, hi = min(-lt, 0.0) - 40.0, min(lam * math.log(800.0) - lt, 40.0)

@@ -276,23 +276,6 @@ class LegendreTable:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(self.csv_text())
 
-    def to_json_dict(self) -> dict:
-        return {
-            "function_id": self.function_id,
-            "t": self.t.tolist(),
-            "log_ell": self.log_ell.tolist(),
-            "r_star": self.r_star.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "LegendreTable":
-        return cls(
-            function_id=d["function_id"],
-            t=np.asarray(d["t"], dtype=float),
-            log_ell=np.asarray(d["log_ell"], dtype=float),
-            r_star=np.asarray(d["r_star"], dtype=float),
-        )
-
 
 def legendre_sequence(spec: GrowthFunctionSpec, n_max: int) -> LegendreTable:
     """Table of ``log ell(n)``, ``r*(n)`` for n = 0..n_max (warm-started sweep)."""

@@ -1,5 +1,6 @@
 """Independent 30-digit references, in mpmath: the Legendre transform, the
-classical Bell numbers and the Mittag-Leffler function.
+L-series ``L_u(r) = sum_n ell(n) r^n``, the classical Bell numbers and the
+Mittag-Leffler function.
 
 ``log u`` is written out again from each kind's defining formula (for the
 Bell series ``u_2``, a sum over exact Bell numbers from the Bell triangle),
@@ -34,10 +35,10 @@ BELL_TERMS = 1200
 
 
 @lru_cache(maxsize=None)
-def _bell_coeffs() -> tuple[mp.mpf, ...]:
-    """``1 / (B(n) n!)`` for n = 0..BELL_TERMS, from the exact Bell numbers
-    of the Bell triangle (each row starts with the last entry of the row
-    above; every other entry adds its left neighbour and the entry above it)."""
+def bell_triangle() -> tuple[int, ...]:
+    """The classical Bell numbers ``B(0..BELL_TERMS)``, exact, from the Bell
+    triangle (each row starts with the last entry of the row above; every
+    other entry adds its left neighbour and the entry above it)."""
     row, bell = [1], [1]
     for _ in range(BELL_TERMS):
         nxt = [row[-1]]
@@ -45,8 +46,14 @@ def _bell_coeffs() -> tuple[mp.mpf, ...]:
             nxt.append(nxt[-1] + v)
         row = nxt
         bell.append(row[0])
+    return tuple(bell)
+
+
+@lru_cache(maxsize=None)
+def _bell_coeffs() -> tuple[mp.mpf, ...]:
+    """``1 / (B(n) n!)`` for n = 0..BELL_TERMS."""
     with mp.workdps(DPS + 10):
-        return tuple(1 / (mp.mpf(b) * mp.factorial(n)) for n, b in enumerate(bell))
+        return tuple(1 / (mp.mpf(b) * mp.factorial(n)) for n, b in enumerate(bell_triangle()))
 
 
 def _f_and_slope(spec, s):
@@ -109,6 +116,42 @@ def transform(spec, t) -> tuple[mp.mpf, mp.mpf]:
             lo, hi = (mid, hi) if below(mid) else (lo, mid)
         s = (lo + hi) / 2
         return _f_and_slope(spec, s)[0] - t * s, mp.exp(s)
+
+
+@lru_cache(maxsize=None)
+def _log_ell(spec, n: int) -> mp.mpf:
+    """``log ell(n)``: closed forms for ks (``(1+beta) n (1 - log n)``) and
+    the exponential (``n (1 - log(n / c))``), ``transform`` otherwise.  Each
+    ``u`` here is increasing from ``u(0) = 1``, so ``ell(0) = inf u = 1``."""
+    with mp.workdps(DPS + 10):
+        if n == 0:
+            return mp.mpf(0)
+        if spec.kind == KONDRATIEV_STREIT:
+            return (1 + mp.mpf(spec.beta)) * n * (1 - mp.log(n))
+        if spec.kind == EXPONENTIAL:
+            return n * (1 - mp.log(n / mp.mpf(spec.c)))
+    return transform(spec, n)[0]
+
+
+def log_l(spec, r) -> mp.mpf:
+    """``log L_u(r) = log sum_n ell(n) r^n`` for ``r > 0`` at ``DPS`` digits.
+    ``log ell`` is concave, so past the peak the terms' ratios fall and the
+    last ratio bounds the tail by a geometric series: the sum stops once that
+    bound is below ``10^-(DPS + 5)`` of it."""
+    with mp.workdps(DPS + 10):
+        lr, total, previous = mp.log(mp.mpf(r)), mp.mpf(0), None
+        for n in range(100_000):
+            term = mp.exp(_log_ell(spec, n) + n * lr)
+            total += term
+            if previous is not None and term < previous:
+                ratio = term / previous
+                if term * ratio / (1 - ratio) < mp.mpf(10) ** -(DPS + 5) * total:
+                    break
+            previous = term
+        else:
+            raise AssertionError(f"the L-series oracle does not converge at r = {r}")
+    with mp.workdps(DPS):
+        return +mp.log(total)
 
 
 def log_bell(n: int) -> mp.mpf:

@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from growthcalc import (
     ChaosSequence,
     HypothesisViolationError,
@@ -34,8 +35,6 @@ from growthcalc import (
     legendre_sequence,
     legendre_transform,
     mittag_leffler,
-    mittag_leffler_integral,
-    mittag_leffler_series,
     poisson_growth_integrand,
     poisson_integrability,
     poisson_sqrtlog_integrand,
@@ -197,23 +196,17 @@ def test_criterion_07_mittag_leffler():
         / (math.exp(t * t) * math.erfc(float(t)))
         for t in np.linspace(0.0, 5.0, 201)
     )
-    worst_overlap = 0.0
-    n_overlap = 0
-    for lam in (0.4, 0.6, 0.8):
-        for t in (0.5, 1.0, 2.0):
-            series = mittag_leffler_series(lam, t)
-            if series is None:
-                continue
-            n_overlap += 1
-            integral = mittag_leffler_integral(lam, t)
-            worst_overlap = max(worst_overlap, abs(integral - series) / series)
+    worst_oracle = max(
+        abs(mittag_leffler(lam, t) / float(oracles.mittag_leffler(lam, t)) - 1.0)
+        for lam in (0.4, 0.6, 0.8)
+        for t in (0.5, 1.0, 2.0)
+    )
     _criterion(
         7,
-        "Mittag-Leffler: classical limit 1e-10, erfc form 1e-8, overlap 1e-8",
-        worst_classical <= 1e-10 and worst_half <= 1e-8
-        and worst_overlap <= 1e-8 and n_overlap >= 6,
+        "Mittag-Leffler: classical limit 1e-10, erfc form 1e-8, 30-digit oracle 1e-12",
+        worst_classical <= 1e-10 and worst_half <= 1e-8 and worst_oracle <= 1e-12,
         f"classical {worst_classical:.2e}, erfc {worst_half:.2e}, "
-        f"overlap {worst_overlap:.2e} over {n_overlap} points",
+        f"oracle {worst_oracle:.2e} over 9 points",
     )
 
 

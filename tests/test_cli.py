@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import growthcalc
-from growthcalc import ACCEPTANCE_MANIFEST, ManifestError, emit_legendre_table, run
-from growthcalc import kondratiev_streit
+from growthcalc import ACCEPTANCE_MANIFEST, ManifestError, run
+from growthcalc import kondratiev_streit, legendre_sequence
 from growthcalc.cli import (
     _jsonable,
     _resolve_suite_manifest,
@@ -142,7 +142,7 @@ def test_jsonable_handles_non_finite_and_numpy():
 
 def test_emit_legendre_table(tmp_path):
     path = tmp_path / "tab.csv"
-    emit_legendre_table(kondratiev_streit(0.0), 3, path)
+    legendre_sequence(kondratiev_streit(0.0), 3).write_csv(path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "t,log_ell,r_star"
     assert len(lines) == 5
@@ -151,7 +151,7 @@ def test_emit_legendre_table(tmp_path):
     assert row2[1] == pytest.approx(2.0 * (1.0 - math.log(2.0)), rel=1e-12)
     # byte-for-byte determinism
     again = tmp_path / "tab2.csv"
-    emit_legendre_table(kondratiev_streit(0.0), 3, again)
+    legendre_sequence(kondratiev_streit(0.0), 3).write_csv(again)
     assert path.read_bytes() == again.read_bytes()
 
 
@@ -336,6 +336,24 @@ def test_cli_suite_with_custom_config(tmp_path):
     proc = run_cli("suite", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert "1 job" in proc.stdout or "pass" in proc.stdout
+
+
+def test_suite_matches_the_benchmark_reference(tmp_path, capsys):
+    # The benchmark's correctness gate, in process: every artifact of the
+    # shipped manifest within perfbench's tolerance of its stored reference.
+    import hashlib
+    import importlib.util
+
+    bench = REPO_ROOT / "perfbench"
+    loader = importlib.util.spec_from_file_location("perfbench_compare", bench / "compare.py")
+    compare = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(compare)
+    reference = json.loads((bench / "reference" / "suite.json").read_text())
+    assert hashlib.sha256(ACCEPTANCE_MANIFEST.read_bytes()).hexdigest() == \
+        reference["manifest_sha256"]
+    out = tmp_path / "out"
+    assert growthcalc.cli.main(["suite", "--out", str(out)]) == 0, capsys.readouterr().err
+    assert compare.failed_jobs(compare.read_artifacts(str(out)), reference["files"]) == {}
 
 
 # ---------------------------------------------------------------------------

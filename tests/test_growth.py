@@ -33,8 +33,6 @@ from growthcalc import (
     kondratiev_streit,
     log_u_grid,
     mittag_leffler,
-    mittag_leffler_integral,
-    mittag_leffler_series,
     power_series,
     refine_grid,
     spec_from_dict,
@@ -95,19 +93,6 @@ def test_iterated_log_rejects_negative_depth():
 # ---------------------------------------------------------------------------
 
 
-def bell_triangle(n_max: int) -> list[int]:
-    """Classical Bell numbers via the Bell-triangle recurrence."""
-    row = [1]
-    out = [1]
-    for _ in range(n_max):
-        new = [row[-1]]
-        for value in row:
-            new.append(new[-1] + value)
-        out.append(new[0])
-        row = new
-    return out
-
-
 def egf_iterated_exponential(k: int, n_max: int) -> list[int]:
     """n! [r^n] exp_k(r) by exact power-series composition with rationals."""
     # exp of a series with zero constant term, truncated at n_max
@@ -138,8 +123,15 @@ def test_bell_order_one_is_constant():
 
 
 def test_bell_order_two_matches_bell_triangle():
-    assert bell_numbers(2, 20) == bell_triangle(20)
+    assert bell_numbers(2, 20) == list(oracles.bell_triangle()[:21])
     assert bell_numbers(2, 6) == [1, 1, 2, 5, 15, 52, 203]
+
+
+def test_bell_order_two_matches_bell_triangle_up_to_the_exact_cap():
+    from growthcalc.growth import _BELL_EXACT_CAP
+
+    assert oracles.BELL_TERMS == _BELL_EXACT_CAP
+    assert bell_numbers(2, _BELL_EXACT_CAP) == list(oracles.bell_triangle())
 
 
 def test_bell_order_three_matches_exact_composition():
@@ -222,7 +214,7 @@ def test_bell_series_log_domain_matches_direct_sum():
 
 def test_bell_series_capacity_guard():
     u2 = bell_series(2)
-    assert u2.series_cap > 1e9
+    assert u2.faithful_cap > 1e9
     with pytest.raises(CapacityError):
         u2.log_u(1e10)
 
@@ -426,21 +418,11 @@ def test_mittag_leffler_half_vs_erfc():
         assert mittag_leffler(0.5, float(t)) == pytest.approx(oracle, rel=1e-8)
 
 
-def test_mittag_leffler_series_integral_overlap():
-    for lam in (0.4, 0.6, 0.8):
-        for t in (0.5, 1.0, 2.0):
-            series = mittag_leffler_series(lam, t)
-            assert series is not None
-            assert mittag_leffler_integral(lam, t) == pytest.approx(
-                series, rel=1e-8
-            )
-
-
 def test_mittag_leffler_series_gives_up_when_terms_blow_up():
-    assert mittag_leffler_series(0.5, 30.0) is None
-    # the public entry point falls back to the integral and stays in (0, 1]
-    value = mittag_leffler(0.5, 30.0)
-    assert 0.0 < value < 0.1
+    # The power series' terms reach 1e137 at t = 30 and cancel to 0.0188;
+    # the spectral integral has no such limit.
+    assert mittag_leffler(0.5, 30.0) == pytest.approx(
+        float(oracles.mittag_leffler(0.5, 30.0)), rel=1e-12, abs=0.0)
 
 
 # E_lam(-t) from the same spectral integral, evaluated by mpmath.quad at 30
@@ -454,7 +436,6 @@ def test_mittag_leffler_series_gives_up_when_terms_blow_up():
     (0.1, 1000.0, 0.00093492055360589074),
 ])
 def test_mittag_leffler_small_lambda_vs_high_precision_oracle(lam, t, oracle):
-    assert mittag_leffler_integral(lam, t) == pytest.approx(oracle, rel=1e-8)
     assert mittag_leffler(lam, t) == pytest.approx(oracle, rel=1e-8)
 
 
@@ -539,7 +520,7 @@ KERNEL_SPECS = [
 @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: s.function_id)
 def test_kernel_matches_reference_formula_bit_for_bit(spec):
     rng = np.random.default_rng(11)
-    top = min(0.95 * spec.series_cap, 1e12)
+    top = min(0.95 * math.exp(spec.s_max), 1e12)  # inside every kernel's range
     rs = [0.0, 1e-300, 0.5, 1.0, math.e, math.e**math.e, *np.exp(
         rng.uniform(-30.0, math.log(top), 400)).tolist()]
     want = [_reference_log_u(spec, r) for r in rs]
@@ -559,7 +540,7 @@ def test_log_u_grid_equals_scalar_log_u_for_every_kind():
 
 def test_kernel_keeps_the_capacity_error_past_the_series_cap():
     u2 = bell_series(2)
-    r = 1.5 * u2.series_cap
+    r = 1.5 * u2.faithful_cap
     with pytest.raises(CapacityError, match="beyond the faithful range of u2") as err:
         u2.kernel(r)
     with pytest.raises(CapacityError, match=re.escape(str(err.value))):
@@ -663,17 +644,24 @@ def test_exponential_rate_must_be_finite():
     (0.95, 10.0, 0.006507135312256063),
 ])
 def test_mittag_leffler_near_one_vs_exact_series(lam, t, oracle):
-    # The float series cancels terms near 3e3 down to a sum near 1e-3; the
-    # spectral integral takes over there.
-    assert mittag_leffler_series(lam, t) is None
+    # The power series cancels terms near 3e3 down to a sum near 1e-3.
     assert mittag_leffler(lam, t) == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("lam", [0.001, 0.1, 0.5, 0.9, 0.99, 0.999])
-@pytest.mark.parametrize("t", [0.01, 1.0, 30.0, 1e3, 1e6])
+@pytest.mark.parametrize("t", [1e-9, 1e-4, 0.01, 1.0, 30.0, 1e3, 1e6])
 def test_mittag_leffler_integral_vs_the_spectral_oracle(lam, t):
-    assert mittag_leffler_integral(lam, t) == pytest.approx(
+    assert mittag_leffler(lam, t) == pytest.approx(
         float(oracles.mittag_leffler(lam, t)), rel=1e-12, abs=0.0)
+
+
+# Summed in doubles, the power series is 1.1e-10, 8.9e-12 and 8.2e-12 off
+# (relative) at these points: each term carries an exp(lgamma) rounding of
+# its own size, and the largest term is 3e3 to 8e3 times the sum.
+@pytest.mark.parametrize("lam,t", [(0.21, 1.62), (0.6, 3.5), (0.75, 4.6)])
+def test_mittag_leffler_vs_the_oracle_where_the_power_series_loses_digits(lam, t):
+    assert mittag_leffler(lam, t) == pytest.approx(
+        float(oracles.mittag_leffler(lam, t)), rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +767,7 @@ def test_bell_s_kernel_widens_its_window_as_the_scalar_kernel_does(monkeypatch):
 
 def test_s_kernel_keeps_the_capacity_error_past_the_series_cap():
     u2 = bell_series(2)
-    s = np.array([0.0, math.log(1.5 * u2.series_cap)])
+    s = np.array([0.0, math.log(1.5 * u2.faithful_cap)])
     with pytest.raises(CapacityError, match="beyond the faithful range of u2"):
         u2.s_kernel(s)
 
