@@ -884,8 +884,8 @@ def check_conditions(
     r_grid = np.unique(np.asarray(r_grid, dtype=float))
     if r_grid.size == 0:
         raise ParameterError("check_conditions requires a nonempty grid")
-    if np.isnan(r_grid).any() or r_grid[0] < 0.0:
-        raise ParameterError("condition grids must consist of radii r >= 0")
+    if not (r_grid[0] >= 0.0 and r_grid[-1] < math.inf):  # np.unique puts NaN last
+        raise ParameterError("condition grids must consist of finite radii r >= 0")
     cap = spec.faithful_cap
     clipped = bool(cap < math.inf and r_grid[-1] > cap)
     if clipped:

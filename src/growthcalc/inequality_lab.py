@@ -109,8 +109,8 @@ def _prepare_r_grid(
     """Default (or user) radii, clipped so every derived argument stays inside
     the function's faithful range and the wide L-evaluation range."""
     grid = default_r_grid() if r_grid is None else np.unique(np.asarray(r_grid, float))
-    if grid.size == 0 or grid[0] < 0.0:
-        raise ParameterError("r grids must be nonempty with r >= 0")
+    if grid.size == 0 or not (grid[0] >= 0.0 and grid[-1] < math.inf):
+        raise ParameterError("r grids must be nonempty, of finite radii r >= 0")
     top = math.inf
     cap = spec.faithful_cap
     if cap < math.inf and u_mul > 0.0:

@@ -16,17 +16,19 @@ reconstructs ``u``; its supremum sits at the slope ``t = d log u / d log r``,
 so it needs no search over ``t``.
 
 Tables carry ``log ell`` and the minimizer ``r*``; every value is log-domain.
-Evaluation of ``L_u`` far beyond any storable table (the verification grids
-reach arguments ~1e9) switches from the truncated-series rule to a
-Laplace/quadrature evaluation driven by a cached cubic Hermite spline of
-``log ell(e^sigma) / e^sigma``.  The L functions take one radius or an array
-of radii; an array is evaluated a block of radii at a time, with the same
-arithmetic per radius as a lone call.
+The table rule sums every stored term of ``L_u`` and accepts the sum when a
+geometric bound on the terms past the table end is small against it.  Far
+beyond any storable table (the verification grids reach arguments ~1e9)
+evaluation switches to a Laplace/quadrature rule driven by a cached cubic
+Hermite spline of ``log ell(e^sigma) / e^sigma``.  The L functions take one
+radius or an array of radii; an array is evaluated a block of radii at a
+time, with the same arithmetic per radius as a lone call.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,7 +56,7 @@ class CapTooSmallError(RuntimeError):
 
 
 class InsufficientTableError(RuntimeError):
-    """The truncation rule did not trigger within the stored table."""
+    """The stored table does not bound the L-series tail at a radius."""
 
     def __init__(self, message: str, last_ratio: float, n_max: int):
         super().__init__(message)
@@ -64,7 +66,6 @@ class InsufficientTableError(RuntimeError):
 
 _S_FLOOR = -745.0
 _PROBE = 1e-3
-_LN2 = math.log(2.0)
 
 #: L-series arguments the wide evaluator is built to reach.
 _R_WIDE = 2.0e9
@@ -72,8 +73,8 @@ _R_WIDE = 2.0e9
 _H_DROP = 70.0
 #: Radii evaluated together; bounds the (radii x table length) temporaries.
 _BLOCK = 64
-#: The table rule stops once its geometric tail bound is below this share of
-#: the partial sum.
+#: The table rule accepts its sum once the geometric bound on the terms past
+#: the table end is at most this share of it.
 _L_REL_TOL = 1e-12
 #: Step size at which a bracketed Newton iteration counts as converged, and
 #: its iteration cap (enough for pure bisection down to that step).
@@ -279,8 +280,8 @@ class LegendreTable:
 
 def legendre_sequence(spec: GrowthFunctionSpec, n_max: int) -> LegendreTable:
     """Table of ``log ell(n)``, ``r*(n)`` for n = 0..n_max (warm-started sweep)."""
-    if n_max < 0:
-        raise ParameterError(f"legendre_sequence requires n_max >= 0, got {n_max}")
+    if not (isinstance(n_max, numbers.Integral) and n_max >= 0):
+        raise ParameterError(f"legendre_sequence requires an integer n_max >= 0, got {n_max!r}")
     return legendre_table(spec, np.arange(n_max + 1, dtype=float))
 
 
@@ -351,100 +352,50 @@ def _blockwise(rule, rs: np.ndarray):
     return float(out[0]) if rs.ndim == 0 else out.reshape(rs.shape)
 
 
-def _stopped_sums(
-    lt: np.ndarray, d: np.ndarray, m: np.ndarray, start: np.ndarray, log_tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated sums of the log terms ``lt`` (a leading run of each row's
-    columns, with the log ratios ``d`` between them and the row maxima
-    ``m``): per row, the log partial sum at the first term from ``start`` on
-    where the log tail bound is at most ``log_tol`` plus that sum (NaN where
-    no term is), and the log ratio of bound to sum at the last column."""
-    cols = lt.shape[1]
-    past_cut = np.arange(cols) >= start[:, None]
-    # Geometric tail bound from term k on, with rho = ratio k -> k+1 (the
-    # last stored ratio, capped at 1/2, at the table end).
-    log_rho = np.empty_like(lt)
-    log_rho[:, : d.shape[1]] = np.minimum(d, -1e-12)
-    if cols > d.shape[1]:
-        log_rho[:, -1] = np.minimum(d[:, -1], -_LN2)
-    tail = lt + log_rho - np.log1p(-np.exp(log_rho))
-    partial = m + np.log(
-        np.cumsum(np.exp(lt - m), axis=1),
-        out=np.full_like(lt, -np.inf),
-        where=past_cut,
-    )
-    stop = past_cut & (tail <= log_tol + partial)
-    done = stop.any(axis=1)
-    sums = np.full(lt.shape[0], np.nan)
-    sums[done] = partial[done, stop[done].argmax(axis=1)]
-    return sums, tail[:, -1] - partial[:, -1]
-
-
 def _table_rule(
     table: LegendreTable, rs: np.ndarray
 ) -> tuple[np.ndarray, InsufficientTableError | None]:
-    """The truncation rule on a block of radii: the values (NaN where the
-    rule cannot finish inside the table) and the error of the first such
+    """The table rule on a block of radii: the log-sum-exp of every stored
+    term, NaN where the geometric bound on the terms past the table end is
+    not at most ``_L_REL_TOL`` of it, and the error of the first such
     radius, or ``None``."""
     le = table.log_ell
     N = le.size - 1
     zero = rs == 0.0
-    lt = le + np.log(np.where(zero, 1.0, rs))[:, None] * table.t
-    d = np.diff(lt, axis=1)
-    small = d < -_LN2
-    # hit[:, j]: the five ratios from term j on are all below 1/2.
-    hit = np.ones((rs.size, max(N - 4, 0)), dtype=bool)
-    for j in range(5):
-        hit &= small[:, j : j + hit.shape[1]]
-    rows = np.flatnonzero(hit.any(axis=1) & ~zero)
-    vals = np.full(rs.size, np.nan)
+    lt = np.multiply.outer(np.log(np.where(zero, 1.0, rs)), table.t)
+    lt += le
+    # log ell is concave, so no ratio past the table end exceeds the last one.
+    log_last = lt[:, -1] - lt[:, -2]
+    log_rho = np.minimum(log_last, -1e-12)
+    tail = lt[:, -1] + log_rho - np.log1p(-np.exp(log_rho))
+    m = lt.max(axis=1)
+    lt -= m[:, None]  # in place: the block's terms are its largest array
+    vals = m + np.log(np.exp(lt, out=lt).sum(axis=1))
+    failed = ~(tail <= math.log(_L_REL_TOL) + vals) & ~zero  # a NaN bound fails
     vals[zero] = le[0]
-    excess = np.full(rs.size, np.nan)  # log(tail bound / sum) at the table end
-    if rows.size:
-        start = hit[rows].argmax(axis=1) + 5
-        m = lt[rows].max(axis=1, keepdims=True)
-        log_tol = math.log(_L_REL_TOL)
-        # Past ``start`` each term is below half the one before (the table is
-        # log-concave), so the tail bound falls under _L_REL_TOL within
-        # log2(1/_L_REL_TOL) terms: sum only that far, then retry at full
-        # width the rows that did not stop.
-        width = int(start.max()) + math.ceil(-math.log2(_L_REL_TOL)) + 1
-        if width <= N:
-            vals[rows] = _stopped_sums(lt[rows, :width], d[rows, :width], m, start,
-                                       log_tol)[0]
-            retry = np.isnan(vals[rows])
-            rows, m, start = rows[retry], m[retry], start[retry]
-        if rows.size:
-            vals[rows], excess[rows] = _stopped_sums(lt[rows], d[rows], m, start,
-                                                     log_tol)
-    failed = np.isnan(vals)
+    vals[failed] = np.nan
     if not failed.any():
         return vals, None
     j = int(failed.argmax())
-    last = math.exp(d[j, -1])
-    if np.isnan(excess[j]):
-        msg = (f"truncation rule did not trigger by n={N} at r={rs[j]:g} "
-               f"(last term ratio {last:.3g})")
-    else:
-        msg = (f"tail bound still {math.exp(excess[j]):.3g} of the sum at the "
-               f"table end (n={N}, r={rs[j]:g})")
+    with np.errstate(over="ignore"):
+        last = float(np.exp(log_last[j]))
+    msg = (f"the terms past n={N} are not bounded by {_L_REL_TOL:g} of the sum "
+           f"at r={rs[j]:g} (last term ratio {last:.3g})")
     return vals, InsufficientTableError(msg, last_ratio=last, n_max=N)
 
 
 def l_function(evaluator: LFunctionEvaluator, r):
-    """``log L_u(r)`` by the ratio-based truncation rule.
+    """``log L_u(r)`` by the table rule.
 
     ``r`` is a radius or an array of radii; a scalar gives a float, an array
-    an array of its shape.  The series is cut at the first index from which
-    the term ratio stays below 1/2 for five consecutive steps, then extended
-    until the geometric tail bound drops below ``_L_REL_TOL`` times the partial
-    sum.  (Once ratios fall below 1/2 they stay there: ``ell`` is
-    log-concave, so term ratios are monotone in ``n``.)  The returned value
-    excludes the bounded tail.
+    an array of its shape.  The value is the sum of every stored term
+    ``ell_u(n) r^n``, taken in the log domain.  It is accepted when the
+    terms past the table end are at most ``_L_REL_TOL`` of it, by the
+    geometric bound with the last stored term ratio: ``log ell`` is concave,
+    so no later ratio is larger.  The returned value excludes that tail.
 
-    Raises :class:`InsufficientTableError` (with the last observed ratio of
-    the first radius that fails) when the rule cannot trigger inside the
-    stored table.
+    Raises :class:`InsufficientTableError` (with the last term ratio of the
+    first radius that fails) when the bound does not hold.
     """
     rs = _radii(r, "l_function")
 
@@ -648,7 +599,7 @@ def l_function_integral(spec: GrowthFunctionSpec, r):
 
 
 def l_function_wide(evaluator: LFunctionEvaluator, r):
-    """``log L_u(r)``: table rule where it triggers, Laplace integral beyond.
+    """``log L_u(r)``: table rule where it holds, Laplace integral beyond.
 
     ``r`` is a radius or an array of radii; a scalar gives a float, an array
     an array of its shape.
@@ -680,7 +631,7 @@ def bidual(spec: GrowthFunctionSpec, r: float, t_cap: float = 4.0e6) -> float:
     r = float(r)
     if not 0.0 <= r < math.inf:
         raise ParameterError(f"bidual requires finite r >= 0, got {r}")
-    if t_cap <= 0.0:
+    if not t_cap > 0.0:
         raise ParameterError("t_cap must be positive")
     h0 = legendre_transform(spec, 0.0)[0]
     if r == 0.0:

@@ -71,8 +71,12 @@ class MeasureSurrogate:
                 raise ParameterError(f"{self.kind} field {name!r} must be "
                                      f"{'an integer' if whole else 'a number'}, got {v!r}")
         _MEASURE_TABLE[self.kind].validate(self)
-        if self.w < 0.0:
-            raise ParameterError(f"the weight w must be >= 0, got {self.w}")
+        _check_weight(self.w)
+
+
+def _check_weight(w: float) -> None:
+    if not 0.0 <= w < math.inf:
+        raise ParameterError(f"the weight w must be finite and >= 0, got {w}")
 
 
 def gaussian_product(rho: float = 0.5, q: int = 1) -> MeasureSurrogate:
@@ -112,10 +116,10 @@ def fernique_product(
     """
     if not 0.0 < rho < 1.0:
         raise ParameterError(f"rho must lie in (0, 1), got {rho}")
-    if q < 0.0:
-        raise ParameterError(f"q must be >= 0, got {q}")
-    if c2 < 0.0:
-        raise ParameterError(f"c2 must be >= 0, got {c2}")
+    if not 0.0 <= q < math.inf:
+        raise ParameterError(f"q must be finite and >= 0, got {q}")
+    if not 0.0 <= c2 < math.inf:
+        raise ParameterError(f"c2 must be finite and >= 0, got {c2}")
     if not tail_tol > 0.0:
         raise ParameterError("tail_tol must be positive")
     if c2 == 0.0:
@@ -165,8 +169,7 @@ class PoissonResult:
 
 def poisson_sqrtlog_integrand(w: float = 1.0) -> Callable[[int], float]:
     """``log g(k)`` for ``g(k) = exp(sqrt(w) k sqrt(log_1(sqrt(w) k)))``."""
-    if w < 0.0:
-        raise ParameterError(f"w must be >= 0, got {w}")
+    _check_weight(w)
     s = math.sqrt(w)
 
     def log_g(k: int) -> float:
@@ -178,8 +181,7 @@ def poisson_sqrtlog_integrand(w: float = 1.0) -> Callable[[int], float]:
 
 def poisson_growth_integrand(spec: GrowthFunctionSpec, w: float = 1.0) -> Callable[[int], float]:
     """``log g(k)`` for ``g(k) = u(w k^2)^{1/2}``."""
-    if w < 0.0:
-        raise ParameterError(f"w must be >= 0, got {w}")
+    _check_weight(w)
 
     def log_g(k: int) -> float:
         return 0.5 * spec.log_u(w * float(k) * float(k))
@@ -200,8 +202,8 @@ def poisson_integrability(
     Convergence stops once a geometric bound on the remaining tail drops
     below ``_POISSON_TAIL_TOL`` relative to the partial sum.
     """
-    if not theta > 0.0:
-        raise ParameterError(f"theta must be positive, got {theta}")
+    if not 0.0 < theta < math.inf:
+        raise ParameterError(f"theta must be finite and positive, got {theta}")
     log_theta = math.log(theta)
     k_mode = max(theta, 30.0)
     partial = -math.inf
@@ -297,8 +299,7 @@ def grey_integrability(
     """
     if not 0.0 < lam <= 1.0:
         raise ParameterError(f"lambda must lie in (0, 1], got {lam}")
-    if not 0.0 <= w < math.inf:
-        raise ParameterError(f"w must be finite and >= 0, got {w}")
+    _check_weight(w)
     x = grey_sample(lam, n, seed)
     expo = 1.0 / (2.0 - lam)
     le = 0.5 * (2.0 - lam) * (w * x * x) ** expo
@@ -384,8 +385,8 @@ def _check_gaussian(surrogate: MeasureSurrogate) -> None:
 
 
 def _check_poisson(surrogate: MeasureSurrogate) -> None:
-    if not surrogate.theta > 0.0:
-        raise ParameterError(f"theta must be positive, got {surrogate.theta}")
+    if not 0.0 < surrogate.theta < math.inf:
+        raise ParameterError(f"theta must be finite and positive, got {surrogate.theta}")
 
 
 def _check_grey(surrogate: MeasureSurrogate) -> None:

@@ -338,22 +338,43 @@ def test_cli_suite_with_custom_config(tmp_path):
     assert "1 job" in proc.stdout or "pass" in proc.stdout
 
 
+def _perfbench_module(name):
+    """``perfbench/<name>.py``, loaded read-only as a module."""
+    import importlib.util
+
+    loader = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", REPO_ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module
+
+
 def test_suite_matches_the_benchmark_reference(tmp_path, capsys):
     # The benchmark's correctness gate, in process: every artifact of the
     # shipped manifest within perfbench's tolerance of its stored reference.
     import hashlib
-    import importlib.util
 
     bench = REPO_ROOT / "perfbench"
-    loader = importlib.util.spec_from_file_location("perfbench_compare", bench / "compare.py")
-    compare = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(compare)
+    compare = _perfbench_module("compare")
     reference = json.loads((bench / "reference" / "suite.json").read_text())
     assert hashlib.sha256(ACCEPTANCE_MANIFEST.read_bytes()).hexdigest() == \
         reference["manifest_sha256"]
     out = tmp_path / "out"
     assert growthcalc.cli.main(["suite", "--out", str(out)]) == 0, capsys.readouterr().err
     assert compare.failed_jobs(compare.read_artifacts(str(out)), reference["files"]) == {}
+
+
+def test_lseries_queries_match_the_benchmark_reference():
+    # The lseries-query workload's gate: every kind on the whole radius grid
+    # within the benchmark's tolerance of its stored log L.
+    worker = _perfbench_module("worker")
+    reference = json.loads((REPO_ROOT / "perfbench" / "reference" / "lseries.json").read_text())
+    grid = np.array(worker.lseries_grid())
+    for kind, spec in worker.lseries_specs(growthcalc).items():
+        got = growthcalc.l_function_wide(growthcalc.LFunctionEvaluator.from_spec(spec), grid)
+        want = np.array(reference["log_l"][kind])
+        bad = np.abs(got - want) > worker.REL_TOL * np.maximum(1.0, np.abs(want))
+        assert not bad.any(), (kind, grid[bad][:3], got[bad][:3], want[bad][:3])
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +532,8 @@ def test_cli_one_off_names_the_missing_field(capsys, args, field):
     ({"kind": "poisson", "theta": True}, "field 'theta' must be a number, got True"),
     ({"kind": "grey", "lam": 0.5, "n": 1000.0}, "field 'n' must be an integer, got 1000.0"),
     ({"kind": "grey", "lam": 0.5, "seed": "7"}, "field 'seed' must be an integer, got '7'"),
+    ({"kind": "poisson", "theta": math.inf}, "theta must be finite and positive, got inf"),
+    ({"kind": "poisson", "w": math.nan}, "w must be finite and >= 0, got nan"),
 ])
 def test_validate_manifest_builds_each_hida_measure(measure, fragment):
     m = manifest([{"id": "h", "kind": "measures", "op": "hida", "function": "ks0",

@@ -26,6 +26,7 @@ from growthcalc import (
     l_function,
     legendre_sequence,
     legendre_table,
+    log_dual_norm,
     log_test_norm,
     pairing_bound,
     s_transform_1d,
@@ -157,6 +158,14 @@ def test_exp_vector_norm_identity(evaluators):
     for xi in (0.5, 1.0, 2.0):
         direct = dual_norm(ChaosSequence.exponential_vector(xi, 200), tab)
         assert exp_vector_norm(xi, ev) == pytest.approx(direct, rel=1e-10)
+
+
+def test_exp_vector_dual_norm_is_half_the_l_series_on_one_table():
+    # both sides sum the same 201 terms, so they agree to rounding
+    ev = LFunctionEvaluator.from_spec(kondratiev_streit(0.0), n_max=200)
+    for xi in (0.5, 1.0, 2.0):
+        log_norm = log_dual_norm(ChaosSequence.exponential_vector(xi, 200), ev.table)
+        assert log_norm == pytest.approx(0.5 * l_function(ev, xi**2), rel=1e-15, abs=0.0)
 
 
 def test_exp_vector_norm_is_inf_past_the_double_range():

@@ -299,6 +299,12 @@ def test_u1_implies_u0():
             assert report.status("U0") == "pass", spec.label
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_condition_grids_with_a_non_finite_radius_are_rejected(bad):
+    with pytest.raises(ParameterError, match="finite radii r >= 0"):
+        check_conditions(kondratiev_streit(0.0), np.array([0.0, 1.0, bad]))
+
+
 def test_condition_report_json_shape():
     report = check_conditions(kondratiev_streit(0.0))
     d = report.to_json_dict()

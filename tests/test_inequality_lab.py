@@ -289,6 +289,15 @@ def test_corrupt_table_validation(tables60):
     assert bad is not tab
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_r_grids_with_a_non_finite_radius_are_rejected(evaluators, bad):
+    from growthcalc.inequality_lab import check_lemma_square
+
+    grid = np.append(np.geomspace(1e-3, 1e3, 20), bad)
+    with pytest.raises(ParameterError, match="finite radii"):
+        check_lemma_square(evaluators["ks0"], r_grid=grid)
+
+
 def test_audit_tolerance_is_adjustable(tables60):
     spec = kondratiev_streit(0.0)
     bad = corrupt_table(tables60["ks0"], 17, 1.01, "ell")

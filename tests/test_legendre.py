@@ -285,13 +285,13 @@ def test_wide_range_matches_saddle_point(evaluators):
 
 
 def test_wide_range_dispatch_beyond_table(evaluators):
-    # at r = 900 the 1200-term truncation rule cannot trigger for beta = 0,
-    # so the wide evaluator must switch to the integral transparently
+    # the 1200-term table bounds its tail only up to r ~ 973 for beta = 0, so
+    # at r = 1000 the wide evaluator must switch to the integral transparently
     ev = evaluators["ks0"]
     with pytest.raises(InsufficientTableError):
-        l_function(ev, 900.0)
-    assert l_function_wide(ev, 900.0) == pytest.approx(
-        l_function_integral(kondratiev_streit(0.0), 900.0), rel=1e-12
+        l_function(ev, 1000.0)
+    assert l_function_wide(ev, 1000.0) == pytest.approx(
+        l_function_integral(kondratiev_streit(0.0), 1000.0), rel=1e-12
     )
 
 
@@ -413,6 +413,13 @@ def test_insufficient_table_error_names_the_first_failing_radius():
     assert exc.value.n_max == 40
 
 
+def test_insufficient_table_error_holds_a_last_ratio_past_the_double_range():
+    ev = LFunctionEvaluator.from_spec(exponential(1e6), n_max=50)
+    with pytest.raises(InsufficientTableError) as exc:
+        l_function(ev, 1e308)
+    assert exc.value.last_ratio == math.inf
+
+
 @pytest.mark.parametrize("bad,what", [
     (1e10, "beyond the wide-evaluation range"),
     (1e-9, "below the wide-evaluation range"),
@@ -493,6 +500,17 @@ def test_bidual_error_texts(u2):
                 bidual(spec, r)
     with pytest.raises(ParameterError, match="t_cap must be positive"):
         bidual(u2, 1.0, t_cap=0.0)
+
+
+def test_bidual_rejects_a_nan_t_cap():
+    with pytest.raises(ParameterError, match="t_cap must be positive"):
+        bidual(kondratiev_streit(0.0), 2.0, t_cap=math.nan)
+
+
+@pytest.mark.parametrize("n_max", [2.5, -1])
+def test_legendre_sequence_needs_a_whole_n_max(n_max):
+    with pytest.raises(ParameterError, match="integer n_max >= 0"):
+        legendre_sequence(kondratiev_streit(0.0), n_max)
 
 
 def test_bidual_solves_the_grid_infimum_once_per_spec(monkeypatch):
@@ -613,18 +631,16 @@ def test_pinned_transform_bidual_and_grid_values(name):
     assert log_u_grid(spec, np.array([0.0, 0.3, 7.0, 1e5])).tolist() == grid_want
 
 
-def test_table_rule_sums_past_its_window_when_ratios_rise_again():
-    # Terms fall by e^-1 up to n = 20, then only by e^-0.05: at r = 1 the
-    # rule triggers at once but stops only near n = 223, far past the 46
-    # terms a log-concave table would need; at r = 0.5 it stops early.
+def test_table_rule_sums_the_whole_table_when_ratios_rise_again():
+    # Terms fall by e^-1 up to n = 20, then only by e^-0.05: the sum needs
+    # terms far past the 46 a table with falling ratios would need.
     n = np.arange(401, dtype=float)
     log_ell = np.where(n <= 20, -n, -20.0 - 0.05 * (n - 20))
     table = LegendreTable("kinked", n, log_ell, np.ones_like(n))
     evaluator = LFunctionEvaluator(kondratiev_streit(0.0), table)
-    vals = l_function(evaluator, np.array([0.5, 1.0]))
-    assert vals.tolist() == [0.20326705491487954, 0.4586751700397648]
-    head = log_ell[:224]
-    assert vals[1] == pytest.approx(math.log(np.exp(head).sum()), rel=1e-14)
+    for r, val in zip((0.5, 1.0), l_function(evaluator, np.array([0.5, 1.0]))):
+        want = math.log(math.fsum(np.exp(log_ell + n * math.log(r))))
+        assert val == pytest.approx(want, rel=1e-14, abs=0.0), r
 
 
 # ---------------------------------------------------------------------------
@@ -864,7 +880,16 @@ def test_l_function_matches_the_oracle(kind_evaluators, fid):
     ev = kind_evaluators[fid]
     for r in (0.5, 5.0, 50.0):
         want = float(oracles.log_l(ev.spec, r))
-        assert l_function(ev, r) == pytest.approx(want, rel=1e-12, abs=0.0), r
+        assert l_function(ev, r) == pytest.approx(want, rel=1e-14, abs=0.0), r
+
+
+@pytest.mark.parametrize("fid,r", [("ks0", 900.0), ("ks0", 940.0), ("exp2", 470.0),
+                                   ("ks05", 3e4)])
+def test_l_function_matches_the_oracle_near_the_table_reach(kind_evaluators, fid, r):
+    # the last radii below where the table stops bounding its own tail
+    ev = kind_evaluators[fid]
+    want = float(oracles.log_l(ev.spec, r))
+    assert l_function(ev, r) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_l_function_integral_matches_the_oracle():

@@ -263,6 +263,21 @@ def test_surrogate_factories_validate():
         poisson_count(theta=-1.0)
 
 
+@pytest.mark.parametrize("call,fragment", [
+    (lambda: fernique_product(0.5, math.nan, 0.1), "q must be finite"),
+    (lambda: fernique_product(0.5, 1, math.nan), "c2 must be finite"),
+    (lambda: poisson_integrability(math.inf, lambda k: 0.0), "theta must be finite"),
+    (lambda: poisson_sqrtlog_integrand(math.nan), "w must be finite"),
+    (lambda: poisson_sqrtlog_integrand(math.inf), "w must be finite"),
+    (lambda: poisson_count(theta=math.inf), "theta must be finite"),
+    (lambda: poisson_count(w=math.nan), "w must be finite"),
+], ids=["fernique-q-nan", "fernique-c2-nan", "poisson-theta-inf", "sqrtlog-w-nan",
+        "sqrtlog-w-inf", "surrogate-theta-inf", "surrogate-w-nan"])
+def test_non_finite_measure_parameters_are_rejected(call, fragment):
+    with pytest.raises(ParameterError, match=fragment):
+        call()
+
+
 def test_hida_gaussian_ladder(catalog):
     report = hida_condition(gaussian_product(), catalog["ks0"], p=1)
     assert report.finite and report.smallest_finite_p == 1
