@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import re
 import sys
 import warnings
@@ -37,6 +38,7 @@ import numpy as np
 
 from .growth import (
     ParameterError,
+    _is_real,
     check_conditions,
     mittag_leffler,
     spec_from_dict,
@@ -104,6 +106,16 @@ _REQUIRED = {
     "grey_cf": ("lam",),
     "grey_integrability": ("lam", "w"),
     "hida": ("function",),
+}
+
+#: What each numeric job field must hold: its wording and its test.
+_FIELD_TYPES = {
+    **dict.fromkeys(("n_max", "n", "p"),
+                    ("an integer", lambda v: _is_real(v) and isinstance(v, numbers.Integral))),
+    **dict.fromkeys(("a", "rho", "q", "c2", "theta", "w", "lam", "rel_tol", "sigma_tol"),
+                    ("a number", _is_real)),
+    **dict.fromkeys(("r", "t", "xi"), ("a list of numbers",
+                                       lambda v: isinstance(v, list) and all(map(_is_real, v)))),
 }
 
 _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
@@ -204,6 +216,9 @@ def validate_manifest(manifest) -> None:
         for key in required:
             if key not in job:
                 _fail(f"{where}: {name} needs '{key}'")
+        for key, (what, ok) in _FIELD_TYPES.items():
+            if key in job and not ok(job[key]):
+                _fail(f"{where}: field {key!r} must be {what}, got {job[key]!r}")
         if kind == "eval":
             if "lam" in job and "t" not in job:
                 _fail(f"{where}: Mittag-Leffler eval needs 't' values")
@@ -296,7 +311,7 @@ def _run_legendre(job: dict, funcs: dict, out_dir: Path | None) -> dict:
     if "t" in job:
         table = legendre_table(spec, np.asarray(job["t"], dtype=float))
     else:
-        table = legendre_sequence(spec, int(job.get("n_max", 8)))
+        table = legendre_sequence(spec, job.get("n_max", 8))
     payload: dict = {"function": spec.function_id, "n_points": table.n_points,
                      "status": "pass"}
     if "out" in job:
@@ -310,7 +325,7 @@ def _run_legendre(job: dict, funcs: dict, out_dir: Path | None) -> dict:
 
 def _run_lfn(job: dict, funcs: dict, default_tol: float) -> dict:
     spec = funcs[job["function"]]
-    evaluator = LFunctionEvaluator.from_spec(spec, n_max=int(job.get("n_max", 400)))
+    evaluator = LFunctionEvaluator.from_spec(spec, n_max=job.get("n_max", 400))
     rs = [float(r) for r in job["r"]]
     values = l_function_wide(evaluator, np.asarray(rs)).tolist()
     check = _expected_values(job, "expect_log", values, default_tol)
@@ -320,12 +335,12 @@ def _run_lfn(job: dict, funcs: dict, default_tol: float) -> dict:
 def _run_verify(job: dict, funcs: dict) -> dict:
     if job.get("check") == "chain-order":
         specs = [funcs[fid] for fid in job["functions"]]
-        report = check_chain_order(specs, n_max=int(job.get("n_max", 60)))
+        report = check_chain_order(specs, n_max=job.get("n_max", 60))
         return {"report": report.to_json_dict(), "status": report.status}
     spec = funcs[job["function"]]
     reports = verify_function(
         spec,
-        n_max=int(job.get("n_max", 60)),
+        n_max=job.get("n_max", 60),
         checks=job.get("checks"),
         a=float(job.get("a", 2.0)),
     )
@@ -339,7 +354,7 @@ def _run_verify(job: dict, funcs: dict) -> dict:
 
 def _run_fock(job: dict, funcs: dict, default_tol: float) -> dict:
     spec = funcs[job["function"]]
-    n_max = int(job.get("n_max", 200))
+    n_max = job.get("n_max", 200)
     rel_tol = float(job.get("rel_tol", min(default_tol, 1e-10)))
     evaluator = LFunctionEvaluator.from_spec(spec, n_max=n_max)
     rows = []
@@ -416,7 +431,7 @@ def _poisson_op(job: dict, funcs: dict, default_tol: float) -> dict:
 
 def _grey_cf_op(job: dict, seed: int | None) -> dict:
     lam = float(job["lam"])
-    n = int(job.get("n", 200_000))
+    n = job.get("n", 200_000)
     sigma_tol = float(job.get("sigma_tol", 3.0))
     x = grey_sample(lam, n, int(seed))
     rows = []
@@ -438,7 +453,7 @@ def _grey_cf_op(job: dict, seed: int | None) -> dict:
 def _grey_integrability_op(job: dict, seed: int | None) -> dict:
     res = grey_integrability(
         float(job["lam"]), float(job["w"]),
-        n=int(job.get("n", 10**6)), seed=int(seed),
+        n=job.get("n", 10**6), seed=int(seed),
     )
     status = _verdict(
         job,
@@ -458,7 +473,7 @@ def _hida_op(job: dict, funcs: dict, seed: int | None) -> dict:
     if mdict.get("kind") == "grey":
         mdict.setdefault("seed", int(seed))
     surrogate = MeasureSurrogate(**mdict)
-    report = hida_condition(surrogate, funcs[job["function"]], p=int(job.get("p", 0)))
+    report = hida_condition(surrogate, funcs[job["function"]], p=job.get("p", 0))
     status = _verdict(
         job,
         expect_finite=lambda want: bool(want) != report.finite,
@@ -603,13 +618,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measures", parents=[one_off],
                        help="measure integrability estimators")
     p.add_argument("--op", choices=_MEASURE_OPS)
-    p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--q", type=float, default=1.0)
-    p.add_argument("--c2", type=float, default=0.1)
+    p.add_argument("--rho", type=float)
+    p.add_argument("--q", type=float)
+    p.add_argument("--c2", type=float)
     p.add_argument("--theta", type=float)
-    p.add_argument("--w", type=float, default=1.0)
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=200000)
+    p.add_argument("--w", type=float)
+    p.add_argument("--lam", type=float)
+    p.add_argument("--n", type=int)
     p.add_argument("--xi", type=float, nargs="+")
     p.add_argument("--p", type=int)
     p.add_argument("--integrand", choices=["sqrtlog", "growth"])

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .growth import GrowthFunctionSpec, ParameterError, _log_factorials, _logsumexp, log_u_grid
+from .growth import (GrowthFunctionSpec, ParameterError, _log_factorials, _logsumexp,
+                     _radius_grid, log_u_grid)
 from .inequality_lab import VerificationReport, _report
 from .legendre import LegendreTable, LFunctionEvaluator, l_function
 
@@ -87,7 +88,6 @@ class ChaosSequence:
     """
 
     values: tuple[float, ...]
-    p: int = 0
     log_domain: bool = False
 
     def __post_init__(self) -> None:
@@ -123,16 +123,16 @@ class ChaosSequence:
         return v
 
     @classmethod
-    def delta(cls, n: int, size: int | None = None, p: int = 0) -> "ChaosSequence":
+    def delta(cls, n: int, size: int | None = None) -> "ChaosSequence":
         size = (n + 1) if size is None else size
         if n >= size:
             raise ParameterError("delta index outside requested size")
         vals = [0.0] * size
         vals[n] = 1.0
-        return cls(tuple(vals), p=p)
+        return cls(tuple(vals))
 
     @classmethod
-    def exponential_vector(cls, xi: float, n_max: int, p: int = 0) -> "ChaosSequence":
+    def exponential_vector(cls, xi: float, n_max: int) -> "ChaosSequence":
         """Coefficients ``xi^n / n!`` (log domain), the exponential vector."""
         xi = float(xi)
         if xi < 0.0:
@@ -142,7 +142,7 @@ class ChaosSequence:
             logs[0] = 0.0
         else:
             logs = np.arange(n_max + 1) * math.log(xi) - _log_factorials(n_max)
-        return cls(tuple(logs), p=p, log_domain=True)
+        return cls(tuple(logs), log_domain=True)
 
 
 def _require_table(seq: ChaosSequence, table: LegendreTable, op: str) -> None:
@@ -261,8 +261,8 @@ def a_norm_1d(
     if x_grid is None:
         x_grid = np.linspace(-12.0, 12.0, 4801)
     xs = np.asarray(x_grid, dtype=float)
-    if xs.size < 3:
-        raise ParameterError("a_norm_1d needs a grid of at least 3 points")
+    if xs.size < 3 or not np.isfinite(xs).all():
+        raise ParameterError("a_norm_1d needs a grid of at least 3 finite points")
     vals = np.abs(hermite_eval_1d(seq, xs))
     lu = log_u_grid(spec, w * xs * xs)
     with np.errstate(divide="ignore"):
@@ -347,7 +347,7 @@ def cauchy_coefficient_bound(
         cap = spec.faithful_cap
         r_hi = 30.0 if cap == math.inf else math.sqrt(0.9 * cap / a)
         radius_grid = np.geomspace(0.05, max(r_hi, 0.1), 240)
-    rad = np.asarray(radius_grid, dtype=float)
+    rad = _radius_grid(radius_grid)
     f_abs = np.abs(np.polynomial.polynomial.polyval(rad, coeffs))
     bound_log = math.log(K) + 0.5 * log_u_grid(spec, a * rad * rad)
     with np.errstate(divide="ignore"):

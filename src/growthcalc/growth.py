@@ -823,6 +823,15 @@ def default_r_grid() -> np.ndarray:
     return np.unique(np.concatenate([lin, geo]))
 
 
+def _radius_grid(r_grid=None) -> np.ndarray:
+    """A user radius grid (``default_r_grid()`` for None), sorted and unique;
+    every radius must be finite and >= 0."""
+    grid = np.unique(np.asarray(default_r_grid() if r_grid is None else r_grid, dtype=float))
+    if grid.size == 0 or not (grid[0] >= 0.0 and grid[-1] < math.inf):  # NaN sorts last
+        raise ParameterError("r grids must be nonempty, of finite radii r >= 0")
+    return grid
+
+
 def refine_grid(grid: np.ndarray) -> np.ndarray:
     """Double a grid's density (geometric midpoints between positive nodes)."""
     grid = np.asarray(grid, dtype=float)
@@ -879,13 +888,7 @@ def check_conditions(
     The grid is clipped to the function's faithful range so that truncated
     series are judged on the region where they represent their target.
     """
-    if r_grid is None:
-        r_grid = default_r_grid()
-    r_grid = np.unique(np.asarray(r_grid, dtype=float))
-    if r_grid.size == 0:
-        raise ParameterError("check_conditions requires a nonempty grid")
-    if not (r_grid[0] >= 0.0 and r_grid[-1] < math.inf):  # np.unique puts NaN last
-        raise ParameterError("condition grids must consist of finite radii r >= 0")
+    r_grid = _radius_grid(r_grid)
     cap = spec.faithful_cap
     clipped = bool(cap < math.inf and r_grid[-1] > cap)
     if clipped:

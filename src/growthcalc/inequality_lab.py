@@ -24,7 +24,7 @@ from .growth import (
     CapacityError,
     GrowthFunctionSpec,
     ParameterError,
-    default_r_grid,
+    _radius_grid,
     log_u_grid,
     refine_grid,
 )
@@ -108,9 +108,7 @@ def _prepare_r_grid(
 ) -> np.ndarray:
     """Default (or user) radii, clipped so every derived argument stays inside
     the function's faithful range and the wide L-evaluation range."""
-    grid = default_r_grid() if r_grid is None else np.unique(np.asarray(r_grid, float))
-    if grid.size == 0 or not (grid[0] >= 0.0 and grid[-1] < math.inf):
-        raise ParameterError("r grids must be nonempty, of finite radii r >= 0")
+    grid = _radius_grid(r_grid)
     top = math.inf
     cap = spec.faithful_cap
     if cap < math.inf and u_mul > 0.0:
@@ -329,16 +327,13 @@ def check_lfunction_sandwich(
     margins = const1 + lu_ar - logl_r
     j = int(np.argmin(margins))
 
-    def log_ratio(g: np.ndarray) -> np.ndarray:
-        return log_u_grid(spec, g) - l_function_wide(evaluator, 4.0 * g)
-
-    ratios = log_ratio(grid)
+    # Midpoints stay below the grid's top, so the refined grid needs no clip.
+    fine = refine_grid(grid)
+    ratios_fine = log_u_grid(spec, fine) - l_function_wide(evaluator, 4.0 * fine)
+    ratios = ratios_fine[np.isin(fine, grid)]
     i = int(np.argmax(ratios))
     log_c, r_at = float(ratios[i]), float(grid[i])
-    # The refined grid holds every radius of the grid: evaluate only the rest.
-    fine = _prepare_r_grid(spec, refine_grid(grid), u_mul=1.0, l_mul=4.0)
-    added = fine[~np.isin(fine, grid)]
-    log_c_fine = float(np.max(np.concatenate([ratios, log_ratio(added)])))
+    log_c_fine = float(np.max(ratios_fine))
     stable = abs(log_c_fine - log_c) <= 0.1
     margin = float(margins[j]) if stable else -math.inf
     notes = "" if stable else "part-2 constant drifts under grid refinement"
@@ -406,9 +401,6 @@ def check_lemma_sqrt(
 # -- equivalence and chain order ----------------------------------------------
 
 
-LogFunction = Callable[[float], float]
-
-
 def _as_logfun(obj, fallback_id: str) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
     if isinstance(obj, GrowthFunctionSpec):
         return (lambda rs: log_u_grid(obj, rs)), obj.function_id
@@ -436,7 +428,9 @@ def equivalence_witness(
     candidate is rejected when its extremum sits on the right edge of the
     grid (the constant would keep growing with the grid) or when the constant
     moves by more than ``_REFINEMENT_TOL`` in the log domain under a 2x grid
-    refinement.  The first surviving pair on each side is reported.
+    refinement.  The first surviving pair on each side is reported.  ``g`` is
+    evaluated once and ``f`` once per scale, on the refined grid, which holds
+    the grid's own radii.
 
     Each operand is a spec (``log u``, id ``function_id``), an
     :class:`LFunctionEvaluator` (``log L_u``, evaluated one array call per
@@ -445,63 +439,38 @@ def equivalence_witness(
     """
     f_fun, f_id = _as_logfun(f, f_id)
     g_fun, g_id = _as_logfun(g, g_id)
-    if r_grid is None:
-        r_grid = default_r_grid()
-    grid = np.unique(np.asarray(r_grid, dtype=float))
-    if grid.size < 8 or grid[0] < 0.0:
-        raise ParameterError("equivalence search needs a grid of radii r >= 0")
+    grid = _radius_grid(r_grid)
+    if grid.size < 8:
+        raise ParameterError("equivalence search needs at least 8 radii")
     fine = refine_grid(grid)
-    g_base = g_fun(grid)
+    base = np.isin(fine, grid)
     g_fine = g_fun(fine)
-
-    def side(direction: int) -> dict | None:
-        # direction +1: upper bound (c2, a2); -1: lower bound (c1, a1)
+    f_fine: dict[float, np.ndarray] = {}
+    found: dict[str, dict] = {}
+    for side, sign in (("upper", 1), ("lower", -1)):  # (c2, a2) and (c1, a1)
         for p in range(_MAX_POW + 1):
-            a = float(2.0**p) if direction > 0 else float(2.0**-p)
+            a = 2.0 ** (sign * p)
             try:
-                diffs = g_base - f_fun(a * grid)
+                if a not in f_fine:
+                    f_fine[a] = f_fun(a * fine)
             except CapacityError:
-                return None  # larger |log a| only pushes further out of range
-            ext = np.argmax(diffs) if direction > 0 else np.argmin(diffs)
-            ext = int(ext)
+                break  # larger |log a| only pushes further out of range
+            diffs_fine = sign * (g_fine - f_fine[a])
+            ext = int(np.argmax(diffs_fine[base]))
             if ext == grid.size - 1:
                 continue
-            log_c = float(diffs[ext])
-            try:
-                diffs_fine = g_fine - f_fun(a * fine)
-            except CapacityError:
-                return None
-            log_c_fine = float(np.max(diffs_fine) if direction > 0 else np.min(diffs_fine))
-            if abs(log_c_fine - log_c) > _REFINEMENT_TOL:
-                continue
-            return {
-                "a": a,
-                "log_c": log_c,
-                "log_c_refined": log_c_fine,
-                "r_extremum": float(grid[ext]),
-            }
-        return None
-
-    upper = side(+1)
-    lower = side(-1)
-    check_id = "equivalence"
+            log_c, log_c_fine = sign * diffs_fine[base][ext], sign * np.max(diffs_fine)
+            if abs(log_c_fine - log_c) <= _REFINEMENT_TOL:
+                found[side] = {"a": a, "log_c": float(log_c), "log_c_refined": float(log_c_fine),
+                               "r_extremum": float(grid[ext])}
+                break
     fn_id = f"({f_id},{g_id})"
-    if upper is None or lower is None:
-        missing = []
-        if upper is None:
-            missing.append("upper")
-        if lower is None:
-            missing.append("lower")
+    missing = [side for side in ("upper", "lower") if side not in found]
+    if missing:
         return VerificationReport(
-            check_id,
-            fn_id,
-            "fail",
-            -math.inf,
-            {},
-            {},
-            _r_grid_info(grid),
-            f"no stable dyadic witness for the {' and '.join(missing)} bound",
-        )
+            "equivalence", fn_id, "fail", -math.inf, {}, {}, _r_grid_info(grid),
+            f"no stable dyadic witness for the {' and '.join(missing)} bound")
+    upper, lower = found["upper"], found["lower"]
     constants = {
         "c1": math.exp(lower["log_c"]),
         "a1": lower["a"],
@@ -511,7 +480,7 @@ def equivalence_witness(
         "c2_refined": math.exp(upper["log_c_refined"]),
     }
     witness = {"r_upper": upper["r_extremum"], "r_lower": lower["r_extremum"]}
-    return _report(check_id, fn_id, 0.0, witness, constants, _r_grid_info(grid))
+    return _report("equivalence", fn_id, 0.0, witness, constants, _r_grid_info(grid))
 
 
 def check_chain_order(

@@ -459,11 +459,10 @@ def hida_condition(
     measure = _MEASURE_TABLE[surrogate.kind]
     levels = [measure.level(surrogate, spec, q) for q in range(top + 1)]
     smallest = next((q for q, entry in enumerate(levels) if entry["finite"]), None)
-    finite = levels[p]["finite"] if p < len(levels) else False
     seed = surrogate.seed if measure.sampled else None
     notes = "" if smallest is not None else "no finite level up to the sweep cap"
     return HidaReport(
-        surrogate.kind, spec.function_id, p, finite, smallest,
+        surrogate.kind, spec.function_id, p, levels[p]["finite"], smallest,
         tuple(levels), seed, notes,
     )
 

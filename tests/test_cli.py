@@ -79,6 +79,28 @@ def eval_job(job_id="eval-1", **extra):
     (lambda m: m.update(jobs=[{"id": "x", "kind": "measures",
                                "op": "grey_integrability", "lam": 1.0}]),
      "grey_integrability needs 'w'"),
+    # A count that is not an integer, a number field that is not a number and
+    # a list field that is not a list of numbers, each named.
+    (lambda m: m.update(jobs=[{"id": "x", "kind": "legendre", "function": "ks0",
+                               "n_max": 2.5}]), "field 'n_max' must be an integer, got 2.5"),
+    (lambda m: m.update(jobs=[{"id": "x", "kind": "verify", "function": "ks0",
+                               "n_max": True}]), "field 'n_max' must be an integer, got True"),
+    (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "grey_cf", "lam": 0.5,
+                               "n": 1000.0}]), "field 'n' must be an integer, got 1000.0"),
+    (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "hida", "function": "ks0",
+                               "measure": {"kind": "gaussian"}, "p": "1"}]),
+     "field 'p' must be an integer, got '1'"),
+    (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "fernique",
+                               "rho": "0.5", "q": 1, "c2": 0.1}]),
+     "field 'rho' must be a number, got '0.5'"),
+    (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "fernique",
+                               "rho": 0.5, "q": True, "c2": 0.1}]),
+     "field 'q' must be a number, got True"),
+    (lambda m: m.update(jobs=[eval_job(rel_tol=None)]), "field 'rel_tol' must be a number"),
+    (lambda m: m.update(jobs=[eval_job(r=1.0)]), "field 'r' must be a list of numbers"),
+    (lambda m: m.update(jobs=[eval_job(r=[1.0, "2"])]), "field 'r' must be a list of numbers"),
+    (lambda m: m.update(jobs=[{"id": "x", "kind": "fock", "function": "ks0", "xi": "1.0"}]),
+     "field 'xi' must be a list of numbers"),
 ])
 def test_validate_manifest_rejects(mutate, fragment):
     m = manifest([eval_job()])
@@ -448,7 +470,8 @@ def test_cli_fock_compares_the_norms_in_logs_past_the_double_range(capsys):
     assert code == 0 and payload["status"] == "pass"
 
 
-@pytest.mark.parametrize("flags,args", [((), (0.5, 1.0, 0.1)),
+@pytest.mark.parametrize("flags,args", [(("--rho", 0.5, "--q", 1, "--c2", 0.1),
+                                         (0.5, 1.0, 0.1)),
                                         (("--rho", 0.3, "--q", 2, "--c2", 2.0),
                                          (0.3, 2.0, 2.0))])
 def test_cli_measures_fernique_one_off(capsys, flags, args):
@@ -479,7 +502,8 @@ def test_cli_measures_grey_cf_one_off(capsys):
     assert payload["cf"][0]["target"] == growthcalc.mittag_leffler(0.5, 1.0)
 
 
-@pytest.mark.parametrize("flags,lam,seed", [((), 1.0, 0), (("--lam", 0.5, "--seed", 4), 0.5, 4)])
+@pytest.mark.parametrize("flags,lam,seed", [(("--lam", 1.0), 1.0, 0),
+                                            (("--lam", 0.5, "--seed", 4), 0.5, 4)])
 def test_cli_measures_grey_integrability_one_off(capsys, flags, lam, seed):
     code, payload, _ = one_off(capsys, "measures", "--op", "grey_integrability",
                                "--w", 0.1, "--n", 20000, *flags)
@@ -515,11 +539,27 @@ def test_cli_measures_hida_one_off(capsys, flags, spec, measure, p):
      "hida needs a 'measure' object with a 'kind'"),
     (("measures", "--op", "hida", "--measure-kind", "gaussian"), "hida needs 'function'"),
     (("measures",), "op must be one of"),
+    # The measures flags have no defaults of their own: a job field is required
+    # in a one-off exactly when it is in a manifest.
+    (("measures", "--op", "fernique"), "fernique needs 'rho'"),
+    (("measures", "--op", "grey_integrability", "--w", 0.1), "grey_integrability needs 'lam'"),
+    (("measures", "--op", "grey_cf"), "grey_cf needs 'lam'"),
 ])
 def test_cli_one_off_names_the_missing_field(capsys, args, field):
     code, payload, err = one_off(capsys, *args)
     assert (code, payload) == (2, None)
     assert f"job '{args[0]}': {field}" in err
+
+
+def test_cli_measures_one_off_is_the_job_of_its_flags_alone():
+    # No flag default stands in for a field, so the runner's defaults apply
+    # as they do to a manifest job (n = 10**6 for grey_integrability).
+    from growthcalc.cli import _one_off_manifest, build_parser
+
+    args = build_parser().parse_args(["measures", "--op", "grey_integrability", "--lam", "1",
+                                      "--w", "0.1"])
+    assert _one_off_manifest(args)["jobs"] == [
+        {"id": "measures", "kind": "measures", "op": "grey_integrability", "lam": 1.0, "w": 0.1}]
 
 
 @pytest.mark.parametrize("measure,fragment", [

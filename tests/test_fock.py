@@ -246,6 +246,16 @@ def test_a_norm_warns_on_boundary_maximum():
                   x_grid=np.linspace(-0.5, 0.5, 101))
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_a_norm_and_growth_bound_reject_a_non_finite_x(tables60, bad):
+    seq, ks0 = ChaosSequence((0.0, 1.0)), kondratiev_streit(0.0)
+    xs = np.append(np.linspace(-3.0, 3.0, 61), bad)
+    with pytest.raises(ParameterError, match="at least 3 finite points"):
+        a_norm_1d(seq, ks0, x_grid=xs)
+    with pytest.raises(ParameterError, match="at least 3 finite points"):
+        growth_bound_check(seq, ks0, tables60["ks0"], x_grid=xs)
+
+
 def test_s_transform_monomials():
     for n in range(7):
         for xi in (-1.5, 0.5, 2.0):

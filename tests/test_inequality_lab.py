@@ -12,7 +12,12 @@ from growthcalc import (
     SLACK,
     ParameterError,
     bell_series,
+    cauchy_coefficient_bound,
     check_chain_order,
+    check_conditions,
+    check_lemma_sqrt,
+    check_lemma_square,
+    check_lfunction_sandwich,
     check_table_definition,
     corrupt_table,
     equivalence_witness,
@@ -207,6 +212,41 @@ def test_equivalence_accepts_an_evaluator(catalog, evaluators):
     assert by_array.witness == by_lone_calls.witness
 
 
+def test_equivalence_evaluates_each_operand_once_per_scale(monkeypatch):
+    from growthcalc import inequality_lab
+
+    f, g = kondratiev_streit(0.0), exponential(3.0)
+    radii = {f.function_id: [], g.function_id: []}
+
+    def counted(spec, rs):
+        radii[spec.function_id].append(np.array(rs))
+        return log_u_grid(spec, rs)
+
+    monkeypatch.setattr(inequality_lab, "log_u_grid", counted)
+    grid = np.geomspace(1e-2, 1e3, 40)
+    report = equivalence_witness(f, g, r_grid=grid)
+    fine = refine_grid(grid)
+    assert report.passed
+    (g_radii,) = radii[g.function_id]
+    assert np.array_equal(g_radii, fine)
+    # The candidates 1, 2, 4 = a2 and then a1 = 1 again: three scales, each
+    # evaluated once, though the upper and lower searches both try a = 1.
+    assert (report.constants["a2"], report.constants["a1"]) == (4.0, 1.0)
+    assert len(radii[f.function_id]) == 3
+    for a, rs in zip((1.0, 2.0, 4.0), radii[f.function_id]):
+        assert np.array_equal(rs, a * fine)
+
+
+def test_equivalence_finds_no_witness_in_a_nan_constant():
+    # A NaN log-difference is not a stable constant: no pass with c = NaN.
+    ks0 = kondratiev_streit(0.0)
+    report = equivalence_witness(
+        ks0, lambda r: math.nan if r > 500.0 else ks0.log_u(r),
+        r_grid=np.geomspace(1e-2, 1e3, 40), g_id="nan-tail",
+    )
+    assert report.status == "fail" and report.constants == {}
+
+
 def test_equivalence_rejects_inequivalent_pair():
     # e^{r} cannot dominate r^2-exponential growth: no upper witness exists
     report = equivalence_witness(
@@ -289,13 +329,25 @@ def test_corrupt_table_validation(tables60):
     assert bad is not tab
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_r_grids_with_a_non_finite_radius_are_rejected(evaluators, bad):
-    from growthcalc.inequality_lab import check_lemma_square
+#: Every entry point that takes a user radius grid, called on ks0 with ``grid``.
+GRID_ENTRY_POINTS = {
+    "check_conditions": lambda spec, ev, grid: check_conditions(spec, grid),
+    "check_lemma_square": lambda spec, ev, grid: check_lemma_square(ev, r_grid=grid),
+    "check_lfunction_sandwich":
+        lambda spec, ev, grid: check_lfunction_sandwich(spec, ev, r_grid=grid),
+    "check_lemma_sqrt": lambda spec, ev, grid: check_lemma_sqrt(spec, ev, r_grid=grid),
+    "equivalence_witness": lambda spec, ev, grid: equivalence_witness(spec, ev, r_grid=grid),
+    "cauchy_coefficient_bound": lambda spec, ev, grid: cauchy_coefficient_bound(
+        [1.0], spec, 1.0, 1.0, ev.table, radius_grid=grid),
+}
 
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_r_grids_with_a_non_finite_radius_are_rejected(catalog, evaluators, bad):
     grid = np.append(np.geomspace(1e-3, 1e3, 20), bad)
-    with pytest.raises(ParameterError, match="finite radii"):
-        check_lemma_square(evaluators["ks0"], r_grid=grid)
+    for call in GRID_ENTRY_POINTS.values():
+        with pytest.raises(ParameterError, match="nonempty, of finite radii r >= 0"):
+            call(catalog["ks0"], evaluators["ks0"], grid)
 
 
 def test_audit_tolerance_is_adjustable(tables60):
@@ -306,15 +358,13 @@ def test_audit_tolerance_is_adjustable(tables60):
 
 
 @pytest.mark.parametrize("fid", ["ks05", "g2"])
-def test_sandwich_refinement_evaluates_only_the_added_radii(
-    catalog, evaluators, monkeypatch, fid
-):
+def test_sandwich_evaluates_the_refined_grid_once(catalog, evaluators, monkeypatch, fid):
     from growthcalc import inequality_lab
     from growthcalc.inequality_lab import _prepare_r_grid, check_lfunction_sandwich
 
     spec, evaluator = catalog[fid], evaluators[fid]
     grid = _prepare_r_grid(spec, np.geomspace(1e-3, 1e8, 61), u_mul=2.0, l_mul=4.0)
-    fine = _prepare_r_grid(spec, refine_grid(grid), u_mul=1.0, l_mul=4.0)
+    fine = refine_grid(grid)
     sizes = []
 
     def counted(ev, r, *args):
@@ -323,7 +373,8 @@ def test_sandwich_refinement_evaluates_only_the_added_radii(
 
     monkeypatch.setattr(inequality_lab, "l_function_wide", counted)
     report = check_lfunction_sandwich(spec, evaluator, r_grid=grid)
-    assert sizes == [grid.size, grid.size, fine.size - grid.size]
+    # Part 1 on the grid, part 2 once on the refined grid, which holds it.
+    assert sizes == [grid.size, fine.size]
     # The same constant as evaluating the whole refined grid afresh.
     full = log_u_grid(spec, fine) - l_function_wide(evaluator, 4.0 * fine)
     assert report.constants["C_part2_refined"] == math.exp(float(np.max(full)))

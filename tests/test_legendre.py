@@ -276,6 +276,16 @@ def test_wide_range_agrees_with_table_rule(evaluators):
     assert l_function_wide(ev, 400.0) == pytest.approx(table_value, rel=1e-9)
 
 
+@pytest.mark.parametrize("fid", EVALUATOR_SPECS)
+def test_laplace_rule_agrees_with_the_table_rule_for_every_kind(fid):
+    # At r*(n) the dominant index is n: deep in the table and already wide
+    # enough for the integral form.
+    spec = EVALUATOR_SPECS[fid]
+    ev = LFunctionEvaluator.from_spec(spec)
+    rs = ev.table.r_star[[200, 400, 800]]
+    assert _close(l_function_integral(spec, rs), l_function(ev, rs), 1e-12)
+
+
 def test_wide_range_matches_saddle_point(evaluators):
     # For the minimal function, log L(r) = r + (1/2) log(2 pi r) + O(1/r).
     ev = evaluators["ks0"]
