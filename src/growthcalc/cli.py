@@ -108,14 +108,15 @@ _REQUIRED = {
     "hida": ("function",),
 }
 
-#: What each numeric job field must hold: its wording and its test.
+_NUMBER_LIST = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_real, v)))
+#: What each numeric job field must hold: its wording and its test.  An eval
+#: job's ``expect`` is a list of numbers too; elsewhere it is a verdict or a map.
 _FIELD_TYPES = {
     **dict.fromkeys(("n_max", "n", "p"),
                     ("an integer", lambda v: _is_real(v) and isinstance(v, numbers.Integral))),
     **dict.fromkeys(("a", "rho", "q", "c2", "theta", "w", "lam", "rel_tol", "sigma_tol"),
                     ("a number", _is_real)),
-    **dict.fromkeys(("r", "t", "xi"), ("a list of numbers",
-                                       lambda v: isinstance(v, list) and all(map(_is_real, v)))),
+    **dict.fromkeys(("r", "t", "xi", "expect_log"), _NUMBER_LIST),
 }
 
 _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
@@ -216,7 +217,8 @@ def validate_manifest(manifest) -> None:
         for key in required:
             if key not in job:
                 _fail(f"{where}: {name} needs '{key}'")
-        for key, (what, ok) in _FIELD_TYPES.items():
+        types = {**_FIELD_TYPES, "expect": _NUMBER_LIST} if kind == "eval" else _FIELD_TYPES
+        for key, (what, ok) in types.items():
             if key in job and not ok(job[key]):
                 _fail(f"{where}: field {key!r} must be {what}, got {job[key]!r}")
         if kind == "eval":

@@ -68,11 +68,6 @@ _N_BELL_HIGH = 4096
 #: before truncation error becomes unaccountable.
 _PEAK_FRACTION = 0.92
 
-#: The exact Bell-number recurrence takes about n^2 / 2 big-integer products
-#: per order (n = 1200 at k = 2: about 2.3 s with CPython 3.11 on a 2-vCPU
-#: Xeon); beyond this the log-domain float path must be used instead.
-_BELL_EXACT_CAP = 1200
-
 
 # -- log-space arithmetic -----------------------------------------------------
 
@@ -85,8 +80,8 @@ def _log_factorials(n: int) -> np.ndarray:
     global _log_fact
     table = _log_fact
     if table.size <= n:
-        k = range(table.size, max(n + 1, 2 * table.size))
-        table = np.concatenate([table, [math.lgamma(j + 1.0) for j in k]])
+        k = range(table.size + 1, max(n + 1, 2 * table.size) + 1)
+        table = np.concatenate([table, np.fromiter(map(math.lgamma, k), float, len(k))])
         table.setflags(write=False)
         _log_fact = table
     return table[: n + 1]
@@ -128,40 +123,6 @@ def iterated_log(k: int, r: float) -> float:
     return v
 
 
-def bell_numbers(k: int, n_max: int) -> list[int]:
-    """Exact k-th order Bell numbers ``b_k(0..n_max)``.
-
-    ``b_k(n) = n! [r^n] exp_k(r)`` where ``exp_1(r) = e^r`` and
-    ``exp_j(r) = exp(exp_{j-1}(r) - 1)`` (normalized so ``exp_k(0) = 1``).
-    Hence ``b_1 ≡ 1``, ``b_2`` are the classical Bell numbers 1, 1, 2, 5, 15,
-    52, ... and ``b_3`` starts 1, 1, 3, 12, 60, 358.
-
-    Differentiating the defining composition once and matching coefficients
-    gives the exact-integer recurrence used here::
-
-        b_j(n+1) = sum_{i=0..n} C(n, i) * b_{j-1}(i+1) * b_j(n-i)
-
-    starting from ``b_1 ≡ 1``, with the binomial row ``C(n, .)`` carried
-    from one ``n`` to the next by Pascal's rule.
-    """
-    if k < 1:
-        raise ParameterError(f"bell_numbers requires k >= 1, got {k}")
-    if n_max < 0:
-        raise ParameterError(f"bell_numbers requires n_max >= 0, got {n_max}")
-    if k >= 2 and n_max > _BELL_EXACT_CAP:
-        raise CapacityError(
-            f"exact Bell-number chain is quadratic in n with large integers; "
-            f"max supported n_max is {_BELL_EXACT_CAP}, got {n_max}"
-        )
-    level = [1] * (n_max + 2)
-    for _ in range(k - 1):
-        prev, level, comb = level, [1], [1]
-        for n in range(n_max + 1):  # comb = C(n, 0..n)
-            level.append(sum(c * p * b for c, p, b in zip(comb, prev[1:], reversed(level))))
-            comb = [1, *(a + b for a, b in zip(comb, comb[1:])), 1]
-    return level[: n_max + 1]
-
-
 @lru_cache(maxsize=None)
 def _log_bell(n_hi: int) -> np.ndarray:
     """``log B(n)`` for the classical Bell numbers, n = 0..n_hi.
@@ -172,12 +133,13 @@ def _log_bell(n_hi: int) -> np.ndarray:
     Past n = 256 the sum, a unit-step trapezoid rule of the smooth peak
     ``x -> exp(n log x - lgamma(x + 1))``, is its integral to a relative
     ``exp(-2 pi^2 sigma^2)``, and so is the trapezoid rule at step h to
-    ``exp(-2 pi^2 sigma^2 / h^2)`` (Trefethen and Weideman 2014): h = sigma/2
-    gives e^-78.  Its 41 nodes span +-10 sigma around the peak (a vectorized
-    Newton solve): the cut tails start at least 38 nats below it.  Each node
-    takes one log: ``lgamma(x + 1) = lgamma(x) + log x``, with Stirling's
+    ``exp(-2 pi^2 sigma^2 / h^2)`` (Trefethen and Weideman 2014).  Each block
+    of 1024 rows takes one node grid, at h = 0.7 times its narrowest sigma
+    (a bound below e^-40), spanning every row's peak +- 10 sigma (peaks by one
+    vectorized Newton solve; the cut tails start 38 nats down).  Per node:
+    ``log x`` and ``lgamma(x + 1) = lgamma(x) + log x``, with Stirling's
     series for ``lgamma(x)`` to ``x^-7``, exact to rounding for x >= 25 (the
-    nodes start above 27).
+    nodes start above 27); per cell: ``n log x - lgamma(x + 1)``.
     """
     out = np.empty(n_hi + 1)
     out[0] = 0.0
@@ -186,31 +148,26 @@ def _log_bell(n_hi: int) -> np.ndarray:
     ex -= _log_factorials(130)[1:]
     m = ex.max(axis=1)
     out[1 : top + 1] = m + np.log(np.exp(ex - m[:, None]).sum(axis=1)) - 1.0
-    nodes = np.arange(-10.0, 10.25, 0.5)
     const = 1.0 + 0.5 * math.log(2.0 * math.pi)  # Dobinski's e^-1, Stirling's sqrt(2 pi)
-    x, lx, f = (np.empty((1024, nodes.size)) for _ in range(3))
     for a in range(top + 1, n_hi + 1, 1024):
         n = np.arange(a, min(a + 1024, n_hi + 1), dtype=float)
         j = n / np.log(n)
         for _ in range(6):  # Newton on j log j = n
             j = (j + n) / (np.log(j) + 1.0)
         sigma = j / np.sqrt(n + j)
-        x_, lx_, f_ = x[: n.size], lx[: n.size], f[: n.size]
-        np.multiply(sigma[:, None], nodes, out=x_)
-        x_ += j[:, None]
-        # n log x - lgamma(x + 1) + log sqrt(2 pi) = (n - x - 1/2) log x + x - S,
+        h = 0.7 * sigma.min()
+        lo = (j - 10.0 * sigma).min()
+        x = lo + h * np.arange(math.ceil(((j + 10.0 * sigma).max() - lo) / h) + 1)
+        # lgamma(x + 1) - log sqrt(2 pi) = (x + 1/2) log x - x + S,
         # S = 1/12x - 1/360x^3 + 1/1260x^5 - 1/1680x^7.
-        np.log(x_, out=lx_)
-        np.subtract((n - 0.5)[:, None], x_, out=f_)
-        f_ *= lx_
-        f_ += x_
-        np.reciprocal(x_, out=x_)
-        np.multiply(x_, x_, out=lx_)
-        f_ -= x_ * (1 / 12 - lx_ * (1 / 360 - lx_ * (1 / 1260 - lx_ / 1680)))
-        m = f_.max(axis=1)
-        f_ -= m[:, None]
-        np.exp(f_, out=f_)
-        out[a : a + n.size] = m + (np.log(f_.sum(axis=1) * (0.5 * sigma)) - const)
+        lx, y = np.log(x), 1.0 / x
+        y2 = y * y
+        lg = (x + 0.5) * lx - x + y * (1 / 12 - y2 * (1 / 360 - y2 * (1 / 1260 - y2 / 1680)))
+        f = n[:, None] * lx - lg
+        m = f.max(axis=1)
+        f -= m[:, None]
+        np.exp(f, out=f)
+        out[a : a + n.size] = m + (np.log(f.sum(axis=1) * h) - const)
     out.setflags(write=False)
     return out
 
@@ -355,7 +312,9 @@ def iterated_exp_sqrt(k: int) -> GrowthFunctionSpec:
 
 
 def bell_series(k: int) -> GrowthFunctionSpec:
-    """``u_k(r) = sum_n r^n / (b_k(n) n!)`` with k-th order Bell numbers."""
+    """``u_k(r) = sum_n r^n / (b_k(n) n!)`` with k-th order Bell numbers
+    ``b_k(n) = n! [r^n] exp_k(r)``, ``exp_1(r) = e^r``, ``exp_j(r) =
+    exp(exp_{j-1}(r) - 1)``: ``b_1 = 1`` and ``b_2`` the classical Bell numbers."""
     return GrowthFunctionSpec(
         kind=BELL_SERIES, k=int(k), claimed_conditions=_STANDARD_CLAIMS
     )

@@ -10,11 +10,18 @@ Constant/witness searches (equivalence constants, chain-embedding constants)
 are restricted to dyadic scale factors and report the constants they found;
 candidates whose extremum sits on the right edge of the grid are rejected as
 unstable, and accepted constants must survive a 2x grid refinement.
+
+Checks evaluate ``log u`` and ``log L_u`` on radius arrays only through the
+shared helpers ``_log_u`` and ``_log_l`` (a new check does too).  Within one
+:func:`verify_function` call each (operand, radii) pair is computed once and
+handed read-only to every check that asks for it; outside such a call, and
+after it, every request is evaluated afresh.
 """
 
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
@@ -49,6 +56,35 @@ _PROBE_FACTORS = (0.25, 0.5, 0.9, 1.1, 2.0, 4.0)
 _MAX_POW = 12
 #: Largest log-domain move of a witness constant under 2x grid refinement.
 _REFINEMENT_TOL = 0.1
+
+#: The grid values of the running :func:`verify_function` call, keyed by
+#: (function, operand id, radii bytes); None outside one.
+_SHARED: ContextVar[dict | None] = ContextVar("_SHARED", default=None)
+
+
+def _shared(fn, operand, radii) -> np.ndarray:
+    """``fn(operand, radii)``, once per :func:`verify_function` call, as a
+    read-only view; a raised error is not kept.  The memo holds the operand,
+    so no other object takes its id during the call."""
+    memo = _SHARED.get()
+    if memo is None:
+        return fn(operand, radii)
+    key = (fn, id(operand), np.asarray(radii, dtype=float).tobytes())
+    if key not in memo:
+        memo[key] = (operand, fn(operand, radii).view())
+        memo[key][1].setflags(write=False)
+    return memo[key][1]
+
+
+# The checks' grid evaluations.  Each reads its function from the module
+# globals at call time, so a patched one (a tracer's, a test's) sees every miss.
+def _log_u(spec: GrowthFunctionSpec, radii) -> np.ndarray:
+    return _shared(log_u_grid, spec, radii)
+
+
+def _log_l(evaluator: LFunctionEvaluator, radii) -> np.ndarray:
+    return _shared(l_function_wide, evaluator, radii)
+
 
 @dataclass
 class VerificationReport:
@@ -322,14 +358,14 @@ def check_lfunction_sandwich(
         raise ParameterError(f"the sandwich requires a > 1, got {a}")
     grid = _prepare_r_grid(spec, r_grid, u_mul=max(a, 1.0), l_mul=4.0)
     const1 = math.log(math.e * a / math.log(a))
-    lu_ar = log_u_grid(spec, a * grid)
-    logl_r = l_function_wide(evaluator, grid)
+    lu_ar = _log_u(spec, a * grid)
+    logl_r = _log_l(evaluator, grid)
     margins = const1 + lu_ar - logl_r
     j = int(np.argmin(margins))
 
     # Midpoints stay below the grid's top, so the refined grid needs no clip.
     fine = refine_grid(grid)
-    ratios_fine = log_u_grid(spec, fine) - l_function_wide(evaluator, 4.0 * fine)
+    ratios_fine = _log_u(spec, fine) - _log_l(evaluator, 4.0 * fine)
     ratios = ratios_fine[np.isin(fine, grid)]
     i = int(np.argmax(ratios))
     log_c, r_at = float(ratios[i]), float(grid[i])
@@ -358,8 +394,8 @@ def check_lemma_square(evaluator: LFunctionEvaluator, r_grid=None) -> Verificati
     spec = evaluator.spec
     grid = _prepare_r_grid(spec, r_grid, u_mul=0.0, l_mul=8.0)
     le0 = float(evaluator.table.log_ell[0])
-    logl = l_function_wide(evaluator, grid)
-    logl8 = l_function_wide(evaluator, 8.0 * grid)
+    logl = _log_l(evaluator, grid)
+    logl8 = _log_l(evaluator, 8.0 * grid)
     margins = le0 + logl8 - 2.0 * logl
     j = int(np.argmin(margins))
     return _report(
@@ -384,8 +420,8 @@ def check_lemma_sqrt(
     grid = _prepare_r_grid(spec, r_grid, u_mul=8.0 * a, l_mul=1.0)
     le0 = float(evaluator.table.log_ell[0])
     const = 0.5 * (le0 + math.log(math.e * a / math.log(a)))
-    lu = log_u_grid(spec, 8.0 * a * grid)
-    logl = l_function_wide(evaluator, grid)
+    lu = _log_u(spec, 8.0 * a * grid)
+    logl = _log_l(evaluator, grid)
     margins = const + 0.5 * lu - logl
     j = int(np.argmin(margins))
     return _report(
@@ -403,9 +439,9 @@ def check_lemma_sqrt(
 
 def _as_logfun(obj, fallback_id: str) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
     if isinstance(obj, GrowthFunctionSpec):
-        return (lambda rs: log_u_grid(obj, rs)), obj.function_id
+        return (lambda rs: _log_u(obj, rs)), obj.function_id
     if isinstance(obj, LFunctionEvaluator):
-        return (lambda rs: l_function_wide(obj, rs)), f"L[{obj.spec.function_id}]"
+        return (lambda rs: _log_l(obj, rs)), f"L[{obj.spec.function_id}]"
     if callable(obj):
         fun = lambda rs: np.array([obj(float(r)) for r in rs])
         return fun, fallback_id
@@ -592,7 +628,8 @@ def verify_function(
     checks: Sequence[str] | None = None,
     a: float = 2.0,
 ) -> list[VerificationReport]:
-    """Run the default battery of checks for one catalog function."""
+    """Run the default battery of checks for one catalog function; the checks
+    share their grid evaluations for the length of the call (``_shared``)."""
     wanted = tuple(checks) if checks is not None else CHECK_IDS
     unknown = set(wanted) - set(CHECK_IDS)
     if unknown:
@@ -600,7 +637,11 @@ def verify_function(
     if evaluator is None:
         evaluator = LFunctionEvaluator.from_spec(spec)
     battery = _Battery(spec, legendre_sequence(spec, n_max), evaluator, a, r_grid)
-    return [_CHECKS[check](battery) for check in wanted]
+    token = _SHARED.set({})
+    try:
+        return [_CHECKS[check](battery) for check in wanted]
+    finally:
+        _SHARED.reset(token)
 
 
 def summary_table(reports: Sequence[VerificationReport]) -> str:

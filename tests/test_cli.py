@@ -101,6 +101,17 @@ def eval_job(job_id="eval-1", **extra):
     (lambda m: m.update(jobs=[eval_job(r=[1.0, "2"])]), "field 'r' must be a list of numbers"),
     (lambda m: m.update(jobs=[{"id": "x", "kind": "fock", "function": "ks0", "xi": "1.0"}]),
      "field 'xi' must be a list of numbers"),
+    # Expected values: True would read as 1.0 and "2" as [2.0].
+    (lambda m: m.update(jobs=[eval_job(expect_log=[True])]),
+     "field 'expect_log' must be a list of numbers, got [True]"),
+    (lambda m: m.update(jobs=[eval_job(expect_log="2")]),
+     "field 'expect_log' must be a list of numbers, got '2'"),
+    (lambda m: m.update(jobs=[{"id": "x", "kind": "lfn", "function": "ks0", "r": [1.0],
+                               "expect_log": [None]}]),
+     "field 'expect_log' must be a list of numbers"),
+    (lambda m: m.update(jobs=[{"id": "x", "kind": "eval", "lam": 0.5, "t": [1.0],
+                               "expect": [True]}]),
+     "field 'expect' must be a list of numbers, got [True]"),
 ])
 def test_validate_manifest_rejects(mutate, fragment):
     m = manifest([eval_job()])

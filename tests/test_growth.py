@@ -1,4 +1,4 @@
-"""Growth-function catalog: factories, Bell numbers, conditions, Mittag-Leffler."""
+"""Growth-function catalog: factories, Bell tables, conditions, Mittag-Leffler."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import pickle
 import re
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,6 @@ from growthcalc import (
     KONDRATIEV_STREIT,
     CapacityError,
     ParameterError,
-    bell_numbers,
     bell_series,
     check_conditions,
     default_r_grid,
@@ -118,44 +118,48 @@ def egf_iterated_exponential(k: int, n_max: int) -> list[int]:
     return [int(coeffs[n] * math.factorial(n)) for n in range(n_max + 1)]
 
 
+def _runtime_log_bell(k: int, n_max: int) -> np.ndarray:
+    """``log b_k(0..n_max)`` as the Bell series' coefficient tables hold them:
+    order 2 from ``_log_bell``, every other order from ``_egf_log_coeffs``."""
+    from growthcalc.growth import _N_BELL2, _egf_log_coeffs, _log_bell, _log_factorials
+
+    if k == 2:
+        return _log_bell(_N_BELL2)[: n_max + 1]
+    return _egf_log_coeffs(k, n_max) + _log_factorials(n_max)
+
+
 def test_bell_order_one_is_constant():
-    assert bell_numbers(1, 8) == [1] * 9
+    assert np.array_equal(_runtime_log_bell(1, 8), np.zeros(9))
 
 
 def test_bell_order_two_matches_bell_triangle():
-    assert bell_numbers(2, 20) == list(oracles.bell_triangle()[:21])
-    assert bell_numbers(2, 6) == [1, 1, 2, 5, 15, 52, 203]
-
-
-def test_bell_order_two_matches_bell_triangle_up_to_the_exact_cap():
-    from growthcalc.growth import _BELL_EXACT_CAP
-
-    assert oracles.BELL_TERMS == _BELL_EXACT_CAP
-    assert bell_numbers(2, _BELL_EXACT_CAP) == list(oracles.bell_triangle())
+    # Every row the exact oracle holds: the Dobinski rows and the trapezoid
+    # rule's first block.
+    table = _runtime_log_bell(2, oracles.BELL_TERMS)
+    with mp.workdps(oracles.DPS):
+        exact = [float(mp.log(b)) for b in oracles.bell_triangle()]
+    for n, (got, want) in enumerate(zip(table, exact)):
+        assert abs(got - want) <= 2 * math.ulp(want), n
 
 
 def test_bell_order_three_matches_exact_composition():
-    assert bell_numbers(3, 10) == egf_iterated_exponential(3, 10)
-    assert bell_numbers(3, 6) == [1, 1, 3, 12, 60, 358, 2471]
+    exact = egf_iterated_exponential(3, 10)
+    assert exact[:7] == [1, 1, 3, 12, 60, 358, 2471]
+    np.testing.assert_allclose(_runtime_log_bell(3, 10), [math.log(b) for b in exact],
+                               rtol=1e-14, atol=1e-15)
 
 
 def test_bell_order_two_matches_exact_composition():
-    assert bell_numbers(2, 12) == egf_iterated_exponential(2, 12)
-
-
-def test_bell_rejects_bad_parameters():
-    with pytest.raises(ParameterError):
-        bell_numbers(0, 5)
-    with pytest.raises(ParameterError):
-        bell_numbers(2, -1)
-    with pytest.raises(CapacityError):
-        bell_numbers(2, 1201)
+    exact = egf_iterated_exponential(2, 12)
+    assert exact == list(oracles.bell_triangle()[:13])
+    np.testing.assert_allclose(_runtime_log_bell(2, 12), [math.log(b) for b in exact],
+                               rtol=1e-15, atol=0.0)
 
 
 @given(st.integers(min_value=2, max_value=3), st.integers(min_value=1, max_value=30))
 def test_bell_strictly_increasing_from_two(k, n):
-    b = bell_numbers(k, n + 2)
-    assert b[n + 2] > b[n + 1] or n + 2 <= 1
+    b = _runtime_log_bell(k, n + 2)
+    assert b[n + 2] > b[n + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +208,7 @@ def test_power_series_one_plus_r():
 
 def test_bell_series_log_domain_matches_direct_sum():
     u2 = bell_series(2)
-    bells = bell_numbers(2, 80)
+    bells = oracles.bell_triangle()[:81]
     for r in (0.5, 10.0, 40.0):
         oracle = math.log(
             math.fsum(r**n / (bells[n] * math.factorial(n)) for n in range(81))
@@ -234,6 +238,8 @@ def test_factory_parameter_validation():
         kondratiev_streit(-0.1)
     with pytest.raises(ParameterError):
         iterated_exp_sqrt(0)
+    with pytest.raises(ParameterError):
+        bell_series(0)
     with pytest.raises(ParameterError):
         exponential(0.0)
     with pytest.raises(ParameterError):
@@ -568,7 +574,7 @@ def test_bell_table_matches_exact_bell_numbers_and_the_oracle_at_the_seam():
     from growthcalc.growth import _N_BELL2, _log_bell
 
     table = _log_bell(_N_BELL2)
-    exact = bell_numbers(2, 60)
+    exact = oracles.bell_triangle()[:61]
     np.testing.assert_allclose(table[:61], [math.log(b) for b in exact], rtol=1e-15, atol=0.0)
     for n in range(255, 259):
         got = float(table[n])
@@ -584,7 +590,7 @@ def test_bell_table_trapezoid_rows_match_the_oracle_to_two_ulp(n):
     assert abs(got - oracles.log_bell(n)) <= 2 * math.ulp(got)
 
 
-@pytest.mark.parametrize("n", [61, 300, 1000, 5000, 40000, 100000, 1 << 18])
+@pytest.mark.parametrize("n", [61, 257, 300, 1000, 1280, 1281, 5000, 40000, 100000, 1 << 18])
 def test_dobinski_table_matches_the_bell_oracle_to_two_ulp(n):
     from growthcalc.growth import _N_BELL2, _log_bell
 

@@ -10,6 +10,7 @@ import pytest
 from growthcalc import (
     CHECK_IDS,
     SLACK,
+    CapacityError,
     ParameterError,
     bell_series,
     cauchy_coefficient_bound,
@@ -398,3 +399,121 @@ def test_battery_calls_the_check_bound_in_the_module_at_call_time(
     reports = verify_function(catalog["ks0"], evaluator=evaluator, checks=["nth-root-decay"])
     assert seen == [evaluator.table]
     assert [r.check_id for r in reports] == ["nth-root-decay"]
+
+
+# ---------------------------------------------------------------------------
+# grid values shared within one battery call
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def grid_calls(monkeypatch):
+    """Every ``log_u_grid`` / ``l_function_wide`` call the checks make, as
+    (name, operand id, radii bytes)."""
+    from growthcalc import inequality_lab
+
+    calls = []
+
+    def counted(name, fn):
+        def call(operand, rs, *args):
+            calls.append((name, id(operand), np.asarray(rs, dtype=float).tobytes()))
+            return fn(operand, rs, *args)
+
+        return call
+
+    monkeypatch.setattr(inequality_lab, "log_u_grid", counted("log_u", log_u_grid))
+    monkeypatch.setattr(inequality_lab, "l_function_wide",
+                        counted("log_l", l_function_wide))
+    return calls
+
+
+def _standalone_reports(spec, evaluator):
+    """The battery's checks called one by one, outside ``verify_function``."""
+    from growthcalc import inequality_lab
+
+    battery = inequality_lab._Battery(spec, legendre_sequence(spec, 60), evaluator, 2.0, None)
+    return [inequality_lab._CHECKS[check](battery) for check in CHECK_IDS]
+
+
+@pytest.mark.parametrize("fid", ["ks05", "g2"])
+def test_battery_evaluates_each_operand_and_grid_once(catalog, evaluators, grid_calls, fid):
+    spec, evaluator = catalog[fid], evaluators[fid]
+    reports = verify_function(spec, evaluator=evaluator)
+    assert all(r.passed for r in reports)
+    shared = list(grid_calls)
+    assert len(shared) == len(set(shared))
+    # Standalone, the same checks ask for the same grids, some more than once.
+    grid_calls.clear()
+    _standalone_reports(spec, evaluator)
+    assert set(grid_calls) == set(shared)
+    assert len(grid_calls) > len(shared)
+
+
+@pytest.fixture(scope="module")
+def u2_evaluator(u2):
+    from growthcalc import LFunctionEvaluator
+
+    return LFunctionEvaluator.from_spec(u2)
+
+
+@pytest.mark.parametrize("fid", ["ks05", "g3", "u2"])
+def test_battery_reports_equal_the_standalone_checks(catalog, evaluators, u2, u2_evaluator,
+                                                     fid):
+    spec, evaluator = (u2, u2_evaluator) if fid == "u2" else (catalog[fid], evaluators[fid])
+    shared = verify_function(spec, evaluator=evaluator)
+    alone = _standalone_reports(spec, evaluator)
+    assert [r.to_json_dict() for r in shared] == [r.to_json_dict() for r in alone]
+
+
+def test_grid_sharing_ends_with_the_battery_call(catalog, evaluators, monkeypatch, grid_calls):
+    from growthcalc import inequality_lab
+
+    spec, evaluator = catalog["ks05"], evaluators["ks05"]
+    checks = ("lseries-sandwich", "lseries-square-bound")
+    verify_function(spec, evaluator=evaluator, checks=checks)
+    first = list(grid_calls)
+    grid_calls.clear()
+    verify_function(spec, evaluator=evaluator, checks=checks)
+    assert grid_calls == first  # evaluated afresh
+    grid_calls.clear()
+    check_lemma_square(evaluator)
+    check_lemma_square(evaluator)
+    assert len(grid_calls) == 4 and grid_calls[:2] == grid_calls[2:]
+
+    def broken(*args, **kwargs):
+        raise CapacityError("planted")
+
+    monkeypatch.setattr(inequality_lab, "check_lemma_square", broken)
+    with pytest.raises(CapacityError, match="planted"):
+        verify_function(spec, evaluator=evaluator, checks=checks)
+    assert inequality_lab._SHARED.get() is None
+    grid_calls.clear()
+    check_lfunction_sandwich(spec, evaluator)
+    check_lfunction_sandwich(spec, evaluator)
+    assert len(grid_calls) == 8 and grid_calls[:4] == grid_calls[4:]
+
+
+def test_a_failed_grid_evaluation_is_not_shared(evaluators, monkeypatch):
+    from growthcalc import inequality_lab
+
+    evaluator, grid = evaluators["ks05"], np.geomspace(1e-3, 1e3, 16)
+    failures = []
+
+    def flaky(ev, rs, *args):
+        if not failures:
+            failures.append(np.size(rs))
+            raise CapacityError("planted")
+        return l_function_wide(ev, rs, *args)
+
+    monkeypatch.setattr(inequality_lab, "l_function_wide", flaky)
+    token = inequality_lab._SHARED.set({})
+    try:
+        with pytest.raises(CapacityError, match="planted"):
+            inequality_lab._log_l(evaluator, grid)
+        value = inequality_lab._log_l(evaluator, grid)  # evaluated again
+        assert inequality_lab._log_l(evaluator, grid) is value
+    finally:
+        inequality_lab._SHARED.reset(token)
+    assert not value.flags.writeable
+    assert np.array_equal(value, l_function_wide(evaluator, grid))
+    assert failures == [grid.size]
