@@ -133,8 +133,20 @@ def test_bell_order_one_is_constant():
 
 
 def test_bell_order_two_matches_bell_triangle():
+    table = _runtime_log_bell(2, 20)
+    bells = oracles.bell_triangle()[:21]
+    assert [round(math.exp(v)) for v in table[:7]] == [1, 1, 2, 5, 15, 52, 203]
+    for n, (got, b) in enumerate(zip(table, bells)):
+        want = math.log(b)
+        assert abs(got - want) <= 2 * math.ulp(want), n
+
+
+def test_bell_order_two_matches_bell_triangle_up_to_the_exact_cap():
     # Every row the exact oracle holds: the Dobinski rows and the trapezoid
     # rule's first block.
+    from growthcalc.growth import _N_BELL2
+
+    assert _N_BELL2 > oracles.BELL_TERMS
     table = _runtime_log_bell(2, oracles.BELL_TERMS)
     with mp.workdps(oracles.DPS):
         exact = [float(mp.log(b)) for b in oracles.bell_triangle()]
