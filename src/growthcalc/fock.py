@@ -35,50 +35,6 @@ class HypothesisViolationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SequenceSpaceModel:
-    """Geometric weight model ``|x|_p^2 = sum_k rho^{-2p(k+1)} x_k^2``.
-
-    Negative ``p`` gives the dual weights.  ``d`` is the truncation dimension
-    for explicit vectors; the closed-form embedding norms refer to the full
-    infinite chain.
-    """
-
-    rho: float = 0.5
-    d: int = 32
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rho < 1.0:
-            raise ParameterError(f"rho must lie in (0, 1), got {self.rho}")
-        if self.d < 1:
-            raise ParameterError(f"dimension must be >= 1, got {self.d}")
-
-    def weights(self, p: float) -> np.ndarray:
-        k = np.arange(1, self.d + 1, dtype=float)
-        return self.rho ** (-2.0 * p * k)
-
-    def norm(self, x, p: float) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.size > self.d:
-            raise ParameterError(f"vectors must be 1-d with at most d={self.d} entries")
-        w = self.weights(p)[: x.size]
-        return float(np.sqrt(np.sum(w * x * x)))
-
-    def hs_norm_sq(self, p: float, q: float) -> float:
-        """Squared embedding norm of the inclusion (level q into level p),
-        closed form for the full chain: ``rho^{2(q-p)} / (1 - rho^{2(q-p)})``."""
-        if not q > p:
-            raise ParameterError("embedding norms need q > p")
-        x = self.rho ** (2.0 * (q - p))
-        return x / (1.0 - x)
-
-    def hs_norm_sq_truncated(self, p: float, q: float) -> float:
-        if not q > p:
-            raise ParameterError("embedding norms need q > p")
-        k = np.arange(1, self.d + 1, dtype=float)
-        return float(np.sum(self.rho ** (2.0 * (q - p) * k)))
-
-
-@dataclass(frozen=True)
 class ChaosSequence:
     """Scalar chaos coefficients, optionally stored as logs.
 
@@ -244,18 +200,16 @@ def a_norm_1d(
     p: int = 0,
     x_grid=None,
     rho: float = 0.5,
-    w: float | None = None,
 ) -> float:
     """``sup_x |phi(x)| u(w x^2)^{-1/2}`` with ``phi = sum c_n He_n`` and the
-    level weight ``w = rho^{2p}`` (overridable).
+    level weight ``w = rho^{2p}``.
 
     Warns when the supremum is attained on the grid boundary — the reported
     value is then a lower estimate.
     """
-    if w is None:
-        if not 0.0 < rho < 1.0:
-            raise ParameterError(f"rho must lie in (0, 1), got {rho}")
-        w = rho ** (2.0 * p)
+    if not 0.0 < rho < 1.0:
+        raise ParameterError(f"rho must lie in (0, 1), got {rho}")
+    w = rho ** (2.0 * p)
     if not w > 0.0:
         raise ParameterError(f"the level weight must be positive, got {w}")
     if x_grid is None:
@@ -303,22 +257,12 @@ def growth_bound_check(
     )
 
 
-def s_transform_1d(seq: ChaosSequence, xi: float, order: int | None = None) -> float:
+def s_transform_1d(seq: ChaosSequence, xi: float) -> float:
     """``S(phi)(xi) = E[phi(X + xi)]`` for standard Gaussian ``X`` via
-    Gauss-Hermite quadrature; maps ``He_n`` to ``xi^n``.
-
-    Warns when the quadrature order cannot integrate the polynomial exactly.
+    Gauss-Hermite quadrature of order ``max(32, degree + 2)``, exact for the
+    polynomial; maps ``He_n`` to ``xi^n``.
     """
-    deg = seq.degree
-    if order is None:
-        order = max(32, deg + 2)
-    if order < deg + 1:
-        warnings.warn(
-            f"quadrature order {order} is below the polynomial degree {deg}; "
-            "the transform value is approximate",
-            stacklevel=2,
-        )
-    nodes, weights = np.polynomial.hermite_e.hermegauss(order)
+    nodes, weights = np.polynomial.hermite_e.hermegauss(max(32, seq.degree + 2))
     vals = hermite_eval_1d(seq, nodes + float(xi))
     return float(np.dot(weights, vals) / math.sqrt(2.0 * math.pi))
 

@@ -339,21 +339,6 @@ def power_series(
     )
 
 
-def spec_to_dict(spec: GrowthFunctionSpec) -> dict:
-    """JSON-ready description of a spec (inverse of :func:`spec_from_dict`)."""
-    key = _KIND_TABLE[spec.kind].param
-    value = getattr(spec, key)
-    if isinstance(value, tuple):
-        # JSON has no -Infinity literal; absent series terms serialize as null.
-        value = [None if v == -math.inf else v for v in value]
-    out: dict = {"kind": spec.kind, key: value}
-    if spec.claimed_conditions:
-        out["claimed_conditions"] = sorted(spec.claimed_conditions)
-    if spec.label:
-        out["label"] = spec.label
-    return out
-
-
 def spec_from_dict(d: dict) -> GrowthFunctionSpec:
     """Build a spec from a config mapping like ``{"kind": "kondratiev_streit", "beta": 0.5}``."""
     if not isinstance(d, dict) or "kind" not in d:

@@ -52,6 +52,8 @@ _TAIL_FROM = 10
 _ROOT_THRESHOLD = 0.01
 #: Multiples of ``r*`` at which the table audit probes the infimum.
 _PROBE_FACTORS = (0.25, 0.5, 0.9, 1.1, 2.0, 4.0)
+#: The table audit's tolerance, relative to ``max(1, |log ell|)``.
+_AUDIT_TOL = 1e-7
 #: Dyadic scale factors ``2^p`` searched up to this ``p``.
 _MAX_POW = 12
 #: Largest log-domain move of a witness constant under 2x grid refinement.
@@ -267,24 +269,20 @@ def check_nth_root(table: LegendreTable) -> VerificationReport:
     )
 
 
-def check_table_definition(
-    spec: GrowthFunctionSpec,
-    table: LegendreTable,
-    tol: float = 1e-7,
-) -> VerificationReport:
+def check_table_definition(spec: GrowthFunctionSpec, table: LegendreTable) -> VerificationReport:
     """Audit stored rows against the transform's definition.
 
     Two properties per row: the stored value must equal
     ``log u(r*) - t log r*`` (consistency), and it must not exceed
     ``log u(r) - t log r`` at probe radii around ``r*`` (the infimum
-    property).  Tolerances scale with ``max(1, |log ell|)``, so a 1% change
-    in any entry is far outside them.
+    property).  Tolerances are ``_AUDIT_TOL * max(1, |log ell|)``, so a 1%
+    change in any entry is far outside them.
     """
     worst = math.inf
     wit: dict = {}
     cap = spec.faithful_cap
     for ti, li, ri in zip(table.t, table.log_ell, table.r_star):
-        scale = tol * max(1.0, abs(li))
+        scale = _AUDIT_TOL * max(1.0, abs(li))
         if ti == 0.0:
             direct = _grid_infimum(spec)
             margin = scale - abs(direct - li)
@@ -313,7 +311,7 @@ def check_table_definition(
         table.function_id,
         worst,
         wit,
-        {"tol": tol, "probe_factors": list(_PROBE_FACTORS)},
+        {"tol": _AUDIT_TOL, "probe_factors": list(_PROBE_FACTORS)},
         _int_grid_info(table) if table.is_integer_grid else {"kind": "real_t"},
         slack=0.0,
     )
@@ -443,8 +441,7 @@ def _as_logfun(obj, fallback_id: str) -> tuple[Callable[[np.ndarray], np.ndarray
     if isinstance(obj, LFunctionEvaluator):
         return (lambda rs: _log_l(obj, rs)), f"L[{obj.spec.function_id}]"
     if callable(obj):
-        fun = lambda rs: np.array([obj(float(r)) for r in rs])
-        return fun, fallback_id
+        return obj, fallback_id
     raise ParameterError(
         "equivalence operands must be specs, L-function evaluators or log-callables"
     )
@@ -470,8 +467,8 @@ def equivalence_witness(
 
     Each operand is a spec (``log u``, id ``function_id``), an
     :class:`LFunctionEvaluator` (``log L_u``, evaluated one array call per
-    grid, id ``L[function_id]``) or a scalar callable returning a log value
-    (id ``f_id`` / ``g_id``).
+    grid, id ``L[function_id]``) or a callable taking a radius array and
+    returning its log values (id ``f_id`` / ``g_id``), called once per grid.
     """
     f_fun, f_id = _as_logfun(f, f_id)
     g_fun, g_id = _as_logfun(g, g_id)
@@ -519,9 +516,7 @@ def equivalence_witness(
     return _report("equivalence", fn_id, 0.0, witness, constants, _r_grid_info(grid))
 
 
-def check_chain_order(
-    specs: Sequence[GrowthFunctionSpec], n_max: int = 60, max_pow: int = _MAX_POW
-) -> VerificationReport:
+def check_chain_order(specs: Sequence[GrowthFunctionSpec], n_max: int = 60) -> VerificationReport:
     """Certify the embedding order of a chain of spaces, smallest first.
 
     For each adjacent pair (A, B) — A the smaller test space, i.e. the more
@@ -539,7 +534,7 @@ def check_chain_order(
     tail_len = min(12, max(4, n_max // 4))
     for (sa, ta), (sb, tb) in zip(zip(specs, tables), zip(specs[1:], tables[1:])):
         found = None
-        for p in range(max_pow + 1):
+        for p in range(_MAX_POW + 1):
             a = float(2.0**p)
             m = ta.log_ell - tb.log_ell - np.arange(n_max + 1) * math.log(a)
             tail_steps = np.diff(m[-tail_len:])
@@ -611,7 +606,7 @@ _CHECKS = {
         b.spec, b.evaluator, r_grid=b.r_grid, g_id=f"L[{b.spec.function_id}]",
     ), check_id="equivalence-lseries"),
     "equivalence-square": lambda b: replace(equivalence_witness(
-        b.spec, lambda r: 2.0 * b.spec.log_u(r), r_grid=b.r_grid,
+        b.spec, lambda rs: 2.0 * _log_u(b.spec, rs), r_grid=b.r_grid,
         g_id=f"{b.spec.function_id}^2",
     ), check_id="equivalence-square"),
 }

@@ -47,6 +47,8 @@ _GREY = "grey"
 #: ``_POISSON_K_CAP`` terms.
 _POISSON_TAIL_TOL = 1e-12
 _POISSON_K_CAP = 100_000
+#: ``fernique_product`` stops once a bound on the remaining log-tail is below this.
+_FERNIQUE_TAIL_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -105,9 +107,7 @@ class FerniqueResult:
     note: str = ""
 
 
-def fernique_product(
-    rho: float, q: float, c2: float, tail_tol: float = 1e-14
-) -> FerniqueResult:
+def fernique_product(rho: float, q: float, c2: float) -> FerniqueResult:
     """``prod_k (1 - 4 c2 rho^{2q(k+1)})^{-1/2}`` — the Gaussian integral of
     ``exp(c2 |x|_{-q}^2)`` over the product measure with variances 2.
 
@@ -120,8 +120,6 @@ def fernique_product(
         raise ParameterError(f"q must be finite and >= 0, got {q}")
     if not 0.0 <= c2 < math.inf:
         raise ParameterError(f"c2 must be finite and >= 0, got {c2}")
-    if not tail_tol > 0.0:
-        raise ParameterError("tail_tol must be positive")
     if c2 == 0.0:
         return FerniqueResult(1.0, 0.0, True, 0, 0.0, 0.0)
     ratio = rho ** (2.0 * q)
@@ -146,7 +144,7 @@ def fernique_product(
         # -log1p(-y) <= y / (1 - y); the remaining geometric tail is bounded
         # by the next term over (1 - ratio).
         tail = 0.5 * (x / (1.0 - x)) / (1.0 - ratio)
-        if tail < tail_tol:
+        if tail < _FERNIQUE_TAIL_TOL:
             break
         if k >= 10**6:
             raise RuntimeError("fernique_product failed to converge in 1e6 factors")
@@ -441,13 +439,10 @@ def _grey_level(surrogate: MeasureSurrogate, spec: GrowthFunctionSpec, p: int) -
 
 
 def hida_condition(
-    surrogate: MeasureSurrogate,
-    spec: GrowthFunctionSpec,
-    p: int = 0,
-    p_max: int | None = None,
+    surrogate: MeasureSurrogate, spec: GrowthFunctionSpec, p: int = 0
 ) -> HidaReport:
     """Check ``int u(|x|_{-p}^2)^{1/2} dmu < inf`` for the matching pair and
-    sweep levels ``0..max(p, p_max)`` for the smallest finite one.
+    sweep levels ``0..max(p, 4)`` for the smallest finite one.
 
     Mismatched (measure, growth function) pairs raise
     :class:`~growthcalc.growth.ParameterError`.
@@ -455,9 +450,8 @@ def hida_condition(
     if p < 0:
         raise ParameterError(f"p must be >= 0, got {p}")
     _check_compatibility(surrogate, spec)
-    top = max(p, 4 if p_max is None else p_max)
     measure = _MEASURE_TABLE[surrogate.kind]
-    levels = [measure.level(surrogate, spec, q) for q in range(top + 1)]
+    levels = [measure.level(surrogate, spec, q) for q in range(max(p, 4) + 1)]
     smallest = next((q for q, entry in enumerate(levels) if entry["finite"]), None)
     seed = surrogate.seed if measure.sampled else None
     notes = "" if smallest is not None else "no finite level up to the sweep cap"

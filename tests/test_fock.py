@@ -1,4 +1,4 @@
-"""Sequence-space model, chaos-coefficient norms, Hermite calculus."""
+"""Chaos-coefficient norms, exponential vectors, Hermite calculus."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from growthcalc import (
     HypothesisViolationError,
     LFunctionEvaluator,
     ParameterError,
-    SequenceSpaceModel,
     a_norm_1d,
     cauchy_coefficient_bound,
     dual_norm,
@@ -35,53 +34,6 @@ from growthcalc import test_norm as chaos_test_norm  # pytest must not collect i
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0,
                           allow_nan=False, allow_infinity=False)
-
-
-# ---------------------------------------------------------------------------
-# weighted sequence model
-# ---------------------------------------------------------------------------
-
-
-def test_model_weights_geometry():
-    m = SequenceSpaceModel()
-    w = m.weights(1)
-    assert len(w) == 32
-    assert w[0] == 4.0 and w[1] == 16.0  # rho^{-2pk} with rho = 1/2
-
-
-def test_model_norm_scale_inequality():
-    m = SequenceSpaceModel()
-    rng = np.random.default_rng(0)
-    for p in (1, 2, 3):
-        for _ in range(5):
-            x = rng.normal(size=32)
-            assert m.norm(x, 0) <= (0.5**p) * m.norm(x, p) + 1e-12
-
-
-def test_model_hs_norm_closed_form():
-    m = SequenceSpaceModel(d=64)
-    # sum over k >= 1 of rho^{2(q-p)k} = x / (1 - x)
-    assert m.hs_norm_sq(0, 1) == pytest.approx(0.25 / 0.75, rel=1e-14)
-    assert m.hs_norm_sq(1, 3) == pytest.approx(
-        m.hs_norm_sq_truncated(1, 3), rel=1e-12
-    )
-
-
-def test_model_validation():
-    with pytest.raises(ParameterError):
-        SequenceSpaceModel(rho=1.5)
-    with pytest.raises(ParameterError):
-        SequenceSpaceModel().hs_norm_sq(1, 1)
-
-
-@given(st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=3))
-@settings(max_examples=30)
-def test_model_hs_closed_form_property(p, dq):
-    m = SequenceSpaceModel(d=128)
-    q = p + dq
-    assert m.hs_norm_sq(p, q) == pytest.approx(
-        m.hs_norm_sq_truncated(p, q), rel=1e-10
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +214,6 @@ def test_s_transform_monomials():
             assert s_transform_1d(ChaosSequence.delta(n), xi) == pytest.approx(
                 xi**n, rel=1e-10, abs=1e-10
             )
-
-
-def test_s_transform_warns_on_low_order():
-    with pytest.warns(UserWarning):
-        s_transform_1d(ChaosSequence.delta(6), 1.0, order=4)
 
 
 def test_growth_bound(tables60):

@@ -36,7 +36,6 @@ from growthcalc import (
     power_series,
     refine_grid,
     spec_from_dict,
-    spec_to_dict,
 )
 
 
@@ -359,22 +358,33 @@ def test_refine_grid_interleaves_geometrically():
 # ---------------------------------------------------------------------------
 
 
+#: One spec per kind with its config form, as a manifest writes it.
+SPEC_CONFIGS = [
+    ({"kind": "kondratiev_streit", "beta": 0.25}, kondratiev_streit(0.25)),
+    ({"kind": "iterated_exp_sqrt", "k": 3}, iterated_exp_sqrt(3)),
+    ({"kind": "bell_series", "k": 2, "claimed_conditions": ["U0", "U1", "U2", "U3"]},
+     bell_series(2)),
+    ({"kind": "exponential", "c": 2.0}, exponential(2.0)),
+    # absent odd-degree terms are written as null, not as a non-JSON -Infinity
+    ({"kind": "power_series",
+      "log_coeffs": [None if n % 2 else -math.lgamma(n // 2 + 1) for n in range(13)],
+      "claimed_conditions": ["U0", "U1", "U3"], "label": "truncated-exp-square"},
+     truncated_square_exponential(degree=12)),
+]
+
+
 def test_spec_round_trip_catalog():
-    for spec in (kondratiev_streit(0.25), iterated_exp_sqrt(3),
-                 exponential(2.0), bell_series(2)):
-        clone = spec_from_dict(spec_to_dict(spec))
+    for d, spec in SPEC_CONFIGS[:4]:
+        clone = spec_from_dict(d)
         for r in (0.0, 1.0, 50.0):
             assert clone.log_u(r) == spec.log_u(r)
 
 
 def test_spec_round_trip_power_series_with_gaps():
-    spec = truncated_square_exponential(degree=12)
-    d = spec_to_dict(spec)
-    # absent odd-degree terms serialize as null, not as a non-JSON -Infinity
-    assert d["log_coeffs"][1] is None
-    assert d["log_coeffs"][0] == 0.0
-    assert d["claimed_conditions"] == ["U0", "U1", "U3"]
+    d, spec = SPEC_CONFIGS[4]
     clone = spec_from_dict(d)
+    assert clone.log_coeffs[1] == -math.inf and clone.log_coeffs[0] == 0.0
+    assert clone.claimed_conditions == {"U0", "U1", "U3"}
     for r in (0.0, 0.5, 2.0):
         assert clone.log_u(r) == spec.log_u(r)
 
@@ -386,12 +396,9 @@ def test_spec_from_dict_rejects_malformed_input():
         spec_from_dict({"kind": "kondratiev-streit"})  # missing beta
 
 
-@pytest.mark.parametrize("spec", [
-    kondratiev_streit(0.25), iterated_exp_sqrt(3), bell_series(2),
-    exponential(2.0), truncated_square_exponential(degree=12),
-], ids=lambda spec: spec.kind)
-def test_spec_dict_round_trip_is_exact(spec):
-    assert spec_from_dict(spec_to_dict(spec)) == spec
+@pytest.mark.parametrize("d,spec", SPEC_CONFIGS, ids=[spec.kind for _, spec in SPEC_CONFIGS])
+def test_spec_dict_round_trip_is_exact(d, spec):
+    assert spec_from_dict(d) == spec
 
 
 @pytest.mark.parametrize("d,key", [

@@ -12,7 +12,6 @@ from growthcalc import (
     SLACK,
     CapacityError,
     ParameterError,
-    bell_series,
     cauchy_coefficient_bound,
     check_chain_order,
     check_conditions,
@@ -182,7 +181,7 @@ def test_equivalence_scaled_argument():
     # g(r) = u(2r) is equivalent to u with the textbook witness.
     ks0 = kondratiev_streit(0.0)
     report = equivalence_witness(
-        ks0, lambda r: ks0.log_u(2.0 * r), f_id="ks0", g_id="shifted"
+        ks0, lambda rs: log_u_grid(ks0, 2.0 * rs), f_id="ks0", g_id="shifted"
     )
     assert report.passed
     assert report.constants["a1"] == 1.0
@@ -205,7 +204,7 @@ def test_equivalence_accepts_an_evaluator(catalog, evaluators):
     spec, ev = catalog["g2"], evaluators["g2"]
     by_array = equivalence_witness(spec, ev)
     by_lone_calls = equivalence_witness(
-        spec, lambda r: l_function_wide(ev, r), g_id="L[g2]"
+        spec, lambda rs: np.array([l_function_wide(ev, float(r)) for r in rs]), g_id="L[g2]"
     )
     assert by_array.function_id == by_lone_calls.function_id == "(g2,L[g2])"
     assert by_array.status == by_lone_calls.status == "pass"
@@ -242,7 +241,7 @@ def test_equivalence_finds_no_witness_in_a_nan_constant():
     # A NaN log-difference is not a stable constant: no pass with c = NaN.
     ks0 = kondratiev_streit(0.0)
     report = equivalence_witness(
-        ks0, lambda r: math.nan if r > 500.0 else ks0.log_u(r),
+        ks0, lambda rs: np.where(rs > 500.0, math.nan, log_u_grid(ks0, rs)),
         r_grid=np.geomspace(1e-2, 1e3, 40), g_id="nan-tail",
     )
     assert report.status == "fail" and report.constants == {}
@@ -273,10 +272,11 @@ def test_chain_order_catalog(catalog):
 
 
 def test_chain_order_fails_without_dyadic_budget():
-    # with the scale pinned at a = 1 a wrong-order chain must be refused
-    report = check_chain_order(
-        [kondratiev_streit(0.0), bell_series(2)], max_pow=0
-    )
+    # ell ratios of exp(c r) are c^n, so exp(c r) ahead of exp(r) needs a = c:
+    # the budget 2^12 reaches c = 4096 and refuses c = 8192
+    fits = check_chain_order([exponential(4096.0), exponential(1.0)])
+    assert fits.passed and fits.constants["pairs"][0]["a"] == 4096.0
+    report = check_chain_order([exponential(8192.0), exponential(1.0)])
     assert report.status == "fail"
     assert report.worst_margin == -math.inf
     assert "no dyadic factor" in report.notes
@@ -351,11 +351,15 @@ def test_r_grids_with_a_non_finite_radius_are_rejected(catalog, evaluators, bad)
             call(catalog["ks0"], evaluators["ks0"], grid)
 
 
-def test_audit_tolerance_is_adjustable(tables60):
-    spec = kondratiev_streit(0.0)
-    bad = corrupt_table(tables60["ks0"], 17, 1.01, "ell")
-    # a sloppy tolerance waves the same corruption through
-    assert check_table_definition(spec, bad, tol=10.0).passed
+def test_audit_tolerance_is_relative_to_the_entry(tables60):
+    # the published tolerance 1e-7 scales with max(1, |log ell|): a shift of
+    # half of it passes, and twice it fails
+    spec, tab = kondratiev_streit(0.0), tables60["ks0"]
+    assert check_table_definition(spec, tab).constants["tol"] == 1e-7
+    step = 1e-7 * max(1.0, abs(tab.log_ell[17]))
+    assert check_table_definition(spec, corrupt_table(tab, 17, math.exp(0.5 * step))).passed
+    bad = check_table_definition(spec, corrupt_table(tab, 17, math.exp(2.0 * step)))
+    assert bad.status == "fail" and bad.witness["t"] == 17.0
 
 
 @pytest.mark.parametrize("fid", ["ks05", "g2"])
@@ -491,6 +495,23 @@ def test_grid_sharing_ends_with_the_battery_call(catalog, evaluators, monkeypatc
     check_lfunction_sandwich(spec, evaluator)
     check_lfunction_sandwich(spec, evaluator)
     assert len(grid_calls) == 8 and grid_calls[:4] == grid_calls[4:]
+
+
+def test_equivalence_square_reads_log_u_on_arrays_only(catalog, evaluators, monkeypatch):
+    # its g = 2 log u is the battery's shared log u grid, not a scalar loop
+    from growthcalc.growth import GrowthFunctionSpec
+
+    spec, evaluator = catalog["ks05"], evaluators["ks05"]
+    verify_function(spec, evaluator=evaluator, checks=())
+    scalar = []
+    log_u = GrowthFunctionSpec.log_u
+    monkeypatch.setattr(GrowthFunctionSpec, "log_u",
+                        lambda self, r: scalar.append(r) or log_u(self, r))
+    verify_function(spec, evaluator=evaluator, checks=())
+    battery_only = len(scalar)
+    (report,) = verify_function(spec, evaluator=evaluator, checks=("equivalence-square",))
+    assert report.passed
+    assert len(scalar) == 2 * battery_only
 
 
 def test_a_failed_grid_evaluation_is_not_shared(evaluators, monkeypatch):

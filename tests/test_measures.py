@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -46,9 +47,16 @@ def test_fernique_matches_direct_product():
 
 
 def test_fernique_truncation_is_stable():
-    loose = fernique_product(0.5, 1, 0.1, tail_tol=1e-10)
-    tight = fernique_product(0.5, 1, 0.1, tail_tol=1e-14)
-    assert loose.value == pytest.approx(tight.value, abs=1e-10)
+    # just under the boundary x = 4 c2 rho^{2q} = 1 the truncated product
+    # still holds the q-Pochhammer form (x; rho^{2q})_inf^{-1/2}; at x = 1 it diverges
+    for c2 in (1.0 - 1e-9, 0.999):
+        result = fernique_product(0.5, 1, c2)
+        x = 4.0 * c2 * 0.25
+        with mp.workdps(30):
+            want = mp.qp(mp.mpf(x), mp.mpf(0.25)) ** -0.5
+        assert result.finite and result.boundary == x
+        assert result.value == pytest.approx(float(want), rel=1e-12, abs=0.0)
+    assert not fernique_product(0.5, 1, 1.0).finite
 
 
 def test_fernique_trivial_and_divergent_cases():
@@ -289,7 +297,7 @@ def test_hida_gaussian_ladder(catalog):
 
 def test_hida_gaussian_steeper_weight(catalog):
     # beta = 1/2 forces the envelope constant up but the ladder still closes
-    report = hida_condition(gaussian_product(), catalog["ks05"], p_max=6)
+    report = hida_condition(gaussian_product(), catalog["ks05"], p=6)
     assert report.smallest_finite_p is not None
     assert report.levels[report.smallest_finite_p]["finite"]
 
@@ -304,6 +312,17 @@ def test_hida_grey(catalog):
     assert report.finite and report.smallest_finite_p == 1
     assert not report.levels[0]["finite"]   # unit weight genuinely diverges
     assert report.seed == 7
+
+
+def test_hida_grey_ladder_matches_the_gaussian_closed_form():
+    # at lambda = 1 grey noise is Gaussian and level p has weight w = 0.25^p:
+    # E exp(w Z^2) = (1 - 2 w)^{-1/2}, infinite at w = 1
+    report = hida_condition(grey_1d(1.0, n=100_000, seed=7), kondratiev_streit(0.0), p=1)
+    assert not report.levels[0]["finite"] and report.smallest_finite_p == 1
+    for level in report.levels[1:]:
+        assert level["finite"] and level["w"] == 0.25 ** level["p"]
+        want = (1.0 - 2.0 * level["w"]) ** -0.5
+        assert abs(level["value"] - want) <= 3.0 * level["stderr"], level
 
 
 def test_hida_kind_function_mismatch(catalog, u2):
@@ -337,9 +356,9 @@ def test_hida_poisson_calls_the_integrator_bound_in_the_module(catalog, monkeypa
         return poisson_integrability(theta, *args, **kwargs)
 
     monkeypatch.setattr(measures, "poisson_integrability", patched)
-    report = hida_condition(poisson_count(theta=1.0), catalog["g2"], p=0, p_max=2)
-    assert thetas == [1.0, 1.0, 1.0]
-    assert len(report.levels) == 3
+    report = hida_condition(poisson_count(theta=1.0), catalog["g2"], p=0)
+    assert thetas == [1.0] * 5
+    assert len(report.levels) == 5
 
 
 @pytest.mark.parametrize("q", [1.5, -1, math.inf, math.nan])
