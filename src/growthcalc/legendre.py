@@ -76,6 +76,8 @@ _BLOCK = 64
 #: The table rule accepts its sum once the geometric bound on the terms past
 #: the table end is at most this share of it.
 _L_REL_TOL = 1e-12
+#: The table rule's floor on shifted log terms, above numpy's exp underflow.
+_EXP_FLOOR = -700.0
 #: Step size at which a bracketed Newton iteration counts as converged, and
 #: its iteration cap (enough for pure bisection down to that step).
 _NEWTON_TOL = 1e-12
@@ -370,6 +372,11 @@ def _table_rule(
     tail = lt[:, -1] + log_rho - np.log1p(-np.exp(log_rho))
     m = lt.max(axis=1)
     lt -= m[:, None]  # in place: the block's terms are its largest array
+    # Shifted terms below e^_EXP_FLOOR are raised to it, as np.exp is many
+    # times slower on arguments that underflow.  Each row holds its largest
+    # term e^0 = 1, and n raised terms add at most n e^-700 (< 1e-298 for
+    # n <= 2^18) to that sum: far below half an ulp of 1.  NaN stays NaN.
+    np.maximum(lt, _EXP_FLOOR, out=lt)
     vals = m + np.log(np.exp(lt, out=lt).sum(axis=1))
     failed = ~(tail <= math.log(_L_REL_TOL) + vals) & ~zero  # a NaN bound fails
     vals[zero] = le[0]

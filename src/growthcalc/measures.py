@@ -69,11 +69,17 @@ class MeasureSurrogate:
             raise ParameterError(f"unknown measure kind {self.kind!r}")
         for name in ("rho", "q", "theta", "w", "lam", "n", "seed"):
             v, whole = getattr(self, name), name in ("n", "seed")
-            if not _is_real(v) or (whole and not isinstance(v, numbers.Integral)):
+            if not (_is_whole(v) if whole else _is_real(v)):
                 raise ParameterError(f"{self.kind} field {name!r} must be "
                                      f"{'an integer' if whole else 'a number'}, got {v!r}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         _MEASURE_TABLE[self.kind].validate(self)
         _check_weight(self.w)
+
+
+def _is_whole(v) -> bool:
+    return _is_real(v) and isinstance(v, numbers.Integral)
 
 
 def _check_weight(w: float) -> None:
@@ -251,8 +257,10 @@ def grey_sample(lam: float, n: int, seed: int) -> np.ndarray:
     """
     if not 0.0 < lam <= 1.0:
         raise ParameterError(f"lambda must lie in (0, 1], got {lam}")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    if not (_is_whole(n) and n >= 1):
+        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
+    if not (_is_whole(seed) and seed >= 0):
+        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     if lam == 1.0:
         z = rng.standard_normal(n)
@@ -298,7 +306,12 @@ def grey_integrability(
     if not 0.0 < lam <= 1.0:
         raise ParameterError(f"lambda must lie in (0, 1], got {lam}")
     _check_weight(w)
-    x = grey_sample(lam, n, seed)
+    return _grey_estimate(lam, w, grey_sample(lam, n, seed), seed)
+
+
+def _grey_estimate(lam: float, w: float, x: np.ndarray, seed: int) -> GreyResult:
+    """:func:`grey_integrability` on the sample ``x`` drawn with ``seed``."""
+    n = x.size
     expo = 1.0 / (2.0 - lam)
     le = 0.5 * (2.0 - lam) * (w * x * x) ** expo
     log_sum = _logsumexp(le)
@@ -424,18 +437,29 @@ def _poisson_level(surrogate: MeasureSurrogate, spec: GrowthFunctionSpec, p: int
     }
 
 
-def _grey_level(surrogate: MeasureSurrogate, spec: GrowthFunctionSpec, p: int) -> dict:
-    w = surrogate.rho ** (2.0 * p) * surrogate.w
-    res = grey_integrability(surrogate.lam, w, n=surrogate.n, seed=surrogate.seed)
-    return {
-        "p": p,
-        "finite": res.stable and math.isfinite(res.value),
-        "value": res.value,
-        "stderr": res.stderr,
-        "top_share": res.top_share,
-        "w": w,
-        "note": res.note,
-    }
+def _grey_levels(surrogate: MeasureSurrogate, spec: GrowthFunctionSpec, ps) -> list[dict]:
+    # One draw serves every level, each the estimate a lone grey_integrability
+    # call with the same (lam, n, seed) makes.
+    x = grey_sample(surrogate.lam, surrogate.n, surrogate.seed)
+    levels = []
+    for p in ps:
+        w = surrogate.rho ** (2.0 * p) * surrogate.w
+        res = _grey_estimate(surrogate.lam, w, x, surrogate.seed)
+        levels.append({
+            "p": p,
+            "finite": res.stable and math.isfinite(res.value),
+            "value": res.value,
+            "stderr": res.stderr,
+            "top_share": res.top_share,
+            "w": w,
+            "note": res.note,
+        })
+    return levels
+
+
+def _per_level(level: Callable) -> Callable:
+    """The sweep that calls ``level(surrogate, spec, p)`` at each ``p``."""
+    return lambda surrogate, spec, ps: [level(surrogate, spec, p) for p in ps]
 
 
 def hida_condition(
@@ -451,7 +475,7 @@ def hida_condition(
         raise ParameterError(f"p must be >= 0, got {p}")
     _check_compatibility(surrogate, spec)
     measure = _MEASURE_TABLE[surrogate.kind]
-    levels = [measure.level(surrogate, spec, q) for q in range(max(p, 4) + 1)]
+    levels = measure.sweep(surrogate, spec, range(max(p, 4) + 1))
     smallest = next((q for q, entry in enumerate(levels) if entry["finite"]), None)
     seed = surrogate.seed if measure.sampled else None
     notes = "" if smallest is not None else "no finite level up to the sweep cap"
@@ -471,7 +495,7 @@ class _Measure:
     validate: Callable  # surrogate -> None; raises ParameterError
     pairs: Callable  # (surrogate, spec) -> whether the spec is its partner
     partner: Callable  # surrogate -> what it pairs with, for the error text
-    level: Callable  # (surrogate, spec, p) -> one level of the Hida sweep
+    sweep: Callable  # (surrogate, spec, ps) -> the Hida sweep's levels at ps
     sampled: bool  # Monte Carlo: its report carries the seed
 
 
@@ -481,18 +505,18 @@ _MEASURE_TABLE = {
         lambda m, spec: spec.kind == KONDRATIEV_STREIT,
         lambda m: "the Gaussian product surrogate pairs with the "
                   "exp((1+beta) r^(1/(1+beta))) family",
-        _gaussian_level, sampled=False),
+        _per_level(_gaussian_level), sampled=False),
     _POISSON: _Measure(
         _check_poisson,
         lambda m, spec: spec.kind == ITERATED_EXP_SQRT and spec.k == 2,
         lambda m: "the Poisson surrogate pairs with g2",
-        _poisson_level, sampled=False),
+        _per_level(_poisson_level), sampled=False),
     _GREY: _Measure(
         _check_grey,
         lambda m, spec: spec.kind == KONDRATIEV_STREIT
         and abs(spec.beta - (1.0 - m.lam)) <= 1e-9,
         lambda m: f"grey noise with lambda={m.lam} pairs with ks(beta={1.0 - m.lam:g})",
-        _grey_level, sampled=True),
+        _grey_levels, sampled=True),
 }
 
 MEASURE_KINDS = tuple(_MEASURE_TABLE)

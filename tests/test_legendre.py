@@ -22,6 +22,7 @@ from growthcalc import (
     UnboundedBelowError,
     bell_series,
     bidual,
+    default_r_grid,
     exponential,
     iterated_exp_sqrt,
     kondratiev_streit,
@@ -651,6 +652,27 @@ def test_table_rule_sums_the_whole_table_when_ratios_rise_again():
     for r, val in zip((0.5, 1.0), l_function(evaluator, np.array([0.5, 1.0]))):
         want = math.log(math.fsum(np.exp(log_ell + n * math.log(r))))
         assert val == pytest.approx(want, rel=1e-14, abs=0.0), r
+
+
+@pytest.mark.parametrize("fid", EVALUATOR_SPECS)
+def test_table_rule_floor_leaves_every_sum_unchanged(fid):
+    # The rule raises shifted log terms below e^-700 before exponentiating;
+    # here every term is summed as it is, and the accept bound recomputed.
+    from growthcalc.legendre import _L_REL_TOL, _table_rule
+
+    table = LFunctionEvaluator.from_spec(EVALUATOR_SPECS[fid]).table
+    rs = np.concatenate([default_r_grid(), np.geomspace(1e-9, 1e4, 3000)])
+    lt = np.log(np.where(rs == 0.0, 1.0, rs))[:, None] * table.t + table.log_ell
+    m = lt.max(axis=1)
+    want = m + np.log(np.exp(lt - m[:, None]).sum(axis=1))
+    log_rho = np.minimum(lt[:, -1] - lt[:, -2], -1e-12)
+    tail = lt[:, -1] + log_rho - np.log1p(-np.exp(log_rho))
+    want[~(tail <= math.log(_L_REL_TOL) + want)] = np.nan
+    want[rs == 0.0] = table.log_ell[0]
+    got, _ = _table_rule(table, rs)
+    assert (lt - m[:, None] < -708.0).any()  # the grid reaches numpy's underflow
+    assert np.isnan(want).any() and not np.isnan(want).all()
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------

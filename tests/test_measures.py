@@ -219,6 +219,24 @@ def test_grey_sampler_validation():
         grey_sample(0.5, 0, seed=0)
 
 
+@pytest.mark.parametrize("n,seed,fragment", [
+    (2.5, 1, "n must be an integer >= 1"),
+    (10.0, 1, "n must be an integer >= 1"),
+    (True, 1, "n must be an integer >= 1"),
+    (10, 1.5, "seed must be an integer >= 0"),
+    (10, -1, "seed must be an integer >= 0"),
+    (10, True, "seed must be an integer >= 0"),
+], ids=["n-fraction", "n-float", "n-bool", "seed-fraction", "seed-negative", "seed-bool"])
+def test_grey_sampler_rejects_non_integral_counts_and_seeds(n, seed, fragment):
+    with pytest.raises(ParameterError, match=fragment):
+        grey_sample(0.5, n, seed)
+
+
+def test_grey_sampler_takes_numpy_integers():
+    a = grey_sample(0.5, np.int64(50), np.int64(3))
+    np.testing.assert_array_equal(a, grey_sample(0.5, 50, 3))
+
+
 # ---------------------------------------------------------------------------
 # grey-noise integrability
 # ---------------------------------------------------------------------------
@@ -269,6 +287,10 @@ def test_surrogate_factories_validate():
         grey_1d(1.3)
     with pytest.raises(ParameterError):
         poisson_count(theta=-1.0)
+    with pytest.raises(ParameterError, match="seed must be >= 0"):
+        grey_1d(0.5, seed=-1)
+    with pytest.raises(ParameterError, match="seed must be >= 0"):
+        MeasureSurrogate(kind="gaussian", seed=-3)
 
 
 @pytest.mark.parametrize("call,fragment", [
@@ -323,6 +345,28 @@ def test_hida_grey_ladder_matches_the_gaussian_closed_form():
         assert level["finite"] and level["w"] == 0.25 ** level["p"]
         want = (1.0 - 2.0 * level["w"]) ** -0.5
         assert abs(level["value"] - want) <= 3.0 * level["stderr"], level
+
+
+def test_hida_grey_draws_one_sample_for_every_level(catalog, monkeypatch):
+    from growthcalc import measures
+
+    draws = []
+
+    def counted(*args):
+        draws.append(args)
+        return grey_sample(*args)
+
+    monkeypatch.setattr(measures, "grey_sample", counted)
+    report = hida_condition(grey_1d(0.5, n=20_000, seed=11), catalog["ks05"], p=1)
+    assert draws == [(0.5, 20_000, 11)]
+    monkeypatch.undo()
+    assert [level["p"] for level in report.levels] == [0, 1, 2, 3, 4]
+    for level in report.levels:
+        res = grey_integrability(0.5, level["w"], 20_000, 11)
+        assert level["w"] == 0.25 ** level["p"]
+        assert level["finite"] == (res.stable and math.isfinite(res.value))
+        for key in ("value", "stderr", "top_share", "note"):
+            assert level[key] == getattr(res, key), key
 
 
 def test_hida_kind_function_mismatch(catalog, u2):
