@@ -236,9 +236,15 @@ def validate_manifest(manifest) -> None:
                 MeasureSurrogate(**measure)
             except (ParameterError, TypeError) as exc:
                 _fail(f"{where}: measure: {exc}")
-        stochastic = name in ("grey_cf", "grey_integrability") or (
-            name == "hida" and job["measure"]["kind"] == "grey"
-        )
+        grey_op = name in ("grey_cf", "grey_integrability")
+        if grey_op:
+            try:  # the grey surrogate's rules on lambda, n and w
+                MeasureSurrogate("grey", **{key: job[key] for key in ("lam", "n", "w") if key in job})
+            except ParameterError as exc:
+                _fail(f"{where}: {exc}")
+        if name == "grey_cf" and not all(math.isfinite(xi) and xi != 0.0 for xi in job.get("xi", ())):
+            _fail(f"{where}: field 'xi' must hold finite nonzero numbers, got {job['xi']!r}")
+        stochastic = grey_op or (name == "hida" and job["measure"]["kind"] == "grey")
         if stochastic and not isinstance(job.get("seed", top_seed), int):
             _fail(f"{where}: stochastic job needs an integer seed (job-level or top-level)")
 
@@ -436,11 +442,13 @@ def _grey_cf_op(job: dict, seed: int | None) -> dict:
     n = job.get("n", 200_000)
     sigma_tol = float(job.get("sigma_tol", 3.0))
     x = grey_sample(lam, n, int(seed))
+    c = np.empty_like(x)  # cos(xi x) for each xi in turn
     rows = []
     ok = True
     for xi in job.get("xi", (0.5, 1.0, 2.0)):
         xi = float(xi)
-        c = np.cos(xi * x)
+        np.multiply(x, xi, out=c)
+        np.cos(c, out=c)
         emp = float(c.mean())
         se = float(c.std(ddof=1) / math.sqrt(n))
         target = mittag_leffler(lam, xi * xi)

@@ -33,7 +33,6 @@ from .growth import (
     ParameterError,
     _SPEC_CACHE,
     _is_real,
-    _logsumexp,
     default_r_grid,
     iterated_log,
     log_u_grid,
@@ -251,9 +250,15 @@ def grey_sample(lam: float, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` grey-noise variates with ``E exp(i xi X) = E_lam(-xi^2)``.
 
     ``X = sqrt(2 S) Z`` where ``S = T^{-lam}`` and ``T`` is positive
-    ``lam``-stable via Kanter's representation.  ``lam = 1`` degenerates to
-    ``sqrt(2) Z``.  The stream draws ``u``, then ``w``, then ``z``, so results
-    are reproducible per (lam, n, seed).
+    ``lam``-stable.  Kanter's representation of ``T`` through
+    ``theta = pi U`` and an exponential ``W`` gives ``S`` in closed form,
+
+        ``S = W^{1-lam} sin(theta) / (sin(lam theta)^lam sin((1-lam) theta)^{1-lam})``,
+
+    with no intermediate that can overflow.  ``S`` is built in one working
+    array beside the draws, and ``Z`` is scaled in place into ``X``.
+    ``lam = 1`` degenerates to ``sqrt(2) Z``.  The stream draws ``u``, then
+    ``w``, then ``z``, so results are reproducible per (lam, n, seed).
     """
     if not 0.0 < lam <= 1.0:
         raise ParameterError(f"lambda must lie in (0, 1], got {lam}")
@@ -264,20 +269,23 @@ def grey_sample(lam: float, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if lam == 1.0:
         z = rng.standard_normal(n)
-        return math.sqrt(2.0) * z
-    u = np.clip(rng.random(n), 1e-12, 1.0 - 1e-12)
-    w = np.maximum(rng.exponential(1.0, n), 1e-300)
+        z *= math.sqrt(2.0)
+        return z
+    theta = rng.random(n)
+    np.clip(theta, 1e-12, 1.0 - 1e-12, out=theta)
+    theta *= math.pi
+    s = np.multiply(theta, lam)
+    np.power(np.sin(s, out=s), lam, out=s)
+    sine = np.multiply(theta, 1.0 - lam)
+    s *= np.power(np.sin(sine, out=sine), 1.0 - lam, out=sine)
+    np.divide(np.sin(theta, out=sine), s, out=s)  # S / W^{1-lam}
+    del theta, sine  # freed before the next draw
+    w = rng.exponential(1.0, n)
+    s *= np.power(np.maximum(w, 1e-300, out=w), 1.0 - lam, out=w)
+    del w
     z = rng.standard_normal(n)
-    theta = math.pi * u
-    with np.errstate(over="ignore", divide="ignore"):
-        a = (
-            np.sin(lam * theta) ** lam
-            * np.sin((1.0 - lam) * theta) ** (1.0 - lam)
-            / np.sin(theta)
-        ) ** (1.0 / (1.0 - lam))
-        t_stable = (a / w) ** ((1.0 - lam) / lam)
-        s_mix = t_stable ** (-lam)
-    return np.sqrt(2.0 * s_mix) * z
+    z *= np.sqrt(np.multiply(s, 2.0, out=s), out=s)
+    return z
 
 
 @dataclass(frozen=True)
@@ -299,24 +307,34 @@ def grey_integrability(
     with ``beta = 1 - lam`` — the grey-noise analogue of the Gaussian
     exponential-moment integral.
 
-    The mean is formed through a log-sum, so heavy samples cannot silently
-    overflow; instead the estimate is flagged unstable when a 0.1% sliver of
-    the sample carries most of the mass or the second moment overflows.
+    The sample is the single working array.  It is overwritten with the log
+    integrand ``le``, which is shifted by its maximum ``m`` and exponentiated
+    in place into ``e = exp(le - m) <= 1``.  The mean is ``exp(m)`` times the
+    mean of ``e`` and the second moment ``exp(2 m)`` times the mean of
+    ``e * e``, so heavy samples cannot silently overflow; instead the
+    estimate is flagged unstable when a 0.1% sliver of the sample carries
+    most of the mass or the second moment overflows.  The sample needs
+    ``n >= 100``, as for a grey :class:`MeasureSurrogate`.
     """
-    if not 0.0 < lam <= 1.0:
-        raise ParameterError(f"lambda must lie in (0, 1], got {lam}")
-    _check_weight(w)
+    grey_1d(lam, n, seed, w)  # raises ParameterError on a bad lam, n, seed or w
     return _grey_estimate(lam, w, grey_sample(lam, n, seed), seed)
 
 
 def _grey_estimate(lam: float, w: float, x: np.ndarray, seed: int) -> GreyResult:
-    """:func:`grey_integrability` on the sample ``x`` drawn with ``seed``."""
+    """:func:`grey_integrability` on the sample ``x`` drawn with ``seed``,
+    which it overwrites: ``x`` is the working array."""
     n = x.size
-    expo = 1.0 / (2.0 - lam)
-    le = 0.5 * (2.0 - lam) * (w * x * x) ** expo
-    log_sum = _logsumexp(le)
+    e = np.square(x, out=x)
+    e *= w
+    e **= 1.0 / (2.0 - lam)
+    e *= 0.5 * (2.0 - lam)
+    m = float(e.max())
+    e -= m
+    np.exp(e, out=e)
+    total = float(e.sum())
+    log_sum = m + math.log(total)
     log_mean = log_sum - math.log(n)
-    log_m2 = _logsumexp(2.0 * le) - math.log(n)
+    log_m2 = 2.0 * m + math.log(float(e @ e)) - math.log(n)
     note = ""
     if log_m2 < 700.0 and log_mean < 350.0:
         m1 = math.exp(log_mean)
@@ -326,8 +344,8 @@ def _grey_estimate(lam: float, w: float, x: np.ndarray, seed: int) -> GreyResult
         stderr = math.inf
         note = "second moment overflows; the estimate is untrustworthy"
     k_top = max(1, n // 1000)
-    top = np.partition(le, n - k_top)[n - k_top:]
-    top_share = math.exp(_logsumexp(top) - log_sum)
+    e.partition(n - k_top)
+    top_share = float(e[n - k_top:].sum()) / total
     stable = math.isfinite(stderr) and top_share <= 0.5
     if not stable and not note:
         note = f"top 0.1% of samples carry {top_share:.1%} of the mass"
@@ -404,7 +422,7 @@ def _check_grey(surrogate: MeasureSurrogate) -> None:
     if not 0.0 < surrogate.lam <= 1.0:
         raise ParameterError(f"lambda must lie in (0, 1], got {surrogate.lam}")
     if surrogate.n < 100:
-        raise ParameterError("grey sampling needs n >= 100")
+        raise ParameterError(f"grey sampling needs n >= 100, got {surrogate.n}")
 
 
 def _gaussian_level(surrogate: MeasureSurrogate, spec: GrowthFunctionSpec, p: int) -> dict:
@@ -444,7 +462,7 @@ def _grey_levels(surrogate: MeasureSurrogate, spec: GrowthFunctionSpec, ps) -> l
     levels = []
     for p in ps:
         w = surrogate.rho ** (2.0 * p) * surrogate.w
-        res = _grey_estimate(surrogate.lam, w, x, surrogate.seed)
+        res = _grey_estimate(surrogate.lam, w, x.copy(), surrogate.seed)
         levels.append({
             "p": p,
             "finite": res.stable and math.isfinite(res.value),

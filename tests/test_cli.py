@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,27 @@ def eval_job(job_id="eval-1", **extra):
     (lambda m: m.update(jobs=[{"id": "x", "kind": "eval", "lam": 0.5, "t": [1.0],
                                "expect": [True]}]),
      "field 'expect' must be a list of numbers, got [True]"),
+    # The grey ops keep the grey surrogate's rules; a zero or non-finite xi
+    # would divide by a zero or NaN stderr.
+    (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "grey_cf", "lam": 0.5,
+                               "n": 1}]), "job 'x': grey sampling needs n >= 100, got 1"),
+    (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "grey_integrability",
+                               "lam": 1.0, "w": 0.1, "n": 99}]),
+     "job 'x': grey sampling needs n >= 100, got 99"),
+    (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "grey_cf", "lam": 1.5}]),
+     "job 'x': lambda must lie in (0, 1], got 1.5"),
+    (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "grey_integrability",
+                               "lam": 0.5, "w": -1.0}]),
+     "job 'x': the weight w must be finite and >= 0, got -1.0"),
+    (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "grey_cf", "lam": 0.5,
+                               "xi": [1.0, 0.0]}]),
+     "field 'xi' must hold finite nonzero numbers, got [1.0, 0.0]"),
+    (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "grey_cf", "lam": 0.5,
+                               "xi": [math.inf]}]),
+     "field 'xi' must hold finite nonzero numbers, got [inf]"),
+    (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "grey_cf", "lam": 0.5,
+                               "xi": [math.nan]}]),
+     "field 'xi' must hold finite nonzero numbers, got [nan]"),
 ])
 def test_validate_manifest_rejects(mutate, fragment):
     m = manifest([eval_job()])
@@ -560,6 +582,22 @@ def test_cli_one_off_names_the_missing_field(capsys, args, field):
     code, payload, err = one_off(capsys, *args)
     assert (code, payload) == (2, None)
     assert f"job '{args[0]}': {field}" in err
+
+
+@pytest.mark.parametrize("args,message", [
+    (("--op", "grey_cf", "--lam", 0.5, "--n", 1), "grey sampling needs n >= 100, got 1"),
+    (("--op", "grey_cf", "--lam", 0.5, "--xi", 0), "field 'xi' must hold finite nonzero numbers"),
+    (("--op", "grey_integrability", "--lam", 1.0, "--w", 0.1, "--n", 1),
+     "grey sampling needs n >= 100, got 1"),
+], ids=["cf-n", "cf-xi", "integrability-n"])
+def test_cli_grey_one_off_rejects_a_bad_field_before_sampling(capsys, args, message):
+    # These ran, and reported a NaN stderr with two RuntimeWarnings, a raw
+    # ZeroDivisionError, and a stderr of rounding noise.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload, err = one_off(capsys, "measures", *args)
+    assert (code, payload) == (2, None)
+    assert f"error: job 'measures': {message}" in err
 
 
 def test_cli_measures_one_off_is_the_job_of_its_flags_alone():

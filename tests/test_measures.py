@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -237,6 +238,33 @@ def test_grey_sampler_takes_numpy_integers():
     np.testing.assert_array_equal(a, grey_sample(0.5, 50, 3))
 
 
+def _grey_sample_reference(lam, n, seed):
+    """Kanter's representation as three nested powers: the stable variate
+    ``T = (A(theta) / W)^{(1-lam)/lam}``, then ``S = T^{-lam}``."""
+    rng = np.random.default_rng(seed)
+    if lam == 1.0:
+        return math.sqrt(2.0) * rng.standard_normal(n)
+    u = np.clip(rng.random(n), 1e-12, 1.0 - 1e-12)
+    w = np.maximum(rng.exponential(1.0, n), 1e-300)
+    z = rng.standard_normal(n)
+    theta = math.pi * u
+    a = (
+        np.sin(lam * theta) ** lam
+        * np.sin((1.0 - lam) * theta) ** (1.0 - lam)
+        / np.sin(theta)
+    ) ** (1.0 / (1.0 - lam))
+    t_stable = (a / w) ** ((1.0 - lam) / lam)
+    return np.sqrt(2.0 * t_stable ** (-lam)) * z
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
+def test_grey_sampler_closed_form_matches_the_nested_powers(lam):
+    # lambda = 1 scales the same normal draw: equal bit for bit
+    got = grey_sample(lam, 50_000, 21)
+    want = _grey_sample_reference(lam, 50_000, 21)
+    np.testing.assert_allclose(got, want, rtol=0.0 if lam == 1.0 else 1e-11, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # grey-noise integrability
 # ---------------------------------------------------------------------------
@@ -269,6 +297,87 @@ def test_grey_integrability_zero_weight():
 def test_grey_integrability_rejects_bad_weight(w):
     with pytest.raises(ParameterError):
         grey_integrability(0.5, w, n=1000, seed=0)
+
+
+@pytest.mark.parametrize("n", [1, 99])
+def test_grey_integrability_needs_the_surrogates_hundred_samples(n):
+    # one sample would report stderr 0 up to rounding noise
+    with pytest.raises(ParameterError, match=f"grey sampling needs n >= 100, got {n}"):
+        grey_integrability(1.0, 0.1, n=n, seed=0)
+
+
+def _grey_estimate_reference(lam, w, x, seed):
+    """The estimate through two log-sums over the log integrand ``le`` (and
+    a third over its top 0.1%), each term kept apart from the rest."""
+    from growthcalc.growth import _logsumexp
+    from growthcalc.measures import GreyResult
+
+    n = x.size
+    le = 0.5 * (2.0 - lam) * (w * x * x) ** (1.0 / (2.0 - lam))
+    log_sum = _logsumexp(le)
+    log_mean = log_sum - math.log(n)
+    log_m2 = _logsumexp(2.0 * le) - math.log(n)
+    note = ""
+    if log_m2 < 700.0 and log_mean < 350.0:
+        m1 = math.exp(log_mean)
+        stderr = math.sqrt(max(math.exp(log_m2) - m1 * m1, 0.0) / n)
+    else:
+        stderr = math.inf
+        note = "second moment overflows; the estimate is untrustworthy"
+    k_top = max(1, n // 1000)
+    top_share = math.exp(_logsumexp(np.partition(le, n - k_top)[n - k_top:]) - log_sum)
+    stable = math.isfinite(stderr) and top_share <= 0.5
+    if not stable and not note:
+        note = f"top 0.1% of samples carry {top_share:.1%} of the mass"
+    value = math.exp(log_mean) if log_mean < 709.0 else math.inf
+    return GreyResult(value, stderr, log_mean, n, seed, stable, top_share, note)
+
+
+@pytest.mark.parametrize("lam,w,branch", [
+    (lam, w, branch)
+    for lam in (0.3, 0.5, 1.0)
+    for w, branch in ((0.0, "stable"), (0.01, "stable"), (0.1, "stable"),
+                      (0.3, "stable"), (1.0, "heavy"), (5.0, "heavy"))
+] + [(1.0, 50.0, "overflow"), (0.5, 2000.0, "overflow")])
+def test_grey_estimate_matches_the_log_sum_formulas(lam, w, branch):
+    from growthcalc.measures import _grey_estimate
+
+    x = grey_sample(lam, 20_000, 5)
+    want = _grey_estimate_reference(lam, w, x, 5)
+    got = _grey_estimate(lam, w, x.copy(), 5)
+    assert (got.stable, got.note, got.n, got.seed) == (want.stable, want.note, 20_000, 5)
+    assert {"stable": want.stable, "heavy": want.note.startswith("top 0.1%"),
+            "overflow": want.note.startswith("second moment")}[branch]
+    for key in ("value", "log_value", "top_share"):
+        assert math.isclose(getattr(got, key), getattr(want, key), rel_tol=1e-13), key
+    # var = m2 - m1^2 cancels: rounding of m2 grows by m2 / var in the stderr
+    cond = 1.0
+    if 0.0 < want.stderr < math.inf:
+        cond += want.value ** 2 / (want.n * want.stderr ** 2)
+    assert math.isclose(got.stderr, want.stderr, rel_tol=1e-13 * cond)
+
+
+def _peak_in_samples(call, n):
+    """Peak traced allocation of ``call()``, in units of ``n`` doubles."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / (8.0 * n)
+    finally:
+        tracemalloc.stop()
+
+
+def test_grey_monte_carlo_works_in_one_array_per_sample():
+    from growthcalc.measures import _grey_estimate
+
+    # The estimate works in its sample, lambda = 1 scales the normal draw in
+    # place, and lambda < 1 holds at most three sample-sized arrays at once.
+    n = 10**6
+    x = grey_sample(0.5, n, 1)
+    assert _peak_in_samples(lambda: _grey_estimate(0.5, 0.1, x, 1), n) <= 1.5
+    assert _peak_in_samples(lambda: grey_sample(1.0, n, 1), n) <= 1.5
+    assert _peak_in_samples(lambda: grey_sample(0.5, n, 1), n) <= 6.0
+    assert _peak_in_samples(lambda: grey_integrability(1.0, 0.1, n, 1), n) <= 1.5
 
 
 # ---------------------------------------------------------------------------
