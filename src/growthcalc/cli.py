@@ -322,7 +322,9 @@ def _run_legendre(job: dict, funcs: dict, out_dir: Path | None) -> dict:
         table = legendre_sequence(spec, job.get("n_max", 8))
     payload: dict = {"function": spec.function_id, "n_points": table.n_points,
                      "status": "pass"}
-    if "out" in job:
+    # A relative "out" names a file in the output directory; with none, the
+    # table stays in the payload.  An absolute one is written where it says.
+    if "out" in job and (out_dir is not None or Path(job["out"]).is_absolute()):
         path = Path(job["out"]) if out_dir is None else out_dir / job["out"]
         table.write_csv(path)
         payload["artifact"] = str(path)
@@ -682,7 +684,7 @@ def _one_off_manifest(args) -> dict:
     for name in filter(None, (args.command, getattr(args, "op", None))):
         job.update(_given(args, _ONE_OFF_FIELDS[name]))
     if getattr(args, "csv", None) is not None:
-        job["out"] = args.csv
+        job["out"] = args.csv if args.out is not None else str(Path(args.csv).absolute())
     if getattr(args, "measure_kind", None) is not None:
         job["measure"] = {"kind": args.measure_kind,
                           **_given(args, _HIDA_MEASURE_FIELDS[args.measure_kind])}

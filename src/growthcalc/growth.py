@@ -9,7 +9,13 @@ exponentials, and explicit power series.
 Every value is produced and exchanged as ``log u(r)``: these functions grow
 at least like ``exp(c r^eps)``, so linear-domain evaluation overflows doubles
 long before the ranges of interest.  Series kinds are summed by windowed
-log-sum-exp around the dominant term.
+log-sum-exp around the dominant term.  The Bell series' scalar ``log u``
+reads piecewise Chebyshev interpolants of ``log u(e^s) e^{-s}`` in
+``s = log r`` instead (Trefethen, *Approximation Theory and Approximation
+Practice*, ch. 8), built once per spec from one array evaluation of the
+windowed sum and each checked to resolve it to 1e-14 relative; the windowed
+sum answers below ``r = e^-2``, past the faithful cap and on any panel that
+fails the check.
 
 The module also evaluates the Mittag-Leffler function ``E_lam(-t)``, the
 characteristic function of the grey noise measure, by one rule:
@@ -74,17 +80,41 @@ _PEAK_FRACTION = 0.92
 _log_fact = np.zeros(0)
 
 
+#: Rows of the log-factorial table taken from ``math.lgamma``; the rows past
+#: it come from Stirling's series.
+_LGAMMA_ROWS = 256
+
+
 def _log_factorials(n: int) -> np.ndarray:
-    """``log k!`` for k = 0..n: a read-only prefix of one ``math.lgamma``
-    table, which at least doubles whenever a caller needs more rows."""
+    """``log k!`` for k = 0..n: a read-only prefix of one table, which at
+    least doubles whenever a caller needs more rows.  Rows k <= 256 are
+    ``math.lgamma(k + 1)``, the rest Stirling's series (within 2 ulp); the
+    formula goes by row, so no row depends on the order of the calls."""
     global _log_fact
     table = _log_fact
     if table.size <= n:
-        k = range(table.size + 1, max(n + 1, 2 * table.size) + 1)
-        table = np.concatenate([table, np.fromiter(map(math.lgamma, k), float, len(k))])
+        k = np.arange(table.size, max(n + 1, 2 * table.size), dtype=float)
+        rows = k[k > _LGAMMA_ROWS]
+        # log k! = (k + 1/2)(log k - 1) + 1/2 + log sqrt(2 pi) + S(k), where
+        # log k - 1 is exact and only the leading product rounds.
+        table = np.concatenate([
+            table,
+            np.fromiter(map(math.lgamma, k[k <= _LGAMMA_ROWS] + 1.0), float),
+            (rows + 0.5) * (np.log(rows) - 1.0)
+            + (_stirling_series(rows) + (0.5 + 0.5 * math.log(2.0 * math.pi))),
+        ])
         table.setflags(write=False)
         _log_fact = table
     return table[: n + 1]
+
+
+def _stirling_series(x: np.ndarray) -> np.ndarray:
+    """``S(x) = lgamma(x + 1) - (x + 1/2) log x + x - log sqrt(2 pi)`` by
+    Stirling's series ``1/12x - 1/360x^3 + 1/1260x^5 - 1/1680x^7``, exact to
+    rounding for x >= 25."""
+    y = 1.0 / x
+    y2 = y * y
+    return y * (1 / 12 - y2 * (1 / 360 - y2 * (1 / 1260 - y2 / 1680)))
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -137,9 +167,9 @@ def _log_bell(n_hi: int) -> np.ndarray:
     of 1024 rows takes one node grid, at h = 0.7 times its narrowest sigma
     (a bound below e^-40), spanning every row's peak +- 10 sigma (peaks by one
     vectorized Newton solve; the cut tails start 38 nats down).  Per node:
-    ``log x`` and ``lgamma(x + 1) = lgamma(x) + log x``, with Stirling's
-    series for ``lgamma(x)`` to ``x^-7``, exact to rounding for x >= 25 (the
-    nodes start above 27); per cell: ``n log x - lgamma(x + 1)``.
+    ``log x`` and ``lgamma(x + 1) - log sqrt(2 pi) = (x + 1/2) log x - x +
+    S(x)`` with :func:`_stirling_series` (the nodes start above 27); per
+    cell: ``n log x - lgamma(x + 1)``.
     """
     out = np.empty(n_hi + 1)
     out[0] = 0.0
@@ -158,12 +188,8 @@ def _log_bell(n_hi: int) -> np.ndarray:
         h = 0.7 * sigma.min()
         lo = (j - 10.0 * sigma).min()
         x = lo + h * np.arange(math.ceil(((j + 10.0 * sigma).max() - lo) / h) + 1)
-        # lgamma(x + 1) - log sqrt(2 pi) = (x + 1/2) log x - x + S,
-        # S = 1/12x - 1/360x^3 + 1/1260x^5 - 1/1680x^7.
-        lx, y = np.log(x), 1.0 / x
-        y2 = y * y
-        lg = (x + 0.5) * lx - x + y * (1 / 12 - y2 * (1 / 360 - y2 * (1 / 1260 - y2 / 1680)))
-        f = n[:, None] * lx - lg
+        lx = np.log(x)
+        f = n[:, None] * lx - ((x + 0.5) * lx - x + _stirling_series(x))
         m = f.max(axis=1)
         f -= m[:, None]
         np.exp(f, out=f)
@@ -431,7 +457,80 @@ def _iterated_exp_sqrt_kernel(spec: GrowthFunctionSpec):
     return kernel
 
 
+#: Chebyshev panels of the Bell-series kernel in ``s = log r``: their width,
+#: their degree, the lower end they cover, and the relative tolerance to
+#: which each must resolve ``g(s) = log u(e^s) e^{-s}``.
+_PANEL_WIDTH = 0.25
+_PANEL_DEGREE = 12
+_PANEL_LO = -2.0
+_PANEL_TOL = 1e-14
+
+
+def _bell_panels(spec: GrowthFunctionSpec):
+    """Chebyshev coefficients of ``g(s) = f(s) e^{-s}``, ``f(s) = log u(e^s)``,
+    on panels of width ``_PANEL_WIDTH`` downwards from ``s_max`` until one
+    passes ``_PANEL_LO``: one ``spec.s_kernel`` call over every panel's
+    ``_PANEL_DEGREE + 1`` Chebyshev points (second kind, node 0 at the
+    panel's top).  A panel is resolved when its two last coefficients sum
+    to at most ``_PANEL_TOL`` of its smallest ``|g|`` (Battles and Trefethen
+    2004): ``g`` is analytic, so its coefficients fall geometrically and the
+    interpolation error is of the size of the first one dropped.
+
+    Returns the coefficients (one row per panel from the top, lowest degree
+    first) and which panels are resolved."""
+    n = _PANEL_DEGREE
+    j = np.arange(n + 1)
+    tops = spec.s_max - _PANEL_WIDTH * np.arange(int((spec.s_max - _PANEL_LO) / _PANEL_WIDTH) + 1)
+    s = tops[:, None] - (0.5 * _PANEL_WIDTH) * (1.0 - np.cos(np.pi / n * j))
+    g = spec.s_kernel(s.ravel())[0].reshape(s.shape) * np.exp(-s)
+    # Values at x_j = cos(pi j / n) to coefficients: a DCT-I, halved at the
+    # end points and at the first and last degree.
+    dct = np.cos(np.pi / n * np.outer(j, j)) * (2.0 / n)
+    dct[:, [0, n]] *= 0.5
+    dct[[0, n]] *= 0.5
+    coeffs = g @ dct.T
+    resolved = np.abs(coeffs[:, -2:]).sum(axis=1) <= _PANEL_TOL * np.abs(g).min(axis=1)
+    return coeffs, resolved
+
+
 def _bell_kernel(spec: GrowthFunctionSpec):
+    """``log u(r) = g(log r) r`` from the Chebyshev panels of
+    :func:`_bell_panels`, each by a pure-Python Clenshaw sum.  The windowed
+    sum (:func:`_bell_window_kernel`) answers where no resolved panel does:
+    at ``r < e^_PANEL_LO`` (``r = 0`` included), where the s-kernel's ``f``
+    is accurate in absolute terms only; past the faithful cap, where it
+    raises the ``CapacityError``; and on an unresolved panel.  The panels
+    are built with the kernel, once per spec."""
+    window = _bell_window_kernel(spec)
+    cap, s_max = spec.faithful_cap, spec.s_max
+    r_lo = math.exp(_PANEL_LO)
+    coeffs, resolved = _bell_panels(spec)
+    # Highest degree first, as Clenshaw's recurrence takes them; the last
+    # entry catches an r = e^-2 that rounds past the lowest panel.
+    panels = [tuple(c[::-1].tolist()) if ok else None for c, ok in zip(coeffs, resolved)]
+    panels.append(None)
+    per_width = 1.0 / _PANEL_WIDTH
+    log = math.log
+
+    def kernel(r: float) -> float:
+        if r < r_lo or r > cap:
+            return window(r)
+        u = (s_max - log(r)) * per_width
+        p = int(u)
+        panel = panels[p]
+        if panel is None:
+            return window(r)
+        x = 1.0 - 2.0 * (u - p)  # in [-1, 1], 1 at the panel's top
+        x2 = x + x
+        b1 = b2 = 0.0
+        for c in panel:
+            b1, b2 = c + x2 * b1 - b2, b1
+        return (b1 - x * b2) * r
+
+    return kernel
+
+
+def _bell_window_kernel(spec: GrowthFunctionSpec):
     """Windowed log-sum-exp of the series terms around the dominant one."""
     logc = _series_logc(spec)
     locate = _series_gaps(spec).searchsorted

@@ -381,18 +381,25 @@ class HidaReport:
 
 
 _ENVELOPE_C2 = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0)
+#: Envelope scores within this many ulp of the compared terms at the top
+#: score tie with it: where ``log u(r) / 2 = c2 r`` exactly, the score is
+#: rounding noise.
+_ENVELOPE_ULPS = 8
 
 
 @lru_cache(maxsize=_SPEC_CACHE)
 def _gaussian_envelope(spec: GrowthFunctionSpec) -> tuple[float, float]:
     """Smallest ``c2`` from a fixed ladder with ``u(r)^{1/2} <= c1 e^{c2 r}``
-    certified on a grid (the score must peak away from the right edge)."""
+    certified on a grid: the first score that ties with the top one (within
+    ``_ENVELOPE_ULPS``) must lie away from the right edge."""
     grid = default_r_grid()
     grid = grid[grid <= 0.98 * spec.faithful_cap]
     lu = 0.5 * log_u_grid(spec, grid)
     for c2 in _ENVELOPE_C2:
         score = lu - c2 * grid
-        i = int(np.argmax(score))
+        top = int(np.argmax(score))
+        band = _ENVELOPE_ULPS * math.ulp(max(abs(lu[top]), c2 * grid[top]))
+        i = int(np.argmax(score >= score[top] - band))
         if i < grid.size - 1:
             return float(math.exp(score[i])), c2
     raise ParameterError(

@@ -11,6 +11,12 @@ nondecreasing and ``{s : f'(s) < t}`` is a half-line whose end is the
 minimizer, also where ``f'`` jumps over ``t`` (the clamp kink of ``g_k``).
 Nothing here calls growthcalc's kernels or solvers: only the spec's
 parameters are read.
+
+``log_u`` and ``transform`` also take, in place of a spec, a 1-d array of a
+series' double log-coefficients, summed at ``DPS`` digits.  That is the
+reference for a kernel's summation where no exact oracle of the function
+reaches (``u_2`` past the exact Bell numbers, ``u_3``); the stored tables
+themselves are held to exact Bell numbers by their own tests.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import mpmath as mp
+import numpy as np
 
 from growthcalc.growth import (
     BELL_SERIES,
@@ -56,8 +63,28 @@ def _bell_coeffs() -> tuple[mp.mpf, ...]:
         return tuple(1 / (mp.mpf(b) * mp.factorial(n)) for n, b in enumerate(bell_triangle()))
 
 
+#: A coefficient table's terms more than this many nats below the largest
+#: are left out: together they are below e^-50 of the sum.
+TABLE_WINDOW = 65.0
+
+
+def _table_f_and_slope(log_coeffs: np.ndarray, s):
+    """``log sum_n c_n e^{ns}`` and its mean ``n`` for ``log c_n`` given in
+    doubles, over the terms within ``TABLE_WINDOW`` nats of the largest
+    (found in doubles, then summed exactly)."""
+    n = np.arange(log_coeffs.size)
+    terms = log_coeffs + n * float(s)
+    keep = np.flatnonzero(terms > terms.max() - TABLE_WINDOW).tolist()
+    top = mp.mpf(float(terms.max()))
+    weights = [mp.exp(mp.mpf(float(log_coeffs[k])) + k * s - top) for k in keep]
+    total = mp.fsum(weights)
+    return top + mp.log(total), mp.fdot(keep, weights) / total
+
+
 def _f_and_slope(spec, s):
     """``f(s) = log u(e^s)`` and its right derivative in ``s``."""
+    if isinstance(spec, np.ndarray):
+        return _table_f_and_slope(spec, s)
     if spec.kind == KONDRATIEV_STREIT:
         b1 = 1 + mp.mpf(spec.beta)
         return b1 * mp.exp(s / b1), mp.exp(s / b1)
@@ -71,6 +98,8 @@ def _f_and_slope(spec, s):
             x, dx = (mp.log(x), dx / x) if x > mp.e else (mp.mpf(1), mp.mpf(0))
         f = 2 * mp.sqrt(mp.exp(s) * x)
         return f, f / 2 * (1 + dx / x)
+    if spec.kind == BELL_SERIES and spec.k == 1:
+        return mp.exp(s), mp.exp(s)  # u_1(r) = sum_n r^n / n! = e^r
     if spec.kind == BELL_SERIES and spec.k == 2:
         # u_2(r) = sum_n r^n / (B(n) n!).  1 / (B(n) n!) is log-concave, so
         # past the peak the terms' ratios fall and the last ratio bounds the
@@ -93,13 +122,15 @@ def _f_and_slope(spec, s):
 
 
 def log_u(spec, r) -> mp.mpf:
-    """``log u(r)`` for ``r > 0`` at ``DPS`` digits."""
+    """``log u(r)`` for ``r > 0`` at ``DPS`` digits (``spec`` may be an array
+    of log-coefficients)."""
     with mp.workdps(DPS):
         return +_f_and_slope(spec, mp.log(mp.mpf(r)))[0]
 
 
 def transform(spec, t) -> tuple[mp.mpf, mp.mpf]:
-    """``(log ell(t), r*(t))`` for ``t > 0`` at ``DPS`` digits."""
+    """``(log ell(t), r*(t))`` for ``t > 0`` at ``DPS`` digits (``spec`` may
+    be an array of log-coefficients)."""
     with mp.workdps(DPS):
         t = mp.mpf(t)
 

@@ -377,6 +377,25 @@ def test_cli_conditions_failure_is_exit_one():
     assert "U2" in payload["failed"]
 
 
+def test_suite_without_out_writes_no_file_and_keeps_the_table_in_the_payload(
+        tmp_path, monkeypatch, capsys):
+    # The shipped manifest's jobs that name an "out" file, run in process
+    # from an empty working directory with no output directory.
+    shipped = json.loads(ACCEPTANCE_MANIFEST.read_text())
+    jobs = [job for job in shipped["jobs"] if "out" in job]
+    assert jobs
+    manifest = {**shipped, "jobs": jobs}
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert run(manifest, print_payloads=True) == 0
+    assert list(work.iterdir()) == []
+    payload = parse_payload(capsys.readouterr().out)
+    # With an output directory the same table is the artifact, byte for byte.
+    assert run(manifest, out_dir=tmp_path / "out") == 0
+    assert (tmp_path / "out" / jobs[0]["out"]).read_text() == payload["csv"]
+
+
 def test_cli_legendre_csv(tmp_path):
     out = tmp_path / "t.csv"
     proc = run_cli("legendre", "--spec", json.dumps(KS0), "--n-max", "3",

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 
+from growthcalc import growth
 from growthcalc import (
     BELL_SERIES,
     CONDITION_IDS,
@@ -548,16 +549,87 @@ KERNEL_SPECS = [
 ]
 
 
+def _oracle_log_u(spec, r):
+    """``oracles.log_u`` of a Bell series where the defining formula reaches
+    (``u_1`` everywhere, ``u_2`` up to r = 1e5); past it, and for ``u_3``,
+    the 30-digit sum of the stored coefficients."""
+    from growthcalc.growth import _series_logc
+
+    exact = spec.k == 1 or (spec.k == 2 and r <= 1e5)
+    return float(oracles.log_u(spec if exact else _series_logc(spec), r))
+
+
+def _assert_matches_the_oracle(spec, rs, got):
+    """Within 1e-14 of the oracle, relative; below r = e^-2, where the
+    windowed sum answers with its log of a sum near 1, within 2 ulp of 1."""
+    from growthcalc.growth import _PANEL_LO
+
+    for r, v in zip(rs, got):
+        if r == 0.0:
+            assert v == 0.0
+            continue
+        want = _oracle_log_u(spec, r)
+        bound = 1e-14 * abs(want) if r >= math.exp(_PANEL_LO) else 2.0**-51
+        assert abs(v - want) <= bound, (r, v, want)
+
+
 @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: s.function_id)
 def test_kernel_matches_reference_formula_bit_for_bit(spec):
     rng = np.random.default_rng(11)
     top = min(0.95 * math.exp(spec.s_max), 1e12)  # inside every kernel's range
     rs = [0.0, 1e-300, 0.5, 1.0, math.e, math.e**math.e, *np.exp(
         rng.uniform(-30.0, math.log(top), 400)).tolist()]
-    want = [_reference_log_u(spec, r) for r in rs]
-    assert [spec.kernel(r) for r in rs] == want
-    assert [spec.log_u(r) for r in rs] == want
-    assert log_u_grid(spec, np.array(rs)).tolist() == want
+    got = [spec.kernel(r) for r in rs]
+    assert [spec.log_u(r) for r in rs] == got
+    assert log_u_grid(spec, np.array(rs)).tolist() == got
+    if spec.kind != BELL_SERIES:
+        assert got == [_reference_log_u(spec, r) for r in rs]
+        return
+    # A Bell kernel interpolates on Chebyshev panels, so it is held to the
+    # oracle (on the fixed radii and the first 100 seeded ones: a 30-digit
+    # sum each); the windowed sum it falls back on stays the formula.
+    window = growth._bell_window_kernel(spec)
+    assert [window(r) for r in rs] == [_reference_log_u(spec, r) for r in rs]
+    _assert_matches_the_oracle(spec, rs[:106], got[:106])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bell_panel_kernel_matches_the_oracle_across_its_panels(k):
+    from growthcalc.growth import _PANEL_LO, _PANEL_WIDTH
+
+    spec = bell_series(k)
+    s_top = math.log(0.95 * spec.faithful_cap)
+    rng = np.random.default_rng(20)
+    # Every eighth panel edge, with its neighbouring doubles on both sides.
+    edges = np.exp(spec.s_max - _PANEL_WIDTH * np.arange(1, 200, 8))
+    edges = edges[(edges > math.exp(_PANEL_LO)) & (edges <= math.exp(s_top))]
+    rs = [math.exp(_PANEL_LO), *np.exp(rng.uniform(_PANEL_LO, s_top, 30)).tolist(),
+          *edges.tolist(), *np.nextafter(edges, 0.0).tolist(),
+          *np.nextafter(edges, math.inf).tolist()]
+    _assert_matches_the_oracle(spec, rs, [spec.kernel(r) for r in rs])
+    _, resolved = growth._bell_panels(spec)
+    assert resolved.all() and spec.s_max - resolved.size * _PANEL_WIDTH < _PANEL_LO
+
+
+def test_bell_panels_leave_an_unresolved_stretch_to_the_windowed_sum(monkeypatch):
+    # Coefficients -1e-4 n^2: f turns from -log(1 - e^s) to s^2 / 4e-4 within
+    # a few hundredths of s = 0, which no panel of width 1/4 and degree 12
+    # resolves (unchecked, its interpolant is 0.2% off there).
+    from scipy.special import logsumexp
+
+    n = np.arange(5001, dtype=float)
+    logc = -1e-4 * n * n
+    logc.setflags(write=False)
+    gaps = np.maximum.accumulate(logc[:-1] - logc[1:])
+    monkeypatch.setattr(growth, "_series_logc", lambda spec: logc)
+    monkeypatch.setattr(growth, "_series_gaps", lambda spec: gaps)
+    spec = bell_series(2)
+    _, resolved = growth._bell_panels(spec)
+    assert resolved.any() and not resolved.all()
+    s = np.concatenate([[-1.0, 0.0, 0.05, 0.2], np.linspace(-2.0, spec.s_max, 120)])
+    kernel = growth._bell_kernel(spec)
+    np.testing.assert_allclose([kernel(math.exp(v)) for v in s],
+                               logsumexp(logc + n * s[:, None], axis=1), rtol=1e-13)
 
 
 def test_log_u_grid_equals_scalar_log_u_for_every_kind():
@@ -624,7 +696,24 @@ def test_log_factorial_table_is_a_read_only_lgamma_table():
     table = _log_factorials(3000)
     assert not table.flags.writeable
     assert np.array_equal(table[:11], head)
-    assert table[3000] == math.lgamma(3001.0)
+    assert table[:257].tolist() == [math.lgamma(k + 1.0) for k in range(257)]
+
+
+@given(st.integers(min_value=257, max_value=1 << 18))
+@settings(max_examples=40, deadline=None)
+def test_log_factorial_rows_past_256_match_loggamma_to_two_ulp(k):
+    got = float(growth._log_factorials(1 << 18)[k])
+    with mp.workdps(40):
+        assert abs(mp.mpf(got) - mp.loggamma(k + 1)) <= 2 * math.ulp(got)
+
+
+def test_log_factorial_rows_do_not_depend_on_the_order_of_the_builds(monkeypatch):
+    monkeypatch.setattr(growth, "_log_fact", np.zeros(0))
+    for n in (3, 200, 256, 257, 700):
+        growth._log_factorials(n)
+    grown = growth._log_factorials(5000).copy()
+    monkeypatch.setattr(growth, "_log_fact", np.zeros(0))
+    assert np.array_equal(growth._log_factorials(5000), grown)
 
 
 # ---------------------------------------------------------------------------
@@ -777,8 +866,6 @@ def test_bell_s_kernel_widens_its_window_as_the_scalar_kernel_does(monkeypatch):
     # (the catalog's Bell series never need to).
     from scipy.special import logsumexp
 
-    from growthcalc import growth
-
     n = np.arange(5001, dtype=float)
     logc = -1e-4 * n * n
     logc.setflags(write=False)
@@ -788,7 +875,7 @@ def test_bell_s_kernel_widens_its_window_as_the_scalar_kernel_does(monkeypatch):
     spec = bell_series(2)
     s = np.array([-1.0, 0.0, 0.05, 0.2])
     f, d1, _ = growth._bell_s_kernel(spec)(s)
-    scalar = growth._bell_kernel(spec)
+    scalar = growth._bell_window_kernel(spec)
     np.testing.assert_allclose(f, [scalar(math.exp(v)) for v in s], rtol=1e-13)
     terms = logc + n * s[:, None]
     np.testing.assert_allclose(f, logsumexp(terms, axis=1), rtol=1e-13)

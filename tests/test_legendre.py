@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import oracles
 
 from growthcalc import (
+    BELL_SERIES,
     CapTooSmallError,
     CapacityError,
     InsufficientTableError,
@@ -635,11 +636,55 @@ def test_pinned_transform_bidual_and_grid_values(name):
     spec = PINNED_SPECS[name]
     seq_want, bidual_want, grid_want = PINNED[name]
     seq = legendre_sequence(spec, 30)
+    grid = [0.0, 0.3, 7.0, 1e5]
+    if spec.kind == BELL_SERIES:
+        # The Bell kernels interpolate on Chebyshev panels: held to the
+        # oracles (for u3, the 30-digit sum of its stored coefficients), r*
+        # to the ternary search's resolution.
+        from growthcalc.growth import _series_logc
+
+        ref = spec if spec.k == 2 else _series_logc(spec)
+        for n in (1, 7, 30):
+            want_ell, want_r = oracles.transform(ref, n)
+            assert _close(seq.log_ell[n], float(want_ell), 1e-13), n
+            assert seq.r_star[n] == pytest.approx(float(want_r), rel=1e-7), n
+        for r in (0.5, 40.0):
+            assert _close(bidual(spec, r), float(oracles.log_u(ref, r)), 1e-13), r
+        got = log_u_grid(spec, np.array(grid))
+        assert got[0] == 0.0
+        assert _close(got[1:], np.array([float(oracles.log_u(_series_logc(spec), r))
+                                         for r in grid[1:]]), 1e-14)
+        return
     assert [(seq.log_ell[n], seq.r_star[n]) for n in (1, 7, 30)] == seq_want
     assert [bidual(spec, r) for r in (0.5, 40.0)] == bidual_want
     assert _close(np.array(bidual_want), np.array([spec.log_u(r) for r in (0.5, 40.0)]),
                   1e-13)
-    assert log_u_grid(spec, np.array([0.0, 0.3, 7.0, 1e5])).tolist() == grid_want
+    assert log_u_grid(spec, np.array(grid)).tolist() == grid_want
+
+
+def test_u2_table_calls_the_windowed_sum_on_no_resolved_panel(monkeypatch):
+    from growthcalc import growth
+
+    calls = []
+    build = growth._bell_window_kernel
+
+    def spy(spec):
+        window = build(spec)
+
+        def kernel(r):
+            calls.append(r)
+            return window(r)
+
+        return kernel
+
+    monkeypatch.setattr(growth, "_bell_window_kernel", spy)
+    u2 = bell_series(2)  # a fresh spec, whose kernel is built under the spy
+    legendre_sequence(u2, 60)
+    _, resolved = growth._bell_panels(u2)
+    assert calls  # the ternary search probes below e^-2
+    for r in calls:
+        if math.exp(growth._PANEL_LO) <= r <= u2.faithful_cap:
+            assert not resolved[int((u2.s_max - math.log(r)) / growth._PANEL_WIDTH)], r
 
 
 def test_table_rule_sums_the_whole_table_when_ratios_rise_again():

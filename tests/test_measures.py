@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -424,6 +425,26 @@ def test_hida_gaussian_ladder(catalog):
     assert not levels[0]["finite"]          # boundary 4 c2 rho^0 = 1 diverges
     assert levels[1]["finite"]
     assert levels[1]["bound"] > 1.0
+
+
+def test_gaussian_envelope_of_ks0_does_not_rest_on_rounding(monkeypatch):
+    # log u(r) / 2 - r / 2 is exactly 0 for ks0; one ulp more on log u must
+    # leave c2 = 1/2 certified, with c1 = 1.
+    from growthcalc import growth, measures
+
+    ks = growth._KIND_TABLE[growth.KONDRATIEV_STREIT]
+
+    def kernel(spec):
+        exact = ks.kernel(spec)
+        return lambda r: math.nextafter(exact(r), math.inf)
+
+    monkeypatch.setitem(growth._KIND_TABLE, growth.KONDRATIEV_STREIT,
+                        dataclasses.replace(ks, kernel=kernel))
+    measures._gaussian_envelope.cache_clear()
+    try:
+        assert measures._gaussian_envelope(kondratiev_streit(0.0)) == (1.0, 0.5)
+    finally:
+        measures._gaussian_envelope.cache_clear()
 
 
 def test_hida_gaussian_steeper_weight(catalog):
