@@ -74,8 +74,9 @@ def _table_f_and_slope(log_coeffs: np.ndarray, s):
     (found in doubles, then summed exactly)."""
     n = np.arange(log_coeffs.size)
     terms = log_coeffs + n * float(s)
-    keep = np.flatnonzero(terms > terms.max() - TABLE_WINDOW).tolist()
-    top = mp.mpf(float(terms.max()))
+    top = float(terms.max())
+    keep = np.flatnonzero(terms > top - TABLE_WINDOW).tolist()
+    top = mp.mpf(top)
     weights = [mp.exp(mp.mpf(float(log_coeffs[k])) + k * s - top) for k in keep]
     total = mp.fsum(weights)
     return top + mp.log(total), mp.fdot(keep, weights) / total
