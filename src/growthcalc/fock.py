@@ -1,4 +1,5 @@
-"""Weighted chaos-coefficient norms, Hermite evaluation, and growth bounds.
+"""Weighted chaos-coefficient norms, Hermite evaluation, and the pairing and
+Cauchy coefficient bounds.
 
 One-dimensional surrogate of the weighted symmetric-tensor construction: a
 chaos expansion is a scalar sequence ``(c_n)``, the test norm divides by the
@@ -229,32 +230,6 @@ def a_norm_1d(
             stacklevel=2,
         )
     return float(math.exp(score[i]))
-
-
-def growth_bound_check(
-    seq: ChaosSequence,
-    spec: GrowthFunctionSpec,
-    table: LegendreTable,
-    p: int = 0,
-    x_grid=None,
-    rho: float = 0.5,
-) -> VerificationReport:
-    """Ratio ``C = a_norm / test_norm`` for one sequence: finite C certifies
-    the pointwise-growth control of the weighted norm on this example."""
-    if x_grid is None:
-        x_grid = np.linspace(-12.0, 12.0, 4801)
-    a_val = a_norm_1d(seq, spec, p=p, x_grid=x_grid, rho=rho)
-    t_val = test_norm(seq, table)
-    ok = math.isfinite(a_val) and math.isfinite(t_val) and t_val > 0.0
-    C = a_val / t_val if ok else math.inf
-    return _report(
-        "growth-bound",
-        spec.function_id,
-        0.0 if math.isfinite(C) else -math.inf,
-        {},
-        {"C": C, "a_norm": a_val, "test_norm": t_val, "p": p},
-        {"kind": "x", "points": int(np.asarray(x_grid).size)},
-    )
 
 
 def s_transform_1d(seq: ChaosSequence, xi: float) -> float:

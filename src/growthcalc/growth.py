@@ -9,13 +9,14 @@ exponentials, and explicit power series.
 Every value is produced and exchanged as ``log u(r)``: these functions grow
 at least like ``exp(c r^eps)``, so linear-domain evaluation overflows doubles
 long before the ranges of interest.  Series kinds are summed by windowed
-log-sum-exp around the dominant term.  The Bell series' scalar ``log u``
-reads piecewise Chebyshev interpolants of ``log u(e^s) e^{-s}`` in
-``s = log r`` instead (Trefethen, *Approximation Theory and Approximation
-Practice*, ch. 8), built once per spec from one array evaluation of the
-windowed sum and each checked to resolve it to 1e-14 relative; the windowed
-sum answers below ``r = e^-2``, past the faithful cap and on any panel that
-fails the check.
+log-sum-exp around the dominant term, as the dominant term plus ``log1p``
+of the rest, so a sum near 1 keeps its relative accuracy.  The Bell
+series' scalar ``log u`` reads piecewise Chebyshev interpolants of
+``log u(e^s) e^{-s}`` in ``s = log r`` instead (Trefethen, *Approximation
+Theory and Approximation Practice*, ch. 8), built once per spec from one
+array evaluation of the windowed sum and each checked to resolve it to
+1e-14 relative; the windowed sum at ``log r`` answers below ``r = e^-40``,
+past the faithful cap and on any panel that fails the check.
 
 The module also evaluates the Mittag-Leffler function ``E_lam(-t)``, the
 characteristic function of the grey noise measure, by one rule:
@@ -462,7 +463,7 @@ def _iterated_exp_sqrt_kernel(spec: GrowthFunctionSpec):
 #: which each must resolve ``g(s) = log u(e^s) e^{-s}``.
 _PANEL_WIDTH = 0.25
 _PANEL_DEGREE = 12
-_PANEL_LO = -2.0
+_PANEL_LO = -40.0
 _PANEL_TOL = 1e-14
 
 
@@ -471,10 +472,13 @@ def _bell_panels(spec: GrowthFunctionSpec):
     on panels of width ``_PANEL_WIDTH`` downwards from ``s_max`` until one
     passes ``_PANEL_LO``: one ``spec.s_kernel`` call over every panel's
     ``_PANEL_DEGREE + 1`` Chebyshev points (second kind, node 0 at the
-    panel's top).  A panel is resolved when its two last coefficients sum
-    to at most ``_PANEL_TOL`` of its smallest ``|g|`` (Battles and Trefethen
-    2004): ``g`` is analytic, so its coefficients fall geometrically and the
-    interpolation error is of the size of the first one dropped.
+    panel's top).  The s-kernel's ``f`` is relatively accurate at every
+    ``s``, and ``g`` tends to ``c_1 / c_0`` as ``s`` falls, so one relative
+    tolerance holds down to ``_PANEL_LO``.  A panel is resolved when its two
+    last coefficients sum to at most ``_PANEL_TOL`` of its smallest ``|g|``
+    (Battles and Trefethen 2004): ``g`` is analytic, so its coefficients
+    fall geometrically and the interpolation error is of the size of the
+    first one dropped.
 
     Returns the coefficients (one row per panel from the top, lowest degree
     first) and which panels are resolved."""
@@ -495,72 +499,42 @@ def _bell_panels(spec: GrowthFunctionSpec):
 
 def _bell_kernel(spec: GrowthFunctionSpec):
     """``log u(r) = g(log r) r`` from the Chebyshev panels of
-    :func:`_bell_panels`, each by a pure-Python Clenshaw sum.  The windowed
-    sum (:func:`_bell_window_kernel`) answers where no resolved panel does:
-    at ``r < e^_PANEL_LO`` (``r = 0`` included), where the s-kernel's ``f``
-    is accurate in absolute terms only; past the faithful cap, where it
-    raises the ``CapacityError``; and on an unresolved panel.  The panels
-    are built with the kernel, once per spec."""
-    window = _bell_window_kernel(spec)
+    :func:`_bell_panels`, each by a pure-Python Clenshaw sum.  The s-kernel
+    at ``log r`` answers where no resolved panel does: at ``r < e^_PANEL_LO``,
+    past the faithful cap, where it raises the ``CapacityError``, and on an
+    unresolved panel; ``r = 0`` gives ``log c_0``.  The panels are built
+    with the kernel, once per spec."""
+    s_kernel = spec.s_kernel
+    log_c0 = float(_series_logc(spec)[0])
     cap, s_max = spec.faithful_cap, spec.s_max
     r_lo = math.exp(_PANEL_LO)
     coeffs, resolved = _bell_panels(spec)
     # Highest degree first, as Clenshaw's recurrence takes them; the last
-    # entry catches an r = e^-2 that rounds past the lowest panel.
+    # entry catches an r = e^_PANEL_LO that rounds past the lowest panel.
     panels = [tuple(c[::-1].tolist()) if ok else None for c, ok in zip(coeffs, resolved)]
     panels.append(None)
     per_width = 1.0 / _PANEL_WIDTH
     log = math.log
 
+    def series(r: float) -> float:
+        if r == 0.0:
+            return log_c0
+        return float(s_kernel(np.array([log(r)]))[0, 0])
+
     def kernel(r: float) -> float:
         if r < r_lo or r > cap:
-            return window(r)
+            return series(r)
         u = (s_max - log(r)) * per_width
         p = int(u)
         panel = panels[p]
         if panel is None:
-            return window(r)
+            return series(r)
         x = 1.0 - 2.0 * (u - p)  # in [-1, 1], 1 at the panel's top
         x2 = x + x
         b1 = b2 = 0.0
         for c in panel:
             b1, b2 = c + x2 * b1 - b2, b1
         return (b1 - x * b2) * r
-
-    return kernel
-
-
-def _bell_window_kernel(spec: GrowthFunctionSpec):
-    """Windowed log-sum-exp of the series terms around the dominant one."""
-    logc = _series_logc(spec)
-    locate = _series_gaps(spec).searchsorted
-    index = np.arange(logc.size, dtype=float)
-    top = logc.size - 1
-    log_c0 = float(logc[0])
-    peak_cap = _PEAK_FRACTION * top
-    log, sqrt, exp = math.log, math.sqrt, np.exp
-
-    def kernel(r: float) -> float:
-        if r == 0.0:
-            return log_c0
-        lr = log(r)
-        peak = int(locate(lr, side="right"))
-        if peak > peak_cap:
-            raise _beyond_series(spec, r)
-        half = int(10.0 * sqrt(peak + 25.0) + 50.0)
-        while True:
-            lo = max(0, peak - half)
-            hi = min(top, peak + half)
-            terms = index[lo : hi + 1] * lr
-            terms += logc[lo : hi + 1]
-            m = float(terms.max())
-            if not ((lo > 0 and terms[0] > m - 46.0)
-                    or (hi < top and terms[-1] > m - 46.0)):
-                break
-            half *= 2
-        terms -= m
-        exp(terms, out=terms)
-        return m + log(terms.sum())
 
     return kernel
 
@@ -644,8 +618,10 @@ def _iterated_exp_sqrt_s_kernel(spec: GrowthFunctionSpec):
 def _series_moments(logc: np.ndarray, s: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Per point, over the terms ``logc[n] + n s`` for ``n`` in ``[lo, hi]``:
     the largest term, and the log-sum-exp of the terms with the mean and
-    variance of ``n`` under their weights.  Points go in blocks of similar
-    window width of at most ``_SERIES_BLOCK`` cells."""
+    variance of ``n`` under their weights.  The log-sum-exp is the largest
+    term plus ``log1p`` of the others' sum relative to it, so it is
+    accurate relative to ``log u`` also where ``u`` is near 1.  Points go
+    in blocks of similar window width of at most ``_SERIES_BLOCK`` cells."""
     m = np.empty(s.size)
     out = np.empty((3, s.size))
     width = hi - lo + 1
@@ -664,22 +640,29 @@ def _series_moments(logc: np.ndarray, s: np.ndarray, lo: np.ndarray, hi: np.ndar
         terms += st * lo[idx, None]
         if width[idx[0]] < w:
             terms[j > (hi - lo)[idx, None]] = -np.inf
-        top = terms.max(axis=1)
+        rows = np.arange(idx.size)
+        peak = terms.argmax(axis=1)
+        top = terms[rows, peak]
         terms -= top[:, None]
         np.exp(terms, out=terms)
-        total = terms.sum(axis=1)
+        # The peak's 1 leaves the sum and comes back through log1p, so a
+        # sum near 1 loses none of its small terms.
+        terms[rows, peak] = 0.0
+        rest = terms.sum(axis=1)
+        terms[rows, peak] = 1.0
+        total = 1.0 + rest
         mean = (terms @ j) / total
         d = j - mean[:, None]
         d *= d
         m[idx] = top
-        out[0, idx] = top + np.log(total)
+        out[0, idx] = top + np.log1p(rest)
         out[1, idx] = lo[idx] + mean
         out[2, idx] = np.einsum("ij,ij->i", terms, d) / total
     return m, out
 
 
 def _bell_s_kernel(spec: GrowthFunctionSpec):
-    """The scalar kernel's window rule, per point: the window around the
+    """The series' one windowed sum, per point: the window around the
     dominant term doubles until both edge terms lie 46 nats below the peak."""
     logc = _series_logc(spec)
     gaps = _series_gaps(spec)

@@ -19,7 +19,6 @@ from growthcalc import (
     dual_norm,
     exp_vector_norm,
     exponential,
-    growth_bound_check,
     hermite_eval_1d,
     kondratiev_streit,
     l_function,
@@ -199,13 +198,11 @@ def test_a_norm_warns_on_boundary_maximum():
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
-def test_a_norm_and_growth_bound_reject_a_non_finite_x(tables60, bad):
+def test_a_norm_rejects_a_non_finite_x(bad):
     seq, ks0 = ChaosSequence((0.0, 1.0)), kondratiev_streit(0.0)
     xs = np.append(np.linspace(-3.0, 3.0, 61), bad)
     with pytest.raises(ParameterError, match="at least 3 finite points"):
         a_norm_1d(seq, ks0, x_grid=xs)
-    with pytest.raises(ParameterError, match="at least 3 finite points"):
-        growth_bound_check(seq, ks0, tables60["ks0"], x_grid=xs)
 
 
 def test_s_transform_monomials():
@@ -214,15 +211,6 @@ def test_s_transform_monomials():
             assert s_transform_1d(ChaosSequence.delta(n), xi) == pytest.approx(
                 xi**n, rel=1e-10, abs=1e-10
             )
-
-
-def test_growth_bound(tables60):
-    seq = ChaosSequence((0.5, -1.0, 0.25, 2.0))
-    report = growth_bound_check(seq, kondratiev_streit(0.0), tables60["ks0"])
-    assert report.passed
-    assert report.constants["a_norm"] <= (
-        report.constants["C"] * report.constants["test_norm"] * (1 + 1e-9)
-    )
 
 
 # ---------------------------------------------------------------------------

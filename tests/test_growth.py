@@ -497,33 +497,15 @@ def test_mittag_leffler_rejects_bad_parameters():
 
 
 def _reference_series_log_value(spec, r):
-    """The windowed log-sum-exp over the series terms, as first written."""
+    """The log-sum-exp over every series term, as first written."""
     from scipy.special import logsumexp
 
-    from growthcalc.growth import _PEAK_FRACTION, _series_gaps, _series_logc
+    from growthcalc.growth import _series_logc
 
     logc = _series_logc(spec)
     if r == 0.0:
         return float(logc[0])
-    lr = math.log(r)
-    n_len = len(logc)
-    if spec.kind != BELL_SERIES:
-        return float(logsumexp(logc + np.arange(n_len, dtype=float) * lr))
-    peak = int(np.searchsorted(_series_gaps(spec), lr, side="right"))
-    if peak > _PEAK_FRACTION * (n_len - 1):
-        raise CapacityError(f"r={r:g} is past the faithful range")
-    half = int(10.0 * math.sqrt(peak + 25.0) + 50.0)
-    while True:
-        lo = max(0, peak - half)
-        hi = min(n_len - 1, peak + half)
-        terms = logc[lo : hi + 1] + np.arange(lo, hi + 1, dtype=float) * lr
-        m = float(terms.max())
-        left_bad = lo > 0 and terms[0] > m - 46.0
-        right_bad = hi < n_len - 1 and terms[-1] > m - 46.0
-        if not (left_bad or right_bad):
-            break
-        half *= 2
-    return float(m + math.log(np.exp(terms - m).sum()))
+    return float(logsumexp(logc + np.arange(len(logc), dtype=float) * math.log(r)))
 
 
 def _reference_log_u(spec, r):
@@ -560,16 +542,16 @@ def _oracle_log_u(spec, r):
 
 
 def _assert_matches_the_oracle(spec, rs, got):
-    """Within 1e-14 of the oracle, relative; below r = e^-2, where the
-    windowed sum answers with its log of a sum near 1, within 2 ulp of 1."""
-    from growthcalc.growth import _PANEL_LO
-
+    """Within 1e-14 of the oracle, relative, from r = 1e-12 up; below it,
+    where rounding ``log r`` alone costs more than 1e-14 relative (and the
+    30-digit oracle's own log of a sum near 1 comes close to it), within
+    2 ulp of 1."""
     for r, v in zip(rs, got):
         if r == 0.0:
             assert v == 0.0
             continue
         want = _oracle_log_u(spec, r)
-        bound = 1e-14 * abs(want) if r >= math.exp(_PANEL_LO) else 2.0**-51
+        bound = 1e-14 * abs(want) if r >= 1e-12 else 2.0**-51
         assert abs(v - want) <= bound, (r, v, want)
 
 
@@ -587,9 +569,7 @@ def test_kernel_matches_reference_formula_bit_for_bit(spec):
         return
     # A Bell kernel interpolates on Chebyshev panels, so it is held to the
     # oracle (on the fixed radii and the first 100 seeded ones: a 30-digit
-    # sum each); the windowed sum it falls back on stays the formula.
-    window = growth._bell_window_kernel(spec)
-    assert [window(r) for r in rs] == [_reference_log_u(spec, r) for r in rs]
+    # sum each).
     _assert_matches_the_oracle(spec, rs[:106], got[:106])
 
 
@@ -609,6 +589,23 @@ def test_bell_panel_kernel_matches_the_oracle_across_its_panels(k):
     _assert_matches_the_oracle(spec, rs, [spec.kernel(r) for r in rs])
     _, resolved = growth._bell_panels(spec)
     assert resolved.all() and spec.s_max - resolved.size * _PANEL_WIDTH < _PANEL_LO
+
+
+@pytest.mark.parametrize("spec", [bell_series(1), bell_series(2), bell_series(3),
+                                  power_series([0.0, -0.5, -2.0, -math.inf, -6.0])],
+                         ids=lambda s: s.function_id)
+def test_series_log_u_is_relatively_accurate_at_small_r(spec):
+    # log u(r) ~ c_1 r / c_0 here: a sum near 1 must keep its small terms
+    # (top + log1p(rest)), or m + log(sum) leaves only its absolute accuracy.
+    # (The oracle's 30-digit log of 1 + r is itself only 1e-18 relative at
+    # r = 1e-12, so a series starting at r^2 would not do.)
+    rs = [1e-12, 1e-9, 1e-6, 1e-3, math.exp(-2.0)]
+    f = spec.s_kernel(np.log(rs))[0]
+    for r, scalar, array in zip(rs, map(spec.log_u, rs), f):
+        want = (float(oracles.log_u(spec, r)) if spec.kind != BELL_SERIES
+                else _oracle_log_u(spec, r))
+        assert abs(scalar - want) <= 1e-14 * want, (r, scalar, want)
+        assert abs(array - want) <= 1e-14 * want, (r, array, want)
 
 
 def test_bell_panels_leave_an_unresolved_stretch_to_the_windowed_sum(monkeypatch):
@@ -648,8 +645,6 @@ def test_kernel_keeps_the_capacity_error_past_the_series_cap():
         u2.kernel(r)
     with pytest.raises(CapacityError, match=re.escape(str(err.value))):
         u2.log_u(r)
-    with pytest.raises(CapacityError, match="past the faithful range"):
-        _reference_log_u(u2, r)
 
 
 def test_spec_pickles_after_its_kernel_is_built():
@@ -862,8 +857,9 @@ def test_s_kernel_of_u2_matches_the_scalar_kernel_up_to_s_max():
 
 def test_bell_s_kernel_widens_its_window_as_the_scalar_kernel_does(monkeypatch):
     # Coefficients so flat that the edge terms of the first windows lie
-    # within 46 nats of the peak: both kernels must double their windows
-    # (the catalog's Bell series never need to).
+    # within 46 nats of the peak: the s-kernel, which the scalar kernel
+    # falls back on, must double its windows (the catalog's Bell series
+    # never need to).
     from scipy.special import logsumexp
 
     n = np.arange(5001, dtype=float)
@@ -875,8 +871,6 @@ def test_bell_s_kernel_widens_its_window_as_the_scalar_kernel_does(monkeypatch):
     spec = bell_series(2)
     s = np.array([-1.0, 0.0, 0.05, 0.2])
     f, d1, _ = growth._bell_s_kernel(spec)(s)
-    scalar = growth._bell_window_kernel(spec)
-    np.testing.assert_allclose(f, [scalar(math.exp(v)) for v in s], rtol=1e-13)
     terms = logc + n * s[:, None]
     np.testing.assert_allclose(f, logsumexp(terms, axis=1), rtol=1e-13)
     weights = np.exp(terms - logsumexp(terms, axis=1)[:, None])

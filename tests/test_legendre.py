@@ -23,6 +23,7 @@ from growthcalc import (
     UnboundedBelowError,
     bell_series,
     bidual,
+    check_conditions,
     default_r_grid,
     exponential,
     iterated_exp_sqrt,
@@ -662,29 +663,22 @@ def test_pinned_transform_bidual_and_grid_values(name):
     assert log_u_grid(spec, np.array(grid)).tolist() == grid_want
 
 
-def test_u2_table_calls_the_windowed_sum_on_no_resolved_panel(monkeypatch):
-    from growthcalc import growth
+def test_u2_conditions_and_table_make_no_one_element_s_kernel_call():
+    # Every radius they probe is 0 or lies on a resolved panel, so the
+    # scalar kernel never falls back on a one-point s-kernel call (about
+    # 100 us, against about 2 us on a panel).
+    u2 = bell_series(2)  # a fresh spec, whose kernel is built on the spy
+    s_kernel = u2.s_kernel
+    sizes = []
 
-    calls = []
-    build = growth._bell_window_kernel
+    def spy(s):
+        sizes.append(s.size)
+        return s_kernel(s)
 
-    def spy(spec):
-        window = build(spec)
-
-        def kernel(r):
-            calls.append(r)
-            return window(r)
-
-        return kernel
-
-    monkeypatch.setattr(growth, "_bell_window_kernel", spy)
-    u2 = bell_series(2)  # a fresh spec, whose kernel is built under the spy
+    u2.__dict__["s_kernel"] = spy
+    check_conditions(u2)
     legendre_sequence(u2, 60)
-    _, resolved = growth._bell_panels(u2)
-    assert calls  # the ternary search probes below e^-2
-    for r in calls:
-        if math.exp(growth._PANEL_LO) <= r <= u2.faithful_cap:
-            assert not resolved[int((u2.s_max - math.log(r)) / growth._PANEL_WIDTH)], r
+    assert sizes and 1 not in sizes
 
 
 def test_table_rule_sums_the_whole_table_when_ratios_rise_again():

@@ -7,8 +7,8 @@ import inspect
 
 import growthcalc
 
-EXPORTS = 87
-OPTIONS = 74
+EXPORTS = 86
+OPTIONS = 71
 
 
 def _options(obj) -> list[str]:
