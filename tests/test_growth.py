@@ -583,7 +583,7 @@ def test_bell_panel_kernel_matches_the_oracle_across_its_panels(k):
     # Every eighth panel edge, with its neighbouring doubles on both sides.
     edges = np.exp(spec.s_max - _PANEL_WIDTH * np.arange(1, 200, 8))
     edges = edges[(edges > math.exp(_PANEL_LO)) & (edges <= math.exp(s_top))]
-    rs = [math.exp(_PANEL_LO), *np.exp(rng.uniform(_PANEL_LO, s_top, 30)).tolist(),
+    rs = [math.exp(_PANEL_LO), *np.exp(rng.uniform(math.log(1e-12), s_top, 30)).tolist(),
           *edges.tolist(), *np.nextafter(edges, 0.0).tolist(),
           *np.nextafter(edges, math.inf).tolist()]
     _assert_matches_the_oracle(spec, rs, [spec.kernel(r) for r in rs])
