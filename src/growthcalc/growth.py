@@ -645,8 +645,7 @@ def _series_moments(logc: np.ndarray, s: np.ndarray, lo: np.ndarray, hi: np.ndar
         top = terms[rows, peak]
         terms -= top[:, None]
         np.exp(terms, out=terms)
-        # The peak's 1 leaves the sum and comes back through log1p, so a
-        # sum near 1 loses none of its small terms.
+        # The peak's 1 leaves the sum and comes back through log1p.
         terms[rows, peak] = 0.0
         rest = terms.sum(axis=1)
         terms[rows, peak] = 1.0
