@@ -16,19 +16,25 @@ reconstructs ``u``; its supremum sits at the slope ``t = d log u / d log r``,
 so it needs no search over ``t``.
 
 Tables carry ``log ell`` and the minimizer ``r*``; every value is log-domain.
-The table rule sums every stored term of ``L_u`` and accepts the sum when a
+The table rule sums the stored terms of ``L_u`` within 46 nats of the
+largest, from windows computed once per table, and accepts the sum when a
 geometric bound on the terms past the table end is small against it.  Far
 beyond any storable table (the verification grids reach arguments ~1e9)
 evaluation switches to a Laplace/quadrature rule driven by a cached cubic
 Hermite spline of ``log ell(e^sigma) / e^sigma``.  The L functions take one
 radius or an array of radii; an array is evaluated a block of radii at a
-time, with the same arithmetic per radius as a lone call.
+time.  A block's table rule sums one window of columns, the union of its
+radii's windows, so a radius in a block may sum more terms than a lone
+call, each below e^-46 of its largest: the two values agree to a few ulp,
+and both take the same tail bound.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,6 +82,9 @@ _BLOCK = 64
 #: The table rule accepts its sum once the geometric bound on the terms past
 #: the table end is at most this share of it.
 _L_REL_TOL = 1e-12
+#: The table rule sums the terms within this many nats of a radius's peak
+#: term: each term it leaves out is below e^-46 of the sum.
+_TERM_DROP = 46.0
 #: The table rule's floor on shifted log terms, above numpy's exp underflow.
 _EXP_FLOOR = -700.0
 #: Step size at which a bracketed Newton iteration counts as converged, and
@@ -348,28 +357,97 @@ def _blockwise(rule, rs: np.ndarray):
     """``rule`` applied to ``rs`` in blocks of ``_BLOCK`` radii: a float for a
     0-d ``rs``, else an array of its shape."""
     flat = rs.ravel()
-    out = np.empty(flat.size)
-    for lo in range(0, flat.size, _BLOCK):
-        out[lo : lo + _BLOCK] = rule(flat[lo : lo + _BLOCK])
+    if 0 < flat.size <= _BLOCK:  # one block: no copy
+        out = rule(flat)
+    else:
+        out = np.empty(flat.size)
+        for lo in range(0, flat.size, _BLOCK):
+            out[lo : lo + _BLOCK] = rule(flat[lo : lo + _BLOCK])
     return float(out[0]) if rs.ndim == 0 else out.reshape(rs.shape)
+
+
+def _peak_windows(log_ell: np.ndarray):
+    """The table rule's per-table bounds: the running max ``dec`` of the
+    decrements ``log ell(n) - log ell(n+1)``, and per peak index ``p`` the
+    first index and one past the last of a window that holds every term
+    within ``_TERM_DROP`` nats of the largest at any radius whose peak is
+    ``p``.
+
+    The peak of the terms ``log ell(n) + n x``, ``x = log r``, is the number
+    of decrements below ``x``, so ``p`` holds for ``x`` from ``dec[p-1]`` to
+    ``dec[p]``.  There every term's drop below the peak term is linear in
+    ``x``, and the window of ``p`` is the union of the windows at those two
+    ends; at an end, ``log ell`` being concave, the drop falls towards the
+    peak on both sides, so bisection finds the window's edges.  A table that
+    is not concave to within 1e-6 of its decrements gets whole-table
+    windows."""
+    N = log_ell.size - 1
+    d = log_ell[:-1] - log_ell[1:]
+    dec = np.maximum.accumulate(d)
+    if (dec - d > 1e-6 * np.maximum(1.0, np.abs(d))).any():
+        return dec, np.zeros(N + 1, dtype=np.intp), np.full(N + 1, N + 1)
+    j = np.arange(N)  # the end between peaks j and j + 1, at x = dec[j]
+    peak = log_ell[:-1] + j * dec
+
+    def near(k):
+        return peak - (log_ell[k] + k * dec) <= _TERM_DROP
+
+    first, b = np.zeros(N, dtype=np.intp), j  # the first index near the peak
+    while (first < b).any():
+        mid = (first + b) // 2
+        ok = near(mid)
+        first, b = np.where(ok, first, mid + 1), np.where(ok, mid, b)
+    a, last = j, np.full(N, N)  # the last one
+    while (a < last).any():
+        mid = (a + last + 1) // 2
+        ok = near(mid)
+        a, last = np.where(ok, mid, a), np.where(ok, last, mid - 1)
+    # Peak p's ends are j = p - 1 and j = p (only one for p = 0 and p = N).
+    lo = np.minimum(np.append(first[0], first), np.append(first, N))
+    hi = np.maximum(np.append(last[0], last), np.append(last, N))
+    return dec, lo, hi + 1
+
+
+#: The table rule's windows of the tables last used: an entry goes with its
+#: table, and at most ``_SPEC_CACHE`` are kept.
+_WINDOWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_WINDOWS_LOCK = threading.Lock()
+
+
+def _table_windows(table: LegendreTable):
+    windows = _WINDOWS.get(table)
+    if windows is None:
+        windows = _peak_windows(table.log_ell)
+        with _WINDOWS_LOCK:
+            while len(_WINDOWS) >= _SPEC_CACHE:
+                del _WINDOWS[next(iter(_WINDOWS))]  # the oldest entry
+            _WINDOWS[table] = windows
+    return windows
 
 
 def _table_rule(
     table: LegendreTable, rs: np.ndarray
 ) -> tuple[np.ndarray, InsufficientTableError | None]:
-    """The table rule on a block of radii: the log-sum-exp of every stored
-    term, NaN where the geometric bound on the terms past the table end is
-    not at most ``_L_REL_TOL`` of it, and the error of the first such
-    radius, or ``None``."""
+    """The table rule on a block of radii: the log-sum-exp of the stored
+    terms in one window of columns, the union of the radii's windows of
+    :func:`_peak_windows`, so each radius sums at least the terms within
+    ``_TERM_DROP`` nats of its peak; NaN where the geometric bound on the
+    terms past the table end is not at most ``_L_REL_TOL`` of it, and the
+    error of the first such radius, or ``None``."""
     le = table.log_ell
     N = le.size - 1
+    dec, first, stop = _table_windows(table)
     zero = rs == 0.0
-    lt = np.multiply.outer(np.log(np.where(zero, 1.0, rs)), table.t)
-    lt += le
+    lr = np.log(np.where(zero, 1.0, rs))
     # log ell is concave, so no ratio past the table end exceeds the last one.
-    log_last = lt[:, -1] - lt[:, -2]
+    end = lr * table.t[-1] + le[-1]
+    log_last = end - (lr * table.t[-2] + le[-2])
     log_rho = np.minimum(log_last, -1e-12)
-    tail = lt[:, -1] + log_rho - np.log1p(-np.exp(log_rho))
+    tail = end + log_rho - np.log1p(-np.exp(log_rho))
+    peak = dec.searchsorted(lr)
+    cols = slice(min(first[peak].tolist()), max(stop[peak].tolist()))
+    lt = np.multiply.outer(lr, table.t[cols])
+    lt += le[cols]
     m = lt.max(axis=1)
     lt -= m[:, None]  # in place: the block's terms are its largest array
     # Shifted terms below e^_EXP_FLOOR are raised to it, as np.exp is many
@@ -378,7 +456,9 @@ def _table_rule(
     # n <= 2^18) to that sum: far below half an ulp of 1.  NaN stays NaN.
     np.maximum(lt, _EXP_FLOOR, out=lt)
     vals = m + np.log(np.exp(lt, out=lt).sum(axis=1))
-    failed = ~(tail <= math.log(_L_REL_TOL) + vals) & ~zero  # a NaN bound fails
+    passed = tail <= math.log(_L_REL_TOL) + vals  # a NaN bound fails
+    passed |= zero
+    failed = ~passed
     vals[zero] = le[0]
     vals[failed] = np.nan
     if not failed.any():
@@ -447,6 +527,7 @@ class _ContinuousEll:
     sigma: np.ndarray      # log t at knots
     ts: np.ndarray         # t at knots
     f: np.ndarray          # log ell(t) / t at knots
+    log_r: np.ndarray      # log r*(t) at knots, nondecreasing
     spline: _Hermite
     t_hi: float
 
@@ -481,11 +562,12 @@ def _continuous_ell(spec: GrowthFunctionSpec) -> _ContinuousEll:
     if err is not None:
         raise err
     f = vals / ts
+    log_r = np.log(rs)
     # Exact slopes: d log ell / dt = -log r*, so df / dsigma = -log r* - f.
-    spline = _Hermite(sigma, f, -np.log(rs) - f)
-    for arr in (sigma, ts, f):
+    spline = _Hermite(sigma, f, -log_r - f)
+    for arr in (sigma, ts, f, log_r):
         arr.setflags(write=False)
-    return _ContinuousEll(sigma, ts, f, spline, t_hi)
+    return _ContinuousEll(sigma, ts, f, log_r, spline, t_hi)
 
 
 def _bracketed_newton(fun, x: np.ndarray, pos: np.ndarray, neg: np.ndarray):
@@ -516,13 +598,26 @@ def _bracketed_newton(fun, x: np.ndarray, pos: np.ndarray, neg: np.ndarray):
     return x, slope, pos, neg
 
 
+_NEAR = np.arange(-2, 2)
+
+
+def _peak_knot(ce: _ContinuousEll, lr: np.ndarray) -> np.ndarray:
+    """Per ``log r``, the first knot at which ``h = log ell(t) + t log r``
+    is largest.  ``h`` is concave in ``t`` with its peak where ``log r*(t) =
+    log r``, so the largest knot value lies next to that crossing: the
+    argmax over the four knots around it, found by one ``searchsorted``."""
+    k = np.minimum(np.maximum(ce.log_r.searchsorted(lr), 2), ce.ts.size - 2)
+    near = k[:, None] + _NEAR
+    return k - 2 + (ce.ts[near] * (ce.f[near] + lr[:, None])).argmax(axis=1)
+
+
 def _laplace_rule(spec: GrowthFunctionSpec, rs: np.ndarray) -> np.ndarray:
     """``log integral_0^inf ell_u(t) r^t dt`` for a block of radii ``r > 0``."""
     ce = _continuous_ell(spec)
     spline = ce.spline
     lr = np.log(rs)
     n = rs.size
-    i = np.argmax(ce.ts * (ce.f + lr[:, None]), axis=1)
+    i = _peak_knot(ce, lr)
     for bad, what in (
         (i >= ce.sigma.size - 3,
          f"lies beyond the wide-evaluation range of {spec.function_id}"),
@@ -544,7 +639,7 @@ def _laplace_rule(spec: GrowthFunctionSpec, rs: np.ndarray) -> np.ndarray:
     # peak, starting at the Gaussian width and doubling, until h drops below
     # the target or the wide domain ends, then Newton inside the bracket.
     side = np.repeat([-1.0, 1.0], n)
-    row = np.tile(np.arange(n), 2)
+    row = np.arange(2 * n) % n
     end = np.where(side < 0.0, ce.sigma[0], ce.sigma[-1])
     target = h_star[row] - _H_DROP
     s_in = s_star[row]
@@ -614,9 +709,9 @@ def l_function_wide(evaluator: LFunctionEvaluator, r):
     rs = _radii(r, "l_function_wide")
 
     def rule(block: np.ndarray) -> np.ndarray:
-        vals = _table_rule(evaluator.table, block)[0]
-        rest = np.isnan(vals)
-        if rest.any():
+        vals, err = _table_rule(evaluator.table, block)
+        if err is not None:  # the table rule left NaN rows
+            rest = np.isnan(vals)
             vals[rest] = _laplace_rule(evaluator.spec, block[rest])
         return vals
 

@@ -5,10 +5,11 @@ Mittag-Leffler function.
 ``log u`` is written out again from each kind's defining formula (for the
 Bell series ``u_2``, a sum over exact Bell numbers from the Bell triangle),
 and the
-transform ``log ell(t) = inf_r [log u(r) - t log r]`` is solved by bisection
-on ``f'(s) = t`` for ``f(s) = log u(e^s)``.  ``f`` is convex, so ``f'`` is
-nondecreasing and ``{s : f'(s) < t}`` is a half-line whose end is the
-minimizer, also where ``f'`` jumps over ``t`` (the clamp kink of ``g_k``).
+transform ``log ell(t) = inf_r [log u(r) - t log r]`` is solved from
+``f'(s) = t`` for ``f(s) = log u(e^s)`` by a bracketed secant.  ``f`` is
+convex, so ``f'`` is nondecreasing and ``{s : f'(s) < t}`` is a half-line
+whose end is the minimizer; where ``f'`` jumps over ``t`` (the clamp kink of
+``g_k``) there is no root, and bisection finds that end.
 Nothing here calls growthcalc's kernels or solvers: only the spec's
 parameters are read.
 
@@ -68,24 +69,35 @@ def _bell_coeffs() -> tuple[mp.mpf, ...]:
 TABLE_WINDOW = 65.0
 
 
-def _table_f_and_slope(log_coeffs: np.ndarray, s):
-    """``log sum_n c_n e^{ns}`` and its mean ``n`` for ``log c_n`` given in
-    doubles, over the terms within ``TABLE_WINDOW`` nats of the largest
-    (found in doubles, then summed exactly)."""
+def _log_sum(terms) -> mp.mpf:
+    """``log`` of a sum of positive terms: the log of the largest plus
+    ``log1p`` of the others' sum relative to it, so it keeps its relative
+    accuracy also where the sum is near 1."""
+    i = max(range(len(terms)), key=terms.__getitem__)
+    rest = mp.fsum(t for k, t in enumerate(terms) if k != i)
+    return mp.log(terms[i]) + mp.log1p(rest / terms[i])
+
+
+def _table_moments(log_coeffs: np.ndarray, s):
+    """``log sum_n c_n e^{ns}`` with the mean and the variance of ``n``
+    under the terms' weights, for ``log c_n`` given in doubles, over the
+    terms within ``TABLE_WINDOW`` nats of the largest (found in doubles,
+    then summed exactly)."""
     n = np.arange(log_coeffs.size)
     terms = log_coeffs + n * float(s)
-    top = float(terms.max())
-    keep = np.flatnonzero(terms > top - TABLE_WINDOW).tolist()
-    top = mp.mpf(top)
+    keep = np.flatnonzero(terms > float(terms.max()) - TABLE_WINDOW).tolist()
+    top = mp.mpf(float(terms.max()))
     weights = [mp.exp(mp.mpf(float(log_coeffs[k])) + k * s - top) for k in keep]
     total = mp.fsum(weights)
-    return top + mp.log(total), mp.fdot(keep, weights) / total
+    mean = mp.fdot(keep, weights) / total
+    variance = mp.fsum(w * (k - mean) ** 2 for k, w in zip(keep, weights)) / total
+    return top + _log_sum(weights), mean, variance
 
 
 def _f_and_slope(spec, s):
     """``f(s) = log u(e^s)`` and its right derivative in ``s``."""
     if isinstance(spec, np.ndarray):
-        return _table_f_and_slope(spec, s)
+        return _table_moments(spec, s)[:2]
     if spec.kind == KONDRATIEV_STREIT:
         b1 = 1 + mp.mpf(spec.beta)
         return b1 * mp.exp(s / b1), mp.exp(s / b1)
@@ -112,13 +124,13 @@ def _f_and_slope(spec, s):
             power *= x
             ratio = terms[-1] / terms[-2] if len(terms) > 1 else 1
             if ratio < 1 and terms[-1] * ratio / (1 - ratio) < mp.mpf(10) ** -40 * total:
-                return mp.log(total), mp.fsum(n * t for n, t in enumerate(terms)) / total
+                return _log_sum(terms), mp.fsum(n * t for n, t in enumerate(terms)) / total
         raise AssertionError(f"the {BELL_TERMS}-term Bell oracle does not reach r = {x}")
     if spec.kind == POWER_SERIES:
         terms = [(n, mp.exp(mp.mpf(c) + n * s))
                  for n, c in enumerate(spec.log_coeffs) if c != float("-inf")]
         total = mp.fsum(t for _, t in terms)
-        return mp.log(total), mp.fsum(n * t for n, t in terms) / total
+        return _log_sum([t for _, t in terms]), mp.fsum(n * t for n, t in terms) / total
     raise ValueError(f"no oracle for kind {spec.kind!r}")
 
 
@@ -143,11 +155,25 @@ def transform(spec, t) -> tuple[mp.mpf, mp.mpf]:
             lo *= 2
         while below(hi):  # unit steps: the Bell oracle reaches s = 11.5 only
             hi += 1
-        while hi - lo > mp.mpf(10) ** (2 - DPS) * max(1, abs(lo)):
-            mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if below(mid) else (lo, mid)
-        s = (lo + hi) / 2
+        s = _secant_root(lambda x: _f_and_slope(spec, x)[1] - t, lo, hi)
+        if s is None:  # f' jumps over t: the minimizer is the jump, by bisection
+            while hi - lo > mp.mpf(10) ** (2 - DPS) * max(1, abs(lo)):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if below(mid) else (lo, mid)
+            s = (lo + hi) / 2
         return _f_and_slope(spec, s)[0] - t * s, mp.exp(s)
+
+
+def _secant_root(g, lo, hi):
+    """The root of the nondecreasing ``g`` in ``[lo, hi]`` (``g(lo) < 0 <=
+    g(hi)``) by the Anderson-Bjorck bracketed secant, about ten evaluations
+    where bisection to ``DPS`` digits takes about 95; ``None`` where it does
+    not converge to a root, as where ``g`` jumps over 0."""
+    try:
+        s = mp.findroot(g, (lo, hi), solver="anderson")
+    except (ValueError, ZeroDivisionError):
+        return None
+    return s if lo <= s <= hi else None
 
 
 @lru_cache(maxsize=None)

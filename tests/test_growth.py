@@ -589,16 +589,96 @@ def test_bell_panel_kernel_matches_the_oracle_across_its_panels(k):
     _assert_matches_the_oracle(spec, rs, [spec.kernel(r) for r in rs])
     _, resolved = growth._bell_panels(spec)
     assert resolved.all() and spec.s_max - resolved.size * _PANEL_WIDTH < _PANEL_LO
+    assert resolved.size == {1: 210, 2: 250, 3: 224}[k]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bell_s_kernel_matches_the_table_oracle_with_its_moments(k, monkeypatch):
+    # From narrow peaks (every term summed) through wide ones (every h-th
+    # term, weighted by h): f, f' and f'' against the 30-digit sum of the
+    # stored coefficients, u2 up to 0.99 s_max.
+    from growthcalc.growth import _series_logc
+
+    steps = []
+    moments = growth._series_moments
+
+    def recording(logc, s, lo, hi, step):
+        steps.append(int(step.max()))
+        return moments(logc, s, lo, hi, step)
+
+    monkeypatch.setattr(growth, "_series_moments", recording)
+    spec = bell_series(k)
+    s_top = 0.99 * spec.s_max if k == 2 else math.log(0.95 * spec.faithful_cap)
+    s = np.concatenate([[-30.0, -3.0, 0.0, 2.0], np.linspace(4.0, s_top, 10)])
+    got = spec.s_kernel(s)
+    assert max(steps) > 1
+    logc = _series_logc(spec)
+    with mp.workdps(oracles.DPS):
+        for i, x in enumerate(s):
+            want = [float(v) for v in oracles._table_moments(logc, mp.mpf(x))]
+            for j, rel in enumerate((1e-14, 1e-12, 1e-9)):
+                assert abs(got[j, i] - want[j]) <= rel * abs(want[j]), (x, j, got[j, i], want[j])
+
+
+def test_series_moments_exponentiates_no_padding(monkeypatch):
+    # Windows of unlike lengths share a block; its short rows' pad cells
+    # become exact zeros without passing through np.exp.
+    import types
+
+    from growthcalc.growth import _series_logc
+
+    seen = []
+
+    def exp(x, *args, where=True, **kwargs):
+        seen.append(np.asarray(x)[np.broadcast_to(where, np.shape(x))].min())
+        return np.exp(x, *args, where=where, **kwargs)
+
+    numpy = {name: getattr(np, name) for name in dir(np) if not name.startswith("__")}
+    monkeypatch.setattr(growth, "np", types.SimpleNamespace(**{**numpy, "exp": exp}))
+    logc = _series_logc(bell_series(2))
+    s = np.array([-3.0, 0.5, 2.0, 6.0])
+    lo = np.array([0, 0, 0, 20])
+    hi = np.array([4, 30, 120, 400])
+    step = np.array([1, 1, 1, 5])
+    block = growth._series_moments(logc, s, lo, hi, step)
+    assert seen and min(seen) > -np.inf
+    for i in range(s.size):
+        alone = growth._series_moments(logc, s[i:i + 1], lo[i:i + 1], hi[i:i + 1], step[i:i + 1])
+        np.testing.assert_allclose(block[:, i], alone[:, 0], rtol=1e-15)
+
+
+@pytest.mark.parametrize("n", [20, 192])
+def test_gauss_legendre_nodes_against_40_digits(n):
+    # The nonnegative nodes refined by Newton at 40 digits from the computed
+    # ones, with P_n and P_n' by the same recurrence: a root of P_n is a
+    # node.  The rule integrates x^2k exactly for k < n.
+    x, w = growth._gl_nodes(n)
+    assert x.size == w.size == n and (np.diff(x) > 0.0).all()
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    with mp.workdps(40):
+        for xi, wi in zip(x[n // 2:].tolist(), w[n // 2:].tolist()):
+            z = mp.mpf(xi)
+            for _ in range(3):
+                p0, p1 = mp.mpf(1), z
+                for j in range(2, n + 1):
+                    p0, p1 = p1, ((2 * j - 1) * z * p1 - (j - 1) * p0) / j
+                dp = n * (p0 - z * p1) / (1 - z * z)
+                z -= p1 / dp
+            want = 2 / ((1 - z * z) * dp * dp)
+            assert abs(xi - z) <= 2 * math.ulp(float(z)) + 1e-300, (xi, z)
+            assert abs(wi - want) <= min(1e-13, 1e-12 * want), (xi, wi, want)
+    k = np.arange(n)
+    np.testing.assert_allclose(x ** (2 * k[:, None]) @ w, 2.0 / (2.0 * k + 1.0), rtol=1e-12)
 
 
 @pytest.mark.parametrize("spec", [bell_series(1), bell_series(2), bell_series(3),
-                                  power_series([0.0, -0.5, -2.0, -math.inf, -6.0])],
+                                  power_series([0.0, -0.5, -2.0, -math.inf, -6.0]),
+                                  truncated_square_exponential(degree=12)],
                          ids=lambda s: s.function_id)
 def test_series_log_u_is_relatively_accurate_at_small_r(spec):
-    # log u(r) ~ c_1 r / c_0 here: a sum near 1 must keep its small terms
-    # (top + log1p(rest)), or m + log(sum) leaves only its absolute accuracy.
-    # (The oracle's 30-digit log of 1 + r is itself only 1e-18 relative at
-    # r = 1e-12, so a series starting at r^2 would not do.)
+    # log u(r) ~ c_1 r / c_0 here (c_2 r^2 / c_0 for the square exponential):
+    # a sum near 1 must keep its small terms (top + log1p(rest)), or
+    # m + log(sum) leaves only its absolute accuracy.
     rs = [1e-12, 1e-9, 1e-6, 1e-3, math.exp(-2.0)]
     f = spec.s_kernel(np.log(rs))[0]
     for r, scalar, array in zip(rs, map(spec.log_u, rs), f):

@@ -714,6 +714,87 @@ def test_table_rule_floor_leaves_every_sum_unchanged(fid):
     assert np.array_equal(got, want, equal_nan=True)
 
 
+def _full_table_rule(table, rs):
+    """The table rule over every stored term, as first written: values,
+    NaN where the tail bound fails, and the first failure's text and last
+    ratio."""
+    from growthcalc.legendre import _EXP_FLOOR, _L_REL_TOL
+
+    le = table.log_ell
+    zero = rs == 0.0
+    lt = np.multiply.outer(np.log(np.where(zero, 1.0, rs)), table.t) + le
+    log_last = lt[:, -1] - lt[:, -2]
+    log_rho = np.minimum(log_last, -1e-12)
+    tail = lt[:, -1] + log_rho - np.log1p(-np.exp(log_rho))
+    m = lt.max(axis=1)
+    vals = m + np.log(np.exp(np.maximum(lt - m[:, None], _EXP_FLOOR)).sum(axis=1))
+    failed = ~(tail <= math.log(_L_REL_TOL) + vals) & ~zero
+    vals[zero] = le[0]
+    vals[failed] = np.nan
+    if not failed.any():
+        return vals, None
+    j = int(failed.argmax())
+    with np.errstate(over="ignore"):
+        last = float(np.exp(log_last[j]))
+    return vals, (f"the terms past n={le.size - 1} are not bounded by {_L_REL_TOL:g} of "
+                  f"the sum at r={rs[j]:g} (last term ratio {last:.3g})", last)
+
+
+@pytest.mark.parametrize("fid", EVALUATOR_SPECS)
+def test_windowed_table_rule_matches_the_full_sum(fid):
+    # Lone radii sum their own peak windows, blocks of 64 shuffled radii the
+    # union of theirs: within 4 ulp of max(1, |value|) of the sum over every
+    # stored term, with the same NaN rows and the same first error.
+    from growthcalc.legendre import _BLOCK, _table_rule
+
+    table = LFunctionEvaluator.from_spec(EVALUATOR_SPECS[fid]).table
+    rs = np.concatenate([[0.0], np.geomspace(1e-9, 1e9, 1500)])
+    np.random.default_rng(22).shuffle(rs)
+    want, _ = _full_table_rule(table, rs)
+    lone = np.array([_table_rule(table, rs[i:i + 1])[0][0] for i in range(rs.size)])
+    blocks = [_table_rule(table, rs[i:i + _BLOCK]) for i in range(0, rs.size, _BLOCK)]
+    assert np.isnan(want).any() and not np.isnan(want).all()
+    for got in (lone, np.concatenate([vals for vals, _ in blocks])):
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        ok = ~np.isnan(want)
+        assert (np.abs(got[ok] - want[ok]) <= 4 * np.spacing(np.maximum(1.0, np.abs(want[ok])))).all()
+    for i, (_, err) in zip(range(0, rs.size, _BLOCK), blocks):
+        want_err = _full_table_rule(table, rs[i:i + _BLOCK])[1]
+        assert (err is None) == (want_err is None)
+        if err is not None:
+            assert (str(err), err.last_ratio) == want_err
+
+
+def test_table_windows_go_with_their_table_and_stay_bounded():
+    import gc
+
+    from growthcalc.legendre import _WINDOWS, _table_rule
+    from growthcalc.growth import _SPEC_CACHE
+
+    n = np.arange(41.0)
+    tables = [LegendreTable(f"t{k}", n, -n * np.log1p(n) / (k + 1.0), np.ones_like(n))
+              for k in range(_SPEC_CACHE + 6)]
+    for table in tables:
+        _table_rule(table, np.array([0.5, 2.0]))
+        assert len(_WINDOWS) <= _SPEC_CACHE
+    # The last _SPEC_CACHE tables hold every entry, and take them along.
+    assert all(t in _WINDOWS for t in tables[6:]) and len(_WINDOWS) == _SPEC_CACHE
+    del table, tables
+    gc.collect()
+    assert len(_WINDOWS) == 0
+
+
+@pytest.mark.parametrize("fid", ["ks0", "ks05", "g2", "g3", "exp2", "u2"])
+def test_laplace_peak_knot_is_the_argmax_over_every_knot(spline_specs, fid):
+    from growthcalc.legendre import _continuous_ell, _peak_knot
+
+    ce = _continuous_ell(spline_specs[fid])
+    lr = np.linspace(-20.0, 25.0, 20001)
+    want = np.concatenate([np.argmax(ce.ts * (ce.f + lr[i:i + 1000, None]), axis=1)
+                           for i in range(0, lr.size, 1000)])
+    assert np.array_equal(_peak_knot(ce, lr), want)
+
+
 # ---------------------------------------------------------------------------
 # the batched Newton transform behind the continuous-ell spline
 # ---------------------------------------------------------------------------
