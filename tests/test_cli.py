@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import math
@@ -664,6 +665,82 @@ def test_cli_parses_a_spec_the_command_does_not_use(capsys):
     code, payload, err = one_off(capsys, "measures", "--op", "fernique", "--spec", "{nope")
     assert (code, payload) == (2, None)
     assert "--spec is not valid JSON" in err
+
+
+_COMMON_FLAGS = [
+    (("-h", "--help"), "help", None, 0, None, argparse.SUPPRESS,
+     "show this help message and exit"),
+    (("--config",), "config", None, None, None, None, "manifest file declaring functions/jobs"),
+    (("--out",), "out", None, None, None, None, "directory for JSON/CSV artifacts"),
+    (("--seed",), "seed", int, None, None, None, "override the manifest seed"),
+    (("--tol",), "tol", float, None, None, None, "default relative tolerance"),
+]
+_ONE_OFF_FLAGS = _COMMON_FLAGS + [
+    (("--spec",), "spec", None, None, None, None, "inline growth-function spec as JSON"),
+    (("--function",), "function", None, None, None, None, "function id from --config"),
+]
+_N_MAX = (("--n-max",), "n_max", int, None, None, None, None)
+#: Every subcommand in order, with its help and each flag's option strings,
+#: dest, type, nargs, choices, default and help.
+CLI_SURFACE = [
+    ("eval", "evaluate log u(r) or the Mittag-Leffler function", _ONE_OFF_FLAGS + [
+        (("--r",), "r", float, "+", None, None, "radii for log u"),
+        (("--lam",), "lam", float, None, None, None, "Mittag-Leffler parameter in (0, 1]"),
+        (("--t",), "t", float, "+", None, None, "Mittag-Leffler arguments"),
+    ]),
+    ("legendre", "tabulate the transform (t, log ell, r*)", _ONE_OFF_FLAGS + [
+        _N_MAX,
+        (("--t",), "t", float, "+", None, None, "explicit t grid"),
+        (("--csv",), "csv", None, None, None, None, "write the table to this CSV path"),
+    ]),
+    ("lfn", "evaluate log L_u(r)", _ONE_OFF_FLAGS + [
+        (("--r",), "r", float, "+", None, None, None),
+        _N_MAX,
+    ]),
+    ("conditions", "grid-check the growth/convexity conditions", _ONE_OFF_FLAGS),
+    ("verify", "run the inequality battery for one function", _ONE_OFF_FLAGS + [
+        _N_MAX,
+        (("--a",), "a", float, None, None, None, None),
+        (("--checks",), "checks", None, "+", None, None, "subset of check ids"),
+    ]),
+    ("fock", "exponential-vector identity and S-transform checks", _ONE_OFF_FLAGS + [
+        (("--xi",), "xi", float, "+", None, None, None),
+        _N_MAX,
+    ]),
+    ("measures", "measure integrability estimators", _ONE_OFF_FLAGS + [
+        (("--op",), "op", None, None,
+         ("fernique", "poisson", "grey_cf", "grey_integrability", "hida"), None, None),
+        *[((f"--{name}",), name, float, None, None, None, None)
+          for name in ("rho", "q", "c2", "theta", "w", "lam")],
+        (("--n",), "n", int, None, None, None, None),
+        (("--xi",), "xi", float, "+", None, None, None),
+        (("--p",), "p", int, None, None, None, None),
+        (("--integrand",), "integrand", None, None, ("sqrtlog", "growth"), None, None),
+        (("--measure-kind",), "measure_kind", None, None, ("gaussian", "poisson", "grey"),
+         None, "measure family for --op hida"),
+    ]),
+    ("suite", "run the shipped acceptance manifest", _COMMON_FLAGS),
+]
+
+
+def test_cli_surface_is_pinned():
+    from growthcalc.cli import build_parser
+
+    parser = build_parser()
+    assert (parser.prog, parser.description) == (
+        "growthcalc", "Growth-function transform calculus and inequality verification")
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert subparsers.dest == "command" and subparsers.required
+    helps = {action.dest: action.help for action in subparsers._choices_actions}
+    surface = [
+        (name, helps[name], [
+            (tuple(a.option_strings), a.dest, a.type, a.nargs,
+             None if a.choices is None else tuple(a.choices), a.default, a.help)
+            for a in sub._actions])
+        for name, sub in subparsers.choices.items()
+    ]
+    assert surface == CLI_SURFACE
 
 
 def test_one_off_and_required_tables_cover_every_job_kind_and_op():
