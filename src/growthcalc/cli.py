@@ -12,9 +12,9 @@ a list of jobs referencing them:
       ]
     }
 
-Job kinds, in the order of their runner table ``_JOB_RUNNERS``: ``eval``,
-``conditions``, ``legendre``, ``lfn``, ``verify``, ``fock``, ``measures``
-(whose ops are the keys of ``_MEASURE_RUNNERS``).  Stochastic jobs
+Job kinds, in the order of their table ``_JOB_KINDS``: ``eval``,
+``legendre``, ``lfn``, ``conditions``, ``verify``, ``fock``, ``measures``
+(whose ops are the keys of ``_MEASURE_OPS``).  Stochastic jobs
 (grey-noise Monte Carlo) need a seed, either per job or at the top level.
 Each one-off subcommand runs a one-job manifest holding the flags given
 (``_one_off_manifest``), so ``validate_manifest`` alone decides what a job
@@ -28,11 +28,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import re
 import sys
 import warnings
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .legendre import (
     legendre_table,
 )
 from .inequality_lab import (
+    CHECK_IDS,
     check_chain_order,
     summary_table,
     verify_function,
@@ -59,6 +61,7 @@ from .fock import ChaosSequence, log_dual_norm, s_transform_1d
 from .measures import (
     MEASURE_KINDS,
     MeasureSurrogate,
+    _is_whole,
     fernique_product,
     grey_integrability,
     grey_sample,
@@ -72,51 +75,101 @@ SCHEMA_VERSION = 1
 # The manifest behind ``growthcalc suite``, shipped as package data.
 ACCEPTANCE_MANIFEST = Path(__file__).with_name("acceptance.json")
 
-#: The runner of each job kind, called as ``(job, funcs, out_dir, top_seed,
-#: default_tol)``.  Each entry names its runner, so a patched runner is seen.
-_JOB_RUNNERS = {
-    "eval": lambda job, funcs, out, seed, tol: _run_eval(job, funcs, tol),
-    "conditions": lambda job, funcs, out, seed, tol: _run_conditions(job, funcs),
-    "legendre": lambda job, funcs, out, seed, tol: _run_legendre(job, funcs, out),
-    "lfn": lambda job, funcs, out, seed, tol: _run_lfn(job, funcs, tol),
-    "verify": lambda job, funcs, out, seed, tol: _run_verify(job, funcs),
-    "fock": lambda job, funcs, out, seed, tol: _run_fock(job, funcs, tol),
-    "measures": lambda job, funcs, out, seed, tol: _run_measures(job, funcs, seed, tol),
-}
-_JOB_KINDS = tuple(_JOB_RUNNERS)
 
-#: The runner of each ``measures`` op, called as ``(job, funcs, seed, default_tol)``.
-_MEASURE_RUNNERS = {
-    "fernique": lambda job, funcs, seed, tol: _fernique_op(job, tol),
-    "poisson": lambda job, funcs, seed, tol: _poisson_op(job, funcs, tol),
-    "grey_cf": lambda job, funcs, seed, tol: _grey_cf_op(job, seed),
-    "grey_integrability": lambda job, funcs, seed, tol: _grey_integrability_op(job, seed),
-    "hida": lambda job, funcs, seed, tol: _hida_op(job, funcs, seed),
+class _Job(NamedTuple):
+    """A job kind or ``measures`` op.  ``run(job, funcs, out_dir, seed,
+    default_tol)`` calls its runner by name, so a patched runner is seen.
+    ``required`` are the fields it reads without a default; ``flags`` maps
+    each field its one-off subcommand copies from the flag of that name to
+    the flag's help (an unset flag sets nothing, so the runner's default
+    applies); ``help`` is a kind's subcommand help."""
+
+    run: Callable
+    required: tuple[str, ...]
+    flags: dict[str, str | None]
+    help: str | None = None
+
+
+#: Each ``measures`` op, in the order of ``--op``'s choices.
+_MEASURE_OPS = {
+    "fernique": _Job(lambda job, funcs, out, seed, tol: _fernique_op(job, tol),
+                     ("rho", "q", "c2"), dict.fromkeys(("rho", "q", "c2"))),
+    "poisson": _Job(lambda job, funcs, out, seed, tol: _poisson_op(job, funcs, tol),
+                    (), dict.fromkeys(("theta", "w", "integrand"))),
+    "grey_cf": _Job(lambda job, funcs, out, seed, tol: _grey_cf_op(job, seed),
+                    ("lam",), dict.fromkeys(("lam", "xi", "n"))),
+    "grey_integrability": _Job(
+        lambda job, funcs, out, seed, tol: _grey_integrability_op(job, seed),
+        ("lam", "w"), dict.fromkeys(("lam", "w", "n"))),
+    "hida": _Job(lambda job, funcs, out, seed, tol: _hida_op(job, funcs, seed),
+                 ("function",), {"p": None}),
 }
-_MEASURE_OPS = tuple(_MEASURE_RUNNERS)
-#: The job fields each job kind, or each ``measures`` op, reads without a
-#: default.  (A chain-order verify job reads ``functions`` instead.)
-_REQUIRED = {
-    "conditions": ("function",),
-    "legendre": ("function",),
-    "lfn": ("function", "r"),
-    "verify": ("function",),
-    "fock": ("function",),
-    "fernique": ("rho", "q", "c2"),
-    "grey_cf": ("lam",),
-    "grey_integrability": ("lam", "w"),
-    "hida": ("function",),
+#: The ``measure`` fields a hida one-off copies for each ``--measure-kind``.
+_HIDA_MEASURE_FIELDS = {"gaussian": ("rho", "q"), "poisson": ("theta", "w"),
+                        "grey": ("lam", "n")}
+
+#: Each job kind, in the order of its subcommand.  (A chain-order verify job
+#: reads ``functions`` in place of ``function``.)
+_JOB_KINDS = {
+    "eval": _Job(lambda job, funcs, out, seed, tol: _run_eval(job, funcs, tol), (),
+                 {"r": "radii for log u", "lam": "Mittag-Leffler parameter in (0, 1]",
+                  "t": "Mittag-Leffler arguments"},
+                 "evaluate log u(r) or the Mittag-Leffler function"),
+    "legendre": _Job(lambda job, funcs, out, seed, tol: _run_legendre(job, funcs, out),
+                     ("function",), {"n_max": None, "t": "explicit t grid"},
+                     "tabulate the transform (t, log ell, r*)"),
+    "lfn": _Job(lambda job, funcs, out, seed, tol: _run_lfn(job, funcs, tol),
+                ("function", "r"), dict.fromkeys(("r", "n_max")), "evaluate log L_u(r)"),
+    "conditions": _Job(lambda job, funcs, out, seed, tol: _run_conditions(job, funcs),
+                       ("function",), {}, "grid-check the growth/convexity conditions"),
+    "verify": _Job(lambda job, funcs, out, seed, tol: _run_verify(job, funcs),
+                   ("function",), {"n_max": None, "a": None, "checks": "subset of check ids"},
+                   "run the inequality battery for one function"),
+    "fock": _Job(lambda job, funcs, out, seed, tol: _run_fock(job, funcs, tol),
+                 ("function",), dict.fromkeys(("xi", "n_max")),
+                 "exponential-vector identity and S-transform checks"),
+    "measures": _Job(lambda job, funcs, out, seed, tol:
+                     _MEASURE_OPS[job["op"]].run(job, funcs, out, seed, tol),
+                     (), {"op": None}, "measure integrability estimators"),
 }
 
-_NUMBER_LIST = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_real, v)))
-#: What each numeric job field must hold: its wording and its test.  An eval
-#: job's ``expect`` is a list of numbers too; elsewhere it is a verdict or a map.
-_FIELD_TYPES = {
-    **dict.fromkeys(("n_max", "n", "p"),
-                    ("an integer", lambda v: _is_real(v) and isinstance(v, numbers.Integral))),
-    **dict.fromkeys(("a", "rho", "q", "c2", "theta", "w", "lam", "rel_tol", "sigma_tol"),
-                    ("a number", _is_real)),
-    **dict.fromkeys(("r", "t", "xi", "expect_log"), _NUMBER_LIST),
+
+class _Field(NamedTuple):
+    """A job field's wording, its test, and its flag's argparse arguments."""
+
+    what: str
+    ok: Callable[[object], bool]
+    flag: dict = {}
+
+
+def _one_of(choices: tuple) -> _Field:
+    return _Field(f"one of {', '.join(choices)}", lambda v: v in choices, {"choices": choices})
+
+
+_INTEGER = _Field("an integer", _is_whole, {"type": int})
+_NUMBER = _Field("a number", _is_real, {"type": float})
+_NUMBERS = _Field("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_real, v)),
+                  {"type": float, "nargs": "+"})
+#: Each typed job field, in the order of the flags on every subcommand.  An
+#: eval job's ``expect`` is a list of numbers too; elsewhere it is a verdict
+#: or a map.
+_FIELDS = {
+    "op": _one_of(tuple(_MEASURE_OPS)),
+    "r": _NUMBERS,
+    **dict.fromkeys(("rho", "q", "c2", "theta", "w", "lam"), _NUMBER),
+    "n": _INTEGER,
+    "xi": _NUMBERS,
+    "p": _INTEGER,
+    "integrand": _one_of(("sqrtlog", "growth")),
+    "n_max": _INTEGER,
+    "t": _NUMBERS,
+    **dict.fromkeys(("a", "rel_tol", "sigma_tol"), _NUMBER),
+    "checks": _Field(f"a list of check ids from {', '.join(CHECK_IDS)}",
+                     lambda v: isinstance(v, list) and all(c in CHECK_IDS for c in v),
+                     {"nargs": "+"}),
+    "expect_log": _NUMBERS,
+    "seed": _Field("a nonnegative integer", lambda v: _is_whole(v) and v >= 0),
+    "out": _Field("a string", lambda v: isinstance(v, str)),
 }
 
 _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
@@ -181,8 +234,8 @@ def validate_manifest(manifest) -> None:
         except (ParameterError, TypeError) as exc:
             _fail(f"functions.{fid}: {exc}")
     top_seed = manifest.get("seed")
-    if top_seed is not None and not isinstance(top_seed, int):
-        _fail(f"seed must be an integer, got {top_seed!r}")
+    if top_seed is not None and not _FIELDS["seed"].ok(top_seed):
+        _fail(f"field 'seed' must be {_FIELDS['seed'].what}, got {top_seed!r}")
     jobs = manifest.get("jobs", [])
     if not isinstance(jobs, list):
         _fail("'jobs' must be a list")
@@ -199,7 +252,7 @@ def validate_manifest(manifest) -> None:
         seen.add(jid)
         where = f"job {jid!r}"
         kind = job.get("kind")
-        if kind not in _JOB_KINDS:
+        if not isinstance(kind, str) or kind not in _JOB_KINDS:
             _fail(f"{where}: unknown kind {kind!r} (allowed: {', '.join(_JOB_KINDS)})")
         refs = []
         if "function" in job:
@@ -208,19 +261,24 @@ def validate_manifest(manifest) -> None:
         for ref in refs:
             if ref not in functions:
                 _fail(f"{where}: undeclared function {ref!r}")
-        if kind == "measures" and job.get("op") not in _MEASURE_OPS:
+        if kind == "measures" and not _FIELDS["op"].ok(job.get("op")):
             _fail(f"{where}: op must be one of {', '.join(_MEASURE_OPS)}")
         name = job["op"] if kind == "measures" else kind
-        required = _REQUIRED.get(name, ())
+        required = (_MEASURE_OPS[name] if kind == "measures" else _JOB_KINDS[kind]).required
         if kind == "verify" and job.get("check") == "chain-order":
             required = ("functions",)
         for key in required:
             if key not in job:
                 _fail(f"{where}: {name} needs '{key}'")
-        types = {**_FIELD_TYPES, "expect": _NUMBER_LIST} if kind == "eval" else _FIELD_TYPES
-        for key, (what, ok) in types.items():
+        fields = {**_FIELDS, "expect": _NUMBERS} if kind == "eval" else _FIELDS
+        for key, (what, ok, _) in fields.items():
             if key in job and not ok(job[key]):
                 _fail(f"{where}: field {key!r} must be {what}, got {job[key]!r}")
+        grids = (("expect_log", "r"), ("expect", "t")) if kind == "eval" else (("expect_log", "r"),)
+        for key, grid in grids:
+            if key in job and grid in job and len(job[key]) != len(job[grid]):
+                _fail(f"{where}: field {key!r} must hold one value per {grid!r}, "
+                      f"got {len(job[key])} for {len(job[grid])}")
         if kind == "eval":
             if "lam" in job and "t" not in job:
                 _fail(f"{where}: Mittag-Leffler eval needs 't' values")
@@ -245,7 +303,7 @@ def validate_manifest(manifest) -> None:
         if name == "grey_cf" and not all(math.isfinite(xi) and xi != 0.0 for xi in job.get("xi", ())):
             _fail(f"{where}: field 'xi' must hold finite nonzero numbers, got {job['xi']!r}")
         stochastic = grey_op or (name == "hida" and job["measure"]["kind"] == "grey")
-        if stochastic and not isinstance(job.get("seed", top_seed), int):
+        if stochastic and job.get("seed", top_seed) is None:
             _fail(f"{where}: stochastic job needs an integer seed (job-level or top-level)")
 
 
@@ -273,8 +331,6 @@ def _expected_values(job: dict, key: str, values: list[float], default_tol: floa
     if expect is None:
         return {"status": "pass"}
     rel_tol = float(job.get("rel_tol", default_tol))
-    if len(expect) != len(values):
-        return {"status": "fail", "error": f"{key} length mismatch"}
     bad = [
         {"index": i, "value": v, "expect": e}
         for i, (v, e) in enumerate(zip(values, expect))
@@ -411,10 +467,6 @@ def _value_verdict(job: dict, finite: bool, value: float, default_tol: float) ->
     )
 
 
-def _run_measures(job: dict, funcs: dict, top_seed: int | None, default_tol: float) -> dict:
-    return _MEASURE_RUNNERS[job["op"]](job, funcs, job.get("seed", top_seed), default_tol)
-
-
 def _fernique_op(job: dict, default_tol: float) -> dict:
     res = fernique_product(float(job["rho"]), float(job["q"]), float(job["c2"]))
     return {
@@ -498,7 +550,8 @@ def _run_job(job: dict, funcs: dict, out_dir: Path | None,
              top_seed: int | None, default_tol: float) -> dict:
     kind = job["kind"]
     try:
-        payload = _JOB_RUNNERS[kind](job, funcs, out_dir, top_seed, default_tol)
+        payload = _JOB_KINDS[kind].run(job, funcs, out_dir, job.get("seed", top_seed),
+                                       default_tol)
     except Exception as exc:  # noqa: BLE001 - job isolation
         payload = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
     return {"id": job["id"], "kind": kind, **payload}
@@ -508,10 +561,10 @@ def run(manifest: dict, out_dir: str | Path | None = None,
         seed: int | None = None, tol: float | None = None,
         stream=None, print_payloads: bool = False) -> int:
     """Execute a validated manifest; returns the process exit code."""
+    if seed is not None and isinstance(manifest, dict):
+        manifest = {**manifest, "seed": seed}
     validate_manifest(manifest)
     stream = stream if stream is not None else sys.stdout
-    if seed is not None:
-        manifest = {**manifest, "seed": seed}
     default_tol = tol if tol is not None else 1e-9
     funcs = {fid: spec_from_dict(d) for fid, d in manifest.get("functions", {}).items()}
     job_list = manifest.get("jobs", [])
@@ -596,78 +649,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Growth-function transform calculus and inequality verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", parents=[one_off],
-                       help="evaluate log u(r) or the Mittag-Leffler function")
-    p.add_argument("--r", type=float, nargs="+", help="radii for log u")
-    p.add_argument("--lam", type=float, help="Mittag-Leffler parameter in (0, 1]")
-    p.add_argument("--t", type=float, nargs="+", help="Mittag-Leffler arguments")
-
-    p = sub.add_parser("legendre", parents=[one_off],
-                       help="tabulate the transform (t, log ell, r*)")
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--t", type=float, nargs="+", help="explicit t grid")
-    p.add_argument("--csv", help="write the table to this CSV path")
-
-    p = sub.add_parser("lfn", parents=[one_off], help="evaluate log L_u(r)")
-    p.add_argument("--r", type=float, nargs="+")
-    p.add_argument("--n-max", type=int)
-
-    sub.add_parser("conditions", parents=[one_off],
-                   help="grid-check the growth/convexity conditions")
-
-    p = sub.add_parser("verify", parents=[one_off],
-                       help="run the inequality battery for one function")
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--a", type=float)
-    p.add_argument("--checks", nargs="+", help="subset of check ids")
-
-    p = sub.add_parser("fock", parents=[one_off],
-                       help="exponential-vector identity and S-transform checks")
-    p.add_argument("--xi", type=float, nargs="+")
-    p.add_argument("--n-max", type=int)
-
-    p = sub.add_parser("measures", parents=[one_off],
-                       help="measure integrability estimators")
-    p.add_argument("--op", choices=_MEASURE_OPS)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--c2", type=float)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--w", type=float)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--xi", type=float, nargs="+")
-    p.add_argument("--p", type=int)
-    p.add_argument("--integrand", choices=["sqrtlog", "growth"])
-    p.add_argument("--measure-kind", choices=MEASURE_KINDS,
-                   help="measure family for --op hida")
-
+    for kind, record in _JOB_KINDS.items():
+        p = sub.add_parser(kind, parents=[one_off], help=record.help)
+        ops = _MEASURE_OPS.values() if kind == "measures" else ()
+        flags = {key: text for rec in (record, *ops) for key, text in rec.flags.items()}
+        for key in sorted(flags, key=list(_FIELDS).index):
+            p.add_argument(f"--{key.replace('_', '-')}", help=flags[key], **_FIELDS[key].flag)
+    sub.choices["legendre"].add_argument("--csv", help="write the table to this CSV path")
+    sub.choices["measures"].add_argument("--measure-kind", choices=MEASURE_KINDS,
+                                         help="measure family for --op hida")
     sub.add_parser("suite", parents=[common],
                    help="run the shipped acceptance manifest")
     return parser
-
-
-#: The job fields each one-off subcommand, and each ``measures`` op, copies
-#: from its flags of the same name.  An unset flag sets nothing, so the
-#: runner's default applies.
-_ONE_OFF_FIELDS = {
-    "eval": ("r", "lam", "t"),
-    "conditions": (),
-    "legendre": ("n_max", "t"),
-    "lfn": ("r", "n_max"),
-    "verify": ("n_max", "a", "checks"),
-    "fock": ("xi", "n_max"),
-    "measures": ("op",),
-    "fernique": ("rho", "q", "c2"),
-    "poisson": ("theta", "w", "integrand"),
-    "grey_cf": ("lam", "xi", "n"),
-    "grey_integrability": ("lam", "w", "n"),
-    "hida": ("p",),
-}
-#: The ``measure`` fields a hida one-off copies for each ``--measure-kind``.
-_HIDA_MEASURE_FIELDS = {"gaussian": ("rho", "q"), "poisson": ("theta", "w"),
-                        "grey": ("lam", "n")}
 
 
 def _given(args, names) -> dict:
@@ -680,9 +673,10 @@ def _one_off_manifest(args) -> dict:
     The job holds the flags that were given; ``validate_manifest`` decides
     whether they are enough.
     """
-    job: dict = {"id": args.command, "kind": args.command}
-    for name in filter(None, (args.command, getattr(args, "op", None))):
-        job.update(_given(args, _ONE_OFF_FIELDS[name]))
+    job: dict = {"id": args.command, "kind": args.command,
+                 **_given(args, _JOB_KINDS[args.command].flags)}
+    if "op" in job:
+        job.update(_given(args, _MEASURE_OPS[job["op"]].flags))
     if getattr(args, "csv", None) is not None:
         job["out"] = args.csv if args.out is not None else str(Path(args.csv).absolute())
     if getattr(args, "measure_kind", None) is not None:

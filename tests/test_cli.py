@@ -59,6 +59,9 @@ def eval_job(job_id="eval-1", **extra):
     (lambda m: m.update(jobs=[eval_job(), eval_job()]), "duplicate"),
     (lambda m: m.update(jobs=[eval_job(job_id="white space")]), "id"),
     (lambda m: m.update(jobs=[{"id": "x", "kind": "dance"}]), "kind"),
+    (lambda m: m.update(jobs=[{"id": "x", "kind": ["eval"]}]), "unknown kind ['eval']"),
+    (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": ["hida"]}]),
+     "op must be one of"),
     (lambda m: m.update(jobs=[{"id": "x", "kind": "eval"}]), "eval"),
     (lambda m: m.update(jobs=[eval_job(function="ghost")]), "ghost"),
     (lambda m: m.update(jobs=[{"id": "x", "kind": "lfn", "function": "ks0"}]), "r"),
@@ -142,6 +145,41 @@ def test_validate_manifest_rejects(mutate, fragment):
     with pytest.raises(ManifestError) as exc:
         validate_manifest(m)
     assert fragment in str(exc.value)
+
+
+GREY_CF = {"id": "x", "kind": "measures", "op": "grey_cf", "lam": 0.5, "n": 1000}
+
+
+@pytest.mark.parametrize("jobs,seed,message", [
+    # Each would otherwise validate, then run a job other than the one written
+    # or end in a job error with exit 1.
+    ([{"id": "x", "kind": "measures", "op": "poisson", "integrand": "Growth"}], 3,
+     "job 'x': field 'integrand' must be one of sqrtlog, growth, got 'Growth'"),
+    ([{"id": "x", "kind": "verify", "function": "ks0", "checks": "log-concavity"}], 3,
+     "job 'x': field 'checks' must be a list of check ids from table-definition, "),
+    ([{"id": "x", "kind": "verify", "function": "ks0", "checks": ["no-such-check"]}], 3,
+     "job 'x': field 'checks' must be a list of check ids from "),
+    ([{"id": "x", "kind": "legendre", "function": "ks0", "out": 5}], 3,
+     "job 'x': field 'out' must be a string, got 5"),
+    ([{**GREY_CF, "seed": True}], 3, "job 'x': field 'seed' must be a nonnegative integer, got True"),
+    ([{**GREY_CF, "seed": -1}], 3, "job 'x': field 'seed' must be a nonnegative integer, got -1"),
+    ([GREY_CF], True, "error: field 'seed' must be a nonnegative integer, got True"),
+    ([GREY_CF], -1, "error: field 'seed' must be a nonnegative integer, got -1"),
+    ([eval_job("x", expect_log=[1.0, 2.0])], 3,
+     "job 'x': field 'expect_log' must hold one value per 'r', got 2 for 1"),
+    ([{"id": "x", "kind": "lfn", "function": "ks0", "r": [1.0, 2.0], "expect_log": [1.0]}], 3,
+     "job 'x': field 'expect_log' must hold one value per 'r', got 1 for 2"),
+    ([{"id": "x", "kind": "eval", "lam": 0.5, "t": [1.0], "expect": [0.5, 0.4]}], 3,
+     "job 'x': field 'expect' must hold one value per 't', got 2 for 1"),
+], ids=["integrand", "checks-string", "checks-unknown", "out", "job-seed-bool",
+        "job-seed-negative", "seed-bool", "seed-negative", "eval-expect-log",
+        "lfn-expect-log", "eval-expect"])
+def test_suite_rejects_a_bad_field_with_usage_exit(tmp_path, capsys, jobs, seed, message):
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps(manifest(jobs, seed=seed)))
+    assert growthcalc.cli.main(["suite", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
 
 
 def test_validate_stochastic_jobs_need_seed():
@@ -620,6 +658,13 @@ def test_cli_grey_one_off_rejects_a_bad_field_before_sampling(capsys, args, mess
     assert f"error: job 'measures': {message}" in err
 
 
+def test_cli_seed_flag_is_checked_like_the_manifest_seed(capsys):
+    code, payload, err = one_off(capsys, "measures", "--op", "grey_cf", "--lam", 0.5,
+                                 "--n", 1000, "--seed", -1)
+    assert (code, payload) == (2, None)
+    assert "error: field 'seed' must be a nonnegative integer, got -1" in err
+
+
 def test_cli_measures_one_off_is_the_job_of_its_flags_alone():
     # No flag default stands in for a field, so the runner's defaults apply
     # as they do to a manifest job (n = 10**6 for grey_integrability).
@@ -744,24 +789,24 @@ def test_cli_surface_is_pinned():
 
 
 def test_one_off_and_required_tables_cover_every_job_kind_and_op():
-    import argparse
+    # Each kind and op is one record: its required fields and its one-off
+    # flags must be declared fields, and each flag a dest of its subcommand.
     from dataclasses import fields
 
     from growthcalc import cli
     from growthcalc.measures import MEASURE_KINDS, MeasureSurrogate
 
-    names = set(cli._JOB_RUNNERS) | set(cli._MEASURE_RUNNERS)
-    assert set(cli._ONE_OFF_FIELDS) == names
-    assert set(cli._REQUIRED) <= names
     subparsers = next(action.choices for action in cli.build_parser()._actions
                       if isinstance(action, argparse._SubParsersAction))
+    assert list(subparsers) == [*cli._JOB_KINDS, "suite"]
 
     def dests(name):
-        parser = subparsers["measures" if name in cli._MEASURE_RUNNERS else name]
+        parser = subparsers["measures" if name in cli._MEASURE_OPS else name]
         return {action.dest for action in parser._actions}
 
-    for name, keys in cli._ONE_OFF_FIELDS.items():
-        assert set(keys) <= dests(name), name
+    for name, record in {**cli._JOB_KINDS, **cli._MEASURE_OPS}.items():
+        assert set(record.required) <= set(cli._FIELDS) | {"function"}, name
+        assert set(record.flags) <= set(cli._FIELDS) & dests(name), name
     assert set(cli._HIDA_MEASURE_FIELDS) == set(MEASURE_KINDS)
     surrogate_fields = {f.name for f in fields(MeasureSurrogate)}
     for keys in cli._HIDA_MEASURE_FIELDS.values():
