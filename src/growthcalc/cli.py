@@ -170,6 +170,9 @@ _FIELDS = {
     "expect_log": _NUMBERS,
     "seed": _Field("a nonnegative integer", lambda v: _is_whole(v) and v >= 0),
     "out": _Field("a string", lambda v: isinstance(v, str)),
+    "function": _Field("a function id", lambda v: isinstance(v, str)),
+    "functions": _Field("a list of function ids",
+                        lambda v: isinstance(v, list) and all(isinstance(f, str) for f in v)),
 }
 
 _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
@@ -254,13 +257,6 @@ def validate_manifest(manifest) -> None:
         kind = job.get("kind")
         if not isinstance(kind, str) or kind not in _JOB_KINDS:
             _fail(f"{where}: unknown kind {kind!r} (allowed: {', '.join(_JOB_KINDS)})")
-        refs = []
-        if "function" in job:
-            refs.append(job["function"])
-        refs.extend(job.get("functions", []))
-        for ref in refs:
-            if ref not in functions:
-                _fail(f"{where}: undeclared function {ref!r}")
         if kind == "measures" and not _FIELDS["op"].ok(job.get("op")):
             _fail(f"{where}: op must be one of {', '.join(_MEASURE_OPS)}")
         name = job["op"] if kind == "measures" else kind
@@ -274,6 +270,12 @@ def validate_manifest(manifest) -> None:
         for key, (what, ok, _) in fields.items():
             if key in job and not ok(job[key]):
                 _fail(f"{where}: field {key!r} must be {what}, got {job[key]!r}")
+            if job.get(key) == []:  # a job would run over nothing and pass
+                _fail(f"{where}: field {key!r} must not be empty")
+        refs = [job["function"]] if "function" in job else []
+        for ref in refs + job.get("functions", []):
+            if ref not in functions:
+                _fail(f"{where}: undeclared function {ref!r}")
         grids = (("expect_log", "r"), ("expect", "t")) if kind == "eval" else (("expect_log", "r"),)
         for key, grid in grids:
             if key in job and grid in job and len(job[key]) != len(job[grid]):
@@ -504,7 +506,9 @@ def _grey_cf_op(job: dict, seed: int | None) -> dict:
         np.multiply(x, xi, out=c)
         np.cos(c, out=c)
         emp = float(c.mean())
-        se = float(c.std(ddof=1) / math.sqrt(n))
+        c -= emp  # the sample standard deviation, as c.std(ddof=1) takes it
+        np.square(c, out=c)
+        se = math.sqrt(float(c.sum()) / (n - 1)) / math.sqrt(n)
         target = mittag_leffler(lam, xi * xi)
         dev = abs(emp - target) / se
         ok = ok and dev <= sigma_tol

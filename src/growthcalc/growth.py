@@ -196,7 +196,10 @@ def _log_bell(n_hi: int) -> np.ndarray:
     vectorized Newton solve; the cut tails start 38 nats down).  Per node:
     ``log x`` and ``lgamma(x + 1) - log sqrt(2 pi) = (x + 1/2) log x - x +
     S(x)`` with :func:`_stirling_series` (the nodes start above 27); per
-    cell: ``n log x - lgamma(x + 1)``.
+    cell: ``n log x - lgamma(x + 1)``.  A block's cells fill one buffer,
+    reused by every block, with a row per node and a column per Bell row,
+    so each reduction runs down the columns, a node row at a time across
+    every Bell row of the block.
     """
     out = np.empty(n_hi + 1)
     out[0] = 0.0
@@ -206,6 +209,7 @@ def _log_bell(n_hi: int) -> np.ndarray:
     m = ex.max(axis=1)
     out[1 : top + 1] = m + np.log(np.exp(ex - m[:, None]).sum(axis=1)) - 1.0
     const = 1.0 + 0.5 * math.log(2.0 * math.pi)  # Dobinski's e^-1, Stirling's sqrt(2 pi)
+    buf = np.empty(0)
     for a in range(top + 1, n_hi + 1, 1024):
         n = np.arange(a, min(a + 1024, n_hi + 1), dtype=float)
         j = n / np.log(n)
@@ -216,11 +220,14 @@ def _log_bell(n_hi: int) -> np.ndarray:
         lo = (j - 10.0 * sigma).min()
         x = lo + h * np.arange(math.ceil(((j + 10.0 * sigma).max() - lo) / h) + 1)
         lx = np.log(x)
-        f = n[:, None] * lx - ((x + 0.5) * lx - x + _stirling_series(x))
-        m = f.max(axis=1)
-        f -= m[:, None]
+        if buf.size < x.size * n.size:
+            buf = np.empty(x.size * n.size)
+        f = np.multiply.outer(lx, n, out=buf[: x.size * n.size].reshape(x.size, n.size))
+        f -= ((x + 0.5) * lx - x + _stirling_series(x))[:, None]
+        m = f.max(axis=0)
+        f -= m
         np.exp(f, out=f)
-        out[a : a + n.size] = m + (np.log(f.sum(axis=1) * h) - const)
+        out[a : a + n.size] = m + (np.log(f.sum(axis=0) * h) - const)
     out.setflags(write=False)
     return out
 
@@ -705,11 +712,15 @@ _SIGMA_PER_STEP = 1.6
 
 def _bell_s_kernel(spec: GrowthFunctionSpec):
     """The series' one windowed sum, per point.  The window around the
-    dominant term ``p`` doubles until both edge terms lie ``_EDGE_DROP``
-    nats below it.  A wide peak is summed at a step: every ``h``-th term of
-    its window, weighted by ``h``.  The terms are samples of a smooth peak,
-    so this is the trapezoid rule for the same integral as the unit-step
-    sum, and the two differ by ``e^{-2 pi^2 sigma^2 / h^2}`` relative for a
+    dominant term ``p`` starts at the half-width ``10 sqrt(p + 25) + 50``,
+    or at 2 where ``p = 0``: there the terms fall off at least ``|s|`` nats
+    each, so at ``s <= -40`` the first three hold all a double can see, and
+    the cells of a wider start would only underflow in ``exp``.  It doubles
+    until both edge terms lie ``_EDGE_DROP`` nats below the peak.  A wide
+    peak is summed at a step: every ``h``-th term of its window, weighted
+    by ``h``.  The terms are samples of a smooth peak, so this is the
+    trapezoid rule for the same integral as the unit-step sum, and the two
+    differ by ``e^{-2 pi^2 sigma^2 / h^2}`` relative for a
     peak of spread ``sigma`` (Trefethen and Weideman, SIAM Review 2014), in
     ``f``, ``f'`` and ``f''`` alike.  The step is ``h = floor(sigma /
     1.6)``, which keeps that below e^-50, with ``sigma`` read off the edge
@@ -730,7 +741,7 @@ def _bell_s_kernel(spec: GrowthFunctionSpec):
         if over.any():
             raise _beyond_series(spec, math.exp(s[over][0]))
         edge = logc[peak] + peak * s - _EDGE_DROP
-        half = (10.0 * np.sqrt(peak + 25.0) + 50.0).astype(np.intp)
+        half = np.where(peak > 0, 10.0 * np.sqrt(peak + 25.0) + 50.0, 2.0).astype(np.intp)
         while True:
             lo = np.maximum(peak - half, 0)
             hi = np.minimum(peak + half, top)

@@ -290,9 +290,19 @@ class LegendreTable:
 
 
 def legendre_sequence(spec: GrowthFunctionSpec, n_max: int) -> LegendreTable:
-    """Table of ``log ell(n)``, ``r*(n)`` for n = 0..n_max (warm-started sweep)."""
+    """Table of ``log ell(n)``, ``r*(n)`` for n = 0..n_max (warm-started sweep).
+
+    The last ``_SPEC_CACHE`` (64) tables are kept per ``(spec, n_max)``, so a
+    run that asks for one sequence twice (a battery and a chain-order check
+    on the same function) solves it once; every caller gets the same table,
+    whose arrays are read-only."""
     if not (isinstance(n_max, numbers.Integral) and n_max >= 0):
         raise ParameterError(f"legendre_sequence requires an integer n_max >= 0, got {n_max!r}")
+    return _sequence(spec, int(n_max))
+
+
+@lru_cache(maxsize=_SPEC_CACHE)
+def _sequence(spec: GrowthFunctionSpec, n_max: int) -> LegendreTable:
     return legendre_table(spec, np.arange(n_max + 1, dtype=float))
 
 

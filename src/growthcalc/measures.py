@@ -334,7 +334,7 @@ def _grey_estimate(lam: float, w: float, x: np.ndarray, seed: int) -> GreyResult
     total = float(e.sum())
     log_sum = m + math.log(total)
     log_mean = log_sum - math.log(n)
-    log_m2 = 2.0 * m + math.log(float(e @ e)) - math.log(n)
+    log_m2 = 2.0 * m + math.log(float(np.einsum("i,i->", e, e))) - math.log(n)
     note = ""
     if log_m2 < 700.0 and log_mean < 350.0:
         m1 = math.exp(log_mean)

@@ -64,6 +64,13 @@ def eval_job(job_id="eval-1", **extra):
      "op must be one of"),
     (lambda m: m.update(jobs=[{"id": "x", "kind": "eval"}]), "eval"),
     (lambda m: m.update(jobs=[eval_job(function="ghost")]), "ghost"),
+    # A list as 'function' was looked up as a key (a TypeError), and a string
+    # as 'functions' one character at a time.
+    (lambda m: m.update(jobs=[eval_job(function=["ks0"])]),
+     "job 'eval-1': field 'function' must be a function id, got ['ks0']"),
+    (lambda m: m.update(jobs=[{"id": "x", "kind": "verify", "check": "chain-order",
+                               "functions": "ks0"}]),
+     "job 'x': field 'functions' must be a list of function ids, got 'ks0'"),
     (lambda m: m.update(jobs=[{"id": "x", "kind": "lfn", "function": "ks0"}]), "r"),
     # Each of these would otherwise end in a bare KeyError when the job runs.
     (lambda m: m.update(jobs=[{"id": "x", "kind": "verify", "functions": ["ks0"]}]),
@@ -171,9 +178,20 @@ GREY_CF = {"id": "x", "kind": "measures", "op": "grey_cf", "lam": 0.5, "n": 1000
      "job 'x': field 'expect_log' must hold one value per 'r', got 1 for 2"),
     ([{"id": "x", "kind": "eval", "lam": 0.5, "t": [1.0], "expect": [0.5, 0.4]}], 3,
      "job 'x': field 'expect' must hold one value per 't', got 2 for 1"),
+    # An empty list would run nothing and pass.
+    ([{"id": "x", "kind": "verify", "function": "ks0", "checks": []}], 3,
+     "job 'x': field 'checks' must not be empty"),
+    ([{"id": "x", "kind": "verify", "check": "chain-order", "functions": []}], 3,
+     "job 'x': field 'functions' must not be empty"),
+    ([{"id": "x", "kind": "lfn", "function": "ks0", "r": []}], 3,
+     "job 'x': field 'r' must not be empty"),
+    ([{"id": "x", "kind": "eval", "lam": 0.5, "t": []}], 3,
+     "job 'x': field 't' must not be empty"),
+    ([{**GREY_CF, "xi": []}], 3, "job 'x': field 'xi' must not be empty"),
 ], ids=["integrand", "checks-string", "checks-unknown", "out", "job-seed-bool",
         "job-seed-negative", "seed-bool", "seed-negative", "eval-expect-log",
-        "lfn-expect-log", "eval-expect"])
+        "lfn-expect-log", "eval-expect", "checks-empty", "functions-empty", "r-empty",
+        "t-empty", "xi-empty"])
 def test_suite_rejects_a_bad_field_with_usage_exit(tmp_path, capsys, jobs, seed, message):
     cfg = tmp_path / "m.json"
     cfg.write_text(json.dumps(manifest(jobs, seed=seed)))
@@ -298,6 +316,31 @@ def test_run_calls_the_job_runner_bound_in_the_module_once_per_job(monkeypatch):
     monkeypatch.setattr(cli, "_run_job", patched)
     assert run(manifest([eval_job("a"), eval_job("b")]), stream=io.StringIO()) == 0
     assert ids == ["a", "b"]
+
+
+def test_run_solves_each_sequence_once(monkeypatch):
+    # The chain-order check reads the n = 0..60 tables that the batteries of
+    # the same functions solved; every row is one ternary solve.
+    from growthcalc import legendre
+
+    legendre._sequence.cache_clear()
+    rows = []
+    ternary = legendre.legendre_transform
+
+    def recording(spec, t, *args, **kwargs):
+        rows.append((spec.function_id, t))
+        return ternary(spec, t, *args, **kwargs)
+
+    monkeypatch.setattr(legendre, "legendre_transform", recording)
+    functions = {"ks05": {"kind": "kondratiev_streit", "beta": 0.5},
+                 "g2": {"kind": "iterated_exp_sqrt", "k": 2}}
+    jobs = [{"id": f"verify-{fid}", "kind": "verify", "function": fid, "n_max": 60,
+             "checks": ["log-concavity"]} for fid in functions]
+    jobs.append({"id": "chain", "kind": "verify", "check": "chain-order",
+                 "functions": ["g2", "ks05"], "n_max": 60})
+    assert run(manifest(jobs, functions), stream=io.StringIO()) == 0
+    assert sorted(rows) == sorted((fid, float(n)) for fid in ("ks(beta=0.5)", "g2")
+                                  for n in range(61))
 
 
 def test_run_empty_jobs_is_a_warning_not_an_error(tmp_path):

@@ -620,6 +620,34 @@ def test_bell_s_kernel_matches_the_table_oracle_with_its_moments(k, monkeypatch)
                 assert abs(got[j, i] - want[j]) <= rel * abs(want[j]), (x, j, got[j, i], want[j])
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bell_s_kernel_sums_three_terms_where_the_peak_is_term_0(k, monkeypatch):
+    # Each term lies at least |s| nats below the one before, so at s <= -40
+    # terms 0..2 hold all that f, f' and f'' show in doubles.  f is near 0
+    # there, so the oracle keeps every term within 1500 nats of the first.
+    from growthcalc.growth import _series_logc
+
+    widths = []
+    moments = growth._series_moments
+
+    def recording(logc, s, lo, hi, step):
+        widths.append((hi - lo) // step + 1)
+        return moments(logc, s, lo, hi, step)
+
+    monkeypatch.setattr(growth, "_series_moments", recording)
+    monkeypatch.setattr(oracles, "TABLE_WINDOW", 1500.0)
+    s = np.array([-700.0, -100.0, -41.0, -5.0])
+    got = bell_series(k).s_kernel(s)
+    (width,) = widths
+    assert (width[s <= -40.0] <= 3).all(), width
+    logc = _series_logc(bell_series(k))
+    with mp.workdps(oracles.DPS):
+        for i, x in enumerate(s):
+            want = [float(v) for v in oracles._table_moments(logc, mp.mpf(x))]
+            for j, rel in enumerate((1e-14, 1e-12, 1e-9)):
+                assert abs(got[j, i] - want[j]) <= rel * abs(want[j]), (x, j, got[j, i], want[j])
+
+
 def test_series_moments_exponentiates_no_padding(monkeypatch):
     # Windows of unlike lengths share a block; its short rows' pad cells
     # become exact zeros without passing through np.exp.

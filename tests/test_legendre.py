@@ -520,8 +520,9 @@ def test_bidual_rejects_a_nan_t_cap():
         bidual(kondratiev_streit(0.0), 2.0, t_cap=math.nan)
 
 
-@pytest.mark.parametrize("n_max", [2.5, -1])
+@pytest.mark.parametrize("n_max", [2.5, -1, [3]])
 def test_legendre_sequence_needs_a_whole_n_max(n_max):
+    # Checked before the table cache, which would raise a TypeError on a list.
     with pytest.raises(ParameterError, match="integer n_max >= 0"):
         legendre_sequence(kondratiev_streit(0.0), n_max)
 
