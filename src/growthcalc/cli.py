@@ -506,9 +506,7 @@ def _grey_cf_op(job: dict, seed: int | None) -> dict:
         np.multiply(x, xi, out=c)
         np.cos(c, out=c)
         emp = float(c.mean())
-        c -= emp  # the sample standard deviation, as c.std(ddof=1) takes it
-        np.square(c, out=c)
-        se = math.sqrt(float(c.sum()) / (n - 1)) / math.sqrt(n)
+        se = float(c.std(ddof=1) / math.sqrt(n))
         target = mittag_leffler(lam, xi * xi)
         dev = abs(emp - target) / se
         ok = ok and dev <= sigma_tol

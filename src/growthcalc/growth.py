@@ -196,10 +196,9 @@ def _log_bell(n_hi: int) -> np.ndarray:
     vectorized Newton solve; the cut tails start 38 nats down).  Per node:
     ``log x`` and ``lgamma(x + 1) - log sqrt(2 pi) = (x + 1/2) log x - x +
     S(x)`` with :func:`_stirling_series` (the nodes start above 27); per
-    cell: ``n log x - lgamma(x + 1)``.  A block's cells fill one buffer,
-    reused by every block, with a row per node and a column per Bell row,
-    so each reduction runs down the columns, a node row at a time across
-    every Bell row of the block.
+    cell: ``n log x - lgamma(x + 1)``.  A block's cells are laid out with
+    a row per node and a column per Bell row, so each reduction runs down
+    the columns, a node row at a time across every Bell row of the block.
     """
     out = np.empty(n_hi + 1)
     out[0] = 0.0
@@ -209,7 +208,6 @@ def _log_bell(n_hi: int) -> np.ndarray:
     m = ex.max(axis=1)
     out[1 : top + 1] = m + np.log(np.exp(ex - m[:, None]).sum(axis=1)) - 1.0
     const = 1.0 + 0.5 * math.log(2.0 * math.pi)  # Dobinski's e^-1, Stirling's sqrt(2 pi)
-    buf = np.empty(0)
     for a in range(top + 1, n_hi + 1, 1024):
         n = np.arange(a, min(a + 1024, n_hi + 1), dtype=float)
         j = n / np.log(n)
@@ -220,9 +218,7 @@ def _log_bell(n_hi: int) -> np.ndarray:
         lo = (j - 10.0 * sigma).min()
         x = lo + h * np.arange(math.ceil(((j + 10.0 * sigma).max() - lo) / h) + 1)
         lx = np.log(x)
-        if buf.size < x.size * n.size:
-            buf = np.empty(x.size * n.size)
-        f = np.multiply.outer(lx, n, out=buf[: x.size * n.size].reshape(x.size, n.size))
+        f = np.multiply.outer(lx, n)
         f -= ((x + 0.5) * lx - x + _stirling_series(x))[:, None]
         m = f.max(axis=0)
         f -= m

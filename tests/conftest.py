@@ -14,6 +14,7 @@ from growthcalc import (
     bell_series,
     iterated_exp_sqrt,
     kondratiev_streit,
+    legendre,
     legendre_sequence,
     verify_function,
 )
@@ -29,6 +30,14 @@ def build_catalog():
         "g2": iterated_exp_sqrt(2),
         "g3": iterated_exp_sqrt(3),
     }
+
+
+@pytest.fixture(autouse=True)
+def _fresh_sequences():
+    """Each test solves its own sequences: ``legendre_sequence`` keeps its
+    tables by value of ``(spec, n_max)``, so a table kept from an earlier
+    test would pass a spy on the solver by."""
+    legendre._sequence.cache_clear()
 
 
 @pytest.fixture(scope="session")

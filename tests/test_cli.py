@@ -323,7 +323,6 @@ def test_run_solves_each_sequence_once(monkeypatch):
     # the same functions solved; every row is one ternary solve.
     from growthcalc import legendre
 
-    legendre._sequence.cache_clear()
     rows = []
     ternary = legendre.legendre_transform
 

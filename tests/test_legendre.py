@@ -664,21 +664,28 @@ def test_pinned_transform_bidual_and_grid_values(name):
     assert log_u_grid(spec, np.array(grid)).tolist() == grid_want
 
 
-def test_u2_conditions_and_table_make_no_one_element_s_kernel_call():
+def test_u2_conditions_and_table_make_no_one_element_s_kernel_call(monkeypatch):
     # Every radius they probe is 0 or lies on a resolved panel, so the
     # scalar kernel never falls back on a one-point s-kernel call (about
     # 100 us, against about 2 us on a panel).
+    from growthcalc import legendre
+
     u2 = bell_series(2)  # a fresh spec, whose kernel is built on the spy
     s_kernel = u2.s_kernel
     sizes = []
+    rows = []
 
     def spy(s):
         sizes.append(s.size)
         return s_kernel(s)
 
+    ternary = legendre.legendre_transform
+    monkeypatch.setattr(legendre, "legendre_transform",
+                        lambda spec, t, *a, **k: rows.append(t) or ternary(spec, t, *a, **k))
     u2.__dict__["s_kernel"] = spy
     check_conditions(u2)
     legendre_sequence(u2, 60)
+    assert len(rows) == 61  # the table was solved here, not read from the cache
     assert sizes and 1 not in sizes
 
 
