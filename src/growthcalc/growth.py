@@ -473,14 +473,14 @@ def _exponential_kernel(spec: GrowthFunctionSpec):
 
 
 def _iterated_exp_sqrt_kernel(spec: GrowthFunctionSpec):
-    depth = spec.k - 1
+    steps = (None,) * (spec.k - 1)  # iterated once per call, no range built
     e, log, sqrt = math.e, math.log, math.sqrt
 
     def kernel(r: float) -> float:
         if r == 0.0:
             return 0.0
         x = sqrt(r)
-        for _ in range(depth):  # iterated_log(k - 1, sqrt(r))
+        for _ in steps:  # iterated_log(k - 1, sqrt(r))
             x = log(x if x > e else e)
         return 2.0 * sqrt(r * x)
 

@@ -104,6 +104,15 @@ def _grid_infimum(spec: GrowthFunctionSpec) -> float:
     return float(np.min(log_u_grid(spec, grid)))
 
 
+@lru_cache(maxsize=_SPEC_CACHE)
+def _integer_grid(n_max: int) -> np.ndarray:
+    """``0, 1, ..., n_max`` as a read-only float array: the one ``t`` column
+    that every integer table of this length shares."""
+    t = np.arange(n_max + 1.0)
+    t.setflags(write=False)
+    return t
+
+
 def _range_error(spec: GrowthFunctionSpec, t: float) -> RuntimeError:
     """The error for a ``t`` past ``t_sup``, or whose minimizer lies beyond
     the bracket cap ``s_max``."""
@@ -145,9 +154,10 @@ def legendre_transform(
     if t > spec.t_sup:
         raise _range_error(spec, t)
     s_cap = spec.s_max
+    log_u, exp = spec.log_u, math.exp
 
     def phi(s: float) -> float:
-        return spec.log_u(math.exp(s)) - t * s
+        return log_u(exp(s)) - t * s
 
     if s_hint is not None and s_hint < s_cap:
         lo, hi = s_hint - 0.75, min(s_hint + 0.75, s_cap)
@@ -168,11 +178,13 @@ def legendre_transform(
         step *= 2.0
 
     # Ternary search down to a 1e-12 bracket; from the widest bracket (about
-    # 1445) that takes about 86 steps.
+    # 1445) that takes about 86 steps.  The probes are phi written out, one
+    # log_u call each, without the closure's call.
     while hi - lo > 1e-12:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if phi(m1) <= phi(m2):
+        third = (hi - lo) / 3.0
+        m1 = lo + third
+        m2 = hi - third
+        if log_u(exp(m1)) - t * m1 <= log_u(exp(m2)) - t * m2:
             hi = m2
         else:
             lo = m1
@@ -303,7 +315,7 @@ def legendre_sequence(spec: GrowthFunctionSpec, n_max: int) -> LegendreTable:
 
 @lru_cache(maxsize=_SPEC_CACHE)
 def _sequence(spec: GrowthFunctionSpec, n_max: int) -> LegendreTable:
-    return legendre_table(spec, np.arange(n_max + 1, dtype=float))
+    return legendre_table(spec, _integer_grid(n_max))
 
 
 def legendre_table(spec: GrowthFunctionSpec, t_values) -> LegendreTable:
@@ -341,11 +353,11 @@ class LFunctionEvaluator:
         """The table ``n = 0..n_max`` (capped at ``t_sup``) by one batched Newton
         solve, with the ``t = 0`` row of :func:`legendre_transform`."""
         n_max = min(n_max, int(spec.t_sup)) if spec.t_sup < math.inf else n_max
-        ts = np.arange(1.0, n_max + 1.0)
-        log_ell, r_star, err = _newton_transform(spec, ts)
+        t = _integer_grid(max(n_max, 0))
+        log_ell, r_star, err = _newton_transform(spec, t[1:])
         if err is not None:
             raise err
-        table = LegendreTable(spec.function_id, np.arange(ts.size + 1.0),
+        table = LegendreTable(spec.function_id, t,
                               np.append(_grid_infimum(spec), log_ell), np.append(0.0, r_star))
         return cls(spec, table)
 
@@ -355,8 +367,14 @@ class LFunctionEvaluator:
 
 
 def _radii(r, name: str) -> np.ndarray:
-    """``r`` as a float array; NaN, infinite or negative entries raise."""
+    """``r`` as a float array; NaN, infinite or negative entries raise.  A
+    0-d ``r`` is checked by one comparison on its float, not by array ops."""
     rs = np.asarray(r, dtype=float)
+    if rs.ndim == 0:
+        x = float(rs)
+        if not 0.0 <= x < math.inf:
+            raise ParameterError(f"{name} requires finite r >= 0, got {x}")
+        return rs
     bad = ~((rs >= 0.0) & (rs < math.inf))
     if bad.any():
         raise ParameterError(f"{name} requires finite r >= 0, got {rs[bad][0]}")

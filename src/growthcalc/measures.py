@@ -290,6 +290,9 @@ def grey_sample(lam: float, n: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GreyResult:
+    """A Monte Carlo grey moment: every field is a reported diagnostic, none
+    a verdict (finiteness is :func:`_grey_finite`'s exact boundary)."""
+
     value: float
     stderr: float
     log_value: float
@@ -303,9 +306,15 @@ class GreyResult:
 def grey_integrability(
     lam: float, w: float, n: int = 10**6, seed: int = 0
 ) -> GreyResult:
-    """Monte Carlo estimate of ``E exp((1 - beta)/2 * (w X^2)^{1/(1-beta)})``
-    with ``beta = 1 - lam`` — the grey-noise analogue of the Gaussian
-    exponential-moment integral.
+    """Monte Carlo estimate of ``E exp((2 - lam)/2 * (w X^2)^{1/(2-lam)})``
+    — the grey-noise analogue of the Gaussian exponential-moment integral.
+
+    Whether the moment is finite is not read from the sample: it is finite
+    exactly when ``w < w* = (lam/2)^lam`` (:func:`_grey_finite`), and that
+    boundary is the verdict of a grey-integrability job and of each Hida grey
+    level.  The estimate and its ``stderr``, ``stable`` and ``top_share`` are
+    reported diagnostics; near ``w*`` a sample can look stable on either
+    side.
 
     The sample is the single working array.  It is overwritten with the log
     integrand ``le``, which is shifted by its maximum ``m`` and exponentiated
@@ -351,6 +360,20 @@ def _grey_estimate(lam: float, w: float, x: np.ndarray, seed: int) -> GreyResult
         note = f"top 0.1% of samples carry {top_share:.1%} of the mass"
     value = math.exp(log_mean) if log_mean < 709.0 else math.inf
     return GreyResult(value, stderr, log_mean, n, seed, stable, top_share, note)
+
+
+def _grey_finite(lam: float, w: float) -> bool:
+    """Whether ``E exp((2 - lam)/2 (w X^2)^{1/(2-lam)})`` is finite: exactly
+    when ``w < w* = (lam/2)^lam``.
+
+    ``X`` has the absolute moments ``E|X|^d = Gamma(d + 1) / Gamma(lam d/2 + 1)``
+    (the M-Wright density), so expanding the exponential gives the positive
+    series ``sum_j c^j Gamma(p j + 1) / (j! Gamma(q j + 1))`` with
+    ``c = (2-lam)/2 w^{1/(2-lam)}``, ``p = 2/(2-lam)`` and ``q = p - 1``.  Its
+    term ratio rises to ``(w / w*)^{1/(2-lam)}``, and at ``w = w*`` its terms
+    decay like ``j^{-1/2}``, so it diverges there too.  At ``lam = 1`` the
+    series is ``(1 - 2w)^{-1/2}``."""
+    return w < (0.5 * lam) ** lam
 
 
 # -- Hida-condition driver ----------------------------------------------------
@@ -464,7 +487,8 @@ def _poisson_level(surrogate: MeasureSurrogate, spec: GrowthFunctionSpec, p: int
 
 def _grey_levels(surrogate: MeasureSurrogate, spec: GrowthFunctionSpec, ps) -> list[dict]:
     # One draw serves every level, each the estimate a lone grey_integrability
-    # call with the same (lam, n, seed) makes.
+    # call with the same (lam, n, seed) makes.  The estimate is reported; the
+    # verdict is the exact boundary.
     x = grey_sample(surrogate.lam, surrogate.n, surrogate.seed)
     levels = []
     for p in ps:
@@ -472,7 +496,7 @@ def _grey_levels(surrogate: MeasureSurrogate, spec: GrowthFunctionSpec, ps) -> l
         res = _grey_estimate(surrogate.lam, w, x.copy(), surrogate.seed)
         levels.append({
             "p": p,
-            "finite": res.stable and math.isfinite(res.value),
+            "finite": _grey_finite(surrogate.lam, w),
             "value": res.value,
             "stderr": res.stderr,
             "top_share": res.top_share,

@@ -369,6 +369,20 @@ def test_run_grey_artifacts_reproducible(tmp_path):
     assert v_one != v_three
 
 
+def test_grey_integrability_expect_finite_reads_the_exact_boundary(tmp_path):
+    # finite exactly for w < w* = (lam/2)^lam, whatever the sample looks like
+    cases = [(lam, factor, seed) for lam in (0.3, 0.5, 0.7, 1.0)
+             for factor in (0.97, 1.03) for seed in range(5)]
+    jobs = [{"id": f"g{i}", "kind": "measures", "op": "grey_integrability",
+             "lam": lam, "w": factor * (lam / 2.0) ** lam, "n": 1000, "seed": seed,
+             "expect": "finite"} for i, (lam, factor, seed) in enumerate(cases)]
+    run(manifest(jobs), out_dir=tmp_path)
+    for i, (lam, factor, seed) in enumerate(cases):
+        got = json.loads((tmp_path / f"job-g{i}.json").read_text())
+        assert got["status"] == ("pass" if factor < 1.0 else "fail"), (lam, factor, seed)
+        assert {"value", "stderr", "stable", "top_share", "note"} <= got.keys()
+
+
 def test_grey_integrability_nan_estimate_fails_expect_value(tmp_path, monkeypatch):
     from growthcalc import cli
     from growthcalc.measures import GreyResult

@@ -573,6 +573,18 @@ def test_kernel_matches_reference_formula_bit_for_bit(spec):
     _assert_matches_the_oracle(spec, rs[:106], got[:106])
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_g_kernel_is_the_iterated_log_formula_through_every_clamp(k):
+    # iterated_log(k - 1, sqrt r) clamps where an iterate reaches e: at
+    # log r = 2, 2e and 2e^e.  Each clamp point goes in with its neighbours.
+    clamps = np.exp([2.0, 2.0 * math.e, 2.0 * math.e**math.e])
+    edges = np.concatenate([np.nextafter(clamps, 0.0), clamps, np.nextafter(clamps, math.inf)])
+    rs = [0.0, *np.exp(np.linspace(-30.0, 40.0, 701)).tolist(), *edges.tolist()]
+    kernel = iterated_exp_sqrt(k).kernel
+    assert [kernel(r) for r in rs] == [
+        2.0 * math.sqrt(r * iterated_log(k - 1, math.sqrt(r))) for r in rs]
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_bell_panel_kernel_matches_the_oracle_across_its_panels(k):
     from growthcalc.growth import _PANEL_LO, _PANEL_WIDTH

@@ -230,6 +230,40 @@ def test_evaluator_raises_what_the_sequence_raises():
     assert str(got.value) == str(want.value) and "t=4;" in str(got.value)
 
 
+def test_ternary_tables_make_one_log_u_call_per_probe(monkeypatch):
+    # The published tables keep the ternary search bit for bit, so they make
+    # the same traced log_u calls as before its probes were written out.
+    from growthcalc import growth
+
+    calls = []
+    log_u = growth.GrowthFunctionSpec.log_u
+
+    def counted(self, r):
+        calls.append(r)
+        return log_u(self, r)
+
+    monkeypatch.setattr(growth.GrowthFunctionSpec, "log_u", counted)
+    legendre_table(kondratiev_streit(0.5), np.arange(0.5, 50.01, 0.25))
+    assert len(calls) == 28873
+    calls.clear()
+    legendre_sequence(iterated_exp_sqrt(3), 60)
+    assert len(calls) == 8754
+
+
+def test_integer_tables_share_one_read_only_t_column():
+    from growthcalc import corrupt_table
+
+    a = LFunctionEvaluator.from_spec(kondratiev_streit(0.5)).table
+    b = LFunctionEvaluator.from_spec(iterated_exp_sqrt(2)).table
+    assert a.t is b.t and not a.t.flags.writeable
+    assert np.array_equal(a.t, np.arange(1201.0))
+    assert legendre_sequence(kondratiev_streit(0.5), 60).t is legendre_sequence(
+        iterated_exp_sqrt(2), 60).t
+    for copy in (a.replace(), corrupt_table(a, 3), corrupt_table(a, 3, which="r_star")):
+        assert np.array_equal(copy.t, a.t) and not np.shares_memory(copy.t, a.t)
+    assert np.array_equal(b.t, np.arange(1201.0))
+
+
 # ---------------------------------------------------------------------------
 # L-function
 # ---------------------------------------------------------------------------
@@ -407,6 +441,40 @@ def test_l_functions_reject_a_bad_radius_anywhere(evaluators, name, bad):
     radii[67] = bad
     with pytest.raises(ParameterError):
         call(radii)
+
+
+def _lone_radius_calls(ev):
+    return {
+        "l_function": lambda r: l_function(ev, r),
+        "l_function_wide": lambda r: l_function_wide(ev, r),
+        "l_function_integral": lambda r: l_function_integral(ev.spec, r),
+    }
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("name", ["l_function", "l_function_wide", "l_function_integral"])
+def test_l_functions_reject_a_bad_lone_radius_with_the_array_text(evaluators, name, bad):
+    call = _lone_radius_calls(evaluators["ks0"])[name]
+    with pytest.raises(ParameterError) as array:
+        call(np.array([bad]))
+    for r in (bad, np.float64(bad), np.array(bad)):
+        with pytest.raises(ParameterError) as lone:
+            call(r)
+        assert str(lone.value) == str(array.value) == f"{name} requires finite r >= 0, got {bad}"
+
+
+@pytest.mark.parametrize("name,radii", [
+    ("l_function", [0.0, 2.0, 40.0]),
+    ("l_function_wide", [0.0, 2.0, 900.0, 1e8]),
+    ("l_function_integral", [400.0, 900.0, 1e8]),
+])
+def test_a_lone_radius_returns_the_array_paths_value_as_a_float(evaluators, name, radii):
+    call = _lone_radius_calls(evaluators["ks05"])[name]
+    for r in radii:
+        want = call(np.array([r]))[0]
+        for lone in (r, np.float64(r), np.array(r)):
+            got = call(lone)
+            assert type(got) is float and got == want, (r, got, want)
 
 
 def test_evaluator_needs_more_than_the_constant_term():

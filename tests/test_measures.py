@@ -477,6 +477,29 @@ def test_hida_grey_ladder_matches_the_gaussian_closed_form():
         assert abs(level["value"] - want) <= 3.0 * level["stderr"], level
 
 
+@pytest.mark.parametrize("lam", [0.3, 0.5, 0.7, 1.0])
+def test_hida_grey_levels_read_the_exact_boundary(lam):
+    # E exp((2-lam)/2 (w X^2)^{1/(2-lam)}) is finite exactly for
+    # w < w* = (lam/2)^lam; the Monte Carlo is only reported.
+    w_star = (lam / 2.0) ** lam
+    spec = kondratiev_streit(1.0 - lam)
+    for seed in range(5):
+        for factor, finite in ((0.97, True), (1.03, False)):
+            report = hida_condition(grey_1d(lam, n=1000, seed=seed, w=factor * w_star), spec)
+            assert report.finite is finite, (seed, factor)
+            assert report.smallest_finite_p == (0 if finite else 1)
+            assert all(level["finite"] is (level["w"] < w_star) for level in report.levels)
+
+
+def test_grey_boundary_at_lambda_one_is_where_the_gaussian_moment_blows_up():
+    # lambda = 1: X ~ N(0, 2) and E exp(w X^2 / 2) = (1 - 2w)^{-1/2}, a real
+    # number exactly for 1 - 2w > 0.
+    ks0 = kondratiev_streit(0.0)
+    for w in (0.0, 0.1, 0.45, 0.49, 0.4999999, 0.5, 0.5000001, 0.51, 0.6, 1.0):
+        level = hida_condition(grey_1d(1.0, n=1000, seed=0, w=w), ks0).levels[0]
+        assert level["finite"] is (1.0 - 2.0 * w > 0.0), w
+
+
 def test_hida_grey_draws_one_sample_for_every_level(catalog, monkeypatch):
     from growthcalc import measures
 
