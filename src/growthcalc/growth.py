@@ -473,7 +473,7 @@ def _exponential_kernel(spec: GrowthFunctionSpec):
 
 
 def _iterated_exp_sqrt_kernel(spec: GrowthFunctionSpec):
-    steps = (None,) * (spec.k - 1)  # iterated once per call, no range built
+    steps = (None,) * (spec.k - 1)  # cheaper to iterate per call than a range
     e, log, sqrt = math.e, math.log, math.sqrt
 
     def kernel(r: float) -> float:

@@ -6,10 +6,14 @@ For a growth function ``u`` the transform is
 
 computed here as a convex minimization of ``phi(s) = log u(e^s) - t s`` in
 ``s = log r``: by ternary search for the published tables
-(:func:`legendre_sequence`, :func:`legendre_table`: the benchmark reference
-pins their ``r*``, good to about 1e-8 only, at 1e-9), and by one batched
+(:func:`legendre_sequence`, :func:`legendre_table`), and by one batched
 Newton solve of ``phi'(s) = 0`` for the L-series evaluator's table, the
-continuous-ell spline and the bidual.  The associated L-series
+continuous-ell spline and the bidual.  The published tables keep the
+ternary bit for bit, one traced ``spec.log_u`` call per probe: the benchmark
+reference pins their ``r*``, good to about 1e-8 only, at 1e-9, and the
+benchmark tracer's test asks for more than 50 ``log_u`` calls per solve.
+Solving them by Newton waits for that test to count rows solved instead,
+and for the reference to be re-taken.  The associated L-series
 ``L_u(r) = sum_n ell_u(n) r^n`` is the natural comparison object for
 exponential-vector norms, and the biduality map ``r -> sup_t ell_u(t) r^t``
 reconstructs ``u``; its supremum sits at the slope ``t = d log u / d log r``,

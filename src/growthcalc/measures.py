@@ -10,6 +10,8 @@ Each family gets a small closed-form or Monte Carlo surrogate:
 * Grey noise in one dimension — a scale mixture of centered Gaussians whose
   mixing variable comes from a positive stable law (Kanter's representation),
   so the characteristic function is a Mittag-Leffler function of ``xi^2``.
+  Its exponential moments are finite exactly below a weight known in
+  closed form; the Monte Carlo estimates their values.
 
 The ``hida_condition`` driver ties a measure surrogate to its matching growth
 function and sweeps weight levels for the smallest one where the defining
