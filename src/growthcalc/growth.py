@@ -336,6 +336,12 @@ class GrowthFunctionSpec:
         return math.inf
 
     @property
+    def trusted_radius(self) -> float:
+        """``0.98 faithful_cap``: the largest radius that condition grids,
+        battery grids and grid infima sample."""
+        return 0.98 * self.faithful_cap
+
+    @property
     def s_max(self) -> float:
         """Upper bracket bound for minimization in ``s = log r``."""
         if self.kind == BELL_SERIES:
@@ -983,7 +989,7 @@ def check_conditions(
     cap = spec.faithful_cap
     clipped = bool(cap < math.inf and r_grid[-1] > cap)
     if clipped:
-        r_grid = r_grid[r_grid <= 0.98 * cap]
+        r_grid = r_grid[r_grid <= spec.trusted_radius]
         if r_grid.size < 8:
             raise ParameterError("grid is empty after clipping to the faithful range")
 

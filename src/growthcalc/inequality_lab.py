@@ -148,9 +148,9 @@ def _prepare_r_grid(
     the function's faithful range and the wide L-evaluation range."""
     grid = _radius_grid(r_grid)
     top = math.inf
-    cap = spec.faithful_cap
-    if cap < math.inf and u_mul > 0.0:
-        top = 0.98 * cap / u_mul
+    trusted = spec.trusted_radius
+    if trusted < math.inf and u_mul > 0.0:
+        top = trusted / u_mul
     if l_mul > 0.0:
         top = min(top, 0.90 * _R_WIDE / l_mul)
     clipped = grid[grid <= top]
@@ -280,7 +280,7 @@ def check_table_definition(spec: GrowthFunctionSpec, table: LegendreTable) -> Ve
     """
     worst = math.inf
     wit: dict = {}
-    cap = spec.faithful_cap
+    trusted = spec.trusted_radius
     for ti, li, ri in zip(table.t, table.log_ell, table.r_star):
         scale = _AUDIT_TOL * max(1.0, abs(li))
         if ti == 0.0:
@@ -300,7 +300,7 @@ def check_table_definition(spec: GrowthFunctionSpec, table: LegendreTable) -> Ve
             worst, wit = margin, {"t": float(ti), "property": "value-at-r_star"}
         for fac in _PROBE_FACTORS:
             rp = fac * ri
-            if not 0.0 < rp <= 0.98 * cap:
+            if not 0.0 < rp <= trusted:
                 continue
             probe_val = spec.log_u(rp) - ti * math.log(rp)
             margin = probe_val - li + scale

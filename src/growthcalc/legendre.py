@@ -61,10 +61,6 @@ class UnboundedBelowError(RuntimeError):
     """``inf u(r)/r^t`` has no interior minimizer: the transform is -inf."""
 
 
-class CapTooSmallError(RuntimeError):
-    """A supremum search hit its cap while the objective was still rising."""
-
-
 class InsufficientTableError(RuntimeError):
     """The stored table does not bound the L-series tail at a radius."""
 
@@ -102,10 +98,7 @@ _BRACKET_STEP = 0.5
 @lru_cache(maxsize=_SPEC_CACHE)
 def _grid_infimum(spec: GrowthFunctionSpec) -> float:
     grid = default_r_grid()
-    cap = spec.faithful_cap
-    if cap < math.inf:
-        grid = grid[grid <= 0.98 * cap]
-    return float(np.min(log_u_grid(spec, grid)))
+    return float(np.min(log_u_grid(spec, grid[grid <= spec.trusted_radius])))
 
 
 @lru_cache(maxsize=_SPEC_CACHE)
@@ -196,13 +189,11 @@ def legendre_transform(
     return phi(s_star), math.exp(s_star)
 
 
-def _newton_transform(
-    spec: GrowthFunctionSpec, ts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, RuntimeError | None]:
+def _newton_transform(spec: GrowthFunctionSpec, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``log ell_u(t)`` and ``r*`` over a 1-d array of finite ``t > 0`` by
-    one batched Newton solve of ``f'(s) = t``, ``f(s) = log u(e^s)``, plus
-    the error :func:`legendre_transform` raises for the first ``t`` it
-    cannot solve (NaN in its rows), or ``None``.
+    one batched Newton solve of ``f'(s) = t``, ``f(s) = log u(e^s)``.  The
+    first ``t`` it cannot solve raises the error :func:`legendre_transform`
+    raises for it.
 
     ``f'`` is nondecreasing (``f`` is convex), so one sample of it on an
     s-grid brackets every root at once; safeguarded Newton then refines all
@@ -214,10 +205,10 @@ def _newton_transform(
     slope = np.maximum.accumulate(kernel(grid)[1])
     i = slope.searchsorted(ts)  # slope[i - 1] < t <= slope[i]
     bad = (ts > spec.t_sup) | (i == grid.size)
-    err = _range_error(spec, float(ts[bad.argmax()])) if bad.any() else None
+    if bad.any():
+        raise _range_error(spec, float(ts[bad.argmax()]))
     s_star = np.full(ts.size, _S_FLOOR)
-    s_star[bad] = np.nan
-    act = np.flatnonzero((i > 0) & ~bad)
+    act = np.flatnonzero(i > 0)
     if act.size:
         t, a, b = ts[act], grid[i[act] - 1], grid[i[act]]
         fa, fb = slope[i[act] - 1], slope[i[act]]
@@ -231,9 +222,7 @@ def _newton_transform(
                 return d1 - t[k], d2
 
             s_star[act], _, pos, neg = _bracketed_newton(g, x0, b, a)
-    ok = ~bad
-    log_ell = np.full(ts.size, np.nan)
-    log_ell[ok] = kernel(s_star[ok])[0] - ts[ok] * s_star[ok]
+    log_ell = kernel(s_star)[0] - ts * s_star
     if spec.kind == ITERATED_EXP_SQRT and 2 <= spec.k <= 4 and act.size:
         # f' jumps where g_k's outer clamp binds, s = 2 exp^{k-2}(1) (past
         # s_max for k > 4), which Newton nears only to _NEWTON_TOL: rows whose
@@ -243,12 +232,15 @@ def _newton_transform(
         phi = kernel(np.full(on.size, kink))[0] - ts[on] * kink
         low = phi < log_ell[on]
         log_ell[on[low]], s_star[on[low]] = phi[low], kink
-    return log_ell, np.exp(s_star), err
+    return log_ell, np.exp(s_star)
 
 
 @dataclass(eq=False)
 class LegendreTable:
-    """Transform values on a t-grid: ``log ell(t)`` and minimizers ``r*(t)``."""
+    """Transform values on a t-grid: ``log ell(t)`` and minimizers ``r*(t)``.
+
+    The columns are read-only; a writeable input column is copied first, so
+    the caller's array stays writeable and the table does not change."""
 
     function_id: str
     t: np.ndarray
@@ -256,17 +248,18 @@ class LegendreTable:
     r_star: np.ndarray
 
     def __post_init__(self) -> None:
-        self.t = np.asarray(self.t, dtype=float)
-        self.log_ell = np.asarray(self.log_ell, dtype=float)
-        self.r_star = np.asarray(self.r_star, dtype=float)
+        cols = [np.asarray(col, dtype=float) for col in (self.t, self.log_ell, self.r_star)]
+        for i, col in enumerate(cols):
+            if col.flags.writeable:
+                cols[i] = col.copy()
+            cols[i].setflags(write=False)
+        self.t, self.log_ell, self.r_star = cols
         if not (len(self.t) == len(self.log_ell) == len(self.r_star)):
             raise ParameterError("table columns must share one length")
         if len(self.t) == 0:
             raise ParameterError("table must contain at least one row")
         if np.any(np.diff(self.t) <= 0.0):
             raise ParameterError("table t-grid must be strictly increasing")
-        for arr in (self.t, self.log_ell, self.r_star):
-            arr.setflags(write=False)
 
     @property
     def n_points(self) -> int:
@@ -358,9 +351,7 @@ class LFunctionEvaluator:
         solve, with the ``t = 0`` row of :func:`legendre_transform`."""
         n_max = min(n_max, int(spec.t_sup)) if spec.t_sup < math.inf else n_max
         t = _integer_grid(max(n_max, 0))
-        log_ell, r_star, err = _newton_transform(spec, t[1:])
-        if err is not None:
-            raise err
+        log_ell, r_star = _newton_transform(spec, t[1:])
         table = LegendreTable(spec.function_id, t,
                               np.append(_grid_infimum(spec), log_ell), np.append(0.0, r_star))
         return cls(spec, table)
@@ -578,21 +569,18 @@ def _continuous_ell(spec: GrowthFunctionSpec) -> _ContinuousEll:
     """
     t_lo = 1e-4
     t_sup_eff = min(spec.t_sup * 0.94, 1e10)
-    ladder = [64.0]
-    while ladder[-1] < t_sup_eff:
-        ladder.append(2.0 * ladder[-1])
-    ladder = np.minimum(ladder, t_sup_eff)
     s_top = np.array([min(math.log(_R_WIDE), spec.s_max), spec.s_max])
     t_wide, t_top = spec.s_kernel(s_top)[1]
-    found = float(ladder[min(int(ladder.searchsorted(t_wide)), ladder.size - 1)])
+    rung = 64.0
+    while rung < min(t_sup_eff, t_wide):
+        rung *= 2.0
+    found = min(rung, t_sup_eff)
     if found > min(t_top, spec.t_sup):
         raise _range_error(spec, found)
     t_hi = min(1.15 * found + 14.0 * math.sqrt(found) + 50.0, t_sup_eff)
     sigma = np.linspace(math.log(t_lo), math.log(t_hi), 1200)
     ts = np.exp(sigma)
-    vals, rs, err = _newton_transform(spec, ts)
-    if err is not None:
-        raise err
+    vals, rs = _newton_transform(spec, ts)
     f = vals / ts
     log_r = np.log(rs)
     # Exact slopes: d log ell / dt = -log r*, so df / dsigma = -log r* - f.
@@ -750,7 +738,7 @@ def l_function_wide(evaluator: LFunctionEvaluator, r):
     return _blockwise(rule, rs)
 
 
-def bidual(spec: GrowthFunctionSpec, r: float, t_cap: float = 4.0e6) -> float:
+def bidual(spec: GrowthFunctionSpec, r: float) -> float:
     """``sup_{t >= 0} [log ell_u(t) + t log r]`` — reconstructs ``log u(r)``.
 
     The objective ``h(t)`` is concave with ``h'(t) = log r - log r*(t)``, so
@@ -759,32 +747,23 @@ def bidual(spec: GrowthFunctionSpec, r: float, t_cap: float = 4.0e6) -> float:
     conjugate is its maximizer).  ``t*`` is read from ``spec.s_kernel`` and
     ``log ell(t*)`` comes from one batched Newton solve; no search over
     ``t`` is made.  Raises :class:`~growthcalc.growth.CapacityError` when
-    ``t*`` lies past the faithful range of a series, and
-    :class:`CapTooSmallError` when it lies past ``t_cap``.
+    ``log r`` reaches ``s_max``, when ``t*`` lies past ``0.97 t_sup`` (the
+    faithful range of a series), or when ``t*`` or ``t* log r`` overflows.
     """
     r = float(r)
     if not 0.0 <= r < math.inf:
         raise ParameterError(f"bidual requires finite r >= 0, got {r}")
-    if not t_cap > 0.0:
-        raise ParameterError("t_cap must be positive")
-    h0 = legendre_transform(spec, 0.0)[0]
+    h0 = _grid_infimum(spec)
     if r == 0.0:
         return h0
     lr = math.log(r)
-    cap_eff = min(t_cap, spec.t_sup * 0.97)
     t_star = float(spec.s_kernel(np.array([lr]))[1][0]) if lr < spec.s_max else math.inf
-    if t_star > cap_eff:
-        if cap_eff < t_cap:
-            raise CapacityError(
-                f"the supremum for r={r:g} needs t beyond the faithful range "
-                f"of {spec.function_id}"
-            )
-        raise CapTooSmallError(
-            f"objective still rising at t_cap={t_cap:g} for r={r:g}; raise t_cap"
+    if not (t_star <= 0.97 * spec.t_sup and t_star * abs(lr) < math.inf):
+        raise CapacityError(
+            f"the supremum for r={r:g} needs t beyond the faithful range "
+            f"of {spec.function_id}"
         )
     if t_star == 0.0:  # f' underflows: the supremum is the t = 0 value
         return h0
-    log_ell, _, err = _newton_transform(spec, np.array([t_star]))
-    if err is not None:
-        raise err
+    log_ell = _newton_transform(spec, np.array([t_star]))[0]
     return max(float(log_ell[0]) + t_star * lr, h0)

@@ -54,7 +54,10 @@ _FERNIQUE_TAIL_TOL = 1e-14
 
 @dataclass(frozen=True)
 class MeasureSurrogate:
-    """Parameters of one reference measure plus sampling defaults."""
+    """Parameters of one reference measure plus sampling defaults.
+
+    A Gaussian surrogate's ``q`` is validated but does not enter its Hida
+    levels: level ``p`` integrates over the norm ``|x|_{-p}``, whatever ``q``."""
 
     kind: str
     rho: float = 0.5
@@ -89,6 +92,8 @@ def _check_weight(w: float) -> None:
 
 
 def gaussian_product(rho: float = 0.5, q: int = 1) -> MeasureSurrogate:
+    """The Gaussian product surrogate.  ``q`` is accepted and validated, but
+    the Hida levels do not read it (see :class:`MeasureSurrogate`)."""
     return MeasureSurrogate(_GAUSSIAN, rho=rho, q=q)
 
 
@@ -418,7 +423,7 @@ def _gaussian_envelope(spec: GrowthFunctionSpec) -> tuple[float, float]:
     certified on a grid: the first score that ties with the top one (within
     ``_ENVELOPE_ULPS``) must lie away from the right edge."""
     grid = default_r_grid()
-    grid = grid[grid <= 0.98 * spec.faithful_cap]
+    grid = grid[grid <= spec.trusted_radius]
     lu = 0.5 * log_u_grid(spec, grid)
     for c2 in _ENVELOPE_C2:
         score = lu - c2 * grid

@@ -22,6 +22,7 @@ themselves are held to exact Bell numbers by their own tests.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import mpmath as mp
@@ -219,12 +220,31 @@ def log_bell(n: int) -> mp.mpf:
 
 
 def mittag_leffler(lam, t) -> mp.mpf:
-    """``E_lam(-t)`` for ``0 < lam < 1`` and ``t > 0`` at ``DPS`` digits, from
-    the spectral integral as written, ``sin(lam pi) / (lam pi) * int_0^inf
-    exp(-(s t)^{1/lam}) / (s^2 + 2 s cos(lam pi) + 1) ds``, by ``mp.quad``
-    split around the knee at ``s = 1/t`` (width ~lam in ``log s``) and the
-    near-pole at ``s = 1`` (width ~pi (1 - lam)).  Past ``s = 2000^lam / t``
-    the integrand is below ``e^-2000``."""
+    """``E_lam(-t)`` for ``0 < lam < 1`` and ``t > 0`` at ``DPS`` digits.
+
+    Where ``lam >= 0.1`` and ``x = t^{1/lam} <= 20``, by the power series
+    ``sum_k (-t)^k / Gamma(lam k + 1)``, summed at ``DPS + x / ln 10 + 10``
+    digits: its largest term is about ``e^x``, so that many digits survive
+    the cancellation.  Below ``lam = 0.1`` the series needs about
+    ``35 / lam`` terms.  Elsewhere, from the spectral integral as written,
+    ``sin(lam pi) / (lam pi) * int_0^inf exp(-(s t)^{1/lam}) / (s^2 + 2 s
+    cos(lam pi) + 1) ds``, by ``mp.quad`` split around the knee at ``s =
+    1/t`` (width ~lam in ``log s``) and the near-pole at ``s = 1`` (width
+    ~pi (1 - lam)).  Past ``s = 2000^lam / t`` the integrand is below
+    ``e^-2000``."""
+    if lam >= 0.1 and math.log(t) <= lam * math.log(20.0):
+        x = t ** (1.0 / lam)
+        with mp.workdps(DPS + int(x / math.log(10.0)) + 10):
+            lam, t = mp.mpf(lam), mp.mpf(t)
+            tol = mp.mpf(10) ** -(DPS + 10)
+            total, power, k = mp.mpf(0), mp.mpf(1), 0
+            while True:
+                term = power / mp.gamma(lam * k + 1)
+                total += term
+                if lam * k > x and abs(term) < tol * abs(total):
+                    return +total
+                power *= -t
+                k += 1
     with mp.workdps(DPS):
         lam, t = mp.mpf(lam), mp.mpf(t)
         c = mp.cos(lam * mp.pi)

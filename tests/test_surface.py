@@ -7,8 +7,8 @@ import inspect
 
 import growthcalc
 
-EXPORTS = 86
-OPTIONS = 71
+EXPORTS = 85
+OPTIONS = 70
 
 
 def _options(obj) -> list[str]:
