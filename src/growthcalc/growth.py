@@ -26,9 +26,10 @@ integral for every ``lam < 1``, which the tests hold to 1e-12 of a 30-digit
 quadrature.
 
 All operations are pure and deterministic.  Module-level caches (the
-``functools.lru_cache`` memoizations, among them the Bell table, and the
-log-factorial table) hold read-only arrays; concurrent callers at worst
-duplicate a computation.
+``functools.lru_cache`` memoizations, among them the series coefficient
+tables, and the log-factorial table) hold read-only arrays; concurrent
+callers at worst duplicate a computation.  ``u_2``'s coefficients are
+package data, ``bell2_logc.npy``, read on first use.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property, lru_cache
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -67,10 +69,12 @@ CONDITION_IDS = ("U0", "U1", "U2", "U3", "C+,1/2", "C+,log")
 _STANDARD_CLAIMS = frozenset({"U0", "U1", "U2", "U3"})
 
 # Series tables: number of stored coefficients.  The classical Bell series
-# (k=2) gets a large table, built by ``_log_bell``'s trapezoid rule, because
-# the verification grids push it to r ~ 1e8 and the L-series machinery
-# probes several times farther; the higher-order series stay at moderate r.
+# (k=2) gets a large table, shipped as package data (``_BELL2_LOGC``, written
+# by ``tests/bell_table.py``), because the verification grids push it to
+# r ~ 1e8 and the L-series machinery probes several times farther; the
+# higher-order series stay at moderate r.
 _N_BELL2 = 1 << 18
+_BELL2_LOGC = Path(__file__).with_name("bell2_logc.npy")
 _N_BELL_HIGH = 4096
 
 #: Fraction of the coefficient table the dominant series term may reach
@@ -178,54 +182,6 @@ def iterated_log(k: int, r: float) -> float:
     for _ in range(k):
         v = math.log(max(math.e, v))
     return v
-
-
-@lru_cache(maxsize=None)
-def _log_bell(n_hi: int) -> np.ndarray:
-    """``log B(n)`` for the classical Bell numbers, n = 0..n_hi.
-
-    Dobinski: ``B(n) = e^{-1} sum_{j >= 1} j^n / j!``, whose terms peak at
-    ``j log j = n`` with width ``sigma = j / sqrt(n + j)``.  Rows n <= 256
-    are that sum over j = 1..130 (the peak j < 63 plus 14 sigma < 49).
-    Past n = 256 the sum, a unit-step trapezoid rule of the smooth peak
-    ``x -> exp(n log x - lgamma(x + 1))``, is its integral to a relative
-    ``exp(-2 pi^2 sigma^2)``, and so is the trapezoid rule at step h to
-    ``exp(-2 pi^2 sigma^2 / h^2)`` (Trefethen and Weideman 2014).  Each block
-    of 1024 rows takes one node grid, at h = 0.7 times its narrowest sigma
-    (a bound below e^-40), spanning every row's peak +- 10 sigma (peaks by one
-    vectorized Newton solve; the cut tails start 38 nats down).  Per node:
-    ``log x`` and ``lgamma(x + 1) - log sqrt(2 pi) = (x + 1/2) log x - x +
-    S(x)`` with :func:`_stirling_series` (the nodes start above 27); per
-    cell: ``n log x - lgamma(x + 1)``.  A block's cells are laid out with
-    a row per node and a column per Bell row, so each reduction runs down
-    the columns, a node row at a time across every Bell row of the block.
-    """
-    out = np.empty(n_hi + 1)
-    out[0] = 0.0
-    top = min(n_hi, 256)
-    ex = np.arange(1.0, top + 1.0)[:, None] * np.log(np.arange(1.0, 131.0))
-    ex -= _log_factorials(130)[1:]
-    m = ex.max(axis=1)
-    out[1 : top + 1] = m + np.log(np.exp(ex - m[:, None]).sum(axis=1)) - 1.0
-    const = 1.0 + 0.5 * math.log(2.0 * math.pi)  # Dobinski's e^-1, Stirling's sqrt(2 pi)
-    for a in range(top + 1, n_hi + 1, 1024):
-        n = np.arange(a, min(a + 1024, n_hi + 1), dtype=float)
-        j = n / np.log(n)
-        for _ in range(6):  # Newton on j log j = n
-            j = (j + n) / (np.log(j) + 1.0)
-        sigma = j / np.sqrt(n + j)
-        h = 0.7 * sigma.min()
-        lo = (j - 10.0 * sigma).min()
-        x = lo + h * np.arange(math.ceil(((j + 10.0 * sigma).max() - lo) / h) + 1)
-        lx = np.log(x)
-        f = np.multiply.outer(lx, n)
-        f -= ((x + 0.5) * lx - x + _stirling_series(x))[:, None]
-        m = f.max(axis=0)
-        f -= m
-        np.exp(f, out=f)
-        out[a : a + n.size] = m + (np.log(f.sum(axis=0) * h) - const)
-    out.setflags(write=False)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -480,7 +436,7 @@ def _exponential_kernel(spec: GrowthFunctionSpec):
 
 def _iterated_exp_sqrt_kernel(spec: GrowthFunctionSpec):
     steps = (None,) * (spec.k - 1)  # cheaper to iterate per call than a range
-    e, log, sqrt = math.e, math.log, math.sqrt
+    e, inf, log, sqrt = math.e, math.inf, math.log, math.sqrt
 
     def kernel(r: float) -> float:
         if r == 0.0:
@@ -488,7 +444,8 @@ def _iterated_exp_sqrt_kernel(spec: GrowthFunctionSpec):
         x = sqrt(r)
         for _ in steps:  # iterated_log(k - 1, sqrt(r))
             x = log(x if x > e else e)
-        return 2.0 * sqrt(r * x)
+        rx = r * x
+        return 2.0 * sqrt(rx) if rx < inf else 2.0 * sqrt(r) * sqrt(x)  # where r x overflows
 
     return kernel
 
@@ -819,14 +776,15 @@ KINDS = tuple(_KIND_TABLE)
 
 @lru_cache(maxsize=_SPEC_CACHE)
 def _series_logc(spec: GrowthFunctionSpec) -> np.ndarray:
-    """Log-coefficients ``log c_n`` of ``u(r) = sum c_n r^n`` for series kinds."""
+    """Log-coefficients ``log c_n`` of ``u(r) = sum c_n r^n`` for series kinds;
+    ``u_2``'s are read from ``_BELL2_LOGC``."""
     if spec.kind == POWER_SERIES:
         arr = np.asarray(spec.log_coeffs, dtype=float).copy()
     elif spec.kind == BELL_SERIES:
         if spec.k == 1:
             arr = -_log_factorials(_N_BELL2)
         elif spec.k == 2:
-            arr = -(_log_bell(_N_BELL2) + _log_factorials(_N_BELL2))
+            arr = np.load(_BELL2_LOGC)
         else:
             arr = -(2.0 * _log_factorials(_N_BELL_HIGH) + _egf_log_coeffs(spec.k, _N_BELL_HIGH))
     else:  # pragma: no cover - guarded by callers
@@ -899,7 +857,7 @@ def mittag_leffler(lam: float, t: float) -> float:
         while c - h > lo or c + h < hi:  # panels double in width away from c
             edges += [c - h, c + h]
             h *= 2.0
-    edges = np.unique(np.clip(edges, lo, hi))
+    edges = _unique(np.clip(edges, lo, hi))
     half = 0.5 * np.diff(edges)
     nodes, weights = _gl_nodes(20)
     x = (edges[:-1] + half)[:, None] + half[:, None] * nodes
@@ -913,17 +871,36 @@ def mittag_leffler(lam: float, t: float) -> float:
 # -- grids and condition certificates ---------------------------------------
 
 
+def _unique(a) -> np.ndarray:
+    """``np.unique(a)`` bit for bit (sorted, one of each value, one NaN),
+    without the ``numpy.ma`` import ``np.unique`` makes on first use."""
+    a = np.sort(np.ravel(a))
+    keep = np.empty(a.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = a[1:] != a[:-1]
+    if a.size and np.isnan(a[-1]):  # NaNs sort last; keep the first
+        keep[np.searchsorted(a, a[-1]) + 1 :] = False
+    return a[keep]
+
+
+def _median(a: np.ndarray) -> float:
+    """``np.median`` of a nonempty 1-d array, as it takes it (the mean of the
+    sorted middle, NaN if any value is), without its ``numpy.ma`` import."""
+    a = np.sort(a)
+    return math.nan if np.isnan(a[-1]) else float(a[(a.size - 1) // 2 : a.size // 2 + 1].mean())
+
+
 def default_r_grid() -> np.ndarray:
     """400 geometric points on [1e-6, 1e8] plus a linear refinement down to r = 0."""
     geo = np.geomspace(1e-6, 1e8, 400)
     lin = np.linspace(0.0, 1e-6, 33)
-    return np.unique(np.concatenate([lin, geo]))
+    return _unique(np.concatenate([lin, geo]))
 
 
 def _radius_grid(r_grid=None) -> np.ndarray:
     """A user radius grid (``default_r_grid()`` for None), sorted and unique;
     every radius must be finite and >= 0."""
-    grid = np.unique(np.asarray(default_r_grid() if r_grid is None else r_grid, dtype=float))
+    grid = _unique(np.asarray(default_r_grid() if r_grid is None else r_grid, dtype=float))
     if grid.size == 0 or not (grid[0] >= 0.0 and grid[-1] < math.inf):  # NaN sorts last
         raise ParameterError("r grids must be nonempty, of finite radii r >= 0")
     return grid
@@ -936,7 +913,7 @@ def refine_grid(grid: np.ndarray) -> np.ndarray:
     if pos.size < 2:
         return grid
     mids = np.sqrt(pos[:-1] * pos[1:])
-    return np.unique(np.concatenate([grid, mids]))
+    return _unique(np.concatenate([grid, mids]))
 
 
 @dataclass
@@ -1042,7 +1019,7 @@ def check_conditions(
     if np.all(ds <= tol):
         checks["U2"] = ConditionCheck("U2", "pass", None, float(s.max()),
                                       "log u(r)/r non-increasing over the top decades")
-    elif s[-1] > 1.02 * max(s[0], 1e-300) and float(np.median(ds)) > 0.0:
+    elif s[-1] > 1.02 * max(s[0], 1e-300) and _median(ds) > 0.0:
         j = int(np.argmax(ds))
         checks["U2"] = ConditionCheck("U2", "fail", float(r_tail[j + 1]), float(s[-1]),
                                       "log u(r)/r still increasing at the grid edge")

@@ -159,6 +159,12 @@ def _prepare_r_grid(
     return clipped
 
 
+def _members(fine: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """``np.isin(fine, grid)`` for a sorted nonempty ``grid``, by binary
+    search, without the ``numpy.ma`` import ``np.isin`` makes on first use."""
+    return grid[np.minimum(np.searchsorted(grid, fine), grid.size - 1)] == fine
+
+
 # -- table-shape checks ------------------------------------------------------
 
 
@@ -364,7 +370,7 @@ def check_lfunction_sandwich(
     # Midpoints stay below the grid's top, so the refined grid needs no clip.
     fine = refine_grid(grid)
     ratios_fine = _log_u(spec, fine) - _log_l(evaluator, 4.0 * fine)
-    ratios = ratios_fine[np.isin(fine, grid)]
+    ratios = ratios_fine[_members(fine, grid)]
     i = int(np.argmax(ratios))
     log_c, r_at = float(ratios[i]), float(grid[i])
     log_c_fine = float(np.max(ratios_fine))
@@ -476,7 +482,7 @@ def equivalence_witness(
     if grid.size < 8:
         raise ParameterError("equivalence search needs at least 8 radii")
     fine = refine_grid(grid)
-    base = np.isin(fine, grid)
+    base = _members(fine, grid)
     g_fine = g_fun(fine)
     f_fine: dict[float, np.ndarray] = {}
     found: dict[str, dict] = {}

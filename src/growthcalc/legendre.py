@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
@@ -434,17 +433,15 @@ def _peak_windows(log_ell: np.ndarray):
 #: The table rule's windows of the tables last used: an entry goes with its
 #: table, and at most ``_SPEC_CACHE`` are kept.
 _WINDOWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_WINDOWS_LOCK = threading.Lock()
 
 
 def _table_windows(table: LegendreTable):
     windows = _WINDOWS.get(table)
     if windows is None:
         windows = _peak_windows(table.log_ell)
-        with _WINDOWS_LOCK:
-            while len(_WINDOWS) >= _SPEC_CACHE:
-                del _WINDOWS[next(iter(_WINDOWS))]  # the oldest entry
-            _WINDOWS[table] = windows
+        while len(_WINDOWS) >= _SPEC_CACHE:
+            _WINDOWS.pop(next(iter(_WINDOWS)), None)  # the oldest entry
+        _WINDOWS[table] = windows
     return windows
 
 

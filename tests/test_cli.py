@@ -533,6 +533,19 @@ def test_suite_matches_the_benchmark_reference(tmp_path, capsys):
     assert compare.failed_jobs(compare.read_artifacts(str(out)), reference["files"]) == {}
 
 
+def test_suite_does_not_import_numpy_ma():
+    # np.unique, np.isin and np.median import numpy.ma on first use, which
+    # costs a cold suite 11-20 ms; the grids use sort-based helpers instead.
+    # This process has numpy.ma loaded already, so a fresh one runs the suite.
+    src = str(Path(growthcalc.__file__).resolve().parents[1])
+    code = ("import sys; from growthcalc import cli; rc = cli.main(['suite']); "
+            "print(rc, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_lseries_queries_match_the_benchmark_reference():
     # The lseries-query workload's gate: every kind on the whole radius grid
     # within the benchmark's tolerance of its stored log L.

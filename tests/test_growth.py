@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bell_table
 import oracles
 
 from growthcalc import growth
@@ -119,12 +120,14 @@ def egf_iterated_exponential(k: int, n_max: int) -> list[int]:
 
 
 def _runtime_log_bell(k: int, n_max: int) -> np.ndarray:
-    """``log b_k(0..n_max)`` as the Bell series' coefficient tables hold them:
-    order 2 from ``_log_bell``, every other order from ``_egf_log_coeffs``."""
-    from growthcalc.growth import _N_BELL2, _egf_log_coeffs, _log_bell, _log_factorials
+    """``log b_k(0..n_max)`` as the Bell series' coefficient tables are made:
+    order 2 by ``bell_table._log_bell``, the generator of the shipped table
+    (held to it by ``test_shipped_bell_table_is_its_generator``), every
+    other order by ``_egf_log_coeffs``."""
+    from growthcalc.growth import _N_BELL2, _egf_log_coeffs, _log_factorials
 
     if k == 2:
-        return _log_bell(_N_BELL2)[: n_max + 1]
+        return bell_table._log_bell(_N_BELL2)[: n_max + 1]
     return _egf_log_coeffs(k, n_max) + _log_factorials(n_max)
 
 
@@ -341,6 +344,47 @@ def test_default_r_grid_shape():
     assert grid[0] == 0.0
     assert grid[-1] == pytest.approx(1e8)
     assert np.all(np.diff(grid) > 0)
+
+
+@pytest.mark.parametrize("a", [
+    [3.0, 1.0, 2.0, 1.0, 3.0],
+    [0.0, -0.0, 1.0],
+    [-0.0, 0.0, 1.0],
+    [1.0, -0.0, 3.0, 0.0, -0.0, 3.0],
+    [2.0, math.nan, 1.0, math.nan, -math.inf, 2.0, math.inf],
+    [[4.0, 1.0], [1.0, 0.0]],
+    [],
+], ids=["dups", "zero-first", "minus-zero-first", "signed-zeros", "nans", "2d", "empty"])
+def test_unique_is_np_unique_bit_for_bit(a):
+    want, got = np.unique(np.array(a)), growth._unique(np.array(a))
+    assert got.dtype == want.dtype
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_unique_is_np_unique_on_shuffled_grids():
+    rng = np.random.default_rng(5)
+    grid = default_r_grid()
+    for a in (np.concatenate([grid, rng.permutation(grid)]),
+              rng.choice([-0.0, 0.0, 1e-300, 0.5, 1.0, 2.0], 200),
+              rng.permutation(refine_grid(grid))):
+        assert np.array_equal(growth._unique(a).view(np.int64), np.unique(a).view(np.int64))
+
+
+@pytest.mark.parametrize("a", [
+    [3.0], [2.0, -1.0], [-0.0, 1.0, -2.0], [0.5, -3.0, 1e-320, 7.0], [5e-324, 5e-324, -1.0, 2.0],
+    [1.0, math.nan, 2.0], [math.inf, -math.inf, 1.0, 2.0], [1e308, 1e308, 0.0, 3e307],
+])
+def test_median_is_np_median(a):
+    assert repr(growth._median(np.array(a))) == repr(float(np.median(np.array(a))))
+
+
+@pytest.mark.parametrize("bad", [
+    [math.nan], [0.0, 1.0, math.nan, math.nan, 1.0], [math.nan, 0.0, 2.0],
+    [0.0, math.inf], [-math.inf, 1.0], [[1.0, 2.0], [math.nan, 3.0]], [],
+])
+def test_radius_grid_rejects_non_finite_radii(bad):
+    with pytest.raises(ParameterError, match="finite radii r >= 0"):
+        growth._radius_grid(bad)
 
 
 def test_refine_grid_interleaves_geometrically():
@@ -749,6 +793,18 @@ def test_bell_panels_leave_an_unresolved_stretch_to_the_windowed_sum(monkeypatch
                                logsumexp(logc + n * s[:, None], axis=1), rtol=1e-13)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_g_kernel_is_finite_where_r_times_its_log_overflows(k):
+    # g_k's kernel is 2 sqrt(r x), x = log_{k-1} sqrt(r); for g1 the
+    # product r x overflows past r ~ 1e206, and the kernel then takes
+    # 2 sqrt(r) sqrt(x).
+    spec, r = iterated_exp_sqrt(k), math.exp(699.5)
+    want = float(spec.s_kernel(np.array([math.log(r)]))[0][0])
+    assert math.isfinite(want)
+    for got in (spec.log_u(r), float(log_u_grid(spec, np.array([r]))[0])):
+        assert abs(got - want) <= 1e-13 * want
+
+
 def test_log_u_grid_equals_scalar_log_u_for_every_kind():
     # ks(0.37) at r = e: numpy's array power rounds one ulp away from Python's.
     rs = [0.0, 0.3, 1.0, math.e, 7.0, 1e5]
@@ -777,9 +833,9 @@ def test_spec_pickles_after_its_kernel_is_built():
 
 def test_bell_table_matches_exact_bell_numbers_and_the_oracle_at_the_seam():
     # Rows n <= 256 are Dobinski sums, the rest the trapezoid rule.
-    from growthcalc.growth import _N_BELL2, _log_bell
+    from growthcalc.growth import _N_BELL2
 
-    table = _log_bell(_N_BELL2)
+    table = bell_table._log_bell(_N_BELL2)
     exact = oracles.bell_triangle()[:61]
     np.testing.assert_allclose(table[:61], [math.log(b) for b in exact], rtol=1e-15, atol=0.0)
     for n in range(255, 259):
@@ -790,18 +846,45 @@ def test_bell_table_matches_exact_bell_numbers_and_the_oracle_at_the_seam():
 @given(st.integers(min_value=257, max_value=1 << 18))
 @settings(max_examples=6, deadline=None)
 def test_bell_table_trapezoid_rows_match_the_oracle_to_two_ulp(n):
-    from growthcalc.growth import _N_BELL2, _log_bell
+    from growthcalc.growth import _N_BELL2
 
-    got = float(_log_bell(_N_BELL2)[n])
+    got = float(bell_table._log_bell(_N_BELL2)[n])
     assert abs(got - oracles.log_bell(n)) <= 2 * math.ulp(got)
 
 
 @pytest.mark.parametrize("n", [61, 257, 300, 1000, 1280, 1281, 5000, 40000, 100000, 1 << 18])
 def test_dobinski_table_matches_the_bell_oracle_to_two_ulp(n):
-    from growthcalc.growth import _N_BELL2, _log_bell
+    from growthcalc.growth import _N_BELL2
 
-    got = float(_log_bell(_N_BELL2)[n])
+    got = float(bell_table._log_bell(_N_BELL2)[n])
     assert abs(got - oracles.log_bell(n)) <= 2 * math.ulp(got)
+
+
+def test_shipped_bell_table_is_its_generator():
+    # u2's coefficients ship as package data, written by bell_table.py.  On
+    # the machine that wrote the file the generator reproduces it bit for
+    # bit; numpy's SIMD exp and log may round a few ulp differently on
+    # another CPU, so the comparison allows 4 ulp.
+    shipped = np.load(growth._BELL2_LOGC)
+    assert shipped.dtype == np.float64 and shipped.shape == (growth._N_BELL2 + 1,)
+    np.testing.assert_array_max_ulp(shipped, bell_table.bell2_logc(), maxulp=4)
+    assert np.array_equal(growth._series_logc(bell_series(2)), shipped)
+
+
+def test_only_u2_reads_the_shipped_bell_table(monkeypatch):
+    loads = []
+    load = np.load
+    monkeypatch.setattr(np, "load", lambda path, *a, **k: loads.append(path) or load(path, *a, **k))
+    growth._series_logc.cache_clear()
+    u2 = bell_series(2)
+    for spec in (bell_series(1), bell_series(3), power_series([0.0, -1.0, -3.0])):
+        growth._series_logc(spec)
+    assert loads == []
+    logc = growth._series_logc(u2)
+    assert loads == [growth._BELL2_LOGC]
+    assert not logc.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        logc[0] = 1.0
 
 
 def test_log_factorial_table_is_a_read_only_lgamma_table():

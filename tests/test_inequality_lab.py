@@ -177,6 +177,20 @@ def test_summary_table_format(batteries):
 # ---------------------------------------------------------------------------
 
 
+def test_members_is_np_isin_on_a_sorted_grid():
+    from growthcalc import growth, inequality_lab
+
+    grid = growth._radius_grid(None)
+    rng = np.random.default_rng(11)
+    for fine, base in (
+        (refine_grid(grid), grid),
+        (rng.permutation(refine_grid(grid)), grid),
+        (np.array([0.0, -0.0, 0.5, 1.0, 1.0, 3.0, 8.0, 9.0, -1.0, math.nan, math.inf]),
+         growth._radius_grid([8.0, -0.0, 1.0, 4.0, 1.0])),
+    ):
+        assert np.array_equal(inequality_lab._members(fine, base), np.isin(fine, base))
+
+
 def test_equivalence_scaled_argument():
     # g(r) = u(2r) is equivalent to u with the textbook witness.
     ks0 = kondratiev_streit(0.0)

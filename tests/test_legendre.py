@@ -586,10 +586,14 @@ def test_bidual_error_texts(u2):
     (kondratiev_streit(0.5), math.exp(699.5)),
     (iterated_exp_sqrt(2), 1e100),
     (iterated_exp_sqrt(2), math.exp(699.5)),
-], ids=["exp1-5e6", "ks05-1e100", "ks05-e^699.5", "g2-1e100", "g2-e^699.5"])
+    (iterated_exp_sqrt(1), math.exp(699.5)),
+], ids=["exp1-5e6", "ks05-1e100", "ks05-e^699.5", "g2-1e100", "g2-e^699.5", "g1-e^699.5"])
 def test_bidual_is_log_u_far_out(spec, r):
     # t* runs to 5e6 (exp1), 4.6e66 (ks05 at 1e100) and 3.4e202 (ks05 at
-    # e^699.5): below s_max no cap on t is needed.
+    # e^699.5): below s_max no cap on t is needed.  g1 at e^699.5 is past
+    # the r ~ 1e206 where its kernel's r * sqrt(r) overflows.  (_close
+    # passes any finite value against inf, so log u must be finite.)
+    assert math.isfinite(spec.log_u(r))
     assert _close(np.array([bidual(spec, r)]), np.array([spec.log_u(r)]), 1e-13)
 
 
@@ -1023,6 +1027,8 @@ def test_hermite_spline_is_exact_on_a_cubic():
 def test_the_runtime_runs_with_scipy_blocked():
     # With sys.modules["scipy"] = None any scipy import raises; one call per
     # former scipy call site must still run, and no scipy module may load.
+    # The Bell table's generator is now the tests' bell_table module, and u2
+    # reads the table it wrote.
     import os
     import subprocess
     import sys
@@ -1036,8 +1042,9 @@ def test_the_runtime_runs_with_scipy_blocked():
         sys.modules["scipy"] = None
         import numpy as np
         import growthcalc as g
-        from growthcalc.growth import _log_bell
+        from bell_table import _log_bell
         assert 0.0 < g.mittag_leffler(0.5, 30.0) < 0.1
+        assert np.isfinite(g.bell_series(2).log_u(2.0))
         assert np.isfinite(g.bell_series(3).log_u(2.0))
         assert np.isfinite(g.power_series([0.0, -1.0, -3.0]).log_u(2.0))
         assert np.isfinite(_log_bell(5000)[-1])
@@ -1047,8 +1054,9 @@ def test_the_runtime_runs_with_scipy_blocked():
         assert g.grey_integrability(0.5, 0.1, n=1000, seed=0).value > 1.0
         print([m for m, mod in sys.modules.items() if mod and m.split(".")[0] == "scipy"])
     """
+    tests = str(Path(__file__).resolve().parent)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
+                          env={**os.environ, "PYTHONPATH": src + os.pathsep + tests})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
