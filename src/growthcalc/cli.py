@@ -40,6 +40,7 @@ import numpy as np
 from .growth import (
     ParameterError,
     _is_real,
+    _is_whole,
     check_conditions,
     mittag_leffler,
     spec_from_dict,
@@ -62,7 +63,6 @@ from .measures import (
     MEASURE_KINDS,
     MeasureSurrogate,
     _grey_finite,
-    _is_whole,
     fernique_product,
     grey_integrability,
     grey_sample,

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .growth import (GrowthFunctionSpec, ParameterError, _log_factorials, _logsumexp,
-                     _radius_grid, log_u_grid)
+from .growth import (GrowthFunctionSpec, ParameterError, _is_whole, _log_factorials,
+                     _logsumexp, _radius_grid, log_u_grid)
 from .inequality_lab import VerificationReport, _report
 from .legendre import LegendreTable, LFunctionEvaluator, l_function
 
@@ -94,6 +94,8 @@ class ChaosSequence:
         xi = float(xi)
         if xi < 0.0:
             raise ParameterError("exponential vectors take |xi| >= 0")
+        if not (_is_whole(n_max) and n_max >= 0):
+            raise ParameterError(f"exponential vectors take an integer n_max >= 0, got {n_max!r}")
         if xi == 0.0:
             logs = np.full(n_max + 1, -math.inf)
             logs[0] = 0.0

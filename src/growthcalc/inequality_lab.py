@@ -31,6 +31,7 @@ from .growth import (
     CapacityError,
     GrowthFunctionSpec,
     ParameterError,
+    _is_whole,
     _radius_grid,
     log_u_grid,
     refine_grid,
@@ -327,20 +328,23 @@ def corrupt_table(
     table: LegendreTable, index: int, factor: float = 1.01, which: str = "ell"
 ) -> LegendreTable:
     """A copy of ``table`` with one entry multiplied by ``factor`` (in the
-    linear domain).  Used to exercise corruption detection."""
-    if not 0 <= index < table.n_points:
-        raise ParameterError(f"index {index} outside table of {table.n_points} rows")
+    linear domain), sharing the read-only columns it keeps.  Used to exercise
+    corruption detection."""
+    if not (_is_whole(index) and 0 <= index < table.n_points):
+        raise ParameterError(f"index {index!r} outside table of {table.n_points} rows")
     if not factor > 0.0:
         raise ParameterError("corruption factor must be positive")
+    cols = {"ell": table.log_ell, "r_star": table.r_star}
+    if which not in cols:
+        raise ParameterError(f"unknown column {which!r}; use 'ell' or 'r_star'")
+    col = cols[which].copy()
     if which == "ell":
-        col = table.log_ell.copy()
         col[index] += math.log(factor)
-        return table.replace(log_ell=col)
-    if which == "r_star":
-        col = table.r_star.copy()
+    else:
         col[index] *= factor
-        return table.replace(r_star=col)
-    raise ParameterError(f"unknown column {which!r}; use 'ell' or 'r_star'")
+    col.setflags(write=False)  # read-only, so the table takes it uncopied
+    cols[which] = col
+    return LegendreTable(table.function_id, table.t, cols["ell"], cols["r_star"])
 
 
 # -- L-series comparison checks ----------------------------------------------
@@ -358,8 +362,8 @@ def check_lfunction_sandwich(
     (2) ``u(r) <= C L_u(4 r)`` with the witness ``C`` taken as the grid
         maximum of the ratio, which must be stable under 2x refinement.
     """
-    if not a > 1.0:
-        raise ParameterError(f"the sandwich requires a > 1, got {a}")
+    if not 1.0 < a < math.inf:
+        raise ParameterError(f"the sandwich requires 1 < a < inf, got a={a}")
     grid = _prepare_r_grid(spec, r_grid, u_mul=max(a, 1.0), l_mul=4.0)
     const1 = math.log(math.e * a / math.log(a))
     lu_ar = _log_u(spec, a * grid)
@@ -419,8 +423,8 @@ def check_lemma_sqrt(
     r_grid=None,
 ) -> VerificationReport:
     """``L_u(r) <= sqrt(ell(0) (e a / log a)) u(8 a r)^{1/2}`` on the grid."""
-    if not a > 1.0:
-        raise ParameterError(f"the sqrt bound requires a > 1, got {a}")
+    if not 1.0 < a < math.inf:
+        raise ParameterError(f"the sqrt bound requires 1 < a < inf, got a={a}")
     grid = _prepare_r_grid(spec, r_grid, u_mul=8.0 * a, l_mul=1.0)
     le0 = float(evaluator.table.log_ell[0])
     const = 0.5 * (le0 + math.log(math.e * a / math.log(a)))

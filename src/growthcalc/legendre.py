@@ -36,7 +36,6 @@ and both take the same tail bound.
 from __future__ import annotations
 
 import math
-import numbers
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
@@ -51,6 +50,7 @@ from .growth import (
     ParameterError,
     _SPEC_CACHE,
     _gl_nodes,
+    _is_whole,
     default_r_grid,
     log_u_grid,
 )
@@ -274,16 +274,6 @@ class LegendreTable:
             raise ParameterError("n_max is defined for integer-grid tables only")
         return len(self.t) - 1
 
-    def replace(self, **kw) -> "LegendreTable":
-        data = {
-            "function_id": self.function_id,
-            "t": self.t.copy(),
-            "log_ell": self.log_ell.copy(),
-            "r_star": self.r_star.copy(),
-        }
-        data.update(kw)
-        return LegendreTable(**data)
-
     # -- serialization ----------------------------------------------------
 
     def csv_text(self) -> str:
@@ -304,7 +294,7 @@ def legendre_sequence(spec: GrowthFunctionSpec, n_max: int) -> LegendreTable:
     run that asks for one sequence twice (a battery and a chain-order check
     on the same function) solves it once; every caller gets the same table,
     whose arrays are read-only."""
-    if not (isinstance(n_max, numbers.Integral) and n_max >= 0):
+    if not (_is_whole(n_max) and n_max >= 0):
         raise ParameterError(f"legendre_sequence requires an integer n_max >= 0, got {n_max!r}")
     return _sequence(spec, int(n_max))
 
@@ -348,6 +338,8 @@ class LFunctionEvaluator:
     def from_spec(cls, spec: GrowthFunctionSpec, n_max: int = 1200) -> "LFunctionEvaluator":
         """The table ``n = 0..n_max`` (capped at ``t_sup``) by one batched Newton
         solve, with the ``t = 0`` row of :func:`legendre_transform`."""
+        if not _is_whole(n_max):
+            raise ParameterError(f"from_spec requires an integer n_max, got {n_max!r}")
         n_max = min(n_max, int(spec.t_sup)) if spec.t_sup < math.inf else n_max
         t = _integer_grid(max(n_max, 0))
         log_ell, r_star = _newton_transform(spec, t[1:])

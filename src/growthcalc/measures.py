@@ -21,7 +21,6 @@ integral is finite.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -29,12 +28,14 @@ from typing import Callable
 import numpy as np
 
 from .growth import (
+    CapacityError,
     GrowthFunctionSpec,
     KONDRATIEV_STREIT,
     ITERATED_EXP_SQRT,
     ParameterError,
     _SPEC_CACHE,
     _is_real,
+    _is_whole,
     default_r_grid,
     iterated_log,
     log_u_grid,
@@ -48,8 +49,10 @@ _GREY = "grey"
 #: ``_POISSON_K_CAP`` terms.
 _POISSON_TAIL_TOL = 1e-12
 _POISSON_K_CAP = 100_000
-#: ``fernique_product`` stops once a bound on the remaining log-tail is below this.
+#: ``fernique_product`` stops once a bound on the remaining log-tail is below
+#: this, and gives up after ``_FERNIQUE_K_CAP`` factors.
 _FERNIQUE_TAIL_TOL = 1e-14
+_FERNIQUE_K_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -82,27 +85,9 @@ class MeasureSurrogate:
         _check_weight(self.w)
 
 
-def _is_whole(v) -> bool:
-    return _is_real(v) and isinstance(v, numbers.Integral)
-
-
 def _check_weight(w: float) -> None:
     if not 0.0 <= w < math.inf:
         raise ParameterError(f"the weight w must be finite and >= 0, got {w}")
-
-
-def gaussian_product(rho: float = 0.5, q: int = 1) -> MeasureSurrogate:
-    """The Gaussian product surrogate.  ``q`` is accepted and validated, but
-    the Hida levels do not read it (see :class:`MeasureSurrogate`)."""
-    return MeasureSurrogate(_GAUSSIAN, rho=rho, q=q)
-
-
-def poisson_count(theta: float = 1.0, w: float = 1.0) -> MeasureSurrogate:
-    return MeasureSurrogate(_POISSON, theta=theta, w=w)
-
-
-def grey_1d(lam: float, n: int = 10**6, seed: int = 0, w: float = 1.0) -> MeasureSurrogate:
-    return MeasureSurrogate(_GREY, lam=lam, n=n, seed=seed, w=w)
 
 
 # -- Gaussian product ---------------------------------------------------------
@@ -146,6 +131,8 @@ def fernique_product(rho: float, q: float, c2: float) -> FerniqueResult:
             math.inf, math.inf, False, 0, boundary, math.inf,
             "q = 0 gives infinitely many identical factors",
         )
+    if ratio == 1.0:
+        raise CapacityError(f"rho^(2q) rounds to 1 at q={q}: the factors decay too slowly to sum")
     log_value = 0.0
     x = boundary
     k = 0
@@ -158,8 +145,8 @@ def fernique_product(rho: float, q: float, c2: float) -> FerniqueResult:
         tail = 0.5 * (x / (1.0 - x)) / (1.0 - ratio)
         if tail < _FERNIQUE_TAIL_TOL:
             break
-        if k >= 10**6:
-            raise RuntimeError("fernique_product failed to converge in 1e6 factors")
+        if k >= _FERNIQUE_K_CAP:
+            raise CapacityError(f"fernique_product failed to converge in {_FERNIQUE_K_CAP} factors")
     return FerniqueResult(math.exp(log_value), log_value, True, k, boundary, tail)
 
 
@@ -247,7 +234,7 @@ def poisson_integrability(
                     tail = math.exp(log_tail) if log_tail < 709.0 else math.inf
                     return PoissonResult(value, partial, True, k + 1, tail)
         prev = lw
-    raise RuntimeError(f"poisson_integrability undecided after {_POISSON_K_CAP} terms")
+    raise CapacityError(f"poisson_integrability undecided after {_POISSON_K_CAP} terms")
 
 
 # -- Grey noise ---------------------------------------------------------------
@@ -332,7 +319,7 @@ def grey_integrability(
     most of the mass or the second moment overflows.  The sample needs
     ``n >= 100``, as for a grey :class:`MeasureSurrogate`.
     """
-    grey_1d(lam, n, seed, w)  # raises ParameterError on a bad lam, n, seed or w
+    MeasureSurrogate(_GREY, lam=lam, n=n, seed=seed, w=w)  # checks every argument
     return _grey_estimate(lam, w, grey_sample(lam, n, seed), seed)
 
 
@@ -527,8 +514,8 @@ def hida_condition(
     Mismatched (measure, growth function) pairs raise
     :class:`~growthcalc.growth.ParameterError`.
     """
-    if p < 0:
-        raise ParameterError(f"p must be >= 0, got {p}")
+    if not (_is_whole(p) and p >= 0):
+        raise ParameterError(f"p must be an integer >= 0, got {p!r}")
     _check_compatibility(surrogate, spec)
     measure = _MEASURE_TABLE[surrogate.kind]
     levels = measure.sweep(surrogate, spec, range(max(p, 4) + 1))

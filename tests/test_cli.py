@@ -674,15 +674,16 @@ def test_cli_measures_grey_integrability_one_off(capsys, flags, lam, seed):
 
 @pytest.mark.parametrize("flags,spec,measure,p", [
     (("--measure-kind", "gaussian", "--spec", json.dumps(KS0)), kondratiev_streit(0.0),
-     growthcalc.gaussian_product(), 0),
+     growthcalc.MeasureSurrogate("gaussian"), 0),
     (("--measure-kind", "gaussian", "--spec", json.dumps(KS0), "--rho", 0.2, "--p", 1),
-     kondratiev_streit(0.0), growthcalc.gaussian_product(rho=0.2), 1),
+     kondratiev_streit(0.0), growthcalc.MeasureSurrogate("gaussian", rho=0.2), 1),
     (("--measure-kind", "poisson", "--spec", json.dumps(G2)), growthcalc.iterated_exp_sqrt(2),
-     growthcalc.poisson_count(), 0),
+     growthcalc.MeasureSurrogate("poisson"), 0),
     (("--measure-kind", "poisson", "--spec", json.dumps(G2), "--theta", 3),
-     growthcalc.iterated_exp_sqrt(2), growthcalc.poisson_count(theta=3.0), 0),
+     growthcalc.iterated_exp_sqrt(2), growthcalc.MeasureSurrogate("poisson", theta=3.0), 0),
     (("--measure-kind", "grey", "--lam", 0.5, "--spec", json.dumps(KS05), "--n", 2000,
-      "--p", 1), kondratiev_streit(0.5), growthcalc.grey_1d(0.5, n=2000), 1),
+      "--p", 1), kondratiev_streit(0.5),
+     growthcalc.MeasureSurrogate("grey", lam=0.5, n=2000), 1),
 ])
 def test_cli_measures_hida_one_off(capsys, flags, spec, measure, p):
     code, payload, _ = one_off(capsys, "measures", "--op", "hida", *flags)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import pickle
 import re
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -25,14 +26,21 @@ from growthcalc import (
     KINDS,
     KONDRATIEV_STREIT,
     CapacityError,
+    ChaosSequence,
+    GrowthFunctionSpec,
+    LFunctionEvaluator,
+    MeasureSurrogate,
     ParameterError,
     bell_series,
     check_conditions,
+    corrupt_table,
     default_r_grid,
     exponential,
+    hida_condition,
     iterated_exp_sqrt,
     iterated_log,
     kondratiev_streit,
+    legendre_sequence,
     log_u_grid,
     mittag_leffler,
     power_series,
@@ -324,6 +332,16 @@ def test_u1_implies_u0():
 def test_condition_grids_with_a_non_finite_radius_are_rejected(bad):
     with pytest.raises(ParameterError, match="finite radii r >= 0"):
         check_conditions(kondratiev_streit(0.0), np.array([0.0, 1.0, bad]))
+
+
+def test_u3_is_inconclusive_where_second_differences_overflow():
+    # log u(x^2) = 1e300 x^2: near the top of the 801-point x-grid a triple's
+    # sum overflows and its margin is NaN, so a pass would rest on NaN.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check = check_conditions(exponential(1e300)).checks["U3"]
+    assert (check.status, check.witness_r) == ("inconclusive", 9487.5)
+    assert "not finite from x = 9487.5" in check.note
 
 
 def test_condition_report_json_shape():
@@ -944,6 +962,50 @@ def test_spec_from_dict_takes_ints_for_floats_and_integral_floats_for_k():
     assert spec_from_dict({"kind": "bell_series", "k": 3.0}) == bell_series(3)
     assert spec_from_dict({"kind": "power_series", "log_coeffs": [0, None, -2]}) == (
         power_series([0.0, -math.inf, -2.0]))
+
+
+@pytest.mark.parametrize("make,fragment", [
+    (lambda: kondratiev_streit("0.5"), "'beta' must be a number, got '0.5'"),
+    (lambda: kondratiev_streit(True), "'beta' must be a number, got True"),
+    (lambda: exponential(None), "'c' must be a number, got None"),
+    (lambda: bell_series(True), "'k' must be an integer, got True"),
+    (lambda: power_series([0.0, "-1.0"]), "'log_coeffs' must be a list of numbers"),
+], ids=["beta-str", "beta-bool", "c-none", "k-bool", "coeff-str"])
+def test_the_spec_checks_its_own_parameter(make, fragment):
+    with pytest.raises(ParameterError, match=re.escape(fragment)):
+        make()
+
+
+def test_valid_parameters_are_stored_as_float_or_int():
+    for spec, key, want in (
+        (kondratiev_streit(0), "beta", 0.0),
+        (exponential(3), "c", 3.0),
+        (iterated_exp_sqrt(2.0), "k", 2),
+        (GrowthFunctionSpec(BELL_SERIES, k=np.int64(3)), "k", 3),
+    ):
+        got = getattr(spec, key)
+        assert (type(got), got) == (type(want), want), spec
+    assert kondratiev_streit(0).function_id == "ks(beta=0)"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: iterated_log(1.5, 10.0),
+    lambda: iterated_log(True, 10.0),
+    lambda: iterated_log(1, math.nan),
+    lambda: iterated_exp_sqrt(2.5),
+    lambda: GrowthFunctionSpec(ITERATED_EXP_SQRT, k=2.5),
+    lambda: hida_condition(MeasureSurrogate("gaussian"), kondratiev_streit(0.0), p=1.5),
+    lambda: hida_condition(MeasureSurrogate("gaussian"), kondratiev_streit(0.0), p=True),
+    lambda: LFunctionEvaluator.from_spec(kondratiev_streit(0.5), n_max=2.5),
+    lambda: legendre_sequence(kondratiev_streit(0.5), True),
+    lambda: corrupt_table(legendre_sequence(kondratiev_streit(0.5), 10), 1.5),
+    lambda: ChaosSequence.exponential_vector(1.0, 2.5),
+], ids=["iterated_log-k", "iterated_log-k-bool", "iterated_log-r-nan", "g_k-factory",
+        "g_k-spec", "hida-p", "hida-p-bool", "evaluator-n_max", "sequence-n_max-bool",
+        "corrupt-index", "exponential-vector-n_max"])
+def test_whole_number_arguments_are_checked_by_one_rule(call):
+    with pytest.raises(ParameterError):
+        call()
 
 
 def test_exponential_rate_must_be_finite():

@@ -164,6 +164,13 @@ def test_battery_rejects_non_dyadic_scale():
         verify_function(kondratiev_streit(0.0), checks=("lseries-sandwich",), a=1.0)
 
 
+@pytest.mark.parametrize("check", [check_lfunction_sandwich, check_lemma_sqrt])
+@pytest.mark.parametrize("a", [1.0, math.inf, math.nan])
+def test_lseries_bounds_need_a_finite_scale_above_one(catalog, evaluators, check, a):
+    with pytest.raises(ParameterError, match=r"1 < a < inf, got a="):
+        check(catalog["ks0"], evaluators["ks0"], a)
+
+
 def test_summary_table_format(batteries):
     text = summary_table(batteries["ks0"])
     lines = text.strip().split("\n")

@@ -267,8 +267,15 @@ def test_integer_tables_share_one_read_only_t_column():
     assert np.array_equal(a.t, np.arange(1201.0))
     assert legendre_sequence(kondratiev_streit(0.5), 60).t is legendre_sequence(
         iterated_exp_sqrt(2), 60).t
-    for copy in (a.replace(), corrupt_table(a, 3), corrupt_table(a, 3, which="r_star")):
-        assert np.array_equal(copy.t, a.t) and not np.shares_memory(copy.t, a.t)
+    # A writeable column is copied and frozen; corrupt_table keeps the
+    # read-only columns it does not change.
+    copy = LegendreTable(a.function_id, a.t.copy(), a.log_ell, a.r_star)
+    assert np.array_equal(copy.t, a.t) and not np.shares_memory(copy.t, a.t)
+    assert not copy.t.flags.writeable and copy.log_ell is a.log_ell
+    ell, r_star = corrupt_table(a, 3), corrupt_table(a, 3, which="r_star")
+    assert ell.t is a.t and ell.r_star is a.r_star and ell.log_ell[3] != a.log_ell[3]
+    assert r_star.t is a.t and r_star.log_ell is a.log_ell and r_star.r_star[3] != a.r_star[3]
+    assert not (ell.log_ell.flags.writeable or r_star.r_star.flags.writeable)
     assert np.array_equal(b.t, np.arange(1201.0))
 
 
@@ -591,8 +598,7 @@ def test_bidual_error_texts(u2):
 def test_bidual_is_log_u_far_out(spec, r):
     # t* runs to 5e6 (exp1), 4.6e66 (ks05 at 1e100) and 3.4e202 (ks05 at
     # e^699.5): below s_max no cap on t is needed.  g1 at e^699.5 is past
-    # the r ~ 1e206 where its kernel's r * sqrt(r) overflows.  (_close
-    # passes any finite value against inf, so log u must be finite.)
+    # the r ~ 1e206 where its kernel's r * sqrt(r) overflows.
     assert math.isfinite(spec.log_u(r))
     assert _close(np.array([bidual(spec, r)]), np.array([spec.log_u(r)]), 1e-13)
 
@@ -901,8 +907,13 @@ def test_laplace_peak_knot_is_the_argmax_over_every_knot(spline_specs, fid):
 
 
 def _close(got, want, rel):
-    """Each entry within ``rel`` of ``max(1, |want|)``."""
-    return bool((np.abs(got - want) <= rel * np.maximum(1.0, np.abs(want))).all())
+    """Each entry within ``rel`` of ``max(1, |want|)``; where ``want`` is
+    infinite or NaN, ``got`` must equal it."""
+    got, want = np.broadcast_arrays(np.asarray(got, dtype=float), np.asarray(want, dtype=float))
+    finite = np.isfinite(want)
+    with np.errstate(invalid="ignore"):  # inf - inf, where want is not finite
+        near = np.abs(got - want) <= rel * np.maximum(1.0, np.abs(want))
+    return bool(np.where(finite, near, got == want).all())
 
 
 def _exp_polynomial(degree):

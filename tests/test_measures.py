@@ -12,19 +12,17 @@ import pytest
 
 from growthcalc import (
     MEASURE_KINDS,
+    CapacityError,
     MeasureSurrogate,
     ParameterError,
     bell_series,
     fernique_product,
-    gaussian_product,
-    grey_1d,
     grey_integrability,
     grey_sample,
     hida_condition,
     iterated_exp_sqrt,
     kondratiev_streit,
     mittag_leffler,
-    poisson_count,
     poisson_growth_integrand,
     poisson_integrability,
     poisson_sqrtlog_integrand,
@@ -170,7 +168,7 @@ def test_poisson_sqrtlog_is_finite_for_every_theta(theta):
 
 
 def test_hida_poisson_past_the_old_divergence_threshold(catalog):
-    report = hida_condition(poisson_count(theta=60.0), catalog["g2"], p=0)
+    report = hida_condition(MeasureSurrogate("poisson", theta=60.0), catalog["g2"], p=0)
     assert report.finite and report.smallest_finite_p == 0
 
 
@@ -388,19 +386,38 @@ def test_grey_monte_carlo_works_in_one_array_per_sample():
 
 def test_surrogate_factories_validate():
     assert set(MEASURE_KINDS) == {"gaussian", "poisson", "grey"}
-    assert gaussian_product().kind == "gaussian"
-    assert poisson_count(theta=2.0).theta == 2.0
-    assert grey_1d(0.5).lam == 0.5
+    assert MeasureSurrogate("gaussian").kind == "gaussian"
+    assert MeasureSurrogate("poisson", theta=2.0).theta == 2.0
+    assert MeasureSurrogate("grey", lam=0.5).lam == 0.5
     with pytest.raises(ParameterError):
         MeasureSurrogate(kind="lebesgue")
     with pytest.raises(ParameterError):
-        grey_1d(1.3)
+        MeasureSurrogate("grey", lam=1.3)
     with pytest.raises(ParameterError):
-        poisson_count(theta=-1.0)
+        MeasureSurrogate("poisson", theta=-1.0)
     with pytest.raises(ParameterError, match="seed must be >= 0"):
-        grey_1d(0.5, seed=-1)
+        MeasureSurrogate("grey", lam=0.5, seed=-1)
     with pytest.raises(ParameterError, match="seed must be >= 0"):
         MeasureSurrogate(kind="gaussian", seed=-3)
+
+
+def test_fernique_raises_a_capacity_error_where_rho_power_rounds_to_one():
+    # 0.5^(2e-17) is 1.0 in doubles: the factors would never shrink.
+    with pytest.raises(CapacityError, match="rounds to 1"):
+        fernique_product(0.5, 1e-17, 0.1)
+
+
+def test_fernique_raises_a_capacity_error_at_its_factor_cap():
+    # 0.5^(2e-12) = 1 - 1.4e-12: the tail bound falls below 1e-14 only after
+    # some 1e13 factors.
+    with pytest.raises(CapacityError, match="1000000 factors"):
+        fernique_product(0.5, 1e-12, 0.1)
+
+
+def test_poisson_raises_a_capacity_error_at_its_term_cap():
+    # The weights peak near k = 2e5, past the 1e5-term cap.
+    with pytest.raises(CapacityError, match="100000 terms"):
+        poisson_integrability(2e5, poisson_sqrtlog_integrand())
 
 
 @pytest.mark.parametrize("call,fragment", [
@@ -409,8 +426,8 @@ def test_surrogate_factories_validate():
     (lambda: poisson_integrability(math.inf, lambda k: 0.0), "theta must be finite"),
     (lambda: poisson_sqrtlog_integrand(math.nan), "w must be finite"),
     (lambda: poisson_sqrtlog_integrand(math.inf), "w must be finite"),
-    (lambda: poisson_count(theta=math.inf), "theta must be finite"),
-    (lambda: poisson_count(w=math.nan), "w must be finite"),
+    (lambda: MeasureSurrogate("poisson", theta=math.inf), "theta must be finite"),
+    (lambda: MeasureSurrogate("poisson", w=math.nan), "w must be finite"),
 ], ids=["fernique-q-nan", "fernique-c2-nan", "poisson-theta-inf", "sqrtlog-w-nan",
         "sqrtlog-w-inf", "surrogate-theta-inf", "surrogate-w-nan"])
 def test_non_finite_measure_parameters_are_rejected(call, fragment):
@@ -419,7 +436,7 @@ def test_non_finite_measure_parameters_are_rejected(call, fragment):
 
 
 def test_hida_gaussian_ladder(catalog):
-    report = hida_condition(gaussian_product(), catalog["ks0"], p=1)
+    report = hida_condition(MeasureSurrogate("gaussian"), catalog["ks0"], p=1)
     assert report.finite and report.smallest_finite_p == 1
     levels = {lvl["p"]: lvl for lvl in report.levels}
     assert not levels[0]["finite"]          # boundary 4 c2 rho^0 = 1 diverges
@@ -449,18 +466,19 @@ def test_gaussian_envelope_of_ks0_does_not_rest_on_rounding(monkeypatch):
 
 def test_hida_gaussian_steeper_weight(catalog):
     # beta = 1/2 forces the envelope constant up but the ladder still closes
-    report = hida_condition(gaussian_product(), catalog["ks05"], p=6)
+    report = hida_condition(MeasureSurrogate("gaussian"), catalog["ks05"], p=6)
     assert report.smallest_finite_p is not None
     assert report.levels[report.smallest_finite_p]["finite"]
 
 
 def test_hida_poisson(catalog):
-    report = hida_condition(poisson_count(theta=1.0), catalog["g2"], p=0)
+    report = hida_condition(MeasureSurrogate("poisson", theta=1.0), catalog["g2"], p=0)
     assert report.finite and report.smallest_finite_p == 0
 
 
 def test_hida_grey(catalog):
-    report = hida_condition(grey_1d(0.5, n=100_000, seed=7), catalog["ks05"], p=1)
+    grey = MeasureSurrogate("grey", lam=0.5, n=100_000, seed=7)
+    report = hida_condition(grey, catalog["ks05"], p=1)
     assert report.finite and report.smallest_finite_p == 1
     assert not report.levels[0]["finite"]   # unit weight genuinely diverges
     assert report.seed == 7
@@ -469,7 +487,8 @@ def test_hida_grey(catalog):
 def test_hida_grey_ladder_matches_the_gaussian_closed_form():
     # at lambda = 1 grey noise is Gaussian and level p has weight w = 0.25^p:
     # E exp(w Z^2) = (1 - 2 w)^{-1/2}, infinite at w = 1
-    report = hida_condition(grey_1d(1.0, n=100_000, seed=7), kondratiev_streit(0.0), p=1)
+    grey = MeasureSurrogate("grey", lam=1.0, n=100_000, seed=7)
+    report = hida_condition(grey, kondratiev_streit(0.0), p=1)
     assert not report.levels[0]["finite"] and report.smallest_finite_p == 1
     for level in report.levels[1:]:
         assert level["finite"] and level["w"] == 0.25 ** level["p"]
@@ -485,7 +504,8 @@ def test_hida_grey_levels_read_the_exact_boundary(lam):
     spec = kondratiev_streit(1.0 - lam)
     for seed in range(5):
         for factor, finite in ((0.97, True), (1.03, False)):
-            report = hida_condition(grey_1d(lam, n=1000, seed=seed, w=factor * w_star), spec)
+            grey = MeasureSurrogate("grey", lam=lam, n=1000, seed=seed, w=factor * w_star)
+            report = hida_condition(grey, spec)
             assert report.finite is finite, (seed, factor)
             assert report.smallest_finite_p == (0 if finite else 1)
             assert all(level["finite"] is (level["w"] < w_star) for level in report.levels)
@@ -496,7 +516,8 @@ def test_grey_boundary_at_lambda_one_is_where_the_gaussian_moment_blows_up():
     # number exactly for 1 - 2w > 0.
     ks0 = kondratiev_streit(0.0)
     for w in (0.0, 0.1, 0.45, 0.49, 0.4999999, 0.5, 0.5000001, 0.51, 0.6, 1.0):
-        level = hida_condition(grey_1d(1.0, n=1000, seed=0, w=w), ks0).levels[0]
+        grey = MeasureSurrogate("grey", lam=1.0, n=1000, seed=0, w=w)
+        level = hida_condition(grey, ks0).levels[0]
         assert level["finite"] is (1.0 - 2.0 * w > 0.0), w
 
 
@@ -510,7 +531,8 @@ def test_hida_grey_draws_one_sample_for_every_level(catalog, monkeypatch):
         return grey_sample(*args)
 
     monkeypatch.setattr(measures, "grey_sample", counted)
-    report = hida_condition(grey_1d(0.5, n=20_000, seed=11), catalog["ks05"], p=1)
+    grey = MeasureSurrogate("grey", lam=0.5, n=20_000, seed=11)
+    report = hida_condition(grey, catalog["ks05"], p=1)
     assert draws == [(0.5, 20_000, 11)]
     monkeypatch.undo()
     assert [level["p"] for level in report.levels] == [0, 1, 2, 3, 4]
@@ -524,17 +546,17 @@ def test_hida_grey_draws_one_sample_for_every_level(catalog, monkeypatch):
 
 def test_hida_kind_function_mismatch(catalog, u2):
     with pytest.raises(ParameterError):
-        hida_condition(gaussian_product(), catalog["g2"])
+        hida_condition(MeasureSurrogate("gaussian"), catalog["g2"])
     with pytest.raises(ParameterError):
-        hida_condition(poisson_count(), catalog["ks0"])
+        hida_condition(MeasureSurrogate("poisson"), catalog["ks0"])
     with pytest.raises(ParameterError):
-        hida_condition(grey_1d(0.5), catalog["ks0"])  # beta != 1 - lambda
+        hida_condition(MeasureSurrogate("grey", lam=0.5), catalog["ks0"])  # beta != 1 - lambda
     with pytest.raises(ParameterError):
-        hida_condition(poisson_count(), u2)
+        hida_condition(MeasureSurrogate("poisson"), u2)
 
 
 def test_hida_json_round_trip(catalog):
-    report = hida_condition(gaussian_product(), catalog["ks0"], p=1)
+    report = hida_condition(MeasureSurrogate("gaussian"), catalog["ks0"], p=1)
     d = report.to_json_dict()
     assert d["measure"] == "gaussian"
     assert d["p"] == 1 and d["finite"] is True
@@ -553,7 +575,7 @@ def test_hida_poisson_calls_the_integrator_bound_in_the_module(catalog, monkeypa
         return poisson_integrability(theta, *args, **kwargs)
 
     monkeypatch.setattr(measures, "poisson_integrability", patched)
-    report = hida_condition(poisson_count(theta=1.0), catalog["g2"], p=0)
+    report = hida_condition(MeasureSurrogate("poisson", theta=1.0), catalog["g2"], p=0)
     assert thetas == [1.0] * 5
     assert len(report.levels) == 5
 
@@ -561,5 +583,5 @@ def test_hida_poisson_calls_the_integrator_bound_in_the_module(catalog, monkeypa
 @pytest.mark.parametrize("q", [1.5, -1, math.inf, math.nan])
 def test_gaussian_surrogate_needs_an_integral_level(q):
     with pytest.raises(ParameterError, match="q must be an integer >= 0"):
-        gaussian_product(q=q)
-    assert gaussian_product(q=2.0).q == 2.0
+        MeasureSurrogate("gaussian", q=q)
+    assert MeasureSurrogate("gaussian", q=2.0).q == 2.0

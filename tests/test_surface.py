@@ -7,8 +7,8 @@ import inspect
 
 import growthcalc
 
-EXPORTS = 85
-OPTIONS = 70
+EXPORTS = 82
+OPTIONS = 63
 
 
 def _options(obj) -> list[str]:
