@@ -12,12 +12,13 @@ long before the ranges of interest.  Series kinds are summed by windowed
 log-sum-exp around the dominant term, as the dominant term plus ``log1p``
 of the rest, so a sum near 1 keeps its relative accuracy; a wide Bell peak
 is summed at a step, by the trapezoid rule on its terms.  The Bell
-series' scalar ``log u`` reads piecewise Chebyshev interpolants of
+series' ``log u`` in ``r`` reads piecewise Chebyshev interpolants of
 ``log u(e^s) e^{-s}`` in ``s = log r`` instead (Trefethen, *Approximation
 Theory and Approximation Practice*, ch. 8), built once per spec from one
 array evaluation of the windowed sum and each checked to resolve it to
 1e-14 relative; the windowed sum at ``log r`` answers below ``r = e^-40``,
-past the faithful cap and on any panel that fails the check.
+past the faithful cap and on any panel that fails the check.  Series grids
+take all their radii in one array pass, bit for bit the scalar values.
 
 The module also evaluates the Mittag-Leffler function ``E_lam(-t)``, the
 characteristic function of the grey noise measure, by one rule:
@@ -78,6 +79,9 @@ _STANDARD_CLAIMS = frozenset({"U0", "U1", "U2", "U3"})
 _N_BELL2 = 1 << 18
 _BELL2_LOGC = Path(__file__).with_name("bell2_logc.npy")
 _N_BELL_HIGH = 4096
+#: Largest Bell order ``k``: each level past 2 adds one convolution pass,
+#: about 0.15 s, to the one-time coefficient table.
+_BELL_K_CAP = 16
 
 #: Fraction of the coefficient table the dominant series term may reach
 #: before truncation error becomes unaccountable.
@@ -126,10 +130,23 @@ def _stirling_series(x: np.ndarray) -> np.ndarray:
     return y * (1 / 12 - y2 * (1 / 360 - y2 * (1 / 1260 - y2 / 1680)))
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """``log sum exp(a)`` over a 1-d array.  The maxima leave the sum and
-    come back as ``log1p(rest / count) + log(count) + max``, so a dominant
-    term adds no rounding of its own."""
+def _logsumexp(a: np.ndarray):
+    """``log sum exp`` over a 1-d array, as a float, or over each row of a
+    2-d one, each row bit for bit what it gives alone.  The maxima leave the
+    sum and come back as ``log1p(rest / count) + log(count) + max``, so a
+    dominant term adds no rounding of its own; a maximum that is not finite
+    is the result."""
+    if a.ndim == 2:
+        m = a.max(1)
+        finite = np.isfinite(m)
+        if not finite.all():
+            out = m.copy()
+            out[finite] = _logsumexp(a[finite])
+            return out
+        top = a == m[:, None]
+        count = np.count_nonzero(top, axis=1)
+        rest = np.exp(np.where(top, -math.inf, a - m[:, None])).sum(1)
+        return np.log1p(rest / count) + np.log(count) + m
     m = a.max()
     if not math.isfinite(m):
         return float(m)
@@ -171,6 +188,12 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+#: Clamped logs that reach the fixed point ``log(e) = 1`` from any finite
+#: double (``709.8, 6.57, 1.88, 1``): further steps change no bit, so the
+#: iterated logs take at most this many, whatever their ``k``.
+_LOG_STEPS = 4
+
+
 def iterated_log(k: int, r: float) -> float:
     """k-fold clamped logarithm: ``log_1(r) = log(max(e, r))``, ``log_k = log_1 ∘ log_{k-1}``.
 
@@ -183,7 +206,7 @@ def iterated_log(k: int, r: float) -> float:
     v = float(r)
     if math.isnan(v):
         raise ParameterError("iterated_log requires a number r, got nan")
-    for _ in range(k):
+    for _ in range(min(k, _LOG_STEPS)):
         v = math.log(max(math.e, v))
     return v
 
@@ -192,17 +215,17 @@ def iterated_log(k: int, r: float) -> float:
 def _egf_log_coeffs(k: int, n_hi: int) -> np.ndarray:
     """``log [r^n] exp_k(r)`` for n = 0..n_hi (normalized ``exp_k(0) = 1``).
 
-    Level k is built from level k-1 through the log-domain convolution
-    ``(n+1) c_{n+1} = sum_i (i+1) a_{i+1} c_{n-i}`` (all terms positive, so
-    log-sum-exp is exact in the relative sense).
+    Level 1 is ``-log n!``; each next level is built from the one before
+    through the log-domain convolution ``(n+1) c_{n+1} = sum_i (i+1) a_{i+1}
+    c_{n-i}`` (all terms positive, so log-sum-exp is exact in the relative
+    sense).
     """
     if k < 1:
         raise ParameterError(f"exp_k requires k >= 1, got {k}")
-    if k == 1:
-        out = -_log_factorials(n_hi)
-    else:
-        la = _egf_log_coeffs(k - 1, n_hi)
-        wa = la[1:] + np.log(np.arange(1, n_hi + 1, dtype=float))
+    out = -_log_factorials(n_hi)
+    log_n = np.log(np.arange(1, n_hi + 1, dtype=float))
+    for _ in range(k - 1):
+        wa = out[1:] + log_n
         out = np.empty(n_hi + 1)
         out[0] = 0.0
         for m in range(n_hi):
@@ -233,12 +256,13 @@ class GrowthFunctionSpec:
         if self.kind not in KINDS:
             raise ParameterError(f"unknown growth-function kind {self.kind!r}")
         # The kind's own parameter: strings and booleans are not numbers, and
-        # k is whole (a config may write 3 as 3.0).  It is stored as a float
-        # or an int, so specs, their ids and the caches keyed by them agree.
+        # k is an integer by ``_is_whole``, as every whole-number argument.
+        # It is stored as a float or an int, so specs, their ids and the
+        # caches keyed by them agree.
         key = _KIND_TABLE[self.kind].param
         v = getattr(self, key)
         if key == "k":
-            if not (_is_whole(v) or (_is_real(v) and float(v).is_integer())):
+            if not _is_whole(v):
                 raise ParameterError(f"{self.kind} field 'k' must be an integer, got {v!r}")
             object.__setattr__(self, "k", int(v))
         elif key != "log_coeffs":
@@ -249,6 +273,8 @@ class GrowthFunctionSpec:
             raise ParameterError(f"beta must lie in [0, 1), got {self.beta}")
         if self.kind in (ITERATED_EXP_SQRT, BELL_SERIES) and self.k < 1:
             raise ParameterError(f"k must be a positive integer, got {self.k}")
+        if self.kind == BELL_SERIES and self.k > _BELL_K_CAP:
+            raise ParameterError(f"bell_series supports k <= {_BELL_K_CAP}, got {self.k}")
         if self.kind == EXPONENTIAL and not 0 < self.c < math.inf:
             raise ParameterError(f"exponential rate must be positive and finite, got {self.c}")
         if self.kind == POWER_SERIES:
@@ -283,8 +309,21 @@ class GrowthFunctionSpec:
     @cached_property
     def kernel(self):
         """``log u`` for a float ``r >= 0``, unchecked: the hot loops' entry
-        point, built once per spec from the kind's formula."""
-        return _KIND_TABLE[self.kind].kernel(self)
+        point."""
+        return self._kernels[0]
+
+    @cached_property
+    def grid_kernel(self):
+        """``log u`` over a 1-d float array of radii ``r >= 0``, unchecked,
+        each value the scalar kernel's bit for bit: ``log_u_grid``'s entry
+        point."""
+        return self._kernels[1]
+
+    @cached_property
+    def _kernels(self):
+        # Built together once per spec from the kind's formula, so the two
+        # can share its tables.
+        return _KIND_TABLE[self.kind].kernels(self)
 
     @cached_property
     def s_kernel(self):
@@ -295,8 +334,8 @@ class GrowthFunctionSpec:
     def __getstate__(self) -> dict:
         # The kernels are closures: rebuild them after unpickling.
         state = dict(self.__dict__)
-        state.pop("kernel", None)
-        state.pop("s_kernel", None)
+        for name in ("kernel", "grid_kernel", "_kernels", "s_kernel"):
+            state.pop(name, None)
         return state
 
     # -- evaluation-range metadata ----------------------------------------
@@ -423,19 +462,39 @@ def _config_param(d: dict, kind: str):
 
 
 def log_u_grid(spec: GrowthFunctionSpec, rs: np.ndarray) -> np.ndarray:
-    """Vectorized ``log u`` over an array of radii: the spec's kernel at each
-    radius, so every value equals :meth:`GrowthFunctionSpec.log_u` bit for bit."""
+    """``log u`` over an array of radii, every value
+    :meth:`GrowthFunctionSpec.log_u`'s bit for bit.  Power and Bell series
+    take the whole grid in one array pass, with each radius logged by
+    ``math.log`` as the scalar kernel logs it; the other kinds call the
+    scalar kernel per radius, because numpy's array ``**`` and ``log`` do
+    not round as ``math``'s do."""
     rs = np.asarray(rs, dtype=float)
     if rs.size and (np.isnan(rs).any() or rs.min() < 0.0):
         raise ParameterError("growth functions are defined for r >= 0")
-    kernel = spec.kernel
-    return np.array([kernel(r) for r in rs.ravel().tolist()]).reshape(rs.shape)
+    return spec.grid_kernel(rs.ravel()).reshape(rs.shape)
 
 
-# -- scalar kernels ----------------------------------------------------------
+def _logs(rs: np.ndarray) -> np.ndarray:
+    """``math.log`` of each positive radius, as the scalar kernels take it."""
+    return np.fromiter(map(math.log, rs.tolist()), float, rs.size)
+
+
+# -- kernels in r ---------------------------------------------------------
 #
-# One builder per kind.  ``GrowthFunctionSpec.log_u`` and ``log_u_grid`` both
-# call the spec's kernel, so they agree bit for bit.
+# One builder per kind, of a scalar kernel and a grid kernel that agree bit
+# for bit: ``GrowthFunctionSpec.log_u`` calls the first, ``log_u_grid`` the
+# second.
+
+
+def _looped(build: Callable) -> Callable:
+    """The kernel pair of a kind whose grid calls the scalar ``build(spec)``
+    at each radius."""
+
+    def kernels(spec: GrowthFunctionSpec):
+        kernel = build(spec)
+        return kernel, lambda rs: np.array([kernel(r) for r in rs.tolist()], dtype=float)
+
+    return kernels
 
 
 def _ks_kernel(spec: GrowthFunctionSpec):
@@ -450,7 +509,7 @@ def _exponential_kernel(spec: GrowthFunctionSpec):
 
 
 def _iterated_exp_sqrt_kernel(spec: GrowthFunctionSpec):
-    steps = (None,) * (spec.k - 1)  # cheaper to iterate per call than a range
+    steps = (None,) * min(spec.k - 1, _LOG_STEPS)  # cheaper to iterate per call than a range
     e, inf, log, sqrt = math.e, math.inf, math.log, math.sqrt
 
     def kernel(r: float) -> float:
@@ -504,13 +563,15 @@ def _bell_panels(spec: GrowthFunctionSpec):
     return coeffs, resolved
 
 
-def _bell_kernel(spec: GrowthFunctionSpec):
+def _bell_kernels(spec: GrowthFunctionSpec):
     """``log u(r) = g(log r) r`` from the Chebyshev panels of
-    :func:`_bell_panels`, each by a pure-Python Clenshaw sum.  The s-kernel
-    at ``log r`` answers where no resolved panel does: at ``r < e^_PANEL_LO``,
-    past the faithful cap, where it raises the ``CapacityError``, and on an
-    unresolved panel; ``r = 0`` gives ``log c_0``.  The panels are built
-    with the kernel, once per spec."""
+    :func:`_bell_panels`, built once per spec: the scalar kernel by a
+    pure-Python Clenshaw sum, the grid kernel by one Clenshaw pass over all
+    the radii that fall on resolved panels, with the same coefficients and
+    operations.  The scalar kernel answers for every other radius, by the
+    s-kernel at ``log r``: at ``r < e^_PANEL_LO``, past the faithful cap,
+    where it raises the ``CapacityError``, and on an unresolved panel;
+    ``r = 0`` gives ``log c_0``."""
     s_kernel = spec.s_kernel
     log_c0 = float(_series_logc(spec)[0])
     cap, s_max = spec.faithful_cap, spec.s_max
@@ -518,8 +579,10 @@ def _bell_kernel(spec: GrowthFunctionSpec):
     coeffs, resolved = _bell_panels(spec)
     # Highest degree first, as Clenshaw's recurrence takes them; the last
     # entry catches an r = e^_PANEL_LO that rounds past the lowest panel.
-    panels = [tuple(c[::-1].tolist()) if ok else None for c, ok in zip(coeffs, resolved)]
+    coeffs = coeffs[:, ::-1]
+    panels = [tuple(c.tolist()) if ok else None for c, ok in zip(coeffs, resolved)]
     panels.append(None)
+    resolved = np.append(resolved, False)
     per_width = 1.0 / _PANEL_WIDTH
     log = math.log
 
@@ -543,23 +606,46 @@ def _bell_kernel(spec: GrowthFunctionSpec):
             b1, b2 = c + x2 * b1 - b2, b1
         return (b1 - x * b2) * r
 
-    return kernel
+    def grid(rs: np.ndarray) -> np.ndarray:
+        i = np.flatnonzero((rs >= r_lo) & (rs <= cap))
+        u = (s_max - _logs(rs[i])) * per_width
+        p = u.astype(np.intp)
+        on = resolved[p]
+        i, u, p = i[on], u[on], p[on]
+        x = 1.0 - 2.0 * (u - p)
+        x2 = x + x
+        b1 = b2 = np.zeros(i.size)
+        for c in coeffs[p].T:
+            b1, b2 = c + x2 * b1 - b2, b1
+        out = np.empty(rs.size)
+        out[i] = (b1 - x * b2) * rs[i]
+        rest = np.ones(rs.size, dtype=bool)
+        rest[i] = False
+        out[rest] = [kernel(r) for r in rs[rest].tolist()]
+        return out
+
+    return kernel, grid
 
 
-def _power_series_kernel(spec: GrowthFunctionSpec):
+def _power_series_kernels(spec: GrowthFunctionSpec):
     """Log-sum-exp over every stored term: a power series is taken at face
     value (a finite sum is a legitimate function), so no truncation guard
-    applies."""
+    applies.  The grid kernel takes it row by row over the (radii x terms)
+    matrix, in blocks of at most ``_SERIES_BLOCK`` cells; the scalar kernel
+    is its one-element case."""
     logc = _series_logc(spec)
     index = np.arange(logc.size, dtype=float)
-    log_c0 = float(logc[0])
+    rows = max(1, _SERIES_BLOCK // logc.size)
 
-    def kernel(r: float) -> float:
-        if r == 0.0:
-            return log_c0
-        return _logsumexp(logc + index * math.log(r))
+    def grid(rs: np.ndarray) -> np.ndarray:
+        out = np.full(rs.size, logc[0])  # log u(0) = log c_0
+        pos = np.flatnonzero(rs)
+        for a in range(0, pos.size, rows):
+            i = pos[a:a + rows]
+            out[i] = _logsumexp(logc + index * _logs(rs[i])[:, None])
+        return out
 
-    return kernel
+    return lambda r: float(grid(np.array([r]))[0]), grid
 
 
 def _beyond_series(spec: GrowthFunctionSpec, r: float) -> CapacityError:
@@ -602,7 +688,9 @@ def _exponential_s_kernel(spec: GrowthFunctionSpec):
 
 
 def _iterated_exp_sqrt_s_kernel(spec: GrowthFunctionSpec):
-    depth = spec.k - 1
+    # From s <= log(largest double), v is 0 and its derivatives 0 after
+    # _LOG_STEPS clamped steps, and stays so.
+    depth = min(spec.k - 1, _LOG_STEPS)
 
     def kernel(s):
         # v = log x with x = iterated_log(k - 1, sqrt(r)), carried with its
@@ -758,7 +846,7 @@ class _Kind:
     default: object  # the key's value when a config omits it
     factory: Callable  # (parameter, config claims) -> spec
     name: Callable  # unlabeled spec -> function_id
-    kernel: Callable  # spec -> scalar ``log u`` kernel
+    kernels: Callable  # spec -> scalar and grid ``log u`` kernels
     s_kernel: Callable  # spec -> array kernel in ``s = log r``
 
 
@@ -767,20 +855,22 @@ class _Kind:
 _KIND_TABLE = {
     KONDRATIEV_STREIT: _Kind(
         "beta", 0.0, lambda beta, _: kondratiev_streit(beta),
-        lambda s: f"ks(beta={s.beta:g})", _ks_kernel, _ks_s_kernel),
+        lambda s: f"ks(beta={s.beta:g})", _looped(_ks_kernel), _ks_s_kernel),
     ITERATED_EXP_SQRT: _Kind(
         "k", 2, lambda k, _: iterated_exp_sqrt(k),
-        lambda s: f"g{s.k}", _iterated_exp_sqrt_kernel, _iterated_exp_sqrt_s_kernel),
+        lambda s: f"g{s.k}", _looped(_iterated_exp_sqrt_kernel),
+        _iterated_exp_sqrt_s_kernel),
     BELL_SERIES: _Kind(
         "k", 2, lambda k, _: bell_series(k),
-        lambda s: f"u{s.k}", _bell_kernel, _bell_s_kernel),
+        lambda s: f"u{s.k}", _bell_kernels, _bell_s_kernel),
     POWER_SERIES: _Kind(
         "log_coeffs", (), power_series,
         lambda s: f"power_series[{len(s.log_coeffs)}]",
-        _power_series_kernel, _power_series_s_kernel),
+        _power_series_kernels, _power_series_s_kernel),
     EXPONENTIAL: _Kind(
         "c", 1.0, lambda c, _: exponential(c),
-        lambda s: f"exp({s.c:g}r)", _exponential_kernel, _exponential_s_kernel),
+        lambda s: f"exp({s.c:g}r)", _looped(_exponential_kernel),
+        _exponential_s_kernel),
 }
 
 KINDS = tuple(_KIND_TABLE)

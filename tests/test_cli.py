@@ -776,6 +776,20 @@ def test_cli_hida_rejects_a_bad_gaussian_measure_before_running(capsys, flag):
     assert f"{flag[0][2:]} must" in err
 
 
+def test_cli_reads_q_as_a_manifest_would(capsys):
+    # A Gaussian measure's q is whole by the one rule: --q 2 is the int 2,
+    # and --q 2.0 a float, as in a manifest.  Fernique's real q takes both.
+    hida = ("measures", "--op", "hida", "--measure-kind", "gaussian", "--spec", json.dumps(KS0))
+    code, payload, _ = one_off(capsys, *hida, "--q", "2")
+    assert code == 0 and payload["status"] == "pass"
+    code, payload, err = one_off(capsys, *hida, "--q", "2.0")
+    assert (code, payload) == (2, None)
+    assert "q must be an integer >= 0, got 2.0" in err
+    fernique = ("measures", "--op", "fernique", "--rho", "0.5", "--c2", "0.1")
+    values = [one_off(capsys, *fernique, "--q", q)[1]["value"] for q in ("2", "2.0")]
+    assert values[0] == values[1]
+
+
 def test_cli_parses_a_spec_the_command_does_not_use(capsys):
     code, payload, err = one_off(capsys, "measures", "--op", "fernique", "--spec", "{nope")
     assert (code, payload) == (2, None)
@@ -825,8 +839,10 @@ CLI_SURFACE = [
     ("measures", "measure integrability estimators", _ONE_OFF_FLAGS + [
         (("--op",), "op", None, None,
          ("fernique", "poisson", "grey_cf", "grey_integrability", "hida"), None, None),
+        (("--rho",), "rho", float, None, None, None, None),
+        (("--q",), "q", growthcalc.cli._json_number, None, None, None, None),
         *[((f"--{name}",), name, float, None, None, None, None)
-          for name in ("rho", "q", "c2", "theta", "w", "lam")],
+          for name in ("c2", "theta", "w", "lam")],
         (("--n",), "n", int, None, None, None, None),
         (("--xi",), "xi", float, "+", None, None, None),
         (("--p",), "p", int, None, None, None, None),

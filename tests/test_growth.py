@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import pickle
 import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -806,9 +807,11 @@ def test_bell_panels_leave_an_unresolved_stretch_to_the_windowed_sum(monkeypatch
     _, resolved = growth._bell_panels(spec)
     assert resolved.any() and not resolved.all()
     s = np.concatenate([[-1.0, 0.0, 0.05, 0.2], np.linspace(-2.0, spec.s_max, 120)])
-    kernel = growth._bell_kernel(spec)
-    np.testing.assert_allclose([kernel(math.exp(v)) for v in s],
-                               logsumexp(logc + n * s[:, None], axis=1), rtol=1e-13)
+    kernel, grid = growth._bell_kernels(spec)
+    rs = [math.exp(v) for v in s]
+    want = [kernel(r) for r in rs]
+    np.testing.assert_allclose(want, logsumexp(logc + n * s[:, None], axis=1), rtol=1e-13)
+    assert grid(np.array(rs)).tolist() == want
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -830,6 +833,111 @@ def test_log_u_grid_equals_scalar_log_u_for_every_kind():
     for spec in KERNEL_SPECS:
         want = [spec.log_u(r) for r in rs]
         assert log_u_grid(spec, np.array(rs)).tolist() == want, spec.function_id
+
+
+GRID_SPECS = [bell_series(1), bell_series(2), bell_series(3),
+              power_series([0.0, -0.5, -2.0, -math.inf, -6.0]), power_series([0.3]),
+              truncated_square_exponential(degree=40)]
+
+
+def _grid_landmarks(spec):
+    """r = 0 and the edges of a series grid's array pass, each with its
+    neighbouring doubles: the smallest double, e^-40 (the panels' lower
+    end), every panel edge (Bell) and the trusted radius."""
+    from growthcalc.growth import _PANEL_LO, _PANEL_WIDTH
+
+    points = [5e-324, math.exp(_PANEL_LO), 1e-300]
+    if spec.kind == BELL_SERIES:
+        edges = spec.s_max - _PANEL_WIDTH * np.arange(int((spec.s_max - _PANEL_LO) / _PANEL_WIDTH))
+        points += np.exp(edges[edges <= math.log(spec.trusted_radius)]).tolist()
+    points.append(spec.trusted_radius if spec.trusted_radius < math.inf else 1e300)
+    near = np.array(points)
+    return [0.0, *np.unique(np.concatenate([np.nextafter(near, 0.0), near,
+                                            np.nextafter(near, math.inf)])).tolist()]
+
+
+def _scalar_log_u(spec, r):
+    """The scalar ``log u``: for a power series its 1-d log-sum-exp, as the
+    scalar kernel took it before the grid pass."""
+    from growthcalc.growth import _logsumexp, _series_logc
+
+    if spec.kind == BELL_SERIES:
+        return spec.kernel(r)
+    logc = _series_logc(spec)
+    if r == 0.0:
+        return float(logc[0])
+    return _logsumexp(logc + np.arange(logc.size, dtype=float) * math.log(r))
+
+
+@pytest.mark.parametrize("spec", GRID_SPECS, ids=lambda s: s.function_id)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_series_grids_equal_the_scalar_kernel_bit_for_bit(spec, data):
+    # Seeded radii across the whole range, among the landmarks, in any order
+    # and with repeats: one array pass gives the scalar kernel's bits.
+    top = math.log(min(spec.trusted_radius, 1e300))
+    landmarks = _grid_landmarks(spec)
+    rs = data.draw(st.lists(st.one_of(
+        st.sampled_from(landmarks),
+        st.floats(-750.0, top).map(math.exp)), min_size=1, max_size=60))
+    got = log_u_grid(spec, np.array(rs)).tolist()
+    assert got == [_scalar_log_u(spec, r) for r in rs]
+
+
+@pytest.mark.parametrize("spec", GRID_SPECS, ids=lambda s: s.function_id)
+def test_series_grids_equal_the_scalar_kernel_at_every_landmark(spec):
+    rs = _grid_landmarks(spec)
+    assert log_u_grid(spec, np.array(rs)).tolist() == [_scalar_log_u(spec, r) for r in rs]
+    assert spec.log_u(0.0) == float(growth._series_logc(spec)[0])
+
+
+def test_power_series_grids_pass_blocks_of_rows(monkeypatch):
+    # A grid longer than a block of (radii x terms) cells goes in several.
+    monkeypatch.setattr(growth, "_SERIES_BLOCK", 64)
+    spec = truncated_square_exponential(degree=40)
+    rs = np.exp(np.linspace(-5.0, 4.0, 50))
+    assert log_u_grid(spec, rs).tolist() == [_scalar_log_u(spec, r) for r in rs.tolist()]
+
+
+def test_log_u_grid_raises_at_the_first_radius_past_the_series_cap():
+    u2 = bell_series(2)
+    far = [1.5 * u2.faithful_cap, 3.0 * u2.faithful_cap]
+    with pytest.raises(CapacityError) as want:
+        u2.log_u(far[0])
+    with pytest.raises(CapacityError, match=re.escape(str(want.value))):
+        log_u_grid(u2, np.array([1.0, far[0], 2.0, far[1]]))
+
+
+@pytest.mark.parametrize("k", [6, 50, 10**20])
+def test_g_k_past_five_is_g_5_bit_for_bit(k):
+    # Four clamped logs take sqrt of the largest double to the fixed point
+    # log(e) = 1, so g_k equals g_5 for every k > 5, also where r x overflows.
+    g5, gk = iterated_exp_sqrt(5), iterated_exp_sqrt(k)
+    rs = [0.0, 1e-300, 0.5, math.e, 1e4, 1e50, 1e200, 1e306, 1e308, sys.float_info.max]
+    assert [gk.log_u(r) for r in rs] == [g5.log_u(r) for r in rs]
+    assert log_u_grid(gk, np.array(rs)).tolist() == [g5.log_u(r) for r in rs]
+    s = np.linspace(-30.0, gk.s_max, 301)
+    for got, want in zip(gk.s_kernel(s), g5.s_kernel(s)):
+        assert got.tolist() == want.tolist()
+    if k < 100:  # every one of the k - 1 logs, unclamped in count
+        want = []
+        for r in rs[1:]:
+            x = math.sqrt(r)
+            for _ in range(k - 1):
+                x = math.log(max(math.e, x))
+            want.append(2.0 * math.sqrt(r) * math.sqrt(x) if r * x == math.inf
+                        else 2.0 * math.sqrt(r * x))
+        assert [gk.log_u(r) for r in rs[1:]] == want
+    assert iterated_log(k, sys.float_info.max) == 1.0
+
+
+def test_bell_order_is_capped():
+    from growthcalc.growth import _BELL_K_CAP
+
+    assert bell_series(_BELL_K_CAP).k == _BELL_K_CAP  # built lazily: no table yet
+    for k in (_BELL_K_CAP + 1, 3000, 10**20):
+        with pytest.raises(ParameterError, match=f"bell_series supports k <= {_BELL_K_CAP}"):
+            bell_series(k)
 
 
 def test_kernel_keeps_the_capacity_error_past_the_series_cap():
@@ -956,10 +1064,15 @@ def test_spec_from_dict_coerces_no_types(d):
         spec_from_dict(d)
 
 
-def test_spec_from_dict_takes_ints_for_floats_and_integral_floats_for_k():
+def test_spec_from_dict_takes_ints_for_floats_and_only_integers_for_k():
     assert spec_from_dict({"kind": "kondratiev_streit", "beta": 0}) == kondratiev_streit(0.0)
     assert spec_from_dict({"kind": "exponential", "c": 3}) == exponential(3.0)
-    assert spec_from_dict({"kind": "bell_series", "k": 3.0}) == bell_series(3)
+    assert spec_from_dict({"kind": "bell_series", "k": 3}) == bell_series(3)
+    # k is whole by growth._is_whole, as n, seed, p and n_max are: 3.0 is a
+    # float, as in a Gaussian surrogate's q.
+    for d in ({"kind": "bell_series", "k": 3.0}, {"kind": "iterated_exp_sqrt", "k": 2.0}):
+        with pytest.raises(ParameterError, match=re.escape(f"field 'k' must be an integer, got {d['k']!r}")):
+            spec_from_dict(d)
     assert spec_from_dict({"kind": "power_series", "log_coeffs": [0, None, -2]}) == (
         power_series([0.0, -math.inf, -2.0]))
 
@@ -980,7 +1093,7 @@ def test_valid_parameters_are_stored_as_float_or_int():
     for spec, key, want in (
         (kondratiev_streit(0), "beta", 0.0),
         (exponential(3), "c", 3.0),
-        (iterated_exp_sqrt(2.0), "k", 2),
+        (iterated_exp_sqrt(2), "k", 2),
         (GrowthFunctionSpec(BELL_SERIES, k=np.int64(3)), "k", 3),
     ):
         got = getattr(spec, key)

@@ -210,6 +210,24 @@ def test_grey_sampler_characteristic_function():
             assert abs(emp - mittag_leffler(lam, xi * xi)) <= 4.0 * se
 
 
+@pytest.mark.parametrize("lam", [0.3, 1.0])
+def test_grey_cf_rows_match_numpy_cosines(lam):
+    # Each cosine is within 4e-16 of numpy's, so the mean moves by as much
+    # and the standard error by a relative 4e-16 / its spread.
+    from growthcalc.measures import _grey_cf
+
+    rows = _grey_cf(lam, 20_000, 5, (0.5, 2, 12.0))
+    x = grey_sample(lam, 20_000, 5)
+    for row, xi in zip(rows, (0.5, 2.0, 12.0)):
+        cos = np.cos(xi * x)
+        se = float(cos.std(ddof=1)) / math.sqrt(x.size)
+        target = mittag_leffler(lam, xi * xi)
+        assert (row["xi"], row["target"]) == (xi, target) and type(row["xi"]) is float
+        assert abs(row["empirical"] - float(cos.mean())) <= 4e-16
+        assert abs(row["stderr"] - se) <= 1e-12 * se
+        assert row["sigmas"] == abs(row["empirical"] - target) / row["stderr"]
+
+
 def test_grey_sampler_validation():
     with pytest.raises(ParameterError):
         grey_sample(0.0, 10, seed=0)
@@ -254,6 +272,58 @@ def _grey_sample_reference(lam, n, seed):
     ) ** (1.0 / (1.0 - lam))
     t_stable = (a / w) ** ((1.0 - lam) / lam)
     return np.sqrt(2.0 * t_stable ** (-lam)) * z
+
+
+def _ulps(got, want):
+    return np.abs(np.asarray(got) - want) / np.spacing(np.abs(want))
+
+
+def test_half_angle_sine_is_within_4_ulp_on_the_samplers_range():
+    # Kanter's formula raises small sines to powers, so the sine is held
+    # relatively, down to the sampler's clip ends pi 1e-12 and pi (1 - 1e-12).
+    from growthcalc.measures import _trig_of_double
+
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.uniform(0.0, math.pi, 20_000),
+                        math.pi * np.exp(rng.uniform(math.log(1e-12), 0.0, 5_000)),
+                        math.pi * -np.expm1(rng.uniform(math.log(1e-12), 0.0, 5_000)),
+                        [math.pi * 1e-12, math.pi * (1.0 - 1e-12), math.pi / 2]])
+    got = _trig_of_double(0.5 * x, sine=True)
+    assert _ulps(got, [math.sin(v) for v in x.tolist()]).max() <= 4.0
+
+
+def test_half_angle_cosine_is_within_4e_16_absolute():
+    # Up to |x| = 1e4 (the suite's xi X reach 12), also next to odd and even
+    # multiples of pi, where tan(x / 2) is huge or 0.
+    from growthcalc.measures import _trig_of_double
+
+    rng = np.random.default_rng(4)
+    k = np.arange(-3183, 3184, dtype=float) * math.pi
+    x = np.concatenate([rng.uniform(-1e4, 1e4, 50_000), k, np.nextafter(k, math.inf),
+                        k + 1e-9, k - 1e-9, [0.0, 1e4, -1e4]])
+    got = _trig_of_double(0.5 * x, sine=False)
+    assert np.abs(got - [math.cos(v) for v in x.tolist()]).max() <= 4e-16
+
+
+def _grey_sample_by_numpy_sines(lam, n, seed):
+    """The sampler's closed form with numpy's ``sin`` for the three sines,
+    draw for draw and operation for operation as before the half-angle
+    tangent."""
+    rng = np.random.default_rng(seed)
+    theta = rng.random(n)
+    np.clip(theta, 1e-12, 1.0 - 1e-12, out=theta)
+    theta *= math.pi
+    s = np.sin(theta * lam) ** lam
+    s *= np.sin(theta * (1.0 - lam)) ** (1.0 - lam)
+    s = np.sin(theta) / s
+    s *= np.maximum(rng.exponential(1.0, n), 1e-300) ** (1.0 - lam)
+    return rng.standard_normal(n) * np.sqrt(s * 2.0)
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.5, 0.7, 0.99])
+def test_grey_sampler_is_within_8_ulp_of_numpy_sines(lam):
+    got = grey_sample(lam, 50_000, 9)
+    assert _ulps(got, _grey_sample_by_numpy_sines(lam, 50_000, 9)).max() <= 8.0
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
@@ -370,12 +440,13 @@ def test_grey_monte_carlo_works_in_one_array_per_sample():
     from growthcalc.measures import _grey_estimate
 
     # The estimate works in its sample, lambda = 1 scales the normal draw in
-    # place, and lambda < 1 holds at most three sample-sized arrays at once.
+    # place, and lambda < 1 holds at most four sample-sized arrays at once:
+    # the half-angles, S, a sine's argument and its working array.
     n = 10**6
     x = grey_sample(0.5, n, 1)
     assert _peak_in_samples(lambda: _grey_estimate(0.5, 0.1, x, 1), n) <= 1.5
     assert _peak_in_samples(lambda: grey_sample(1.0, n, 1), n) <= 1.5
-    assert _peak_in_samples(lambda: grey_sample(0.5, n, 1), n) <= 6.0
+    assert _peak_in_samples(lambda: grey_sample(0.5, n, 1), n) <= 4.5
     assert _peak_in_samples(lambda: grey_integrability(1.0, 0.1, n, 1), n) <= 1.5
 
 
@@ -452,11 +523,11 @@ def test_gaussian_envelope_of_ks0_does_not_rest_on_rounding(monkeypatch):
     ks = growth._KIND_TABLE[growth.KONDRATIEV_STREIT]
 
     def kernel(spec):
-        exact = ks.kernel(spec)
+        exact = growth._ks_kernel(spec)
         return lambda r: math.nextafter(exact(r), math.inf)
 
     monkeypatch.setitem(growth._KIND_TABLE, growth.KONDRATIEV_STREIT,
-                        dataclasses.replace(ks, kernel=kernel))
+                        dataclasses.replace(ks, kernels=growth._looped(kernel)))
     measures._gaussian_envelope.cache_clear()
     try:
         assert measures._gaussian_envelope(kondratiev_streit(0.0)) == (1.0, 0.5)
@@ -580,8 +651,10 @@ def test_hida_poisson_calls_the_integrator_bound_in_the_module(catalog, monkeypa
     assert len(report.levels) == 5
 
 
-@pytest.mark.parametrize("q", [1.5, -1, math.inf, math.nan])
+@pytest.mark.parametrize("q", [1.5, -1, math.inf, math.nan, 2.0])
 def test_gaussian_surrogate_needs_an_integral_level(q):
+    # An integer by growth._is_whole, as every whole-number argument: 2.0 is
+    # a float.
     with pytest.raises(ParameterError, match="q must be an integer >= 0"):
         MeasureSurrogate("gaussian", q=q)
-    assert MeasureSurrogate("gaussian", q=2.0).q == 2.0
+    assert MeasureSurrogate("gaussian", q=2).q == 2
