@@ -248,10 +248,10 @@ def _trig_of_double(half: np.ndarray, sine: bool) -> np.ndarray:
 
     numpy's float64 ``tan`` is vectorised on CPUs with ``AVX512_SKX``, where
     its ``sin`` and ``cos`` run through scalar libm and take seven times as
-    long.  On (0, pi) the sine is within 2 ulp of the true one, relatively,
-    also at the ends where Kanter's formula raises it to a power; the
-    cosine is within 2.2e-16 absolutely.  The sine holds one more working
-    array; the cosine none."""
+    long.  Against 40-digit values, the sine is within 2.2 ulp on (0, pi),
+    also at the ends where Kanter's formula raises it to a power, and the
+    cosine within 3.6e-16 absolutely for ``|x| <= 1e4``.  The sine holds
+    one more working array; the cosine none."""
     tau = np.tan(half, out=half)
     if sine:
         d = np.square(tau)
