@@ -41,6 +41,7 @@ from .growth import (
     ParameterError,
     _is_real,
     _is_whole,
+    _real,
     check_conditions,
     mittag_leffler,
     spec_from_dict,
@@ -180,7 +181,7 @@ _FIELDS = {
                      lambda v: isinstance(v, list) and all(c in CHECK_IDS for c in v),
                      {"nargs": "+"}),
     "expect_log": _NUMBERS,
-    "seed": _Field("a nonnegative integer", lambda v: _is_whole(v) and v >= 0),
+    "seed": _Field("a nonnegative integer", lambda v: _is_whole(v) and 0 <= v <= sys.float_info.max),
     "out": _Field("a string", lambda v: isinstance(v, str)),
     "function": _Field("a function id", lambda v: isinstance(v, str)),
     "functions": _Field("a list of function ids",
@@ -566,7 +567,7 @@ def run(manifest: dict, out_dir: str | Path | None = None,
         manifest = {**manifest, "seed": seed}
     validate_manifest(manifest)
     stream = stream if stream is not None else sys.stdout
-    default_tol = tol if tol is not None else 1e-9
+    default_tol = 1e-9 if tol is None else _real(tol, "tol", "[0, inf)")
     funcs = {fid: spec_from_dict(d) for fid, d in manifest.get("functions", {}).items()}
     job_list = manifest.get("jobs", [])
     out_path = None

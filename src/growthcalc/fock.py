@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .growth import (GrowthFunctionSpec, ParameterError, _is_whole, _log_factorials,
-                     _logsumexp, _radius_grid, log_u_grid)
+from .growth import (CapacityError, GrowthFunctionSpec, ParameterError, _log_factorials,
+                     _logsumexp, _radius_grid, _real, _reals, log_u_grid)
 from .inequality_lab import VerificationReport, _report
 from .legendre import LegendreTable, LFunctionEvaluator, l_function
+from .measures import _DOMAINS
 
 
 class HypothesisViolationError(RuntimeError):
@@ -48,15 +49,12 @@ class ChaosSequence:
     log_domain: bool = False
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
-        if not vals:
-            raise ParameterError("a chaos sequence needs at least one coefficient")
-        for v in vals:
-            if math.isnan(v) or v == math.inf:
-                raise ParameterError("coefficients must be finite (or -inf in log domain)")
-            if v == -math.inf and not self.log_domain:
-                raise ParameterError("-inf is only meaningful in log domain")
-        object.__setattr__(self, "values", vals)
+        # Finite, or -inf for an absent term in the log domain.
+        domain = "[-inf, inf)" if self.log_domain else "(-inf, inf)"
+        vals = _reals(self.values, "values", domain)
+        if vals.ndim != 1 or not vals.size:
+            raise ParameterError("a chaos sequence needs a nonempty list of coefficients")
+        object.__setattr__(self, "values", tuple(vals.tolist()))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -81,9 +79,8 @@ class ChaosSequence:
 
     @classmethod
     def delta(cls, n: int, size: int | None = None) -> "ChaosSequence":
-        size = (n + 1) if size is None else size
-        if n >= size:
-            raise ParameterError("delta index outside requested size")
+        n = _real(n, "n", "[0, inf)", whole=True)
+        size = n + 1 if size is None else _real(size, "size", f"[{n + 1}, inf)", whole=True)
         vals = [0.0] * size
         vals[n] = 1.0
         return cls(tuple(vals))
@@ -91,11 +88,8 @@ class ChaosSequence:
     @classmethod
     def exponential_vector(cls, xi: float, n_max: int) -> "ChaosSequence":
         """Coefficients ``xi^n / n!`` (log domain), the exponential vector."""
-        xi = float(xi)
-        if xi < 0.0:
-            raise ParameterError("exponential vectors take |xi| >= 0")
-        if not (_is_whole(n_max) and n_max >= 0):
-            raise ParameterError(f"exponential vectors take an integer n_max >= 0, got {n_max!r}")
+        xi = _real(xi, "xi", "[0, inf)")
+        n_max = _real(n_max, "n_max", "[0, inf)", whole=True)
         if xi == 0.0:
             logs = np.full(n_max + 1, -math.inf)
             logs[0] = 0.0
@@ -141,9 +135,7 @@ def dual_norm(seq: ChaosSequence, table: LegendreTable) -> float:
 
 def exp_vector_norm(xi_abs: float, evaluator: LFunctionEvaluator) -> float:
     """Dual norm of the exponential vector: ``sqrt(L_u(xi^2))``."""
-    xi_abs = float(xi_abs)
-    if xi_abs < 0.0:
-        raise ParameterError("exp_vector_norm takes the modulus |xi| >= 0")
+    xi_abs = _real(xi_abs, "xi_abs", "[0, inf)")
     v = 0.5 * l_function(evaluator, xi_abs * xi_abs)
     return math.exp(v) if v < 709.0 else math.inf
 
@@ -180,20 +172,25 @@ def pairing_bound(
 # -- Hermite side -------------------------------------------------------------
 
 
-def hermite_eval_1d(seq: ChaosSequence, x) -> np.ndarray | float:
-    """``sum_n c_n He_n(x)`` with probabilists' Hermite polynomials."""
+def hermite_eval_1d(seq: ChaosSequence, x: float | np.ndarray) -> np.ndarray | float:
+    """``sum_n c_n He_n(x)`` with probabilists' Hermite polynomials, for
+    finite ``x``; a sum past the doubles raises ``CapacityError``."""
     c = seq.linear()
-    xs = np.asarray(x, dtype=float)
+    xs = _reals(x, "x", "(-inf, inf)")
     scalar = xs.ndim == 0
     xs = np.atleast_1d(xs)
     out = np.full_like(xs, c[0], dtype=float)
-    if len(c) > 1:
-        h_prev = np.ones_like(xs)
-        h_cur = xs.copy()
-        out += c[1] * h_cur
-        for n in range(1, len(c) - 1):
-            h_prev, h_cur = h_cur, xs * h_cur - n * h_prev
-            out += c[n + 1] * h_cur
+    with np.errstate(over="ignore", invalid="ignore"):  # judged below
+        if len(c) > 1:
+            h_prev = np.ones_like(xs)
+            h_cur = xs.copy()
+            out += c[1] * h_cur
+            for n in range(1, len(c) - 1):
+                h_prev, h_cur = h_cur, xs * h_cur - n * h_prev
+                out += c[n + 1] * h_cur
+    over = ~np.isfinite(out)
+    if over.any():
+        raise CapacityError(f"the Hermite sum overflows a double at x={xs[over][0]:g}")
     return float(out[0]) if scalar else out
 
 
@@ -201,7 +198,7 @@ def a_norm_1d(
     seq: ChaosSequence,
     spec: GrowthFunctionSpec,
     p: int = 0,
-    x_grid=None,
+    x_grid: np.ndarray | None = None,
     rho: float = 0.5,
 ) -> float:
     """``sup_x |phi(x)| u(w x^2)^{-1/2}`` with ``phi = sum c_n He_n`` and the
@@ -210,18 +207,17 @@ def a_norm_1d(
     Warns when the supremum is attained on the grid boundary — the reported
     value is then a lower estimate.
     """
-    if not 0.0 < rho < 1.0:
-        raise ParameterError(f"rho must lie in (0, 1), got {rho}")
+    rho, p = _real(rho, "rho", _DOMAINS["rho"]), _real(p, "p", "[0, inf)", whole=True)
     w = rho ** (2.0 * p)
     if not w > 0.0:
         raise ParameterError(f"the level weight must be positive, got {w}")
-    if x_grid is None:
-        x_grid = np.linspace(-12.0, 12.0, 4801)
-    xs = np.asarray(x_grid, dtype=float)
-    if xs.size < 3 or not np.isfinite(xs).all():
-        raise ParameterError("a_norm_1d needs a grid of at least 3 finite points")
+    xs = _reals(np.linspace(-12.0, 12.0, 4801) if x_grid is None else x_grid,
+                "x", "(-inf, inf)")
+    if xs.size < 3:
+        raise ParameterError("a_norm_1d needs a grid of at least 3 points")
     vals = np.abs(hermite_eval_1d(seq, xs))
-    lu = log_u_grid(spec, w * xs * xs)
+    with np.errstate(over="ignore"):  # u(inf) is u's limit
+        lu = log_u_grid(spec, w * xs * xs)
     with np.errstate(divide="ignore"):
         score = np.log(np.maximum(vals, 1e-300)) - 0.5 * lu
     i = int(np.argmax(score))
@@ -240,17 +236,17 @@ def s_transform_1d(seq: ChaosSequence, xi: float) -> float:
     polynomial; maps ``He_n`` to ``xi^n``.
     """
     nodes, weights = np.polynomial.hermite_e.hermegauss(max(32, seq.degree + 2))
-    vals = hermite_eval_1d(seq, nodes + float(xi))
+    vals = hermite_eval_1d(seq, nodes + _real(xi, "xi", "(-inf, inf)"))
     return float(np.dot(weights, vals) / math.sqrt(2.0 * math.pi))
 
 
 def cauchy_coefficient_bound(
-    coeffs,
+    coeffs: np.ndarray,
     spec: GrowthFunctionSpec,
     K: float,
     a: float,
     table: LegendreTable,
-    radius_grid=None,
+    radius_grid: np.ndarray | None = None,
 ) -> VerificationReport:
     """Taylor-coefficient bound ``|f_n|^2 <= K^2 a^n ell(n)`` for an entire
     function satisfying ``|F(z)| <= K u(a |z|^2)^{1/2}``.
@@ -259,18 +255,18 @@ def cauchy_coefficient_bound(
     :class:`HypothesisViolationError` naming the radius.  The report carries
     the per-n worst margin.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
+    coeffs = _reals(coeffs, "coeffs", "(-inf, inf)")
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise ParameterError("coeffs must be a nonempty 1-d array")
-    if not (K > 0.0 and a > 0.0):
-        raise ParameterError("K and a must be positive")
+    K, a = _real(K, "K", "(0, inf)"), _real(a, "a", "(0, inf)")
     if radius_grid is None:
         cap = spec.faithful_cap
         r_hi = 30.0 if cap == math.inf else math.sqrt(0.9 * cap / a)
         radius_grid = np.geomspace(0.05, max(r_hi, 0.1), 240)
     rad = _radius_grid(radius_grid)
-    f_abs = np.abs(np.polynomial.polynomial.polyval(rad, coeffs))
-    bound_log = math.log(K) + 0.5 * log_u_grid(spec, a * rad * rad)
+    with np.errstate(over="ignore"):  # |F| past the doubles fails; u(inf) is u's limit
+        f_abs = np.abs(np.polynomial.polynomial.polyval(rad, coeffs))
+        bound_log = math.log(K) + 0.5 * log_u_grid(spec, a * rad * rad)
     with np.errstate(divide="ignore"):
         excess = np.log(np.maximum(f_abs, 1e-300)) - bound_log
     j = int(np.argmax(excess))

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -201,11 +202,7 @@ def iterated_log(k: int, r: float) -> float:
     ``r = e``.  ``k = 0`` is the identity (it appears as the inner iterate of
     the k=1 member of the iterated-exponential family).
     """
-    if not (_is_whole(k) and k >= 0):
-        raise ParameterError(f"iterated_log requires an integer k >= 0, got {k!r}")
-    v = float(r)
-    if math.isnan(v):
-        raise ParameterError("iterated_log requires a number r, got nan")
+    k, v = _real(k, "k", "[0, inf)", whole=True), _real(r, "r")
     for _ in range(min(k, _LOG_STEPS)):
         v = math.log(max(math.e, v))
     return v
@@ -218,10 +215,8 @@ def _egf_log_coeffs(k: int, n_hi: int) -> np.ndarray:
     Level 1 is ``-log n!``; each next level is built from the one before
     through the log-domain convolution ``(n+1) c_{n+1} = sum_i (i+1) a_{i+1}
     c_{n-i}`` (all terms positive, so log-sum-exp is exact in the relative
-    sense).
+    sense).  ``k >= 1``, as a Bell spec's domain states.
     """
-    if k < 1:
-        raise ParameterError(f"exp_k requires k >= 1, got {k}")
     out = -_log_factorials(n_hi)
     log_n = np.log(np.arange(1, n_hi + 1, dtype=float))
     for _ in range(k - 1):
@@ -255,38 +250,20 @@ class GrowthFunctionSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ParameterError(f"unknown growth-function kind {self.kind!r}")
-        # The kind's own parameter: strings and booleans are not numbers, and
-        # k is an integer by ``_is_whole``, as every whole-number argument.
-        # It is stored as a float or an int, so specs, their ids and the
-        # caches keyed by them agree.
-        key = _KIND_TABLE[self.kind].param
-        v = getattr(self, key)
-        if key == "k":
-            if not _is_whole(v):
-                raise ParameterError(f"{self.kind} field 'k' must be an integer, got {v!r}")
-            object.__setattr__(self, "k", int(v))
-        elif key != "log_coeffs":
-            if not _is_real(v):
-                raise ParameterError(f"{self.kind} field {key!r} must be a number, got {v!r}")
-            object.__setattr__(self, key, float(v))
-        if self.kind == KONDRATIEV_STREIT and not (0.0 <= self.beta < 1.0):
-            raise ParameterError(f"beta must lie in [0, 1), got {self.beta}")
-        if self.kind in (ITERATED_EXP_SQRT, BELL_SERIES) and self.k < 1:
-            raise ParameterError(f"k must be a positive integer, got {self.k}")
-        if self.kind == BELL_SERIES and self.k > _BELL_K_CAP:
-            raise ParameterError(f"bell_series supports k <= {_BELL_K_CAP}, got {self.k}")
-        if self.kind == EXPONENTIAL and not 0 < self.c < math.inf:
-            raise ParameterError(f"exponential rate must be positive and finite, got {self.c}")
-        if self.kind == POWER_SERIES:
-            if not isinstance(v, (list, tuple, np.ndarray)) or not all(map(_is_real, v)):
-                raise ParameterError(
-                    f"power_series field 'log_coeffs' must be a list of numbers, got {v!r}")
-            if not len(v):
-                raise ParameterError("power_series requires at least one log-coefficient")
-            coeffs = tuple(map(float, v))
-            if any(math.isnan(x) or x == math.inf for x in coeffs):
-                raise ParameterError("power_series log-coefficients must be < +inf and not NaN")
-            object.__setattr__(self, "log_coeffs", coeffs)
+        # The kind's own parameter, on the kind's domain, stored as a float
+        # (k as an int, the log-coefficients as a tuple of floats), so specs,
+        # their ids and the caches keyed by them agree.
+        entry = _KIND_TABLE[self.kind]
+        key, v = entry.param, getattr(self, entry.param)
+        name = f"{self.kind} field {key!r}"
+        if key != "log_coeffs":
+            v = _real(v, name, entry.domain, whole=key == "k")
+        else:
+            coeffs = _reals(v, name, entry.domain)
+            if coeffs.ndim != 1 or not coeffs.size:
+                raise ParameterError(f"{name} must be a nonempty list of numbers, got {v!r}")
+            v = tuple(coeffs.tolist())
+        object.__setattr__(self, key, v)
         bad = set(self.claimed_conditions) - set(CONDITION_IDS)
         if bad:
             raise ParameterError(f"unknown claimed conditions: {sorted(bad)}")
@@ -300,10 +277,11 @@ class GrowthFunctionSpec:
     # -- evaluation ------------------------------------------------------
 
     def log_u(self, r: float) -> float:
-        """``log u(r)`` for a single nonnegative ``r``."""
-        r = float(r)
-        if not r >= 0.0:  # NaN or negative
-            raise ParameterError(f"growth functions are defined for r >= 0, got {r}")
+        """``log u(r)`` for a single ``r`` in ``[0, inf]``."""
+        # The Legendre solves' hot path: a float passes by one comparison,
+        # anything else by the one rule, which also raises.
+        if type(r) is not float or not r >= 0.0:
+            r = _real(r, "r", "[0, inf]")
         return self.kernel(r)
 
     @cached_property
@@ -405,7 +383,7 @@ def exponential(c: float = 1.0) -> GrowthFunctionSpec:
 
 
 def power_series(
-    log_coeffs, claimed_conditions=(), label: str = ""
+    log_coeffs: list[float], claimed_conditions=(), label: str = ""
 ) -> GrowthFunctionSpec:
     """``u(r) = sum_n exp(log_coeffs[n]) r^n`` (use ``-inf`` for absent terms)."""
     return GrowthFunctionSpec(
@@ -443,12 +421,64 @@ def spec_from_dict(d: dict) -> GrowthFunctionSpec:
     return replace(spec, label=label) if label else spec
 
 
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+def _is_real(v) -> bool:  # type() first: the ABC check takes about 1 us
+    return type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _is_whole(v) -> bool:
-    return _is_real(v) and isinstance(v, numbers.Integral)
+    return type(v) is int or _is_real(v) and isinstance(v, numbers.Integral)
+
+
+@lru_cache(maxsize=_SPEC_CACHE)
+def _interval(domain: str) -> Callable:
+    """The membership test of an interval written like ``"(0, 1]"`` or
+    ``"[0, inf)"``, for a float or, entry by entry, a float array; NaN lies
+    in none."""
+    lo, hi = map(float, domain[1:-1].split(","))
+    above = operator.le if domain[0] == "[" else operator.lt
+    below = operator.le if domain[-1] == "]" else operator.lt
+    return lambda x: above(lo, x) & below(x, hi)
+
+
+def _real(v, name: str, domain: str = "[-inf, inf]", whole: bool = False):
+    """``v`` as a float (an int where ``whole``): the one rule for a numeric
+    argument.  ``v`` must be a real number (``_is_real``: a bool, a string,
+    ``None`` and an array are not), an integer (``_is_whole``: ``3.0`` is a
+    float) where ``whole``, a double (an int past the largest double is
+    not), not NaN, and in ``domain``.  Anything else raises
+    :class:`ParameterError` naming ``name``."""
+    value, x = v, math.nan
+    if _is_whole(v) if whole else _is_real(v):
+        try:
+            x = float(v)
+            value = int(v) if whole else x
+        except OverflowError:
+            pass
+    if not _interval(domain)(x):
+        raise ParameterError(
+            f"{name} must be {'an integer' if whole else 'a number'} in {domain}, got {value!r}")
+    return value
+
+
+def _reals(v, name: str = "r", domain: str = "[0, inf)") -> np.ndarray:
+    """``v`` as a float array, each entry by :func:`_real`'s rule: an array
+    of integer or float dtype, a number (a 0-d result), or a list of numbers,
+    nested to any depth.  The defaults are the one radius rule: finite
+    radii ``r >= 0``."""
+    if _is_real(v):
+        return np.asarray(_real(v, name, domain))
+    ok = (v.dtype.kind in "iuf" if isinstance(v, np.ndarray)
+          else all(map(_is_real, np.array(v, dtype=object).ravel())))
+    try:
+        a = np.asarray(v, dtype=float) if ok else None
+    except OverflowError:  # an int past the largest double
+        a = None
+    if a is None:
+        raise ParameterError(f"{name} must be a list of numbers in {domain}, got {v!r}")
+    bad = ~_interval(domain)(a)
+    if bad.any():
+        raise ParameterError(f"{name} must be a number in {domain}, got {float(a[bad][0])!r}")
+    return a
 
 
 def _config_param(d: dict, kind: str):
@@ -468,9 +498,7 @@ def log_u_grid(spec: GrowthFunctionSpec, rs: np.ndarray) -> np.ndarray:
     ``math.log`` as the scalar kernel logs it; the other kinds call the
     scalar kernel per radius, because numpy's array ``**`` and ``log`` do
     not round as ``math``'s do."""
-    rs = np.asarray(rs, dtype=float)
-    if rs.size and (np.isnan(rs).any() or rs.min() < 0.0):
-        raise ParameterError("growth functions are defined for r >= 0")
+    rs = _reals(rs, "r", "[0, inf]")
     return spec.grid_kernel(rs.ravel()).reshape(rs.shape)
 
 
@@ -632,14 +660,17 @@ def _power_series_kernels(spec: GrowthFunctionSpec):
     value (a finite sum is a legitimate function), so no truncation guard
     applies.  The grid kernel takes it row by row over the (radii x terms)
     matrix, in blocks of at most ``_SERIES_BLOCK`` cells; the scalar kernel
-    is its one-element case."""
+    is its one-element case; ``r = 0`` and ``r = inf`` take their limits."""
     logc = _series_logc(spec)
     index = np.arange(logc.size, dtype=float)
     rows = max(1, _SERIES_BLOCK // logc.size)
+    # log u(inf): inf past a term with n >= 1, else the constant log c_0.
+    at_inf = math.inf if np.isfinite(logc[1:]).any() else logc[0]
 
     def grid(rs: np.ndarray) -> np.ndarray:
         out = np.full(rs.size, logc[0])  # log u(0) = log c_0
-        pos = np.flatnonzero(rs)
+        out[rs == math.inf] = at_inf
+        pos = np.flatnonzero((rs != 0.0) & (rs != math.inf))
         for a in range(0, pos.size, rows):
             i = pos[a:a + rows]
             out[i] = _logsumexp(logc + index * _logs(rs[i])[:, None])
@@ -844,6 +875,7 @@ class _Kind:
 
     param: str  # the config key it reads, and the spec field that holds it
     default: object  # the key's value when a config omits it
+    domain: str  # the parameter's interval, for growth._real
     factory: Callable  # (parameter, config claims) -> spec
     name: Callable  # unlabeled spec -> function_id
     kernels: Callable  # spec -> scalar and grid ``log u`` kernels
@@ -854,21 +886,21 @@ class _Kind:
 #: config's; ``spec_from_dict`` then rejects claims that contradict it.
 _KIND_TABLE = {
     KONDRATIEV_STREIT: _Kind(
-        "beta", 0.0, lambda beta, _: kondratiev_streit(beta),
+        "beta", 0.0, "[0, 1)", lambda beta, _: kondratiev_streit(beta),
         lambda s: f"ks(beta={s.beta:g})", _looped(_ks_kernel), _ks_s_kernel),
     ITERATED_EXP_SQRT: _Kind(
-        "k", 2, lambda k, _: iterated_exp_sqrt(k),
+        "k", 2, "[1, inf)", lambda k, _: iterated_exp_sqrt(k),
         lambda s: f"g{s.k}", _looped(_iterated_exp_sqrt_kernel),
         _iterated_exp_sqrt_s_kernel),
     BELL_SERIES: _Kind(
-        "k", 2, lambda k, _: bell_series(k),
+        "k", 2, f"[1, {_BELL_K_CAP}]", lambda k, _: bell_series(k),
         lambda s: f"u{s.k}", _bell_kernels, _bell_s_kernel),
     POWER_SERIES: _Kind(
-        "log_coeffs", (), power_series,
+        "log_coeffs", (), "[-inf, inf)", power_series,
         lambda s: f"power_series[{len(s.log_coeffs)}]",
         _power_series_kernels, _power_series_s_kernel),
     EXPONENTIAL: _Kind(
-        "c", 1.0, lambda c, _: exponential(c),
+        "c", 1.0, "(0, inf)", lambda c, _: exponential(c),
         lambda s: f"exp({s.c:g}r)", _looped(_exponential_kernel),
         _exponential_s_kernel),
 }
@@ -926,6 +958,9 @@ def _power_faithful_cap(spec: GrowthFunctionSpec) -> float:
 
 # -- Mittag-Leffler ---------------------------------------------------------
 
+#: The orders ``lam`` of ``E_lam`` that grey noise takes.
+_LAMBDAS = "(0, 1]"
+
 
 def mittag_leffler(lam: float, t: float) -> float:
     """``E_lam(-t)`` for ``lam`` in (0, 1] and ``t >= 0``: ``exp(-t)`` at
@@ -944,11 +979,7 @@ def mittag_leffler(lam: float, t: float) -> float:
     power series or a quadrature of the same integral, as in the module
     docstring), from ``t = 1e-9`` to ``1e6`` and ``lam = 0.001`` to ``0.999``.
     """
-    lam, t = float(lam), float(t)
-    if not 0.0 < lam <= 1.0:
-        raise ParameterError(f"mittag_leffler requires lambda in (0, 1], got {lam}")
-    if math.isnan(t) or t < 0.0:
-        raise ParameterError(f"mittag_leffler requires t >= 0, got {t}")
+    lam, t = _real(lam, "lam", _LAMBDAS), _real(t, "t", "[0, inf)")
     if t == 0.0:
         return 1.0
     if lam == 1.0:
@@ -957,7 +988,8 @@ def mittag_leffler(lam: float, t: float) -> float:
     # The tails past lo and hi are below e^{-40} of the integral.
     lo, hi = min(-lt, 0.0) - 40.0, min(lam * math.log(800.0) - lt, 40.0)
     edges = [lo, hi]
-    for c, h in ((-lt, 0.25 * lam), (0.0, 0.25 * math.pi * (1.0 - lam))):
+    # A quarter of a subnormal lam can round to 0, which would never double.
+    for c, h in ((-lt, max(0.25 * lam, 5e-324)), (0.0, 0.25 * math.pi * (1.0 - lam))):
         edges.append(c)
         while c - h > lo or c + h < hi:  # panels double in width away from c
             edges += [c - h, c + h]
@@ -969,8 +1001,11 @@ def mittag_leffler(lam: float, t: float) -> float:
     # z / (expm1(-|x|)^2 + 4 q z) is 1 / (s + 1/s + 2 cos(lam pi)) without
     # its cancellation near s = 1.
     z, q = np.exp(-np.abs(x)), math.sin(0.5 * math.pi * (1.0 - lam)) ** 2
-    g = np.exp(-np.exp((x + lt) / lam)) * z / (np.expm1(-np.abs(x)) ** 2 + 4.0 * q * z)
-    return math.sin(math.pi * min(lam, 1.0 - lam)) / (lam * math.pi) * float(half @ (g @ weights))
+    with np.errstate(over="ignore"):  # (x + lt) / lam past the doubles: the factor is 0
+        g = np.exp(-np.exp((x + lt) / lam)) * z / (np.expm1(-np.abs(x)) ** 2 + 4.0 * q * z)
+    # A rounding above 1 (near t = 0 at a tiny lam) is clamped to the bound.
+    return min(math.sin(math.pi * min(lam, 1.0 - lam)) / (lam * math.pi)
+               * float(half @ (g @ weights)), 1.0)
 
 
 # -- grids and condition certificates ---------------------------------------
@@ -1003,21 +1038,24 @@ def default_r_grid() -> np.ndarray:
 
 
 def _radius_grid(r_grid=None) -> np.ndarray:
-    """A user radius grid (``default_r_grid()`` for None), sorted and unique;
-    every radius must be finite and >= 0."""
-    grid = _unique(np.asarray(default_r_grid() if r_grid is None else r_grid, dtype=float))
-    if grid.size == 0 or not (grid[0] >= 0.0 and grid[-1] < math.inf):  # NaN sorts last
-        raise ParameterError("r grids must be nonempty, of finite radii r >= 0")
+    """A user radius grid (``default_r_grid()`` for None), sorted and unique:
+    a nonempty array of radii by the one radius rule (:func:`_reals`)."""
+    grid = _unique(_reals(default_r_grid() if r_grid is None else r_grid))
+    if grid.size == 0:
+        raise ParameterError("r grids must be nonempty")
     return grid
 
 
 def refine_grid(grid: np.ndarray) -> np.ndarray:
     """Double a grid's density (geometric midpoints between positive nodes)."""
-    grid = np.asarray(grid, dtype=float)
+    grid = _reals(grid)
     pos = grid[grid > 0.0]
     if pos.size < 2:
         return grid
-    mids = np.sqrt(pos[:-1] * pos[1:])
+    with np.errstate(over="ignore"):  # mended below
+        mids = np.sqrt(pos[:-1] * pos[1:])
+    over = np.flatnonzero(mids == math.inf)
+    mids[over] = np.sqrt(pos[over]) * np.sqrt(pos[over + 1])
     return _unique(np.concatenate([grid, mids]))
 
 
@@ -1072,8 +1110,8 @@ def check_conditions(
     clipped = bool(cap < math.inf and r_grid[-1] > cap)
     if clipped:
         r_grid = r_grid[r_grid <= spec.trusted_radius]
-        if r_grid.size < 8:
-            raise ParameterError("grid is empty after clipping to the faithful range")
+    if r_grid.size < 8:
+        raise ParameterError("condition checks need 8 radii in the faithful range")
 
     lu = log_u_grid(spec, r_grid)
     checks: dict[str, ConditionCheck] = {}

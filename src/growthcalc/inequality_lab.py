@@ -21,6 +21,7 @@ after it, every request is evaluated afresh.
 from __future__ import annotations
 
 import math
+import sys
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
@@ -31,8 +32,8 @@ from .growth import (
     CapacityError,
     GrowthFunctionSpec,
     ParameterError,
-    _is_whole,
     _radius_grid,
+    _real,
     log_u_grid,
     refine_grid,
 )
@@ -59,6 +60,8 @@ _AUDIT_TOL = 1e-7
 _MAX_POW = 12
 #: Largest log-domain move of a witness constant under 2x grid refinement.
 _REFINEMENT_TOL = 0.1
+#: The scale factors ``a`` of the L-series bounds' ``e a / log a``.
+_SCALES = "(1, inf)"
 
 #: The grid values of the running :func:`verify_function` call, keyed by
 #: (function, operand id, radii bytes); None outside one.
@@ -146,12 +149,11 @@ def _prepare_r_grid(
     l_mul: float = 0.0,
 ) -> np.ndarray:
     """Default (or user) radii, clipped so every derived argument stays inside
-    the function's faithful range and the wide L-evaluation range."""
+    the function's faithful range, a double, and the wide L-evaluation range."""
     grid = _radius_grid(r_grid)
     top = math.inf
-    trusted = spec.trusted_radius
-    if trusted < math.inf and u_mul > 0.0:
-        top = trusted / u_mul
+    if u_mul > 0.0:
+        top = min(spec.trusted_radius, sys.float_info.max) / u_mul
     if l_mul > 0.0:
         top = min(top, 0.90 * _R_WIDE / l_mul)
     clipped = grid[grid <= top]
@@ -330,10 +332,8 @@ def corrupt_table(
     """A copy of ``table`` with one entry multiplied by ``factor`` (in the
     linear domain), sharing the read-only columns it keeps.  Used to exercise
     corruption detection."""
-    if not (_is_whole(index) and 0 <= index < table.n_points):
-        raise ParameterError(f"index {index!r} outside table of {table.n_points} rows")
-    if not factor > 0.0:
-        raise ParameterError("corruption factor must be positive")
+    index = _real(index, "index", f"[0, {table.n_points - 1}]", whole=True)
+    factor = _real(factor, "factor", "(0, inf)")
     cols = {"ell": table.log_ell, "r_star": table.r_star}
     if which not in cols:
         raise ParameterError(f"unknown column {which!r}; use 'ell' or 'r_star'")
@@ -354,7 +354,7 @@ def check_lfunction_sandwich(
     spec: GrowthFunctionSpec,
     evaluator: LFunctionEvaluator,
     a: float = 2.0,
-    r_grid=None,
+    r_grid: np.ndarray | None = None,
 ) -> VerificationReport:
     """Two-sided comparison of ``L_u`` with ``u``:
 
@@ -362,9 +362,8 @@ def check_lfunction_sandwich(
     (2) ``u(r) <= C L_u(4 r)`` with the witness ``C`` taken as the grid
         maximum of the ratio, which must be stable under 2x refinement.
     """
-    if not 1.0 < a < math.inf:
-        raise ParameterError(f"the sandwich requires 1 < a < inf, got a={a}")
-    grid = _prepare_r_grid(spec, r_grid, u_mul=max(a, 1.0), l_mul=4.0)
+    a = _real(a, "a", _SCALES)
+    grid = _prepare_r_grid(spec, r_grid, u_mul=a, l_mul=4.0)
     const1 = math.log(math.e * a / math.log(a))
     lu_ar = _log_u(spec, a * grid)
     logl_r = _log_l(evaluator, grid)
@@ -397,7 +396,8 @@ def check_lfunction_sandwich(
     )
 
 
-def check_lemma_square(evaluator: LFunctionEvaluator, r_grid=None) -> VerificationReport:
+def check_lemma_square(evaluator: LFunctionEvaluator,
+                       r_grid: np.ndarray | None = None) -> VerificationReport:
     """``L_u(r)^2 <= ell(0) L_u(8 r)`` on the grid."""
     spec = evaluator.spec
     grid = _prepare_r_grid(spec, r_grid, u_mul=0.0, l_mul=8.0)
@@ -420,11 +420,10 @@ def check_lemma_sqrt(
     spec: GrowthFunctionSpec,
     evaluator: LFunctionEvaluator,
     a: float = 2.0,
-    r_grid=None,
+    r_grid: np.ndarray | None = None,
 ) -> VerificationReport:
     """``L_u(r) <= sqrt(ell(0) (e a / log a)) u(8 a r)^{1/2}`` on the grid."""
-    if not 1.0 < a < math.inf:
-        raise ParameterError(f"the sqrt bound requires 1 < a < inf, got a={a}")
+    a = _real(a, "a", _SCALES)
     grid = _prepare_r_grid(spec, r_grid, u_mul=8.0 * a, l_mul=1.0)
     le0 = float(evaluator.table.log_ell[0])
     const = 0.5 * (le0 + math.log(math.e * a / math.log(a)))
@@ -460,7 +459,7 @@ def _as_logfun(obj, fallback_id: str) -> tuple[Callable[[np.ndarray], np.ndarray
 def equivalence_witness(
     f,
     g,
-    r_grid=None,
+    r_grid: np.ndarray | None = None,
     f_id: str = "f",
     g_id: str = "g",
 ) -> VerificationReport:
@@ -495,7 +494,8 @@ def equivalence_witness(
             a = 2.0 ** (sign * p)
             try:
                 if a not in f_fine:
-                    f_fine[a] = f_fun(a * fine)
+                    with np.errstate(over="ignore"):  # u(inf) is u's limit
+                        f_fine[a] = f_fun(a * fine)
             except CapacityError:
                 break  # larger |log a| only pushes further out of range
             diffs_fine = sign * (g_fine - f_fine[a])
@@ -538,6 +538,7 @@ def check_chain_order(specs: Sequence[GrowthFunctionSpec], n_max: int = 60) -> V
     """
     if len(specs) < 2:
         raise ParameterError("chain check needs at least two functions")
+    n_max = _real(n_max, "n_max", "[1, inf)", whole=True)  # a tail of two rows
     tables = [legendre_sequence(s, n_max) for s in specs]
     pairs = []
     worst = math.inf
@@ -629,19 +630,22 @@ def verify_function(
     spec: GrowthFunctionSpec,
     n_max: int = 60,
     evaluator: LFunctionEvaluator | None = None,
-    r_grid=None,
+    r_grid: np.ndarray | None = None,
     checks: Sequence[str] | None = None,
     a: float = 2.0,
 ) -> list[VerificationReport]:
     """Run the default battery of checks for one catalog function; the checks
     share their grid evaluations for the length of the call (``_shared``)."""
+    a = _real(a, "a", _SCALES)
+    r_grid = None if r_grid is None else _radius_grid(r_grid)
     wanted = tuple(checks) if checks is not None else CHECK_IDS
     unknown = set(wanted) - set(CHECK_IDS)
     if unknown:
         raise ParameterError(f"unknown checks: {sorted(unknown)}")
+    table = legendre_sequence(spec, n_max)
     if evaluator is None:
         evaluator = LFunctionEvaluator.from_spec(spec)
-    battery = _Battery(spec, legendre_sequence(spec, n_max), evaluator, a, r_grid)
+    battery = _Battery(spec, table, evaluator, a, r_grid)
     token = _SHARED.set({})
     try:
         return [_CHECKS[check](battery) for check in wanted]

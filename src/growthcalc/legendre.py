@@ -50,7 +50,8 @@ from .growth import (
     ParameterError,
     _SPEC_CACHE,
     _gl_nodes,
-    _is_whole,
+    _real,
+    _reals,
     default_r_grid,
     log_u_grid,
 )
@@ -140,11 +141,11 @@ def legendre_transform(
     Raises :class:`UnboundedBelowError` when ``phi`` is still decreasing at
     the bracket cap (e.g. a finite power series with degree below ``t``), and
     :class:`~growthcalc.growth.CapacityError` when a series-backed function
-    cannot support the requested ``t``.
+    cannot support the requested ``t``, or where ``t s`` overflows on the
+    bracket, so that ``phi`` can be ``inf - inf``.
     """
-    t = float(t)
-    if not 0.0 <= t < math.inf:
-        raise ParameterError(f"legendre_transform requires finite t >= 0, got {t}")
+    t = _real(t, "t", "[0, inf)")
+    s_hint = None if s_hint is None else _real(s_hint, "s_hint", "(-inf, inf)")
     if t == 0.0:
         return _grid_infimum(spec), 0.0
     if t > spec.t_sup:
@@ -172,6 +173,8 @@ def legendre_transform(
     while lo > _S_FLOOR and phi(lo + _PROBE) > phi(lo):
         lo = max(lo - step, _S_FLOOR)
         step *= 2.0
+    if t * max(hi, -lo) == math.inf:
+        raise CapacityError(f"t log r overflows a double on the bracket for t={t:g}")
 
     # Ternary search down to a 1e-12 bracket; from the widest bracket (about
     # 1445) that takes about 86 steps.  The probes are phi written out, one
@@ -247,16 +250,16 @@ class LegendreTable:
     r_star: np.ndarray
 
     def __post_init__(self) -> None:
-        cols = [np.asarray(col, dtype=float) for col in (self.t, self.log_ell, self.r_star)]
+        cols = [_reals(col, name, domain) for col, name, domain in (
+            (self.t, "t", "[0, inf)"), (self.log_ell, "log_ell", "[-inf, inf)"),
+            (self.r_star, "r_star", "[0, inf)"))]
         for i, col in enumerate(cols):
             if col.flags.writeable:
                 cols[i] = col.copy()
             cols[i].setflags(write=False)
         self.t, self.log_ell, self.r_star = cols
-        if not (len(self.t) == len(self.log_ell) == len(self.r_star)):
-            raise ParameterError("table columns must share one length")
-        if len(self.t) == 0:
-            raise ParameterError("table must contain at least one row")
+        if not self.t.size or {col.shape for col in cols} != {(self.t.size,)}:
+            raise ParameterError("table columns must be nonempty, 1-d and of one length")
         if np.any(np.diff(self.t) <= 0.0):
             raise ParameterError("table t-grid must be strictly increasing")
 
@@ -294,9 +297,7 @@ def legendre_sequence(spec: GrowthFunctionSpec, n_max: int) -> LegendreTable:
     run that asks for one sequence twice (a battery and a chain-order check
     on the same function) solves it once; every caller gets the same table,
     whose arrays are read-only."""
-    if not (_is_whole(n_max) and n_max >= 0):
-        raise ParameterError(f"legendre_sequence requires an integer n_max >= 0, got {n_max!r}")
-    return _sequence(spec, int(n_max))
+    return _sequence(spec, _real(n_max, "n_max", "[0, inf)", whole=True))
 
 
 @lru_cache(maxsize=_SPEC_CACHE)
@@ -304,9 +305,9 @@ def _sequence(spec: GrowthFunctionSpec, n_max: int) -> LegendreTable:
     return legendre_table(spec, _integer_grid(n_max))
 
 
-def legendre_table(spec: GrowthFunctionSpec, t_values) -> LegendreTable:
+def legendre_table(spec: GrowthFunctionSpec, t_values: np.ndarray) -> LegendreTable:
     """Table of the transform on an arbitrary increasing t-grid."""
-    ts = np.asarray(t_values, dtype=float)
+    ts = _reals(t_values, "t", "[0, inf)")
     if ts.ndim != 1 or ts.size == 0:
         raise ParameterError("t_values must be a nonempty 1-d array")
     log_ell = np.empty(ts.size)
@@ -338,10 +339,9 @@ class LFunctionEvaluator:
     def from_spec(cls, spec: GrowthFunctionSpec, n_max: int = 1200) -> "LFunctionEvaluator":
         """The table ``n = 0..n_max`` (capped at ``t_sup``) by one batched Newton
         solve, with the ``t = 0`` row of :func:`legendre_transform`."""
-        if not _is_whole(n_max):
-            raise ParameterError(f"from_spec requires an integer n_max, got {n_max!r}")
+        n_max = _real(n_max, "n_max", "[1, inf)", whole=True)
         n_max = min(n_max, int(spec.t_sup)) if spec.t_sup < math.inf else n_max
-        t = _integer_grid(max(n_max, 0))
+        t = _integer_grid(n_max)
         log_ell, r_star = _newton_transform(spec, t[1:])
         table = LegendreTable(spec.function_id, t,
                               np.append(_grid_infimum(spec), log_ell), np.append(0.0, r_star))
@@ -350,21 +350,6 @@ class LFunctionEvaluator:
     @property
     def n_max(self) -> int:
         return self.table.n_max
-
-
-def _radii(r, name: str) -> np.ndarray:
-    """``r`` as a float array; NaN, infinite or negative entries raise.  A
-    0-d ``r`` is checked by one comparison on its float, not by array ops."""
-    rs = np.asarray(r, dtype=float)
-    if rs.ndim == 0:
-        x = float(rs)
-        if not 0.0 <= x < math.inf:
-            raise ParameterError(f"{name} requires finite r >= 0, got {x}")
-        return rs
-    bad = ~((rs >= 0.0) & (rs < math.inf))
-    if bad.any():
-        raise ParameterError(f"{name} requires finite r >= 0, got {rs[bad][0]}")
-    return rs
 
 
 def _blockwise(rule, rs: np.ndarray):
@@ -483,7 +468,7 @@ def _table_rule(
     return vals, InsufficientTableError(msg, last_ratio=last, n_max=N)
 
 
-def l_function(evaluator: LFunctionEvaluator, r):
+def l_function(evaluator: LFunctionEvaluator, r: float | np.ndarray):
     """``log L_u(r)`` by the table rule.
 
     ``r`` is a radius or an array of radii; a scalar gives a float, an array
@@ -496,7 +481,7 @@ def l_function(evaluator: LFunctionEvaluator, r):
     Raises :class:`InsufficientTableError` (with the last term ratio of the
     first radius that fails) when the bound does not hold.
     """
-    rs = _radii(r, "l_function")
+    rs = _reals(r)
 
     def rule(block: np.ndarray) -> np.ndarray:
         vals, err = _table_rule(evaluator.table, block)
@@ -692,7 +677,7 @@ def _laplace_rule(spec: GrowthFunctionSpec, rs: np.ndarray) -> np.ndarray:
     return h_star + np.log(np.exp(hh - h_star[:, None]) @ w) + np.log(half)
 
 
-def l_function_integral(spec: GrowthFunctionSpec, r):
+def l_function_integral(spec: GrowthFunctionSpec, r: float | np.ndarray):
     """``log L_u(r)`` via ``log integral_0^inf ell_u(t) r^t dt``.
 
     ``r`` is a radius or an array of radii; a scalar gives a float, an array
@@ -703,19 +688,17 @@ def l_function_integral(spec: GrowthFunctionSpec, r):
     within ``exp(-70)`` of its peak captures everything that matters.
     Errors name the first radius they concern.
     """
-    rs = _radii(r, "l_function_integral")
-    if not (rs > 0.0).all():
-        raise ParameterError("the integral form needs r > 0")
+    rs = _reals(r, "r", "(0, inf)")
     return _blockwise(lambda block: _laplace_rule(spec, block), rs)
 
 
-def l_function_wide(evaluator: LFunctionEvaluator, r):
+def l_function_wide(evaluator: LFunctionEvaluator, r: float | np.ndarray):
     """``log L_u(r)``: table rule where it holds, Laplace integral beyond.
 
     ``r`` is a radius or an array of radii; a scalar gives a float, an array
     an array of its shape.
     """
-    rs = _radii(r, "l_function_wide")
+    rs = _reals(r)
 
     def rule(block: np.ndarray) -> np.ndarray:
         vals, err = _table_rule(evaluator.table, block)
@@ -739,9 +722,7 @@ def bidual(spec: GrowthFunctionSpec, r: float) -> float:
     ``log r`` reaches ``s_max``, when ``t*`` lies past ``0.97 t_sup`` (the
     faithful range of a series), or when ``t*`` or ``t* log r`` overflows.
     """
-    r = float(r)
-    if not 0.0 <= r < math.inf:
-        raise ParameterError(f"bidual requires finite r >= 0, got {r}")
+    r = _real(r, "r", "[0, inf)")
     h0 = _grid_infimum(spec)
     if r == 0.0:
         return h0

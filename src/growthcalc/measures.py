@@ -33,9 +33,9 @@ from .growth import (
     KONDRATIEV_STREIT,
     ITERATED_EXP_SQRT,
     ParameterError,
+    _LAMBDAS,
     _SPEC_CACHE,
-    _is_real,
-    _is_whole,
+    _real,
     default_r_grid,
     iterated_log,
     log_u_grid,
@@ -55,10 +55,27 @@ _POISSON_K_CAP = 100_000
 _FERNIQUE_TAIL_TOL = 1e-14
 _FERNIQUE_K_CAP = 10**6
 
+#: The domain of each surrogate field, which the functions below taking the
+#: same parameter read too; ``_WHOLE`` names the integer ones.  ``n``, the
+#: grey sample size, is at least 100: one sample would report stderr 0 up
+#: to rounding noise.
+_DOMAINS = {
+    "rho": "(0, 1)",
+    "q": "[0, inf)",
+    "theta": "(0, inf)",
+    "w": "[0, inf)",
+    "lam": _LAMBDAS,
+    "n": "[100, inf)",
+    "seed": "[0, inf)",
+}
+_WHOLE = frozenset({"q", "n", "seed"})
+
 
 @dataclass(frozen=True)
 class MeasureSurrogate:
-    """Parameters of one reference measure plus sampling defaults.
+    """Parameters of one reference measure plus sampling defaults, each on
+    its ``_DOMAINS`` interval whatever the kind, stored as a float (an int
+    for ``q``, ``n`` and ``seed``).
 
     A Gaussian surrogate's ``q`` is validated but does not enter its Hida
     levels: level ``p`` integrates over the norm ``|x|_{-p}``, whatever ``q``."""
@@ -75,20 +92,9 @@ class MeasureSurrogate:
     def __post_init__(self) -> None:
         if self.kind not in MEASURE_KINDS:
             raise ParameterError(f"unknown measure kind {self.kind!r}")
-        for name in ("rho", "q", "theta", "w", "lam", "n", "seed"):
-            v, whole = getattr(self, name), name in ("n", "seed")
-            if not (_is_whole(v) if whole else _is_real(v)):
-                raise ParameterError(f"{self.kind} field {name!r} must be "
-                                     f"{'an integer' if whole else 'a number'}, got {v!r}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
-        _MEASURE_TABLE[self.kind].validate(self)
-        _check_weight(self.w)
-
-
-def _check_weight(w: float) -> None:
-    if not 0.0 <= w < math.inf:
-        raise ParameterError(f"the weight w must be finite and >= 0, got {w}")
+        for name, domain in _DOMAINS.items():
+            object.__setattr__(self, name, _real(
+                getattr(self, name), f"{self.kind} field {name!r}", domain, whole=name in _WHOLE))
 
 
 # -- Gaussian product ---------------------------------------------------------
@@ -112,12 +118,8 @@ def fernique_product(rho: float, q: float, c2: float) -> FerniqueResult:
     Divergent when the leading factor ``4 c2 rho^{2q} >= 1``, and for ``q = 0``
     (no decay: infinitely many equal factors) whenever ``c2 > 0``.
     """
-    if not 0.0 < rho < 1.0:
-        raise ParameterError(f"rho must lie in (0, 1), got {rho}")
-    if not 0.0 <= q < math.inf:
-        raise ParameterError(f"q must be finite and >= 0, got {q}")
-    if not 0.0 <= c2 < math.inf:
-        raise ParameterError(f"c2 must be finite and >= 0, got {c2}")
+    rho, q = _real(rho, "rho", _DOMAINS["rho"]), _real(q, "q", _DOMAINS["q"])
+    c2 = _real(c2, "c2", "[0, inf)")
     if c2 == 0.0:
         return FerniqueResult(1.0, 0.0, True, 0, 0.0, 0.0)
     ratio = rho ** (2.0 * q)
@@ -167,8 +169,7 @@ class PoissonResult:
 
 def poisson_sqrtlog_integrand(w: float = 1.0) -> Callable[[int], float]:
     """``log g(k)`` for ``g(k) = exp(sqrt(w) k sqrt(log_1(sqrt(w) k)))``."""
-    _check_weight(w)
-    s = math.sqrt(w)
+    s = math.sqrt(_real(w, "w", _DOMAINS["w"]))
 
     def log_g(k: int) -> float:
         x = s * k
@@ -179,7 +180,7 @@ def poisson_sqrtlog_integrand(w: float = 1.0) -> Callable[[int], float]:
 
 def poisson_growth_integrand(spec: GrowthFunctionSpec, w: float = 1.0) -> Callable[[int], float]:
     """``log g(k)`` for ``g(k) = u(w k^2)^{1/2}``."""
-    _check_weight(w)
+    w = _real(w, "w", _DOMAINS["w"])
 
     def log_g(k: int) -> float:
         return 0.5 * spec.log_u(w * float(k) * float(k))
@@ -200,8 +201,7 @@ def poisson_integrability(
     Convergence stops once a geometric bound on the remaining tail drops
     below ``_POISSON_TAIL_TOL`` relative to the partial sum.
     """
-    if not 0.0 < theta < math.inf:
-        raise ParameterError(f"theta must be finite and positive, got {theta}")
+    theta = _real(theta, "theta", _DOMAINS["theta"])
     log_theta = math.log(theta)
     k_mode = max(theta, 30.0)
     partial = -math.inf
@@ -282,12 +282,9 @@ def grey_sample(lam: float, n: int, seed: int) -> np.ndarray:
     The stream draws ``u``, then ``w``, then ``z``, so results are
     reproducible per (lam, n, seed).
     """
-    if not 0.0 < lam <= 1.0:
-        raise ParameterError(f"lambda must lie in (0, 1], got {lam}")
-    if not (_is_whole(n) and n >= 1):
-        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
-    if not (_is_whole(seed) and seed >= 0):
-        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
+    lam = _real(lam, "lam", _DOMAINS["lam"])
+    n = _real(n, "n", "[1, inf)", whole=True)
+    seed = _real(seed, "seed", _DOMAINS["seed"], whole=True)
     rng = np.random.default_rng(seed)
     if lam == 1.0:
         z = rng.standard_normal(n)
@@ -297,6 +294,8 @@ def grey_sample(lam: float, n: int, seed: int) -> np.ndarray:
     np.clip(half, 1e-12, 1.0 - 1e-12, out=half)
     half *= 0.5 * math.pi
     s = _trig_of_double(np.multiply(half, lam), sine=True)
+    if not s.all():  # lam theta underflows, for lam below about 1e-312
+        raise CapacityError(f"lambda={lam:g} is too small to sample: lam theta underflows")
     np.power(s, lam, out=s)
     sine = _trig_of_double(np.multiply(half, 1.0 - lam), sine=True)
     s *= np.power(sine, 1.0 - lam, out=sine)
@@ -365,22 +364,26 @@ def grey_integrability(
     mean of ``e`` and the second moment ``exp(2 m)`` times the mean of
     ``e * e``, so heavy samples cannot silently overflow; instead the
     estimate is flagged unstable when a 0.1% sliver of the sample carries
-    most of the mass or the second moment overflows.  The sample needs
-    ``n >= 100``, as for a grey :class:`MeasureSurrogate`.
+    most of the mass or the second moment overflows.  The arguments are
+    checked as a grey :class:`MeasureSurrogate`'s fields, so ``n >= 100``.
     """
-    MeasureSurrogate(_GREY, lam=lam, n=n, seed=seed, w=w)  # checks every argument
-    return _grey_estimate(lam, w, grey_sample(lam, n, seed), seed)
+    m = MeasureSurrogate(_GREY, lam=lam, n=n, seed=seed, w=w)
+    return _grey_estimate(m.lam, m.w, grey_sample(m.lam, m.n, m.seed), m.seed)
 
 
 def _grey_estimate(lam: float, w: float, x: np.ndarray, seed: int) -> GreyResult:
     """:func:`grey_integrability` on the sample ``x`` drawn with ``seed``,
     which it overwrites: ``x`` is the working array."""
     n = x.size
-    e = np.square(x, out=x)
-    e *= w
-    e **= 1.0 / (2.0 - lam)
-    e *= 0.5 * (2.0 - lam)
+    with np.errstate(over="ignore"):  # judged below
+        e = np.square(x, out=x)
+        e *= w
+        e **= 1.0 / (2.0 - lam)
+        e *= 0.5 * (2.0 - lam)
     m = float(e.max())
+    if m == math.inf:
+        return GreyResult(math.inf, math.inf, math.inf, n, seed, False, 1.0,
+                          "the integrand overflows a double")
     e -= m
     np.exp(e, out=e)
     total = float(e.sum())
@@ -479,25 +482,6 @@ def _check_compatibility(surrogate: MeasureSurrogate, spec: GrowthFunctionSpec) 
         raise ParameterError(f"{measure.partner(surrogate)}, not {spec.function_id}")
 
 
-def _check_gaussian(surrogate: MeasureSurrogate) -> None:
-    if not 0.0 < surrogate.rho < 1.0:
-        raise ParameterError(f"rho must lie in (0, 1), got {surrogate.rho}")
-    if not (_is_whole(surrogate.q) and surrogate.q >= 0):
-        raise ParameterError(f"q must be an integer >= 0, got {surrogate.q}")
-
-
-def _check_poisson(surrogate: MeasureSurrogate) -> None:
-    if not 0.0 < surrogate.theta < math.inf:
-        raise ParameterError(f"theta must be finite and positive, got {surrogate.theta}")
-
-
-def _check_grey(surrogate: MeasureSurrogate) -> None:
-    if not 0.0 < surrogate.lam <= 1.0:
-        raise ParameterError(f"lambda must lie in (0, 1], got {surrogate.lam}")
-    if surrogate.n < 100:
-        raise ParameterError(f"grey sampling needs n >= 100, got {surrogate.n}")
-
-
 def _gaussian_level(surrogate: MeasureSurrogate, spec: GrowthFunctionSpec, p: int) -> dict:
     c1, c2 = _gaussian_envelope(spec)
     # integrand u(|x|_{-p}^2)^{1/2} <= c1 exp(c2 |x|_{-p}^2); the factorized
@@ -563,8 +547,7 @@ def hida_condition(
     Mismatched (measure, growth function) pairs raise
     :class:`~growthcalc.growth.ParameterError`.
     """
-    if not (_is_whole(p) and p >= 0):
-        raise ParameterError(f"p must be an integer >= 0, got {p!r}")
+    p = _real(p, "p", "[0, inf)", whole=True)
     _check_compatibility(surrogate, spec)
     measure = _MEASURE_TABLE[surrogate.kind]
     levels = measure.sweep(surrogate, spec, range(max(p, 4) + 1))
@@ -582,9 +565,8 @@ def hida_condition(
 
 @dataclass(frozen=True)
 class _Measure:
-    """What one reference measure checks, pairs with and integrates."""
+    """What one reference measure pairs with and integrates."""
 
-    validate: Callable  # surrogate -> None; raises ParameterError
     pairs: Callable  # (surrogate, spec) -> whether the spec is its partner
     partner: Callable  # surrogate -> what it pairs with, for the error text
     sweep: Callable  # (surrogate, spec, ps) -> the Hida sweep's levels at ps
@@ -593,18 +575,15 @@ class _Measure:
 
 _MEASURE_TABLE = {
     _GAUSSIAN: _Measure(
-        _check_gaussian,
         lambda m, spec: spec.kind == KONDRATIEV_STREIT,
         lambda m: "the Gaussian product surrogate pairs with the "
                   "exp((1+beta) r^(1/(1+beta))) family",
         _per_level(_gaussian_level), sampled=False),
     _POISSON: _Measure(
-        _check_poisson,
         lambda m, spec: spec.kind == ITERATED_EXP_SQRT and spec.k == 2,
         lambda m: "the Poisson surrogate pairs with g2",
         _per_level(_poisson_level), sampled=False),
     _GREY: _Measure(
-        _check_grey,
         lambda m, spec: spec.kind == KONDRATIEV_STREIT
         and abs(spec.beta - (1.0 - m.lam)) <= 1e-9,
         lambda m: f"grey noise with lambda={m.lam} pairs with ks(beta={1.0 - m.lam:g})",

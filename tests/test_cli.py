@@ -127,15 +127,15 @@ def eval_job(job_id="eval-1", **extra):
     # The grey ops keep the grey surrogate's rules; a zero or non-finite xi
     # would divide by a zero or NaN stderr.
     (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "grey_cf", "lam": 0.5,
-                               "n": 1}]), "job 'x': grey sampling needs n >= 100, got 1"),
+                               "n": 1}]), "job 'x': grey field 'n' must be an integer in [100, inf), got 1"),
     (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "grey_integrability",
                                "lam": 1.0, "w": 0.1, "n": 99}]),
-     "job 'x': grey sampling needs n >= 100, got 99"),
+     "job 'x': grey field 'n' must be an integer in [100, inf), got 99"),
     (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "grey_cf", "lam": 1.5}]),
-     "job 'x': lambda must lie in (0, 1], got 1.5"),
+     "job 'x': grey field 'lam' must be a number in (0, 1], got 1.5"),
     (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "grey_integrability",
                                "lam": 0.5, "w": -1.0}]),
-     "job 'x': the weight w must be finite and >= 0, got -1.0"),
+     "job 'x': grey field 'w' must be a number in [0, inf), got -1.0"),
     (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "grey_cf", "lam": 0.5,
                                "xi": [1.0, 0.0]}]),
      "field 'xi' must hold finite nonzero numbers, got [1.0, 0.0]"),
@@ -713,10 +713,11 @@ def test_cli_one_off_names_the_missing_field(capsys, args, field):
 
 
 @pytest.mark.parametrize("args,message", [
-    (("--op", "grey_cf", "--lam", 0.5, "--n", 1), "grey sampling needs n >= 100, got 1"),
+    (("--op", "grey_cf", "--lam", 0.5, "--n", 1),
+     "grey field 'n' must be an integer in [100, inf), got 1"),
     (("--op", "grey_cf", "--lam", 0.5, "--xi", 0), "field 'xi' must hold finite nonzero numbers"),
     (("--op", "grey_integrability", "--lam", 1.0, "--w", 0.1, "--n", 1),
-     "grey sampling needs n >= 100, got 1"),
+     "grey field 'n' must be an integer in [100, inf), got 1"),
 ], ids=["cf-n", "cf-xi", "integrability-n"])
 def test_cli_grey_one_off_rejects_a_bad_field_before_sampling(capsys, args, message):
     # These ran, and reported a NaN stderr with two RuntimeWarnings, a raw
@@ -747,17 +748,17 @@ def test_cli_measures_one_off_is_the_job_of_its_flags_alone():
 
 
 @pytest.mark.parametrize("measure,fragment", [
-    ({"kind": "gaussian", "rho": 2.0}, "rho must lie in (0, 1)"),
-    ({"kind": "gaussian", "q": 1.5}, "q must be an integer >= 0"),
-    ({"kind": "grey", "lam": 0.5, "n": 10}, "n >= 100"),
+    ({"kind": "gaussian", "rho": 2.0}, "gaussian field 'rho' must be a number in (0, 1), got 2.0"),
+    ({"kind": "gaussian", "q": 1.5}, "gaussian field 'q' must be an integer in [0, inf), got 1.5"),
+    ({"kind": "grey", "lam": 0.5, "n": 10}, "grey field 'n' must be an integer in [100, inf), got 10"),
     ({"kind": "poisson", "theta": "one"}, "measure:"),
     ({"kind": "gaussian", "sigma": 1.0}, "sigma"),
-    ({"kind": "poisson", "theta": "one"}, "field 'theta' must be a number, got 'one'"),
-    ({"kind": "poisson", "theta": True}, "field 'theta' must be a number, got True"),
-    ({"kind": "grey", "lam": 0.5, "n": 1000.0}, "field 'n' must be an integer, got 1000.0"),
-    ({"kind": "grey", "lam": 0.5, "seed": "7"}, "field 'seed' must be an integer, got '7'"),
-    ({"kind": "poisson", "theta": math.inf}, "theta must be finite and positive, got inf"),
-    ({"kind": "poisson", "w": math.nan}, "w must be finite and >= 0, got nan"),
+    ({"kind": "poisson", "theta": "one"}, "field 'theta' must be a number in (0, inf), got 'one'"),
+    ({"kind": "poisson", "theta": True}, "field 'theta' must be a number in (0, inf), got True"),
+    ({"kind": "grey", "lam": 0.5, "n": 1000.0}, "field 'n' must be an integer in [100, inf), got 1000.0"),
+    ({"kind": "grey", "lam": 0.5, "seed": "7"}, "field 'seed' must be an integer in [0, inf), got '7'"),
+    ({"kind": "poisson", "theta": math.inf}, "poisson field 'theta' must be a number in (0, inf), got inf"),
+    ({"kind": "poisson", "w": math.nan}, "poisson field 'w' must be a number in [0, inf), got nan"),
 ])
 def test_validate_manifest_builds_each_hida_measure(measure, fragment):
     m = manifest([{"id": "h", "kind": "measures", "op": "hida", "function": "ks0",
@@ -773,7 +774,7 @@ def test_cli_hida_rejects_a_bad_gaussian_measure_before_running(capsys, flag):
     code, payload, err = one_off(capsys, "measures", "--op", "hida", "--measure-kind",
                                  "gaussian", "--spec", json.dumps(KS0), *flag)
     assert (code, payload) == (2, None)
-    assert f"{flag[0][2:]} must" in err
+    assert f"gaussian field '{flag[0][2:]}' must" in err
 
 
 def test_cli_reads_q_as_a_manifest_would(capsys):
@@ -784,7 +785,7 @@ def test_cli_reads_q_as_a_manifest_would(capsys):
     assert code == 0 and payload["status"] == "pass"
     code, payload, err = one_off(capsys, *hida, "--q", "2.0")
     assert (code, payload) == (2, None)
-    assert "q must be an integer >= 0, got 2.0" in err
+    assert "gaussian field 'q' must be an integer in [0, inf), got 2.0" in err
     fernique = ("measures", "--op", "fernique", "--rho", "0.5", "--c2", "0.1")
     values = [one_off(capsys, *fernique, "--q", q)[1]["value"] for q in ("2", "2.0")]
     assert values[0] == values[1]

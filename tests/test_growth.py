@@ -331,7 +331,7 @@ def test_u1_implies_u0():
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_condition_grids_with_a_non_finite_radius_are_rejected(bad):
-    with pytest.raises(ParameterError, match="finite radii r >= 0"):
+    with pytest.raises(ParameterError, match=re.escape(f"r must be a number in [0, inf), got {bad}")):
         check_conditions(kondratiev_streit(0.0), np.array([0.0, 1.0, bad]))
 
 
@@ -397,12 +397,15 @@ def test_median_is_np_median(a):
     assert repr(growth._median(np.array(a))) == repr(float(np.median(np.array(a))))
 
 
-@pytest.mark.parametrize("bad", [
-    [math.nan], [0.0, 1.0, math.nan, math.nan, 1.0], [math.nan, 0.0, 2.0],
-    [0.0, math.inf], [-math.inf, 1.0], [[1.0, 2.0], [math.nan, 3.0]], [],
+@pytest.mark.parametrize("bad,text", [
+    ([math.nan], "got nan"), ([0.0, 1.0, math.nan, math.nan, 1.0], "got nan"),
+    ([math.nan, 0.0, 2.0], "got nan"), ([0.0, math.inf], "got inf"),
+    ([-math.inf, 1.0], "got -inf"), ([[1.0, 2.0], [math.nan, 3.0]], "got nan"),
+    ([], "r grids must be nonempty"),
 ])
-def test_radius_grid_rejects_non_finite_radii(bad):
-    with pytest.raises(ParameterError, match="finite radii r >= 0"):
+def test_radius_grid_rejects_non_finite_radii(bad, text):
+    with pytest.raises(ParameterError, match=re.escape(
+            text if bad == [] else f"r must be a number in [0, inf), {text}")):
         growth._radius_grid(bad)
 
 
@@ -542,6 +545,16 @@ def test_mittag_leffler_bounds_and_monotonicity():
             value = mittag_leffler(lam, float(t))
             assert 0.0 < value <= previous + 1e-12
             previous = value
+
+
+@pytest.mark.parametrize("lam", [1e-300, 1e-320])
+def test_mittag_leffler_at_a_vanishing_lambda_is_its_limit(lam):
+    # E_lam(-t) -> 1 / (1 + t) as lam -> 0.  (x + log t) / lam overflowed
+    # with a RuntimeWarning, and the sum read 1 + 2^-52 at t = 1e-320.
+    for t in (1e-320, 1e-3, 0.5, 1.0, 3.0, 1e3, 1e8):
+        value = mittag_leffler(lam, t)
+        assert 0.0 < value <= 1.0
+        assert value == pytest.approx(1.0 / (1.0 + t), rel=1e-12)
 
 
 def test_mittag_leffler_rejects_bad_parameters():
@@ -891,6 +904,21 @@ def test_series_grids_equal_the_scalar_kernel_at_every_landmark(spec):
     assert spec.log_u(0.0) == float(growth._series_logc(spec)[0])
 
 
+@pytest.mark.parametrize("coeffs,want", [
+    ([0.0, -1.0, -3.0], math.inf), ([0.0, -math.inf, -2.0], math.inf),
+    ([-math.inf, 1.0], math.inf), ([2.0], 2.0), ([0.0, -math.inf], 0.0),
+])
+def test_power_series_log_u_at_infinity_is_its_limit(coeffs, want):
+    # inf past a finite term with n >= 1, else log c_0; the kernels took
+    # 0 * log(inf) for the n = 0 term and gave NaN.  Finite radii keep the
+    # parent's bits, beside r = inf too.
+    spec = power_series(coeffs)
+    assert spec.log_u(math.inf) == want
+    rs = [0.0, 1.0, math.inf, 3.0]
+    assert log_u_grid(spec, np.array(rs)).tolist() == [
+        _scalar_log_u(spec, 0.0), _scalar_log_u(spec, 1.0), want, _scalar_log_u(spec, 3.0)]
+
+
 def test_power_series_grids_pass_blocks_of_rows(monkeypatch):
     # A grid longer than a block of (radii x terms) cells goes in several.
     monkeypatch.setattr(growth, "_SERIES_BLOCK", 64)
@@ -936,7 +964,8 @@ def test_bell_order_is_capped():
 
     assert bell_series(_BELL_K_CAP).k == _BELL_K_CAP  # built lazily: no table yet
     for k in (_BELL_K_CAP + 1, 3000, 10**20):
-        with pytest.raises(ParameterError, match=f"bell_series supports k <= {_BELL_K_CAP}"):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"bell_series field 'k' must be an integer in [1, {_BELL_K_CAP}], got {k}")):
             bell_series(k)
 
 
@@ -1071,17 +1100,17 @@ def test_spec_from_dict_takes_ints_for_floats_and_only_integers_for_k():
     # k is whole by growth._is_whole, as n, seed, p and n_max are: 3.0 is a
     # float, as in a Gaussian surrogate's q.
     for d in ({"kind": "bell_series", "k": 3.0}, {"kind": "iterated_exp_sqrt", "k": 2.0}):
-        with pytest.raises(ParameterError, match=re.escape(f"field 'k' must be an integer, got {d['k']!r}")):
+        with pytest.raises(ParameterError, match=re.escape(f"field 'k' must be an integer in [1, ") + ".*" + re.escape(f", got {d['k']!r}")):
             spec_from_dict(d)
     assert spec_from_dict({"kind": "power_series", "log_coeffs": [0, None, -2]}) == (
         power_series([0.0, -math.inf, -2.0]))
 
 
 @pytest.mark.parametrize("make,fragment", [
-    (lambda: kondratiev_streit("0.5"), "'beta' must be a number, got '0.5'"),
-    (lambda: kondratiev_streit(True), "'beta' must be a number, got True"),
-    (lambda: exponential(None), "'c' must be a number, got None"),
-    (lambda: bell_series(True), "'k' must be an integer, got True"),
+    (lambda: kondratiev_streit("0.5"), "'beta' must be a number in [0, 1), got '0.5'"),
+    (lambda: kondratiev_streit(True), "'beta' must be a number in [0, 1), got True"),
+    (lambda: exponential(None), "'c' must be a number in (0, inf), got None"),
+    (lambda: bell_series(True), "'k' must be an integer in [1, 16], got True"),
     (lambda: power_series([0.0, "-1.0"]), "'log_coeffs' must be a list of numbers"),
 ], ids=["beta-str", "beta-bool", "c-none", "k-bool", "coeff-str"])
 def test_the_spec_checks_its_own_parameter(make, fragment):
@@ -1122,7 +1151,7 @@ def test_whole_number_arguments_are_checked_by_one_rule(call):
 
 
 def test_exponential_rate_must_be_finite():
-    with pytest.raises(ParameterError, match="finite"):
+    with pytest.raises(ParameterError, match=re.escape("'c' must be a number in (0, inf), got inf")):
         exponential(math.inf)
 
 

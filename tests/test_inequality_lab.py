@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -167,7 +168,7 @@ def test_battery_rejects_non_dyadic_scale():
 @pytest.mark.parametrize("check", [check_lfunction_sandwich, check_lemma_sqrt])
 @pytest.mark.parametrize("a", [1.0, math.inf, math.nan])
 def test_lseries_bounds_need_a_finite_scale_above_one(catalog, evaluators, check, a):
-    with pytest.raises(ParameterError, match=r"1 < a < inf, got a="):
+    with pytest.raises(ParameterError, match=re.escape(f"a must be a number in (1, inf), got {a}")):
         check(catalog["ks0"], evaluators["ks0"], a)
 
 
@@ -368,7 +369,7 @@ GRID_ENTRY_POINTS = {
 def test_r_grids_with_a_non_finite_radius_are_rejected(catalog, evaluators, bad):
     grid = np.append(np.geomspace(1e-3, 1e3, 20), bad)
     for call in GRID_ENTRY_POINTS.values():
-        with pytest.raises(ParameterError, match="nonempty, of finite radii r >= 0"):
+        with pytest.raises(ParameterError, match=re.escape(f"r must be a number in [0, inf), got {bad}")):
             call(catalog["ks0"], evaluators["ks0"], grid)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import mpmath as mp
@@ -238,15 +239,15 @@ def test_grey_sampler_validation():
 
 
 @pytest.mark.parametrize("n,seed,fragment", [
-    (2.5, 1, "n must be an integer >= 1"),
-    (10.0, 1, "n must be an integer >= 1"),
-    (True, 1, "n must be an integer >= 1"),
-    (10, 1.5, "seed must be an integer >= 0"),
-    (10, -1, "seed must be an integer >= 0"),
-    (10, True, "seed must be an integer >= 0"),
+    (2.5, 1, "n must be an integer in [1, inf), got 2.5"),
+    (10.0, 1, "n must be an integer in [1, inf), got 10.0"),
+    (True, 1, "n must be an integer in [1, inf), got True"),
+    (10, 1.5, "seed must be an integer in [0, inf), got 1.5"),
+    (10, -1, "seed must be an integer in [0, inf), got -1"),
+    (10, True, "seed must be an integer in [0, inf), got True"),
 ], ids=["n-fraction", "n-float", "n-bool", "seed-fraction", "seed-negative", "seed-bool"])
 def test_grey_sampler_rejects_non_integral_counts_and_seeds(n, seed, fragment):
-    with pytest.raises(ParameterError, match=fragment):
+    with pytest.raises(ParameterError, match=re.escape(fragment)):
         grey_sample(0.5, n, seed)
 
 
@@ -371,7 +372,7 @@ def test_grey_integrability_rejects_bad_weight(w):
 @pytest.mark.parametrize("n", [1, 99])
 def test_grey_integrability_needs_the_surrogates_hundred_samples(n):
     # one sample would report stderr 0 up to rounding noise
-    with pytest.raises(ParameterError, match=f"grey sampling needs n >= 100, got {n}"):
+    with pytest.raises(ParameterError, match=re.escape(f"grey field 'n' must be an integer in [100, inf), got {n}")):
         grey_integrability(1.0, 0.1, n=n, seed=0)
 
 
@@ -466,9 +467,9 @@ def test_surrogate_factories_validate():
         MeasureSurrogate("grey", lam=1.3)
     with pytest.raises(ParameterError):
         MeasureSurrogate("poisson", theta=-1.0)
-    with pytest.raises(ParameterError, match="seed must be >= 0"):
+    with pytest.raises(ParameterError, match=re.escape("field 'seed' must be an integer in [0, inf), got -1")):
         MeasureSurrogate("grey", lam=0.5, seed=-1)
-    with pytest.raises(ParameterError, match="seed must be >= 0"):
+    with pytest.raises(ParameterError, match=re.escape("field 'seed' must be an integer in [0, inf), got -3")):
         MeasureSurrogate(kind="gaussian", seed=-3)
 
 
@@ -492,17 +493,17 @@ def test_poisson_raises_a_capacity_error_at_its_term_cap():
 
 
 @pytest.mark.parametrize("call,fragment", [
-    (lambda: fernique_product(0.5, math.nan, 0.1), "q must be finite"),
-    (lambda: fernique_product(0.5, 1, math.nan), "c2 must be finite"),
-    (lambda: poisson_integrability(math.inf, lambda k: 0.0), "theta must be finite"),
-    (lambda: poisson_sqrtlog_integrand(math.nan), "w must be finite"),
-    (lambda: poisson_sqrtlog_integrand(math.inf), "w must be finite"),
-    (lambda: MeasureSurrogate("poisson", theta=math.inf), "theta must be finite"),
-    (lambda: MeasureSurrogate("poisson", w=math.nan), "w must be finite"),
+    (lambda: fernique_product(0.5, math.nan, 0.1), "q must be a number in [0, inf), got nan"),
+    (lambda: fernique_product(0.5, 1, math.nan), "c2 must be a number in [0, inf), got nan"),
+    (lambda: poisson_integrability(math.inf, lambda k: 0.0), "theta must be a number in (0, inf), got inf"),
+    (lambda: poisson_sqrtlog_integrand(math.nan), "w must be a number in [0, inf), got nan"),
+    (lambda: poisson_sqrtlog_integrand(math.inf), "w must be a number in [0, inf), got inf"),
+    (lambda: MeasureSurrogate("poisson", theta=math.inf), "'theta' must be a number in (0, inf), got inf"),
+    (lambda: MeasureSurrogate("poisson", w=math.nan), "'w' must be a number in [0, inf), got nan"),
 ], ids=["fernique-q-nan", "fernique-c2-nan", "poisson-theta-inf", "sqrtlog-w-nan",
         "sqrtlog-w-inf", "surrogate-theta-inf", "surrogate-w-nan"])
 def test_non_finite_measure_parameters_are_rejected(call, fragment):
-    with pytest.raises(ParameterError, match=fragment):
+    with pytest.raises(ParameterError, match=re.escape(fragment)):
         call()
 
 
@@ -655,6 +656,6 @@ def test_hida_poisson_calls_the_integrator_bound_in_the_module(catalog, monkeypa
 def test_gaussian_surrogate_needs_an_integral_level(q):
     # An integer by growth._is_whole, as every whole-number argument: 2.0 is
     # a float.
-    with pytest.raises(ParameterError, match="q must be an integer >= 0"):
+    with pytest.raises(ParameterError, match=re.escape(f"'q' must be an integer in [0, inf), got {q!r}")):
         MeasureSurrogate("gaussian", q=q)
     assert MeasureSurrogate("gaussian", q=2).q == 2
