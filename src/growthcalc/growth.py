@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -280,9 +279,9 @@ class GrowthFunctionSpec:
         """``log u(r)`` for a single ``r`` in ``[0, inf]``."""
         # The Legendre solves' hot path: a float passes by one comparison,
         # anything else by the one rule, which also raises.
-        if type(r) is not float or not r >= 0.0:
-            r = _real(r, "r", "[0, inf]")
-        return self.kernel(r)
+        if r.__class__ is float and r >= 0.0:
+            return self.kernel(r)
+        return self.kernel(_real(r, "r", "[0, inf]"))
 
     @cached_property
     def kernel(self):
@@ -430,14 +429,11 @@ def _is_whole(v) -> bool:
 
 
 @lru_cache(maxsize=_SPEC_CACHE)
-def _interval(domain: str) -> Callable:
-    """The membership test of an interval written like ``"(0, 1]"`` or
-    ``"[0, inf)"``, for a float or, entry by entry, a float array; NaN lies
-    in none."""
+def _interval(domain: str) -> tuple[float, float, bool, bool]:
+    """The ends of an interval written like ``"(0, 1]"`` or ``"[0, inf)"``,
+    and whether each belongs to it."""
     lo, hi = map(float, domain[1:-1].split(","))
-    above = operator.le if domain[0] == "[" else operator.lt
-    below = operator.le if domain[-1] == "]" else operator.lt
-    return lambda x: above(lo, x) & below(x, hi)
+    return lo, hi, domain[0] == "[", domain[-1] == "]"
 
 
 def _real(v, name: str, domain: str = "[-inf, inf]", whole: bool = False):
@@ -448,13 +444,16 @@ def _real(v, name: str, domain: str = "[-inf, inf]", whole: bool = False):
     not), not NaN, and in ``domain``.  Anything else raises
     :class:`ParameterError` naming ``name``."""
     value, x = v, math.nan
-    if _is_whole(v) if whole else _is_real(v):
+    if v.__class__ is float and not whole:  # the common case, by one test
+        x = v
+    elif _is_whole(v) if whole else _is_real(v):
         try:
             x = float(v)
             value = int(v) if whole else x
         except OverflowError:
             pass
-    if not _interval(domain)(x):
+    lo, hi, with_lo, with_hi = _interval(domain)  # NaN fails every test
+    if not ((lo <= x if with_lo else lo < x) and (x <= hi if with_hi else x < hi)):
         raise ParameterError(
             f"{name} must be {'an integer' if whole else 'a number'} in {domain}, got {value!r}")
     return value
@@ -475,9 +474,11 @@ def _reals(v, name: str = "r", domain: str = "[0, inf)") -> np.ndarray:
         a = None
     if a is None:
         raise ParameterError(f"{name} must be a list of numbers in {domain}, got {v!r}")
-    bad = ~_interval(domain)(a)
-    if bad.any():
-        raise ParameterError(f"{name} must be a number in {domain}, got {float(a[bad][0])!r}")
+    lo, hi, with_lo, with_hi = _interval(domain)
+    inside = (lo <= a) if with_lo else (lo < a)
+    inside &= (a <= hi) if with_hi else (a < hi)
+    if not inside.all():
+        raise ParameterError(f"{name} must be a number in {domain}, got {float(a[~inside][0])!r}")
     return a
 
 
@@ -520,7 +521,7 @@ def _looped(build: Callable) -> Callable:
 
     def kernels(spec: GrowthFunctionSpec):
         kernel = build(spec)
-        return kernel, lambda rs: np.array([kernel(r) for r in rs.tolist()], dtype=float)
+        return kernel, lambda rs: np.fromiter(map(kernel, rs.tolist()), float, rs.size)
 
     return kernels
 

@@ -290,7 +290,7 @@ def check_table_definition(spec: GrowthFunctionSpec, table: LegendreTable) -> Ve
     worst = math.inf
     wit: dict = {}
     trusted = spec.trusted_radius
-    for ti, li, ri in zip(table.t, table.log_ell, table.r_star):
+    for ti, li, ri in zip(table.t.tolist(), table.log_ell.tolist(), table.r_star.tolist()):
         scale = _AUDIT_TOL * max(1.0, abs(li))
         if ti == 0.0:
             direct = _grid_infimum(spec)

@@ -310,15 +310,13 @@ def legendre_table(spec: GrowthFunctionSpec, t_values: np.ndarray) -> LegendreTa
     ts = _reals(t_values, "t", "[0, inf)")
     if ts.ndim != 1 or ts.size == 0:
         raise ParameterError("t_values must be a nonempty 1-d array")
-    log_ell = np.empty(ts.size)
-    r_star = np.empty(ts.size)
+    rows = []
     hint: float | None = None
-    for i, t in enumerate(ts):
-        val, rs = legendre_transform(spec, float(t), s_hint=hint)
-        log_ell[i] = val
-        r_star[i] = rs
-        if rs > 0.0:
-            hint = math.log(rs)
+    for t in ts.tolist():
+        rows.append(legendre_transform(spec, t, s_hint=hint))
+        if rows[-1][1] > 0.0:
+            hint = math.log(rows[-1][1])
+    log_ell, r_star = np.array(rows).T
     return LegendreTable(spec.function_id, ts, log_ell, r_star)
 
 

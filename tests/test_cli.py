@@ -127,7 +127,8 @@ def eval_job(job_id="eval-1", **extra):
     # The grey ops keep the grey surrogate's rules; a zero or non-finite xi
     # would divide by a zero or NaN stderr.
     (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "grey_cf", "lam": 0.5,
-                               "n": 1}]), "job 'x': grey field 'n' must be an integer in [100, inf), got 1"),
+                               "n": 1}]),
+     "job 'x': grey field 'n' must be an integer in [100, inf), got 1"),
     (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "grey_integrability",
                                "lam": 1.0, "w": 0.1, "n": 99}]),
      "job 'x': grey field 'n' must be an integer in [100, inf), got 99"),
@@ -750,14 +751,18 @@ def test_cli_measures_one_off_is_the_job_of_its_flags_alone():
 @pytest.mark.parametrize("measure,fragment", [
     ({"kind": "gaussian", "rho": 2.0}, "gaussian field 'rho' must be a number in (0, 1), got 2.0"),
     ({"kind": "gaussian", "q": 1.5}, "gaussian field 'q' must be an integer in [0, inf), got 1.5"),
-    ({"kind": "grey", "lam": 0.5, "n": 10}, "grey field 'n' must be an integer in [100, inf), got 10"),
+    ({"kind": "grey", "lam": 0.5, "n": 10},
+     "grey field 'n' must be an integer in [100, inf), got 10"),
     ({"kind": "poisson", "theta": "one"}, "measure:"),
     ({"kind": "gaussian", "sigma": 1.0}, "sigma"),
     ({"kind": "poisson", "theta": "one"}, "field 'theta' must be a number in (0, inf), got 'one'"),
     ({"kind": "poisson", "theta": True}, "field 'theta' must be a number in (0, inf), got True"),
-    ({"kind": "grey", "lam": 0.5, "n": 1000.0}, "field 'n' must be an integer in [100, inf), got 1000.0"),
-    ({"kind": "grey", "lam": 0.5, "seed": "7"}, "field 'seed' must be an integer in [0, inf), got '7'"),
-    ({"kind": "poisson", "theta": math.inf}, "poisson field 'theta' must be a number in (0, inf), got inf"),
+    ({"kind": "grey", "lam": 0.5, "n": 1000.0},
+     "field 'n' must be an integer in [100, inf), got 1000.0"),
+    ({"kind": "grey", "lam": 0.5, "seed": "7"},
+     "field 'seed' must be an integer in [0, inf), got '7'"),
+    ({"kind": "poisson", "theta": math.inf},
+     "poisson field 'theta' must be a number in (0, inf), got inf"),
     ({"kind": "poisson", "w": math.nan}, "poisson field 'w' must be a number in [0, inf), got nan"),
 ])
 def test_validate_manifest_builds_each_hida_measure(measure, fragment):

@@ -202,7 +202,8 @@ def test_a_norm_warns_on_boundary_maximum():
 def test_a_norm_rejects_a_non_finite_x(bad):
     seq, ks0 = ChaosSequence((0.0, 1.0)), kondratiev_streit(0.0)
     xs = np.append(np.linspace(-3.0, 3.0, 61), bad)
-    with pytest.raises(ParameterError, match=re.escape(f"x must be a number in (-inf, inf), got {bad}")):
+    with pytest.raises(ParameterError, match=re.escape(
+            f"x must be a number in (-inf, inf), got {bad}")):
         a_norm_1d(seq, ks0, x_grid=xs)
 
 

@@ -331,7 +331,8 @@ def test_u1_implies_u0():
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_condition_grids_with_a_non_finite_radius_are_rejected(bad):
-    with pytest.raises(ParameterError, match=re.escape(f"r must be a number in [0, inf), got {bad}")):
+    with pytest.raises(ParameterError, match=re.escape(
+            f"r must be a number in [0, inf), got {bad}")):
         check_conditions(kondratiev_streit(0.0), np.array([0.0, 1.0, bad]))
 
 
@@ -1100,7 +1101,9 @@ def test_spec_from_dict_takes_ints_for_floats_and_only_integers_for_k():
     # k is whole by growth._is_whole, as n, seed, p and n_max are: 3.0 is a
     # float, as in a Gaussian surrogate's q.
     for d in ({"kind": "bell_series", "k": 3.0}, {"kind": "iterated_exp_sqrt", "k": 2.0}):
-        with pytest.raises(ParameterError, match=re.escape(f"field 'k' must be an integer in [1, ") + ".*" + re.escape(f", got {d['k']!r}")):
+        domain = "[1, 16]" if d["kind"] == "bell_series" else "[1, inf)"
+        with pytest.raises(ParameterError, match=re.escape(
+                f"field 'k' must be an integer in {domain}, got {d['k']!r}")):
             spec_from_dict(d)
     assert spec_from_dict({"kind": "power_series", "log_coeffs": [0, None, -2]}) == (
         power_series([0.0, -math.inf, -2.0]))
@@ -1151,7 +1154,8 @@ def test_whole_number_arguments_are_checked_by_one_rule(call):
 
 
 def test_exponential_rate_must_be_finite():
-    with pytest.raises(ParameterError, match=re.escape("'c' must be a number in (0, inf), got inf")):
+    with pytest.raises(ParameterError, match=re.escape(
+            "'c' must be a number in (0, inf), got inf")):
         exponential(math.inf)
 
 

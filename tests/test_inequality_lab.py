@@ -369,7 +369,8 @@ GRID_ENTRY_POINTS = {
 def test_r_grids_with_a_non_finite_radius_are_rejected(catalog, evaluators, bad):
     grid = np.append(np.geomspace(1e-3, 1e3, 20), bad)
     for call in GRID_ENTRY_POINTS.values():
-        with pytest.raises(ParameterError, match=re.escape(f"r must be a number in [0, inf), got {bad}")):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"r must be a number in [0, inf), got {bad}")):
             call(catalog["ks0"], evaluators["ks0"], grid)
 
 

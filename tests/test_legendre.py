@@ -595,7 +595,8 @@ def test_bidual_error_texts(u2):
             f"the supremum for r={r:g} needs t beyond the faithful range of u2")
     for spec in (u2, kondratiev_streit(0.0)):
         for r in (math.nan, -1.0, math.inf):
-            with pytest.raises(ParameterError, match=re.escape(f"r must be a number in [0, inf), got {r}")):
+            with pytest.raises(ParameterError, match=re.escape(
+                    f"r must be a number in [0, inf), got {r}")):
                 bidual(spec, r)
 
 
@@ -633,7 +634,8 @@ def test_bidual_past_its_range_raises_a_capacity_error(spec, r):
 @pytest.mark.parametrize("n_max", [2.5, -1, [3]])
 def test_legendre_sequence_needs_a_whole_n_max(n_max):
     # Checked before the table cache, which would raise a TypeError on a list.
-    with pytest.raises(ParameterError, match=re.escape("n_max must be an integer in [0, inf), got ")):
+    with pytest.raises(ParameterError, match=re.escape(
+            "n_max must be an integer in [0, inf), got ")):
         legendre_sequence(kondratiev_streit(0.0), n_max)
 
 

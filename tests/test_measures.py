@@ -372,7 +372,8 @@ def test_grey_integrability_rejects_bad_weight(w):
 @pytest.mark.parametrize("n", [1, 99])
 def test_grey_integrability_needs_the_surrogates_hundred_samples(n):
     # one sample would report stderr 0 up to rounding noise
-    with pytest.raises(ParameterError, match=re.escape(f"grey field 'n' must be an integer in [100, inf), got {n}")):
+    with pytest.raises(ParameterError, match=re.escape(
+            f"grey field 'n' must be an integer in [100, inf), got {n}")):
         grey_integrability(1.0, 0.1, n=n, seed=0)
 
 
@@ -467,9 +468,11 @@ def test_surrogate_factories_validate():
         MeasureSurrogate("grey", lam=1.3)
     with pytest.raises(ParameterError):
         MeasureSurrogate("poisson", theta=-1.0)
-    with pytest.raises(ParameterError, match=re.escape("field 'seed' must be an integer in [0, inf), got -1")):
+    with pytest.raises(ParameterError, match=re.escape(
+            "field 'seed' must be an integer in [0, inf), got -1")):
         MeasureSurrogate("grey", lam=0.5, seed=-1)
-    with pytest.raises(ParameterError, match=re.escape("field 'seed' must be an integer in [0, inf), got -3")):
+    with pytest.raises(ParameterError, match=re.escape(
+            "field 'seed' must be an integer in [0, inf), got -3")):
         MeasureSurrogate(kind="gaussian", seed=-3)
 
 
@@ -495,10 +498,12 @@ def test_poisson_raises_a_capacity_error_at_its_term_cap():
 @pytest.mark.parametrize("call,fragment", [
     (lambda: fernique_product(0.5, math.nan, 0.1), "q must be a number in [0, inf), got nan"),
     (lambda: fernique_product(0.5, 1, math.nan), "c2 must be a number in [0, inf), got nan"),
-    (lambda: poisson_integrability(math.inf, lambda k: 0.0), "theta must be a number in (0, inf), got inf"),
+    (lambda: poisson_integrability(math.inf, lambda k: 0.0),
+     "theta must be a number in (0, inf), got inf"),
     (lambda: poisson_sqrtlog_integrand(math.nan), "w must be a number in [0, inf), got nan"),
     (lambda: poisson_sqrtlog_integrand(math.inf), "w must be a number in [0, inf), got inf"),
-    (lambda: MeasureSurrogate("poisson", theta=math.inf), "'theta' must be a number in (0, inf), got inf"),
+    (lambda: MeasureSurrogate("poisson", theta=math.inf),
+     "'theta' must be a number in (0, inf), got inf"),
     (lambda: MeasureSurrogate("poisson", w=math.nan), "'w' must be a number in [0, inf), got nan"),
 ], ids=["fernique-q-nan", "fernique-c2-nan", "poisson-theta-inf", "sqrtlog-w-nan",
         "sqrtlog-w-inf", "surrogate-theta-inf", "surrogate-w-nan"])
@@ -656,6 +661,7 @@ def test_hida_poisson_calls_the_integrator_bound_in_the_module(catalog, monkeypa
 def test_gaussian_surrogate_needs_an_integral_level(q):
     # An integer by growth._is_whole, as every whole-number argument: 2.0 is
     # a float.
-    with pytest.raises(ParameterError, match=re.escape(f"'q' must be an integer in [0, inf), got {q!r}")):
+    with pytest.raises(ParameterError, match=re.escape(
+            f"'q' must be an integer in [0, inf), got {q!r}")):
         MeasureSurrogate("gaussian", q=q)
     assert MeasureSurrogate("gaussian", q=2).q == 2
