@@ -126,17 +126,24 @@ def eval_job(job_id="eval-1", **extra):
      "field 'expect' must be a list of numbers, got [True]"),
     # The grey ops keep the grey surrogate's rules; a zero or non-finite xi
     # would divide by a zero or NaN stderr.
-    (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "grey_cf", "lam": 0.5,
-                               "n": 1}]),
-     "job 'x': grey field 'n' must be an integer in [100, inf), got 1"),
-    (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "grey_integrability",
-                               "lam": 1.0, "w": 0.1, "n": 99}]),
-     "job 'x': grey field 'n' must be an integer in [100, inf), got 99"),
-    (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "grey_cf", "lam": 1.5}]),
-     "job 'x': grey field 'lam' must be a number in (0, 1], got 1.5"),
-    (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "grey_integrability",
-                               "lam": 0.5, "w": -1.0}]),
-     "job 'x': grey field 'w' must be a number in [0, inf), got -1.0"),
+    # (The ids keep the texts these cases pinned before growth._real.)
+    pytest.param(lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "grey_cf",
+                                           "lam": 0.5, "n": 1}]),
+                 "job 'x': grey field 'n' must be an integer in [100, inf), got 1",
+                 id="<lambda>-job 'x': grey sampling needs n >= 100, got 1"),
+    pytest.param(lambda m: m.update(jobs=[{"id": "x", "kind": "measures",
+                                           "op": "grey_integrability", "lam": 1.0, "w": 0.1,
+                                           "n": 99}]),
+                 "job 'x': grey field 'n' must be an integer in [100, inf), got 99",
+                 id="<lambda>-job 'x': grey sampling needs n >= 100, got 99"),
+    pytest.param(lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "grey_cf",
+                                           "lam": 1.5}]),
+                 "job 'x': grey field 'lam' must be a number in (0, 1], got 1.5",
+                 id="<lambda>-job 'x': lambda must lie in (0, 1], got 1.5"),
+    pytest.param(lambda m: m.update(jobs=[{"id": "x", "kind": "measures",
+                                           "op": "grey_integrability", "lam": 0.5, "w": -1.0}]),
+                 "job 'x': grey field 'w' must be a number in [0, inf), got -1.0",
+                 id="<lambda>-job 'x': the weight w must be finite and >= 0, got -1.0"),
     (lambda m: m.update(jobs=[{"id": "x", "kind": "measures", "op": "grey_cf", "lam": 0.5,
                                "xi": [1.0, 0.0]}]),
      "field 'xi' must hold finite nonzero numbers, got [1.0, 0.0]"),
@@ -749,21 +756,35 @@ def test_cli_measures_one_off_is_the_job_of_its_flags_alone():
 
 
 @pytest.mark.parametrize("measure,fragment", [
-    ({"kind": "gaussian", "rho": 2.0}, "gaussian field 'rho' must be a number in (0, 1), got 2.0"),
-    ({"kind": "gaussian", "q": 1.5}, "gaussian field 'q' must be an integer in [0, inf), got 1.5"),
-    ({"kind": "grey", "lam": 0.5, "n": 10},
-     "grey field 'n' must be an integer in [100, inf), got 10"),
+    # (The ids keep the texts these cases pinned before growth._real.)
+    pytest.param({"kind": "gaussian", "rho": 2.0},
+                 "gaussian field 'rho' must be a number in (0, 1), got 2.0",
+                 id="measure0-rho must lie in (0, 1)"),
+    pytest.param({"kind": "gaussian", "q": 1.5},
+                 "gaussian field 'q' must be an integer in [0, inf), got 1.5",
+                 id="measure1-q must be an integer >= 0"),
+    pytest.param({"kind": "grey", "lam": 0.5, "n": 10},
+                 "grey field 'n' must be an integer in [100, inf), got 10", id="measure2-n >= 100"),
     ({"kind": "poisson", "theta": "one"}, "measure:"),
     ({"kind": "gaussian", "sigma": 1.0}, "sigma"),
-    ({"kind": "poisson", "theta": "one"}, "field 'theta' must be a number in (0, inf), got 'one'"),
-    ({"kind": "poisson", "theta": True}, "field 'theta' must be a number in (0, inf), got True"),
-    ({"kind": "grey", "lam": 0.5, "n": 1000.0},
-     "field 'n' must be an integer in [100, inf), got 1000.0"),
-    ({"kind": "grey", "lam": 0.5, "seed": "7"},
-     "field 'seed' must be an integer in [0, inf), got '7'"),
-    ({"kind": "poisson", "theta": math.inf},
-     "poisson field 'theta' must be a number in (0, inf), got inf"),
-    ({"kind": "poisson", "w": math.nan}, "poisson field 'w' must be a number in [0, inf), got nan"),
+    pytest.param({"kind": "poisson", "theta": "one"},
+                 "field 'theta' must be a number in (0, inf), got 'one'",
+                 id="measure5-field 'theta' must be a number, got 'one'"),
+    pytest.param({"kind": "poisson", "theta": True},
+                 "field 'theta' must be a number in (0, inf), got True",
+                 id="measure6-field 'theta' must be a number, got True"),
+    pytest.param({"kind": "grey", "lam": 0.5, "n": 1000.0},
+                 "field 'n' must be an integer in [100, inf), got 1000.0",
+                 id="measure7-field 'n' must be an integer, got 1000.0"),
+    pytest.param({"kind": "grey", "lam": 0.5, "seed": "7"},
+                 "field 'seed' must be an integer in [0, inf), got '7'",
+                 id="measure8-field 'seed' must be an integer, got '7'"),
+    pytest.param({"kind": "poisson", "theta": math.inf},
+                 "poisson field 'theta' must be a number in (0, inf), got inf",
+                 id="measure9-theta must be finite and positive, got inf"),
+    pytest.param({"kind": "poisson", "w": math.nan},
+                 "poisson field 'w' must be a number in [0, inf), got nan",
+                 id="measure10-w must be finite and >= 0, got nan"),
 ])
 def test_validate_manifest_builds_each_hida_measure(measure, fragment):
     m = manifest([{"id": "h", "kind": "measures", "op": "hida", "function": "ks0",

@@ -398,15 +398,15 @@ def test_median_is_np_median(a):
     assert repr(growth._median(np.array(a))) == repr(float(np.median(np.array(a))))
 
 
-@pytest.mark.parametrize("bad,text", [
-    ([math.nan], "got nan"), ([0.0, 1.0, math.nan, math.nan, 1.0], "got nan"),
-    ([math.nan, 0.0, 2.0], "got nan"), ([0.0, math.inf], "got inf"),
-    ([-math.inf, 1.0], "got -inf"), ([[1.0, 2.0], [math.nan, 3.0]], "got nan"),
-    ([], "r grids must be nonempty"),
+@pytest.mark.parametrize("bad", [
+    [math.nan], [0.0, 1.0, math.nan, math.nan, 1.0], [math.nan, 0.0, 2.0],
+    [0.0, math.inf], [-math.inf, 1.0], [[1.0, 2.0], [math.nan, 3.0]], [],
 ])
-def test_radius_grid_rejects_non_finite_radii(bad, text):
+def test_radius_grid_rejects_non_finite_radii(bad):
+    first = next((x for x in np.ravel(bad) if not 0.0 <= x < math.inf), None)
     with pytest.raises(ParameterError, match=re.escape(
-            text if bad == [] else f"r must be a number in [0, inf), {text}")):
+            "r grids must be nonempty" if first is None
+            else f"r must be a number in [0, inf), got {first}")):
         growth._radius_grid(bad)
 
 
