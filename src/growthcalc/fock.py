@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .growth import (CapacityError, GrowthFunctionSpec, ParameterError, _log_factorials,
-                     _logsumexp, _radius_grid, _real, _reals, log_u_grid)
+                     _count, _logsumexp, _radius_grid, _real, _reals, log_u_grid)
 from .inequality_lab import VerificationReport, _report
 from .legendre import LegendreTable, LFunctionEvaluator, l_function
 from .measures import _DOMAINS
@@ -79,8 +79,8 @@ class ChaosSequence:
 
     @classmethod
     def delta(cls, n: int, size: int | None = None) -> "ChaosSequence":
-        n = _real(n, "n", "[0, inf)", whole=True)
-        size = n + 1 if size is None else _real(size, "size", f"[{n + 1}, inf)", whole=True)
+        n = _count(n, "n")
+        size = _count(n + 1 if size is None else size, "size", f"[{n + 1}, inf)")
         vals = [0.0] * size
         vals[n] = 1.0
         return cls(tuple(vals))
@@ -89,7 +89,7 @@ class ChaosSequence:
     def exponential_vector(cls, xi: float, n_max: int) -> "ChaosSequence":
         """Coefficients ``xi^n / n!`` (log domain), the exponential vector."""
         xi = _real(xi, "xi", "[0, inf)")
-        n_max = _real(n_max, "n_max", "[0, inf)", whole=True)
+        n_max = _count(n_max, "n_max")
         if xi == 0.0:
             logs = np.full(n_max + 1, -math.inf)
             logs[0] = 0.0

@@ -82,6 +82,9 @@ _N_BELL_HIGH = 4096
 #: Largest Bell order ``k``: each level past 2 adds one convolution pass,
 #: about 0.15 s, to the one-time coefficient table.
 _BELL_K_CAP = 16
+#: Largest whole-number size or loop count (``n``, ``size``, ``n_max``, a grey
+#: sample's ``n``, a Hida level ``p``): 2**26 elements, 512 MiB of doubles.
+_SIZE_CAP = 1 << 26
 
 #: Fraction of the coefficient table the dominant series term may reach
 #: before truncation error becomes unaccountable.
@@ -457,6 +460,16 @@ def _real(v, name: str, domain: str = "[-inf, inf]", whole: bool = False):
         raise ParameterError(
             f"{name} must be {'an integer' if whole else 'a number'} in {domain}, got {value!r}")
     return value
+
+
+def _count(v, name: str, domain: str = "[0, inf)") -> int:
+    """``v`` as a size or loop count: an integer in ``domain`` by
+    :func:`_real`'s rule, and at most ``_SIZE_CAP``, past which it raises
+    :class:`CapacityError`."""
+    n = _real(v, name, domain, whole=True)
+    if n > _SIZE_CAP:
+        raise CapacityError(f"{name} must be at most the size cap {_SIZE_CAP}, got {n}")
+    return n
 
 
 def _reals(v, name: str = "r", domain: str = "[0, inf)") -> np.ndarray:

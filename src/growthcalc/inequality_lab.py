@@ -33,6 +33,7 @@ from .growth import (
     GrowthFunctionSpec,
     ParameterError,
     _radius_grid,
+    _count,
     _real,
     log_u_grid,
     refine_grid,
@@ -538,7 +539,7 @@ def check_chain_order(specs: Sequence[GrowthFunctionSpec], n_max: int = 60) -> V
     """
     if len(specs) < 2:
         raise ParameterError("chain check needs at least two functions")
-    n_max = _real(n_max, "n_max", "[1, inf)", whole=True)  # a tail of two rows
+    n_max = _count(n_max, "n_max", "[1, inf)")  # a tail of two rows
     tables = [legendre_sequence(s, n_max) for s in specs]
     pairs = []
     worst = math.inf

@@ -50,6 +50,7 @@ from .growth import (
     ParameterError,
     _SPEC_CACHE,
     _gl_nodes,
+    _count,
     _real,
     _reals,
     default_r_grid,
@@ -297,7 +298,7 @@ def legendre_sequence(spec: GrowthFunctionSpec, n_max: int) -> LegendreTable:
     run that asks for one sequence twice (a battery and a chain-order check
     on the same function) solves it once; every caller gets the same table,
     whose arrays are read-only."""
-    return _sequence(spec, _real(n_max, "n_max", "[0, inf)", whole=True))
+    return _sequence(spec, _count(n_max, "n_max"))
 
 
 @lru_cache(maxsize=_SPEC_CACHE)
@@ -337,7 +338,7 @@ class LFunctionEvaluator:
     def from_spec(cls, spec: GrowthFunctionSpec, n_max: int = 1200) -> "LFunctionEvaluator":
         """The table ``n = 0..n_max`` (capped at ``t_sup``) by one batched Newton
         solve, with the ``t = 0`` row of :func:`legendre_transform`."""
-        n_max = _real(n_max, "n_max", "[1, inf)", whole=True)
+        n_max = _count(n_max, "n_max", "[1, inf)")
         n_max = min(n_max, int(spec.t_sup)) if spec.t_sup < math.inf else n_max
         t = _integer_grid(n_max)
         log_ell, r_star = _newton_transform(spec, t[1:])

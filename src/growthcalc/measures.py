@@ -35,6 +35,7 @@ from .growth import (
     ParameterError,
     _LAMBDAS,
     _SPEC_CACHE,
+    _count,
     _real,
     default_r_grid,
     iterated_log,
@@ -57,8 +58,8 @@ _FERNIQUE_K_CAP = 10**6
 
 #: The domain of each surrogate field, which the functions below taking the
 #: same parameter read too; ``_WHOLE`` names the integer ones.  ``n``, the
-#: grey sample size, is at least 100: one sample would report stderr 0 up
-#: to rounding noise.
+#: grey sample size, is held to the size cap and is at least 100: one sample
+#: would report stderr 0 up to rounding noise.
 _DOMAINS = {
     "rho": "(0, 1)",
     "q": "[0, inf)",
@@ -93,8 +94,9 @@ class MeasureSurrogate:
         if self.kind not in MEASURE_KINDS:
             raise ParameterError(f"unknown measure kind {self.kind!r}")
         for name, domain in _DOMAINS.items():
-            object.__setattr__(self, name, _real(
-                getattr(self, name), f"{self.kind} field {name!r}", domain, whole=name in _WHOLE))
+            v, label = getattr(self, name), f"{self.kind} field {name!r}"
+            object.__setattr__(self, name, _count(v, label, domain) if name == "n"
+                               else _real(v, label, domain, whole=name in _WHOLE))
 
 
 # -- Gaussian product ---------------------------------------------------------
@@ -283,7 +285,7 @@ def grey_sample(lam: float, n: int, seed: int) -> np.ndarray:
     reproducible per (lam, n, seed).
     """
     lam = _real(lam, "lam", _DOMAINS["lam"])
-    n = _real(n, "n", "[1, inf)", whole=True)
+    n = _count(n, "n", "[1, inf)")
     seed = _real(seed, "seed", _DOMAINS["seed"], whole=True)
     rng = np.random.default_rng(seed)
     if lam == 1.0:
@@ -547,7 +549,7 @@ def hida_condition(
     Mismatched (measure, growth function) pairs raise
     :class:`~growthcalc.growth.ParameterError`.
     """
-    p = _real(p, "p", "[0, inf)", whole=True)
+    p = _count(p, "p")
     _check_compatibility(surrogate, spec)
     measure = _MEASURE_TABLE[surrogate.kind]
     levels = measure.sweep(surrogate, spec, range(max(p, 4) + 1))

@@ -6,7 +6,8 @@ parameter at a time for an edge value: zeros, subnormals, the largest
 doubles, infinities, NaN, bools, ints past the doubles, ``None``, strings,
 numpy scalars and 0-d arrays, bare or planted in an otherwise valid array.
 Each call must return a value holding no NaN or raise one of the library's
-own errors; the values that no rule admits must raise ``ParameterError``.
+own errors; the values that no rule admits must raise ``ParameterError``, and
+a size or loop count past the size cap must raise ``CapacityError``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import growthcalc as gc
+from growthcalc.growth import _SIZE_CAP
 from growthcalc import (
     EXPONENTIAL,
     ITERATED_EXP_SQRT,
@@ -149,6 +151,14 @@ EDGES = INVALID + [0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, math
                    -math.inf, np.float64(0.5), np.float32(2.0), np.int64(3), np.array(0.5),
                    np.array(3)]
 
+#: The sizes and loop counts, which also draw values past the size cap.
+COUNTS = {("ChaosSequence.delta", "n"), ("ChaosSequence.delta", "size"),
+          ("ChaosSequence.exponential_vector", "n_max"), ("LFunctionEvaluator.from_spec", "n_max"),
+          ("legendre_sequence", "n_max"), ("check_chain_order", "n_max"),
+          ("verify_function", "n_max"), ("MeasureSurrogate", "n"), ("grey_integrability", "n"),
+          ("grey_sample", "n"), ("hida_condition", "p")}
+OVERSIZE = [10**300, _SIZE_CAP + 1]
+
 
 def _entry(name):
     call, valid, *extra = CONTRACT[name]
@@ -179,8 +189,8 @@ def _outcome(name, param, value):
 
 
 @st.composite
-def _edge(draw, valid):
-    value = draw(st.sampled_from(EDGES))
+def _edge(draw, valid, count=False):
+    value = draw(st.sampled_from(EDGES + OVERSIZE * count))
     if isinstance(valid, np.ndarray) and draw(st.booleans()):
         planted = valid.astype(object)
         planted[draw(st.integers(0, valid.size - 1))] = value
@@ -195,8 +205,15 @@ def _edge(draw, valid):
 def test_edge_values_return_a_value_or_raise_a_library_error(name, data):
     valid = _entry(name)[1]
     param = data.draw(st.sampled_from(sorted(valid)))
-    out = _outcome(name, param, data.draw(_edge(valid[param])))
+    out = _outcome(name, param, data.draw(_edge(valid[param], (name, param) in COUNTS)))
     assert isinstance(out, BaseException) or not _has_nan(out), out
+
+
+@pytest.mark.parametrize("name, param", sorted(COUNTS))
+def test_counts_past_the_size_cap_raise_a_capacity_error(name, param):
+    for value in OVERSIZE:
+        out = _outcome(name, param, value)
+        assert isinstance(out, CapacityError) and "size cap" in str(out), (value, out)
 
 
 #: Parameters whose ``None`` asks for their default.

@@ -524,6 +524,34 @@ def test_mittag_leffler_series_gives_up_when_terms_blow_up():
         float(oracles.mittag_leffler(0.5, 30.0)), rel=1e-12, abs=0.0)
 
 
+def _ml_asymptotic(lam, t, digits=35):
+    """``E_lam(-t)`` by its asymptotic series ``sum_{k>=1} (-1)^{k+1} t^{-k} /
+    Gamma(1 - lam k)`` (Podlubny 1999, §1.2) to ``digits`` digits.  By
+    reflection a term is at most ``Gamma(lam k) t^{-k}``, which falls while
+    ``lam k`` is below about ``t^{1/lam}``; the sum stops once that bound is
+    below ``10^-digits`` of the sum, and fails if the bound turns first."""
+    log_t, log_tol = math.log(t), -digits * math.log(10.0)
+    with mp.workdps(digits + 10):
+        total, k = mp.mpf(0), 1
+        while True:
+            bound = math.lgamma(lam * k) - k * log_t
+            if k > 1 and bound < log_tol + math.log(abs(total)):
+                return total
+            assert math.lgamma(lam * (k + 1)) - (k + 1) * log_t < bound, "the series stops short"
+            total += (-1) ** (k + 1) * mp.mpf(t) ** -k * mp.rgamma(1 - mp.mpf(lam) * k)
+            k += 1
+
+
+# The oracle's quadrature branch (t^{1/lam} > 20, or lam < 0.1) against the
+# asymptotic series.  The two agree to 29 digits or more at lam <= 0.5, and
+# to 24 at lam = 0.8, where the near-pole at s = 1 sharpens (8.7e-25).
+@pytest.mark.parametrize("lam,t", [(0.05, 1.3), (0.3, 5.0), (0.5, 12.0), (0.8, 60.0)])
+def test_mittag_leffler_oracle_quadrature_vs_asymptotic_series(lam, t):
+    assert lam < 0.1 or t ** (1.0 / lam) > 20.0  # the quadrature branch
+    series = _ml_asymptotic(lam, t)
+    assert abs(oracles.mittag_leffler(lam, t) - series) <= 1e-22 * abs(series)
+
+
 # E_lam(-t) from the same spectral integral, evaluated by mpmath.quad at 30
 # digits with breakpoints at the knee s = 1/t; the lam = 0.001, t = 0.5 value
 # agrees to 25 digits with the power series summed by mpmath.
