@@ -55,6 +55,8 @@ _POISSON_K_CAP = 100_000
 #: this, and gives up after ``_FERNIQUE_K_CAP`` factors.
 _FERNIQUE_TAIL_TOL = 1e-14
 _FERNIQUE_K_CAP = 10**6
+#: The most draws in one block of the grey Monte Carlo (:func:`_grey_spans`).
+_GREY_BLOCK = 1 << 14
 
 #: The domain of each surrogate field, which the functions below taking the
 #: same parameter read too; ``_WHOLE`` names the integer ones.  ``n``, the
@@ -267,6 +269,49 @@ def _trig_of_double(half: np.ndarray, sine: bool) -> np.ndarray:
     return d
 
 
+def _grey_spans(n: int, lo: int = 0, depth: int = 0) -> list[tuple[int, int, int]]:
+    """``[lo, lo + n)`` in blocks of at most ``_GREY_BLOCK``, as ``(depth,
+    start, stop)``: the leaves of numpy's pairwise summation tree (halves cut
+    down to a multiple of 8), so block sums added up it are numpy's sum."""
+    if n <= _GREY_BLOCK:
+        return [(depth, lo, lo + n)]
+    half = max(n // 2 - n // 2 % 8, 1)
+    return _grey_spans(half, lo, depth + 1) + _grey_spans(n - half, lo + half, depth + 1)
+
+
+def _grey_blocks(lam: float, n: int, seed: int, out: np.ndarray | None = None):
+    """Yield :func:`grey_sample`'s ``X`` in the blocks of :func:`_grey_spans`,
+    each valid until the next, drawing ``u``, ``w`` and ``z`` in turn into a
+    block buffer.  For ``lam < 1``, ``S`` is built in one ``n``-array (``out``
+    or a fresh one) and becomes ``X`` in place; ``lam = 1`` keeps none."""
+    rng = np.random.default_rng(seed)
+    spans = [(i, j) for _, i, j in _grey_spans(n)]
+    buf = np.empty(min(n, _GREY_BLOCK))
+    if lam == 1.0:
+        for i, j in spans:
+            z = rng.standard_normal(out=buf[:j - i] if out is None else out[i:j])
+            yield np.multiply(z, math.sqrt(2.0), out=z)
+        return
+    s, work = np.empty(n) if out is None else out, np.empty_like(buf)
+    for i, j in spans:
+        half, sb = rng.random(out=buf[:j - i]), s[i:j]  # theta / 2, and S / W^{1-lam}
+        np.clip(half, 1e-12, 1.0 - 1e-12, out=half)
+        half *= 0.5 * math.pi
+        _trig_of_double(np.multiply(half, lam, out=sb), sine=True)
+        if not sb.all():  # lam theta underflows, for lam below about 1e-312
+            raise CapacityError(f"lambda={lam:g} is too small to sample: lam theta underflows")
+        np.power(sb, lam, out=sb)
+        sine = _trig_of_double(np.multiply(half, 1.0 - lam, out=work[:j - i]), sine=True)
+        sb *= np.power(sine, 1.0 - lam, out=sine)
+        np.divide(_trig_of_double(half, sine=True), sb, out=sb)
+    for i, j in spans:
+        w = rng.standard_exponential(out=buf[:j - i])
+        s[i:j] *= np.power(np.maximum(w, 1e-300, out=w), 1.0 - lam, out=w)
+    for i, j in spans:
+        z, sb = rng.standard_normal(out=buf[:j - i]), s[i:j]
+        yield np.multiply(z, np.sqrt(np.multiply(sb, 2.0, out=sb), out=sb), out=sb)
+
+
 def grey_sample(lam: float, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` grey-noise variates with ``E exp(i xi X) = E_lam(-xi^2)``.
 
@@ -278,55 +323,45 @@ def grey_sample(lam: float, n: int, seed: int) -> np.ndarray:
 
     with no intermediate that can overflow.  The three sines come from
     :func:`_trig_of_double` (the half-angle tangent) on ``theta / 2``, so
-    they lie within a few ulp of numpy's ``sin``.  ``S`` is built in one
-    working array beside the draws, with at most two more, and ``Z`` is
-    scaled in place into ``X``.  ``lam = 1`` degenerates to ``sqrt(2) Z``.
-    The stream draws ``u``, then ``w``, then ``z``, so results are
-    reproducible per (lam, n, seed).
+    they lie within a few ulp of numpy's ``sin``.  ``S`` is built in the
+    array returned, beside block buffers, and scaled into ``X`` in place.
+    ``lam = 1`` degenerates to ``sqrt(2) Z``.  The stream draws ``u``, then
+    ``w``, then ``z``, so results are reproducible per (lam, n, seed).
     """
     lam = _real(lam, "lam", _DOMAINS["lam"])
     n = _count(n, "n", "[1, inf)")
     seed = _real(seed, "seed", _DOMAINS["seed"], whole=True)
-    rng = np.random.default_rng(seed)
-    if lam == 1.0:
-        z = rng.standard_normal(n)
-        z *= math.sqrt(2.0)
-        return z
-    half = rng.random(n)  # theta / 2
-    np.clip(half, 1e-12, 1.0 - 1e-12, out=half)
-    half *= 0.5 * math.pi
-    s = _trig_of_double(np.multiply(half, lam), sine=True)
-    if not s.all():  # lam theta underflows, for lam below about 1e-312
-        raise CapacityError(f"lambda={lam:g} is too small to sample: lam theta underflows")
-    np.power(s, lam, out=s)
-    sine = _trig_of_double(np.multiply(half, 1.0 - lam), sine=True)
-    s *= np.power(sine, 1.0 - lam, out=sine)
-    del sine
-    np.divide(_trig_of_double(half, sine=True), s, out=s)  # S / W^{1-lam}
-    del half  # freed before the next draw
-    w = rng.exponential(1.0, n)
-    s *= np.power(np.maximum(w, 1e-300, out=w), 1.0 - lam, out=w)
-    del w
-    z = rng.standard_normal(n)
-    z *= np.sqrt(np.multiply(s, 2.0, out=s), out=s)
-    return z
+    x = np.empty(n)
+    for _ in _grey_blocks(lam, n, seed, x):
+        pass
+    return x
 
 
 def _grey_cf(lam: float, n: int, seed: int, xis) -> list[dict]:
     """The grey sampler's characteristic function against the paper's: for
     each ``xi``, the sample mean of ``cos(xi X)`` over ``grey_sample(lam, n,
     seed)``, its standard error, the target ``E_lam(-xi^2)`` and their
-    distance in standard errors.  The cosines come from
-    :func:`_trig_of_double` in one working array."""
-    x = grey_sample(lam, n, seed)
-    c = np.empty_like(x)
+    distance in standard errors.  Cosines come from :func:`_trig_of_double`
+    in a block buffer; block sums and centred sums of squares merge up the
+    tree of :func:`_grey_spans` (Chan, Golub and LeVeque 1983).  The
+    arguments are checked as a grey :class:`MeasureSurrogate`'s fields."""
+    m = MeasureSurrogate(_GREY, lam=lam, n=n, seed=seed)
+    xis, c = [float(xi) for xi in xis], np.empty(min(m.n, _GREY_BLOCK))
+    stacks = [[] for _ in xis]  # per xi: (depth, count, sum, centred sum of squares)
+    for (depth, i, j), x in zip(_grey_spans(m.n), _grey_blocks(m.lam, m.n, m.seed)):
+        for stack, xi in zip(stacks, xis):
+            cb = _trig_of_double(np.multiply(x, 0.5 * xi, out=c[:j - i]), sine=False)
+            total = float(cb.sum())
+            cb -= total / (j - i)
+            node = (depth, j - i, total, float(np.einsum("i,i->", cb, cb)))
+            while stack and stack[-1][0] == node[0]:  # two siblings make their parent
+                (d, k, t, q), (_, k2, t2, q2) = stack.pop(), node
+                node = (d - 1, k + k2, t + t2, q + q2 + (t / k - t2 / k2) ** 2 * k * k2 / (k + k2))
+            stack.append(node)
     rows = []
-    for xi in xis:
-        xi = float(xi)
-        _trig_of_double(np.multiply(x, 0.5 * xi, out=c), sine=False)
-        emp = float(c.mean())
-        se = float(c.std(ddof=1) / math.sqrt(n))
-        target = mittag_leffler(lam, xi * xi)
+    for xi, [(_, _, total, square)] in zip(xis, stacks):
+        emp, se = total / m.n, math.sqrt(square / (m.n - 1)) / math.sqrt(m.n)
+        target = mittag_leffler(m.lam, xi * xi)
         rows.append({"xi": xi, "empirical": emp, "target": target,
                      "stderr": se, "sigmas": abs(emp - target) / se})
     return rows
@@ -360,54 +395,69 @@ def grey_integrability(
     reported diagnostics; near ``w*`` a sample can look stable on either
     side.
 
-    The sample is the single working array.  It is overwritten with the log
-    integrand ``le``, which is shifted by its maximum ``m`` and exponentiated
-    in place into ``e = exp(le - m) <= 1``.  The mean is ``exp(m)`` times the
-    mean of ``e`` and the second moment ``exp(2 m)`` times the mean of
-    ``e * e``, so heavy samples cannot silently overflow; instead the
-    estimate is flagged unstable when a 0.1% sliver of the sample carries
-    most of the mass or the second moment overflows.  The arguments are
-    checked as a grey :class:`MeasureSurrogate`'s fields, so ``n >= 100``.
+    The sample streams in blocks, with at most one sample-sized array.  Each
+    block's log integrand ``le`` is shifted by the running maximum ``m`` into
+    ``e = exp(le - m) <= 1``.  The mean is ``exp(m)`` times the mean of ``e``
+    and the second moment ``exp(2 m)`` times the mean of ``e * e``, so heavy
+    samples cannot silently overflow; instead the estimate is flagged
+    unstable when a 0.1% sliver of the sample carries most of the mass or
+    the second moment overflows.  The arguments are checked as a grey
+    :class:`MeasureSurrogate`'s fields, so ``n >= 100``.
     """
     m = MeasureSurrogate(_GREY, lam=lam, n=n, seed=seed, w=w)
-    return _grey_estimate(m.lam, m.w, grey_sample(m.lam, m.n, m.seed), m.seed)
+    return _grey_moments(m.lam, (m.w,), _grey_blocks(m.lam, m.n, m.seed), m.n, m.seed)[0]
 
 
 def _grey_estimate(lam: float, w: float, x: np.ndarray, seed: int) -> GreyResult:
     """:func:`grey_integrability` on the sample ``x`` drawn with ``seed``,
-    which it overwrites: ``x`` is the working array."""
-    n = x.size
-    with np.errstate(over="ignore"):  # judged below
-        e = np.square(x, out=x)
-        e *= w
-        e **= 1.0 / (2.0 - lam)
-        e *= 0.5 * (2.0 - lam)
-    m = float(e.max())
-    if m == math.inf:
-        return GreyResult(math.inf, math.inf, math.inf, n, seed, False, 1.0,
-                          "the integrand overflows a double")
-    e -= m
-    np.exp(e, out=e)
-    total = float(e.sum())
-    log_sum = m + math.log(total)
-    log_mean = log_sum - math.log(n)
-    log_m2 = 2.0 * m + math.log(float(np.einsum("i,i->", e, e))) - math.log(n)
-    note = ""
-    if log_m2 < 700.0 and log_mean < 350.0:
-        m1 = math.exp(log_mean)
-        var = max(math.exp(log_m2) - m1 * m1, 0.0)
-        stderr = math.sqrt(var / n)
-    else:
-        stderr = math.inf
-        note = "second moment overflows; the estimate is untrustworthy"
-    k_top = max(1, n // 1000)
-    e.partition(n - k_top)
-    top_share = float(e[n - k_top:].sum()) / total
-    stable = math.isfinite(stderr) and top_share <= 0.5
-    if not stable and not note:
-        note = f"top 0.1% of samples carry {top_share:.1%} of the mass"
-    value = math.exp(log_mean) if log_mean < 709.0 else math.inf
-    return GreyResult(value, stderr, log_mean, n, seed, stable, top_share, note)
+    read in blocks and left as it is."""
+    blocks = (x[i:j] for _, i, j in _grey_spans(x.size))
+    return _grey_moments(lam, (w,), blocks, x.size, seed)[0]
+
+
+def _grey_moments(lam: float, ws, blocks, n: int, seed: int) -> list[GreyResult]:
+    """:func:`grey_integrability` at each weight of ``ws`` in one pass over
+    the ``n`` draws of ``blocks``, keeping per weight a running maximum ``m``
+    and sums of ``e`` and ``e * e``; every top 0.1% is the largest ``X^2``."""
+    power, scale, k_top = 1.0 / (2.0 - lam), 0.5 * (2.0 - lam), max(1, n // 1000)
+    sq, le, top = np.empty(min(n, _GREY_BLOCK)), np.empty(min(n, _GREY_BLOCK)), np.empty(0)
+    sums = [[0.0, 0.0, 0.0] for _ in ws]  # per weight: m, sum of e, sum of e * e
+    for x in blocks:
+        x2 = np.square(x, out=sq[:x.size])
+        pool = np.concatenate((top, x2))
+        pool.partition(max(pool.size - k_top, 0))
+        top = pool[-k_top:].copy()
+        for acc, w in zip(sums, ws):
+            with np.errstate(over="ignore"):  # judged below
+                e = np.multiply(x2, w, out=le[:x.size])
+                e **= power
+                e *= scale
+            peak = max(float(e.max()), acc[0])
+            if peak < math.inf:
+                rescale = math.exp(acc[0] - peak)
+                e = np.exp(np.subtract(e, peak, out=e), out=e)
+                acc[1:] = (acc[1] * rescale + float(e.sum()),
+                           acc[2] * rescale * rescale + float(np.einsum("i,i->", e, e)))
+            acc[0] = peak
+    results = []
+    for (m, total, square), w in zip(sums, ws):
+        if m == math.inf:
+            results.append(GreyResult(math.inf, math.inf, math.inf, n, seed, False, 1.0,
+                                      "the integrand overflows a double"))
+            continue
+        log_mean = m + math.log(total) - math.log(n)
+        log_m2 = 2.0 * m + math.log(square) - math.log(n)
+        stderr, note = math.inf, "second moment overflows; the estimate is untrustworthy"
+        if log_m2 < 700.0 and log_mean < 350.0:
+            m1 = math.exp(log_mean)
+            stderr, note = math.sqrt(max(math.exp(log_m2) - m1 * m1, 0.0) / n), ""
+        top_share = float(np.exp((top * w) ** power * scale - m).sum()) / total
+        stable = math.isfinite(stderr) and top_share <= 0.5
+        if not stable and not note:
+            note = f"top 0.1% of samples carry {top_share:.1%} of the mass"
+        value = math.exp(log_mean) if log_mean < 709.0 else math.inf
+        results.append(GreyResult(value, stderr, log_mean, n, seed, stable, top_share, note))
+    return results
 
 
 def _grey_finite(lam: float, w: float) -> bool:
@@ -515,24 +565,14 @@ def _poisson_level(surrogate: MeasureSurrogate, spec: GrowthFunctionSpec, p: int
 
 
 def _grey_levels(surrogate: MeasureSurrogate, spec: GrowthFunctionSpec, ps) -> list[dict]:
-    # One draw serves every level, each the estimate a lone grey_integrability
-    # call with the same (lam, n, seed) makes.  The estimate is reported; the
-    # verdict is the exact boundary.
-    x = grey_sample(surrogate.lam, surrogate.n, surrogate.seed)
-    levels = []
-    for p in ps:
-        w = surrogate.rho ** (2.0 * p) * surrogate.w
-        res = _grey_estimate(surrogate.lam, w, x.copy(), surrogate.seed)
-        levels.append({
-            "p": p,
-            "finite": _grey_finite(surrogate.lam, w),
-            "value": res.value,
-            "stderr": res.stderr,
-            "top_share": res.top_share,
-            "w": w,
-            "note": res.note,
-        })
-    return levels
+    # One pass serves every level, each the estimate a lone grey_integrability
+    # call makes.  The estimate is reported; the verdict is the exact boundary.
+    lam, n, seed = surrogate.lam, surrogate.n, surrogate.seed
+    ws = [surrogate.rho ** (2.0 * p) * surrogate.w for p in ps]
+    results = _grey_moments(lam, ws, _grey_blocks(lam, n, seed), n, seed)
+    return [{"p": p, "finite": _grey_finite(lam, w), "value": res.value, "stderr": res.stderr,
+             "top_share": res.top_share, "w": w, "note": res.note}
+            for p, w, res in zip(ps, ws, results)]
 
 
 def _per_level(level: Callable) -> Callable:

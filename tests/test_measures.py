@@ -439,17 +439,53 @@ def _peak_in_samples(call, n):
 
 
 def test_grey_monte_carlo_works_in_one_array_per_sample():
-    from growthcalc.measures import _grey_estimate
+    from growthcalc.measures import _grey_cf, _grey_estimate
 
-    # The estimate works in its sample, lambda = 1 scales the normal draw in
-    # place, and lambda < 1 holds at most four sample-sized arrays at once:
-    # the half-angles, S, a sine's argument and its working array.
+    # The draws and their reads go through block buffers: lambda < 1 holds
+    # one sample-sized array, S, which becomes the sample in place; lambda = 1
+    # and an estimate on a given sample hold none.
     n = 10**6
     x = grey_sample(0.5, n, 1)
-    assert _peak_in_samples(lambda: _grey_estimate(0.5, 0.1, x, 1), n) <= 1.5
+    assert _peak_in_samples(lambda: _grey_estimate(0.5, 0.1, x, 1), n) <= 0.25
     assert _peak_in_samples(lambda: grey_sample(1.0, n, 1), n) <= 1.5
-    assert _peak_in_samples(lambda: grey_sample(0.5, n, 1), n) <= 4.5
-    assert _peak_in_samples(lambda: grey_integrability(1.0, 0.1, n, 1), n) <= 1.5
+    assert _peak_in_samples(lambda: grey_sample(0.5, n, 1), n) <= 1.2
+    assert _peak_in_samples(lambda: grey_integrability(1.0, 0.1, n, 1), n) <= 0.25
+    assert _peak_in_samples(lambda: _grey_cf(0.5, n, 1, (0.5, 1.0, 2.0)), n) <= 1.25
+    assert _peak_in_samples(lambda: grey_integrability(0.5, 0.1, n, 1), n) <= 1.25
+    grey = MeasureSurrogate("grey", lam=0.5, n=n, seed=1)
+    ks05 = kondratiev_streit(0.5)
+    assert _peak_in_samples(lambda: hida_condition(grey, ks05, p=1), n) <= 1.25
+
+
+@pytest.mark.parametrize("block", [7, 2**10, 10**6])
+def test_grey_monte_carlo_does_not_depend_on_the_block_size(block, monkeypatch):
+    # The stream is drawn block by block, so the draws are the same bits at
+    # every block size, and the merged sums move only by rounding (measured
+    # as the suite reference is, relative to max(1, |value|)).
+    from growthcalc import measures
+
+    n, xis = 3000, (0.5, 2.0, 12.0)
+    want_x = {lam: grey_sample(lam, n, 5) for lam in (0.3, 0.5, 1.0)}
+    want_cf = {lam: measures._grey_cf(lam, n, 5, xis) for lam in (0.3, 1.0)}
+    cases = [(lam, w) for lam in (0.3, 0.5, 1.0) for w in (0.0, 0.1, 1.0, 5.0)]
+    cases += [(1.0, 50.0), (0.5, 2000.0), (1.0, 1e308)]  # the overflow branches
+    want_gi = {case: grey_integrability(*case, n, 5) for case in cases}
+    monkeypatch.setattr(measures, "_GREY_BLOCK", block)
+    for lam, want in want_x.items():
+        assert np.array_equal(grey_sample(lam, n, 5), want), lam
+    for lam, want in want_cf.items():
+        for got_row, want_row in zip(measures._grey_cf(lam, n, 5, xis), want):
+            for key in want_row:
+                assert math.isclose(got_row[key], want_row[key], rel_tol=1e-13,
+                                    abs_tol=1e-13), (lam, key)
+    for case, want in want_gi.items():
+        got = grey_integrability(*case, n, 5)
+        assert (got.stable, got.note, got.n, got.seed) == (want.stable, want.note, n, 5)
+        for key in ("value", "stderr", "log_value", "top_share"):
+            assert math.isclose(getattr(got, key), getattr(want, key), rel_tol=1e-13,
+                                abs_tol=1e-13), (case, key)
+    assert {want.note[:10] for want in want_gi.values()} == {
+        "", "top 0.1% o", "second mom", "the integr"}
 
 
 # ---------------------------------------------------------------------------
@@ -601,16 +637,17 @@ def test_grey_boundary_at_lambda_one_is_where_the_gaussian_moment_blows_up():
 def test_hida_grey_draws_one_sample_for_every_level(catalog, monkeypatch):
     from growthcalc import measures
 
-    draws = []
+    passes = []
+    blocks = measures._grey_blocks
 
     def counted(*args):
-        draws.append(args)
-        return grey_sample(*args)
+        passes.append(args)
+        return blocks(*args)
 
-    monkeypatch.setattr(measures, "grey_sample", counted)
+    monkeypatch.setattr(measures, "_grey_blocks", counted)
     grey = MeasureSurrogate("grey", lam=0.5, n=20_000, seed=11)
     report = hida_condition(grey, catalog["ks05"], p=1)
-    assert draws == [(0.5, 20_000, 11)]
+    assert passes == [(0.5, 20_000, 11)]
     monkeypatch.undo()
     assert [level["p"] for level in report.levels] == [0, 1, 2, 3, 4]
     for level in report.levels:
