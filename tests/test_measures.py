@@ -475,6 +475,8 @@ def test_grey_monte_carlo_does_not_depend_on_the_block_size(block, monkeypatch):
         assert np.array_equal(grey_sample(lam, n, 5), want), lam
     for lam, want in want_cf.items():
         for got_row, want_row in zip(measures._grey_cf(lam, n, 5, xis), want):
+            # blocks of 128 draws or more are subtrees of numpy's pairwise sum
+            assert block < 128 or got_row["empirical"] == want_row["empirical"]
             for key in want_row:
                 assert math.isclose(got_row[key], want_row[key], rel_tol=1e-13,
                                     abs_tol=1e-13), (lam, key)
