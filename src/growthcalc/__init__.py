@@ -38,9 +38,8 @@ _EXPORTS = {
         "corrupt_table", "equivalence_witness", "summary_table", "verify_function",
     ),
     "fock": (
-        "ChaosSequence", "HypothesisViolationError", "PairingResult", "a_norm_1d",
-        "cauchy_coefficient_bound", "dual_norm", "exp_vector_norm", "hermite_eval_1d",
-        "log_dual_norm", "log_test_norm", "pairing_bound", "s_transform_1d", "test_norm",
+        "ChaosSequence", "HypothesisViolationError", "cauchy_coefficient_bound", "dual_norm",
+        "exp_vector_norm", "hermite_eval_1d", "log_dual_norm", "s_transform_1d",
     ),
     "measures": (
         "FerniqueResult", "GreyResult", "HidaReport", "MEASURE_KINDS", "MeasureSurrogate",

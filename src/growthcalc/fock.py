@@ -1,22 +1,20 @@
-"""Weighted chaos-coefficient norms, Hermite evaluation, and the pairing and
-Cauchy coefficient bounds.
+"""The dual-side chaos-coefficient norm, Hermite evaluation, the S-transform
+and the Cauchy coefficient bound.
 
 One-dimensional surrogate of the weighted symmetric-tensor construction: a
-chaos expansion is a scalar sequence ``(c_n)``, the test norm divides by the
-transform values ``ell(n)``, the dual norm multiplies by ``(n!)^2 ell(n)``,
-and exponential vectors tie the dual norms to the L-series.  Hermite
-polynomials here are the probabilists' family (``He_{n+1} = x He_n - n
-He_{n-1}``), matching the standard-Gaussian S-transform quadrature.
+chaos expansion is a scalar sequence ``(c_n)``, the dual norm multiplies by
+the weights ``(n!)^2 ell(n)``, and exponential vectors tie it to the
+L-series: ``|E_xi|^2 = L_u(xi^2)``.  Hermite polynomials here are the
+probabilists' family (``He_{n+1} = x He_n - n He_{n-1}``), matching the
+standard-Gaussian S-transform quadrature.
 
-Norm arithmetic runs in the log domain: ``ell(n)`` decays super-exponentially
-and the dual weights ``(n!)^2 ell(n)`` grow fast enough to overflow doubles
-at moderate ``n``.
+Norm arithmetic runs in the log domain: the dual weights ``(n!)^2 ell(n)``
+grow fast enough to overflow doubles at moderate ``n``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +23,6 @@ from .growth import (CapacityError, GrowthFunctionSpec, ParameterError, _log_fac
                      _count, _logsumexp, _radius_grid, _real, _reals, log_u_grid)
 from .inequality_lab import VerificationReport, _report
 from .legendre import LegendreTable, LFunctionEvaluator, l_function
-from .measures import _DOMAINS
 
 
 class HypothesisViolationError(RuntimeError):
@@ -78,12 +75,10 @@ class ChaosSequence:
         return v
 
     @classmethod
-    def delta(cls, n: int, size: int | None = None) -> "ChaosSequence":
+    def delta(cls, n: int) -> "ChaosSequence":
+        """``He_n``: the coefficients ``0, ..., 0, 1`` of degree ``n``."""
         n = _count(n, "n")
-        size = _count(n + 1 if size is None else size, "size", f"[{n + 1}, inf)")
-        vals = [0.0] * size
-        vals[n] = 1.0
-        return cls(tuple(vals))
+        return cls((0.0,) * n + (1.0,))
 
     @classmethod
     def exponential_vector(cls, xi: float, n_max: int) -> "ChaosSequence":
@@ -98,31 +93,13 @@ class ChaosSequence:
         return cls(tuple(logs), log_domain=True)
 
 
-def _require_table(seq: ChaosSequence, table: LegendreTable, op: str) -> None:
-    if not table.is_integer_grid:
-        raise ParameterError(f"{op} needs an integer-grid transform table")
-    if seq.degree > table.n_max:
-        raise ParameterError(
-            f"{op}: sequence reaches n={seq.degree} but the table stops at "
-            f"n={table.n_max}"
-        )
-
-
-def log_test_norm(seq: ChaosSequence, table: LegendreTable) -> float:
-    """``log sqrt(sum c_n^2 / ell(n))`` — the test-side weighted norm."""
-    _require_table(seq, table, "test_norm")
-    la = seq.log_abs()
-    return 0.5 * _logsumexp(2.0 * la - table.log_ell[: len(seq)])
-
-
-def test_norm(seq: ChaosSequence, table: LegendreTable) -> float:
-    v = log_test_norm(seq, table)
-    return math.exp(v) if v < 709.0 else math.inf
-
-
 def log_dual_norm(seq: ChaosSequence, table: LegendreTable) -> float:
     """``log sqrt(sum (n!)^2 ell(n) c_n^2)`` — the dual-side weighted norm."""
-    _require_table(seq, table, "dual_norm")
+    if not table.is_integer_grid:
+        raise ParameterError("dual_norm needs an integer-grid transform table")
+    if seq.degree > table.n_max:
+        raise ParameterError(f"dual_norm: sequence reaches n={seq.degree} but the table "
+                             f"stops at n={table.n_max}")
     la = seq.log_abs()
     terms = 2.0 * (_log_factorials(len(seq) - 1) + la) + table.log_ell[: len(seq)]
     return 0.5 * _logsumexp(terms)
@@ -138,35 +115,6 @@ def exp_vector_norm(xi_abs: float, evaluator: LFunctionEvaluator) -> float:
     xi_abs = _real(xi_abs, "xi_abs", "[0, inf)")
     v = 0.5 * l_function(evaluator, xi_abs * xi_abs)
     return math.exp(v) if v < 709.0 else math.inf
-
-
-@dataclass(frozen=True)
-class PairingResult:
-    value: float
-    bound: float
-    satisfied: bool
-
-
-def pairing_bound(
-    test_seq: ChaosSequence, dual_seq: ChaosSequence, table: LegendreTable
-) -> PairingResult:
-    """Evaluate ``sum_n n! F_n f_n`` and its Cauchy-Schwarz bound
-    ``dual_norm(F) * test_norm(f)``."""
-    if len(test_seq) != len(dual_seq):
-        raise ParameterError(
-            f"pairing needs equal lengths, got {len(test_seq)} and {len(dual_seq)}"
-        )
-    _require_table(test_seq, table, "pairing_bound")
-    log_mag = _log_factorials(len(test_seq) - 1) + test_seq.log_abs() + dual_seq.log_abs()
-    # linear() of a log-domain sequence is nonnegative with exact zeros at
-    # -inf entries, so its sign works uniformly for both storage modes.
-    with np.errstate(over="ignore"):
-        signs = np.sign(test_seq.linear()) * np.sign(dual_seq.linear())
-        value = float(math.fsum(np.where(signs != 0.0, signs * np.exp(log_mag), 0.0)))
-    log_bound = log_dual_norm(dual_seq, table) + log_test_norm(test_seq, table)
-    bound = math.exp(log_bound) if log_bound < 709.0 else math.inf
-    satisfied = abs(value) <= bound * (1.0 + 1e-12) + 1e-300
-    return PairingResult(value, bound, satisfied)
 
 
 # -- Hermite side -------------------------------------------------------------
@@ -194,50 +142,39 @@ def hermite_eval_1d(seq: ChaosSequence, x: float | np.ndarray) -> np.ndarray | f
     return float(out[0]) if scalar else out
 
 
-def a_norm_1d(
-    seq: ChaosSequence,
-    spec: GrowthFunctionSpec,
-    p: int = 0,
-    x_grid: np.ndarray | None = None,
-    rho: float = 0.5,
-) -> float:
-    """``sup_x |phi(x)| u(w x^2)^{-1/2}`` with ``phi = sum c_n He_n`` and the
-    level weight ``w = rho^{2p}``.
-
-    Warns when the supremum is attained on the grid boundary — the reported
-    value is then a lower estimate.
-    """
-    rho, p = _real(rho, "rho", _DOMAINS["rho"]), _real(p, "p", "[0, inf)", whole=True)
-    w = rho ** (2.0 * p)
-    if not w > 0.0:
-        raise ParameterError(f"the level weight must be positive, got {w}")
-    xs = _reals(np.linspace(-12.0, 12.0, 4801) if x_grid is None else x_grid,
-                "x", "(-inf, inf)")
-    if xs.size < 3:
-        raise ParameterError("a_norm_1d needs a grid of at least 3 points")
-    vals = np.abs(hermite_eval_1d(seq, xs))
-    with np.errstate(over="ignore"):  # u(inf) is u's limit
-        lu = log_u_grid(spec, w * xs * xs)
-    with np.errstate(divide="ignore"):
-        score = np.log(np.maximum(vals, 1e-300)) - 0.5 * lu
-    i = int(np.argmax(score))
-    if i in (0, xs.size - 1):
-        warnings.warn(
-            f"A-norm supremum attained at the grid boundary x={xs[i]:g}; "
-            "the value is a lower estimate",
-            stacklevel=2,
-        )
-    return float(math.exp(score[i]))
+#: The highest degree ``s_transform_1d`` takes: past it ``sqrt(n!)``, the
+#: Gaussian L^2 norm of ``He_n``, is past the doubles, and from degree 369 on
+#: the Gauss-Hermite rule's own weights overflow.
+_S_DEGREE_CAP = 300
 
 
 def s_transform_1d(seq: ChaosSequence, xi: float) -> float:
     """``S(phi)(xi) = E[phi(X + xi)]`` for standard Gaussian ``X`` via
     Gauss-Hermite quadrature of order ``max(32, degree + 2)``, exact for the
     polynomial; maps ``He_n`` to ``xi^n``.
+
+    The rule's terms reach about ``sqrt(n!)`` for ``He_n`` however small the
+    value, so it cancels.  A value is returned only where the rounding bound
+    ``(degree + 1) eps sum_i w_i |phi(x_i + xi)|`` is within ``1e-8 max(1,
+    |S|)`` and finite; otherwise, and past degree 300, it raises
+    ``CapacityError``.
     """
+    xi = _real(xi, "xi", "(-inf, inf)")
+    if seq.degree > _S_DEGREE_CAP:
+        raise CapacityError(f"the S-transform takes degrees up to {_S_DEGREE_CAP}, "
+                            f"got {seq.degree}")
     nodes, weights = np.polynomial.hermite_e.hermegauss(max(32, seq.degree + 2))
-    vals = hermite_eval_1d(seq, nodes + _real(xi, "xi", "(-inf, inf)"))
-    return float(np.dot(weights, vals) / math.sqrt(2.0 * math.pi))
+    vals = hermite_eval_1d(seq, nodes + xi)
+    norm = math.sqrt(2.0 * math.pi)
+    with np.errstate(over="ignore"):  # an overflowed sum reads inf on both sides
+        value = float(np.dot(weights, vals) / norm)
+        rounding = (seq.degree + 1) * np.finfo(float).eps * float(
+            np.dot(weights, np.abs(vals)) / norm)
+    if not (rounding <= 1e-8 * max(1.0, abs(value)) and math.isfinite(value)):
+        raise CapacityError(
+            f"the S-transform of degree {seq.degree} at xi={xi:g} is not certified: "
+            f"rounding bound {rounding:.3g} against the value {value:.3g}")
+    return value
 
 
 def cauchy_coefficient_bound(

@@ -108,11 +108,9 @@ CONTRACT = {
         KS, n_max, EV, r_grid, ["log-concavity", "lseries-sqrt-bound"], a),
         {"n_max": 4, "r_grid": GRID, "a": 2.0}),
     "ChaosSequence": (ChaosSequence, {"values": np.array([1.0, 0.5])}),
-    "ChaosSequence.delta": (ChaosSequence.delta, {"n": 2, "size": 4}),
+    "ChaosSequence.delta": (ChaosSequence.delta, {"n": 2}),
     "ChaosSequence.exponential_vector": (ChaosSequence.exponential_vector,
                                          {"xi": 0.5, "n_max": 4}),
-    "a_norm_1d": (lambda p, x_grid, rho: gc.a_norm_1d(SEQ, KS, p, x_grid, rho),
-                  {"p": 1, "x_grid": np.linspace(-3.0, 3.0, 7), "rho": 0.5}),
     "cauchy_coefficient_bound": (
         lambda coeffs, K, a, radius_grid: gc.cauchy_coefficient_bound(
             coeffs, KS, K, a, TABLE, radius_grid),
@@ -141,7 +139,7 @@ CONTRACT = {
 #: Exported result records and exceptions: they hold values the library
 #: computed and check none.
 RECORDS = {"ConditionCheck", "ConditionReport", "FerniqueResult", "GreyResult", "HidaReport",
-           "PairingResult", "PoissonResult", "VerificationReport", "HypothesisViolationError",
+           "PoissonResult", "VerificationReport", "HypothesisViolationError",
            "InsufficientTableError"}
 
 #: Values no rule admits, for any numeric parameter: among them each
@@ -152,11 +150,10 @@ EDGES = INVALID + [0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, math
                    np.array(3)]
 
 #: The sizes and loop counts, which also draw values past the size cap.
-COUNTS = {("ChaosSequence.delta", "n"), ("ChaosSequence.delta", "size"),
-          ("ChaosSequence.exponential_vector", "n_max"), ("LFunctionEvaluator.from_spec", "n_max"),
-          ("legendre_sequence", "n_max"), ("check_chain_order", "n_max"),
-          ("verify_function", "n_max"), ("MeasureSurrogate", "n"), ("grey_integrability", "n"),
-          ("grey_sample", "n"), ("hida_condition", "p")}
+COUNTS = {("ChaosSequence.delta", "n"), ("ChaosSequence.exponential_vector", "n_max"),
+          ("LFunctionEvaluator.from_spec", "n_max"), ("legendre_sequence", "n_max"),
+          ("check_chain_order", "n_max"), ("verify_function", "n_max"), ("MeasureSurrogate", "n"),
+          ("grey_integrability", "n"), ("grey_sample", "n"), ("hida_condition", "p")}
 OVERSIZE = [10**300, _SIZE_CAP + 1]
 
 
@@ -181,7 +178,6 @@ def _outcome(name, param, value):
     call, valid, errors = _entry(name)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        warnings.simplefilter("ignore", UserWarning)  # a_norm_1d's boundary note
         try:
             return call(**{**valid, param: value})
         except errors as exc:
@@ -216,9 +212,18 @@ def test_counts_past_the_size_cap_raise_a_capacity_error(name, param):
         assert isinstance(out, CapacityError) and "size cap" in str(out), (value, out)
 
 
+@pytest.mark.parametrize("n", [301, 369, 1200])
+def test_s_transform_past_its_degree_cap_raises_a_capacity_error(n):
+    # From degree 369 the Gauss-Hermite rule overflows: a RuntimeWarning, or
+    # NaN nodes where warnings pass (seen at 1200).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(CapacityError, match="degrees up to 300"):
+            gc.s_transform_1d(ChaosSequence.delta(n), 0.5)
+
+
 #: Parameters whose ``None`` asks for their default.
 NONE_IS_DEFAULT = {(name, "r_grid") for name in CONTRACT} | {
-    ("ChaosSequence.delta", "size"), ("a_norm_1d", "x_grid"),
     ("cauchy_coefficient_bound", "radius_grid"), ("legendre_transform", "s_hint"),
     ("run", "seed"), ("run", "tol")}
 

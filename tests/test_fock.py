@@ -7,15 +7,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from growthcalc import (
     ChaosSequence,
     HypothesisViolationError,
     LFunctionEvaluator,
+    CapacityError,
     ParameterError,
-    a_norm_1d,
     cauchy_coefficient_bound,
     dual_norm,
     exp_vector_norm,
@@ -26,14 +24,8 @@ from growthcalc import (
     legendre_sequence,
     legendre_table,
     log_dual_norm,
-    log_test_norm,
-    pairing_bound,
     s_transform_1d,
 )
-from growthcalc import test_norm as chaos_test_norm  # pytest must not collect it
-
-finite_floats = st.floats(min_value=-50.0, max_value=50.0,
-                          allow_nan=False, allow_infinity=False)
 
 
 # ---------------------------------------------------------------------------
@@ -43,24 +35,25 @@ finite_floats = st.floats(min_value=-50.0, max_value=50.0,
 
 def test_delta_norm_oracles(tables60):
     tab = tables60["ks0"]
-    # |delta_1| in the test space: 1/sqrt(ell(1)) = e^{-1/2}
-    assert chaos_test_norm(ChaosSequence.delta(1), tab) == pytest.approx(
-        math.exp(-0.5), rel=1e-12
+    # |delta_1| in the dual space: 1! sqrt(ell(1)) = e^{1/2}
+    assert dual_norm(ChaosSequence.delta(1), tab) == pytest.approx(
+        math.exp(0.5), rel=1e-12
     )
     # |delta_2| in the dual space: 2! sqrt(ell(2)) = 2 (e/2) = e
     assert dual_norm(ChaosSequence.delta(2), tab) == pytest.approx(
         math.e, rel=1e-12
     )
-    assert chaos_test_norm(ChaosSequence.delta(0), tab) == 1.0
     assert dual_norm(ChaosSequence.delta(0), tab) == 1.0
 
 
 def test_norms_scale_quadratically(tables60):
+    # the dual norm is a weighted l^2 norm: |3 c| = 3 |c|, whatever the signs
     tab = tables60["ks05"]
     seq = ChaosSequence((1.0, -2.0, 0.5))
     scaled = ChaosSequence((3.0, -6.0, 1.5))
-    assert chaos_test_norm(scaled, tab) == pytest.approx(3 * chaos_test_norm(seq, tab), rel=1e-12)
     assert dual_norm(scaled, tab) == pytest.approx(3 * dual_norm(seq, tab), rel=1e-12)
+    assert log_dual_norm(scaled, tab) == pytest.approx(
+        math.log(3.0) + log_dual_norm(seq, tab), rel=1e-14)
 
 
 def test_sequence_validation():
@@ -72,20 +65,20 @@ def test_sequence_validation():
     np.testing.assert_array_equal(seq.linear(), [1.0, 0.0])
 
 
-def test_norm_requires_matching_integer_table(tables60):
+def test_norm_requires_matching_integer_table():
     spec = kondratiev_streit(0.0)
-    with pytest.raises(ParameterError):
-        chaos_test_norm(ChaosSequence.delta(10), legendre_sequence(spec, 5))
-    with pytest.raises(ParameterError):
-        chaos_test_norm(ChaosSequence.delta(1),
-                  legendre_table(spec, np.array([0.5, 1.5])))
+    with pytest.raises(ParameterError, match="reaches n=10 but the table stops at n=5"):
+        log_dual_norm(ChaosSequence.delta(10), legendre_sequence(spec, 5))
+    with pytest.raises(ParameterError, match="needs an integer-grid transform table"):
+        dual_norm(ChaosSequence.delta(1), legendre_table(spec, np.array([0.5, 1.5])))
 
 
 def test_log_norm_overflow_stays_in_log_domain(tables60):
+    # log |c| = 800, 700: the norm is near e^800, past the doubles
     tab = tables60["ks0"]
     big = ChaosSequence((800.0, 700.0), log_domain=True)
-    assert math.isfinite(log_test_norm(big, tab))
-    assert chaos_test_norm(big, tab) == math.inf
+    assert log_dual_norm(big, tab) == pytest.approx(800.0, rel=1e-12)
+    assert dual_norm(big, tab) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -129,42 +122,6 @@ def test_exp_vector_norm_is_inf_past_the_double_range():
 
 
 # ---------------------------------------------------------------------------
-# pairing
-# ---------------------------------------------------------------------------
-
-
-def test_pairing_bound_is_tight_for_aligned_pair(tables60):
-    tab = tables60["ks0"]
-    rng = np.random.default_rng(3)
-    f = ChaosSequence(tuple(rng.normal(size=9)))
-    aligned = ChaosSequence(tuple(
-        v / (math.factorial(n) * math.exp(tab.log_ell[n]))
-        for n, v in enumerate(f.values)
-    ))
-    result = pairing_bound(f, aligned, tab)
-    assert result.satisfied
-    assert result.value == pytest.approx(result.bound, rel=1e-12)
-
-
-@given(st.lists(st.tuples(finite_floats, finite_floats), min_size=1, max_size=12))
-@settings(max_examples=150, deadline=None)
-def test_pairing_bound_property(pairs):
-    fs, gs = zip(*pairs)
-    result = pairing_bound(ChaosSequence(fs), ChaosSequence(gs), _PAIRING_TABLE)
-    assert result.satisfied
-    assert abs(result.value) <= result.bound * (1 + 1e-9) + 1e-290
-
-
-def test_pairing_length_mismatch_rejected():
-    with pytest.raises(ParameterError):
-        pairing_bound(ChaosSequence((1.0,)), ChaosSequence((1.0, 2.0)),
-                      _PAIRING_TABLE)
-
-
-_PAIRING_TABLE = legendre_sequence(kondratiev_streit(0.25), 12)
-
-
-# ---------------------------------------------------------------------------
 # Hermite evaluation, S-transform, growth bound
 # ---------------------------------------------------------------------------
 
@@ -180,31 +137,12 @@ def test_hermite_matches_numpy():
     assert hermite_eval_1d(ChaosSequence.delta(2), 3.0) == pytest.approx(8.0)
 
 
-def test_a_norm_closed_form():
-    # sup |x| e^{-x^2/2} = e^{-1/2}, attained at x = 1
-    ks0 = kondratiev_streit(0.0)
-    assert a_norm_1d(ChaosSequence((0.0, 1.0)), ks0) == pytest.approx(
-        math.exp(-0.5), rel=1e-6
-    )
-    # at p = 1 the weight w = rho^2 = 1/4 rescales the extremum to x = 2
-    assert a_norm_1d(ChaosSequence((0.0, 1.0)), ks0, p=1) == pytest.approx(
-        2.0 * math.exp(-0.5), rel=1e-6
-    )
-
-
-def test_a_norm_warns_on_boundary_maximum():
-    with pytest.warns(UserWarning):
-        a_norm_1d(ChaosSequence((0.0, 1.0)), kondratiev_streit(0.0),
-                  x_grid=np.linspace(-0.5, 0.5, 101))
-
-
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
-def test_a_norm_rejects_a_non_finite_x(bad):
-    seq, ks0 = ChaosSequence((0.0, 1.0)), kondratiev_streit(0.0)
+def test_hermite_eval_rejects_a_non_finite_x(bad):
     xs = np.append(np.linspace(-3.0, 3.0, 61), bad)
     with pytest.raises(ParameterError, match=re.escape(
             f"x must be a number in (-inf, inf), got {bad}")):
-        a_norm_1d(seq, ks0, x_grid=xs)
+        hermite_eval_1d(ChaosSequence((0.0, 1.0)), xs)
 
 
 def test_s_transform_monomials():
@@ -213,6 +151,29 @@ def test_s_transform_monomials():
             assert s_transform_1d(ChaosSequence.delta(n), xi) == pytest.approx(
                 xi**n, rel=1e-10, abs=1e-10
             )
+
+
+@pytest.mark.parametrize("n, xi", [(30, 0.5), (50, 1.5), (2, 1.3e154)])
+def test_s_transform_refuses_a_value_its_rounding_does_not_certify(n, xi):
+    # The quadrature read -2.39 for 0.5^30 = 9.3e-10 and -1.03e17 for
+    # 1.5^50 = 6.4e8; its sum for 1.3e154^2 = 1.69e308 overflows to inf.
+    with pytest.raises(CapacityError, match=re.escape(f"degree {n} at xi={xi:g} is not")):
+        s_transform_1d(ChaosSequence.delta(n), xi)
+
+
+def test_s_transform_returns_only_values_within_1e_8():
+    # unchecked, the rule's error passes 1e-8 by degree 43 at every |xi| <= 3
+    outcomes = set()
+    for n in range(0, 80, 3):
+        for xi in (-3.0, -0.5, 0.0, 0.5, 1.5, 3.0, 5.0):
+            try:
+                value = s_transform_1d(ChaosSequence.delta(n), xi)
+            except CapacityError:
+                outcomes.add("refused")
+                continue
+            outcomes.add("returned")
+            assert abs(value - xi**n) <= 1e-8 * max(1.0, abs(xi) ** n), (n, xi, value)
+    assert outcomes == {"refused", "returned"}
 
 
 # ---------------------------------------------------------------------------

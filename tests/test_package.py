@@ -41,6 +41,18 @@ def test_the_transforms_load_only_growth_and_legendre():
         "['growthcalc']", "['growthcalc', 'growthcalc.growth', 'growthcalc.legendre']", "True"]
 
 
+def test_the_fock_norms_and_s_transform_do_not_load_the_measures():
+    loaded = _fresh(
+        "import sys\n"
+        "import growthcalc as gc\n"
+        "ev = gc.LFunctionEvaluator.from_spec(gc.kondratiev_streit(0.0), 60)\n"
+        "gc.log_dual_norm(gc.ChaosSequence.exponential_vector(1.0, 60), ev.table)\n"
+        "gc.s_transform_1d(gc.ChaosSequence.delta(3), 1.5)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('growthcalc')))\n")
+    assert loaded == ("['growthcalc', 'growthcalc.fock', 'growthcalc.growth', "
+                      "'growthcalc.inequality_lab', 'growthcalc.legendre']")
+
+
 def test_every_export_is_its_defining_module_attribute():
     for module, names in growthcalc._EXPORTS.items():
         home = importlib.import_module(f"growthcalc.{module}")
@@ -56,7 +68,7 @@ def test_dir_and_star_import_give_every_export():
     namespace: dict = {}
     exec("from growthcalc import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == growthcalc.__all__
-    assert len(growthcalc.__all__) == 82
+    assert len(growthcalc.__all__) == 77
     assert set(growthcalc.__all__) <= set(dir(growthcalc))
 
 

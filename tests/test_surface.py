@@ -7,17 +7,24 @@ import inspect
 
 import growthcalc
 
-EXPORTS = 82
-OPTIONS = 63
+EXPORTS = 77
+OPTIONS = 62
 
 
 def _options(obj) -> list[str]:
-    """Parameters with a default (dataclass fields included); exceptions
-    take their messages positionally and count none."""
+    """Parameters with a default (dataclass fields included), and for a class
+    those of its public methods and classmethods too; exceptions take their
+    messages positionally and count none."""
     if not callable(obj) or (isinstance(obj, type) and issubclass(obj, BaseException)):
         return []
     params = inspect.signature(obj).parameters.values()
-    return [p.name for p in params if p.default is not inspect.Parameter.empty]
+    names = [p.name for p in params if p.default is not inspect.Parameter.empty]
+    if isinstance(obj, type):
+        for attr in vars(obj):
+            member = getattr(obj, attr)
+            if not attr.startswith("_") and callable(member):
+                names += [f"{attr}.{name}" for name in _options(member)]
+    return names
 
 
 def test_exports_are_sorted_unique_and_resolve():
