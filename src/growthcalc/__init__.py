@@ -39,7 +39,7 @@ _EXPORTS = {
     ),
     "fock": (
         "ChaosSequence", "HypothesisViolationError", "cauchy_coefficient_bound", "dual_norm",
-        "exp_vector_norm", "hermite_eval_1d", "log_dual_norm", "s_transform_1d",
+        "exp_vector_norm", "log_dual_norm", "s_transform_1d",
     ),
     "measures": (
         "FerniqueResult", "GreyResult", "HidaReport", "MEASURE_KINDS", "MeasureSurrogate",

@@ -1,12 +1,12 @@
-"""The dual-side chaos-coefficient norm, Hermite evaluation, the S-transform
-and the Cauchy coefficient bound.
+"""The dual-side chaos-coefficient norm, the S-transform and the Cauchy
+coefficient bound.
 
 One-dimensional surrogate of the weighted symmetric-tensor construction: a
 chaos expansion is a scalar sequence ``(c_n)``, the dual norm multiplies by
 the weights ``(n!)^2 ell(n)``, and exponential vectors tie it to the
-L-series: ``|E_xi|^2 = L_u(xi^2)``.  Hermite polynomials here are the
-probabilists' family (``He_{n+1} = x He_n - n He_{n-1}``), matching the
-standard-Gaussian S-transform quadrature.
+L-series: ``|E_xi|^2 = L_u(xi^2)``.  The coefficients are on the
+probabilists' Hermite polynomials ``He_n``, whose standard-Gaussian
+S-transform is ``xi^n`` (Kuo 1996, ch. 5), so ``S(phi)(xi) = sum_n c_n xi^n``.
 
 Norm arithmetic runs in the log domain: the dual weights ``(n!)^2 ell(n)``
 grow fast enough to overflow doubles at moderate ``n``.
@@ -22,7 +22,7 @@ import numpy as np
 from .growth import (CapacityError, GrowthFunctionSpec, ParameterError, _log_factorials,
                      _count, _logsumexp, _radius_grid, _real, _reals, log_u_grid)
 from .inequality_lab import VerificationReport, _report
-from .legendre import LegendreTable, LFunctionEvaluator, l_function
+from .legendre import LegendreTable, LFunctionEvaluator, _read_only, l_function
 
 
 class HypothesisViolationError(RuntimeError):
@@ -33,16 +33,17 @@ class HypothesisViolationError(RuntimeError):
         self.radius = float(radius)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChaosSequence:
     """Scalar chaos coefficients, optionally stored as logs.
 
     ``log_domain=True`` means ``values[n]`` is ``log c_n`` (with ``-inf`` for
     absent terms); such sequences are implicitly nonnegative.  Linear-domain
-    sequences may carry signs (Hermite coefficients).
+    sequences may carry signs (Hermite coefficients).  ``values`` is a
+    read-only float array; a writeable input is copied first.
     """
 
-    values: tuple[float, ...]
+    values: np.ndarray
     log_domain: bool = False
 
     def __post_init__(self) -> None:
@@ -51,34 +52,34 @@ class ChaosSequence:
         vals = _reals(self.values, "values", domain)
         if vals.ndim != 1 or not vals.size:
             raise ParameterError("a chaos sequence needs a nonempty list of coefficients")
-        object.__setattr__(self, "values", tuple(vals.tolist()))
+        object.__setattr__(self, "values", _read_only(vals))
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.values.size
 
     @property
     def degree(self) -> int:
-        return len(self.values) - 1
+        return self.values.size - 1
 
     def log_abs(self) -> np.ndarray:
-        v = np.asarray(self.values, dtype=float)
         if self.log_domain:
-            return v
+            return self.values
         with np.errstate(divide="ignore"):
-            return np.log(np.abs(v))
+            return np.log(np.abs(self.values))
 
     def linear(self) -> np.ndarray:
-        v = np.asarray(self.values, dtype=float)
-        if self.log_domain:
-            with np.errstate(over="ignore"):
-                return np.exp(v)
-        return v
+        if not self.log_domain:
+            return self.values
+        with np.errstate(over="ignore"):
+            return np.exp(self.values)
 
     @classmethod
     def delta(cls, n: int) -> "ChaosSequence":
         """``He_n``: the coefficients ``0, ..., 0, 1`` of degree ``n``."""
-        n = _count(n, "n")
-        return cls((0.0,) * n + (1.0,))
+        values = np.zeros(_count(n, "n") + 1)
+        values[-1] = 1.0
+        values.setflags(write=False)
+        return cls(values)
 
     @classmethod
     def exponential_vector(cls, xi: float, n_max: int) -> "ChaosSequence":
@@ -90,7 +91,8 @@ class ChaosSequence:
             logs[0] = 0.0
         else:
             logs = np.arange(n_max + 1) * math.log(xi) - _log_factorials(n_max)
-        return cls(tuple(logs), log_domain=True)
+        logs.setflags(write=False)
+        return cls(logs, log_domain=True)
 
 
 def log_dual_norm(seq: ChaosSequence, table: LegendreTable) -> float:
@@ -117,59 +119,25 @@ def exp_vector_norm(xi_abs: float, evaluator: LFunctionEvaluator) -> float:
     return math.exp(v) if v < 709.0 else math.inf
 
 
-# -- Hermite side -------------------------------------------------------------
-
-
-def hermite_eval_1d(seq: ChaosSequence, x: float | np.ndarray) -> np.ndarray | float:
-    """``sum_n c_n He_n(x)`` with probabilists' Hermite polynomials, for
-    finite ``x``; a sum past the doubles raises ``CapacityError``."""
-    c = seq.linear()
-    xs = _reals(x, "x", "(-inf, inf)")
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    out = np.full_like(xs, c[0], dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # judged below
-        if len(c) > 1:
-            h_prev = np.ones_like(xs)
-            h_cur = xs.copy()
-            out += c[1] * h_cur
-            for n in range(1, len(c) - 1):
-                h_prev, h_cur = h_cur, xs * h_cur - n * h_prev
-                out += c[n + 1] * h_cur
-    over = ~np.isfinite(out)
-    if over.any():
-        raise CapacityError(f"the Hermite sum overflows a double at x={xs[over][0]:g}")
-    return float(out[0]) if scalar else out
-
-
-#: The highest degree ``s_transform_1d`` takes: past it ``sqrt(n!)``, the
-#: Gaussian L^2 norm of ``He_n``, is past the doubles, and from degree 369 on
-#: the Gauss-Hermite rule's own weights overflow.
-_S_DEGREE_CAP = 300
+# -- S-transform ---------------------------------------------------------------
 
 
 def s_transform_1d(seq: ChaosSequence, xi: float) -> float:
-    """``S(phi)(xi) = E[phi(X + xi)]`` for standard Gaussian ``X`` via
-    Gauss-Hermite quadrature of order ``max(32, degree + 2)``, exact for the
-    polynomial; maps ``He_n`` to ``xi^n``.
+    """``S(phi)(xi) = E[phi(X + xi)]`` for standard Gaussian ``X``: since
+    ``E He_n(X + xi) = xi^n``, the power series ``sum_n c_n xi^n``, summed by
+    Horner's rule.
 
-    The rule's terms reach about ``sqrt(n!)`` for ``He_n`` however small the
-    value, so it cancels.  A value is returned only where the rounding bound
-    ``(degree + 1) eps sum_i w_i |phi(x_i + xi)|`` is within ``1e-8 max(1,
-    |S|)`` and finite; otherwise, and past degree 300, it raises
+    A value is returned only where it is finite and Horner's rounding bound
+    ``gamma_{2n} sum_n |c_n| |xi|^n`` (Higham 2002, section 5.1) is within
+    ``1e-8 max(1, |S|)``; an ill-conditioned or overflowing sum raises
     ``CapacityError``.
     """
     xi = _real(xi, "xi", "(-inf, inf)")
-    if seq.degree > _S_DEGREE_CAP:
-        raise CapacityError(f"the S-transform takes degrees up to {_S_DEGREE_CAP}, "
-                            f"got {seq.degree}")
-    nodes, weights = np.polynomial.hermite_e.hermegauss(max(32, seq.degree + 2))
-    vals = hermite_eval_1d(seq, nodes + xi)
-    norm = math.sqrt(2.0 * math.pi)
-    with np.errstate(over="ignore"):  # an overflowed sum reads inf on both sides
-        value = float(np.dot(weights, vals) / norm)
-        rounding = (seq.degree + 1) * np.finfo(float).eps * float(
-            np.dot(weights, np.abs(vals)) / norm)
+    value = scale = 0.0
+    for c in seq.linear()[::-1].tolist():  # Python floats overflow to inf quietly
+        value, scale = value * xi + c, scale * abs(xi) + abs(c)
+    k_u = seq.degree * np.finfo(float).eps  # 2n unit roundoffs
+    rounding = k_u / (1.0 - k_u) * scale
     if not (rounding <= 1e-8 * max(1.0, abs(value)) and math.isfinite(value)):
         raise CapacityError(
             f"the S-transform of degree {seq.degree} at xi={xi:g} is not certified: "

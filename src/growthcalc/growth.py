@@ -1086,9 +1086,6 @@ class ConditionCheck:
     observed: float | None = None
     note: str = ""
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class ConditionReport:
@@ -1104,9 +1101,6 @@ class ConditionReport:
 
     def status(self, condition: str) -> str:
         return self.checks[condition].status
-
-    def passed(self, conditions=("U0", "U1", "U2", "U3")) -> bool:
-        return all(self.checks[c].status == "pass" for c in conditions)
 
     def to_json_dict(self) -> dict:
         return asdict(self)

@@ -238,6 +238,13 @@ def _newton_transform(spec: GrowthFunctionSpec, ts: np.ndarray) -> tuple[np.ndar
     return log_ell, np.exp(s_star)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` flagged read-only, copied first if it is writeable."""
+    a = a.copy() if a.flags.writeable else a
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(eq=False)
 class LegendreTable:
     """Transform values on a t-grid: ``log ell(t)`` and minimizers ``r*(t)``.
@@ -251,13 +258,9 @@ class LegendreTable:
     r_star: np.ndarray
 
     def __post_init__(self) -> None:
-        cols = [_reals(col, name, domain) for col, name, domain in (
+        cols = [_read_only(_reals(col, name, domain)) for col, name, domain in (
             (self.t, "t", "[0, inf)"), (self.log_ell, "log_ell", "[-inf, inf)"),
             (self.r_star, "r_star", "[0, inf)"))]
-        for i, col in enumerate(cols):
-            if col.flags.writeable:
-                cols[i] = col.copy()
-            cols[i].setflags(write=False)
         self.t, self.log_ell, self.r_star = cols
         if not self.t.size or {col.shape for col in cols} != {(self.t.size,)}:
             raise ParameterError("table columns must be nonempty, 1-d and of one length")
@@ -345,10 +348,6 @@ class LFunctionEvaluator:
         table = LegendreTable(spec.function_id, t,
                               np.append(_grid_infimum(spec), log_ell), np.append(0.0, r_star))
         return cls(spec, table)
-
-    @property
-    def n_max(self) -> int:
-        return self.table.n_max
 
 
 def _blockwise(rule, rs: np.ndarray):

@@ -408,13 +408,6 @@ def grey_integrability(
     return _grey_moments(m.lam, (m.w,), _grey_blocks(m.lam, m.n, m.seed), m.n, m.seed)[0]
 
 
-def _grey_estimate(lam: float, w: float, x: np.ndarray, seed: int) -> GreyResult:
-    """:func:`grey_integrability` on the sample ``x`` drawn with ``seed``,
-    read in blocks and left as it is."""
-    blocks = (x[i:j] for _, i, j in _grey_spans(x.size))
-    return _grey_moments(lam, (w,), blocks, x.size, seed)[0]
-
-
 def _grey_moments(lam: float, ws, blocks, n: int, seed: int) -> list[GreyResult]:
     """:func:`grey_integrability` at each weight of ``ws`` in one pass over
     the ``n`` draws of ``blocks``, keeping per weight a running maximum ``m``
@@ -580,6 +573,11 @@ def _per_level(level: Callable) -> Callable:
     return lambda surrogate, spec, ps: [level(surrogate, spec, p) for p in ps]
 
 
+#: The highest level ``hida_condition`` sweeps to: its report holds one
+#: record per level, and a grey sweep's work grows as ``p`` times the sample.
+_HIDA_LEVEL_CAP = 64
+
+
 def hida_condition(
     surrogate: MeasureSurrogate, spec: GrowthFunctionSpec, p: int = 0
 ) -> HidaReport:
@@ -587,9 +585,12 @@ def hida_condition(
     sweep levels ``0..max(p, 4)`` for the smallest finite one.
 
     Mismatched (measure, growth function) pairs raise
-    :class:`~growthcalc.growth.ParameterError`.
+    :class:`~growthcalc.growth.ParameterError`; a ``p`` past
+    ``_HIDA_LEVEL_CAP`` (64) raises ``CapacityError`` before any level runs.
     """
     p = _count(p, "p")
+    if p > _HIDA_LEVEL_CAP:
+        raise CapacityError(f"p must be at most the level cap {_HIDA_LEVEL_CAP}, got {p}")
     _check_compatibility(surrogate, spec)
     measure = _MEASURE_TABLE[surrogate.kind]
     levels = measure.sweep(surrogate, spec, range(max(p, 4) + 1))

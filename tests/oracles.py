@@ -1,6 +1,7 @@
 """Independent references, in mpmath at ``DPS`` = 30 digits: the Legendre
 transform, the L-series ``L_u(r) = sum_n ell(n) r^n``, the classical Bell
-numbers and the Mittag-Leffler function.  The Mittag-Leffler quadrature
+numbers, the Mittag-Leffler function and the S-transform of a Hermite
+sum.  The Mittag-Leffler quadrature
 branch holds fewer digits as ``lam`` nears 1 and the pole near ``s = 1``
 sharpens: about 24 (8.7e-25 relative at ``(0.8, 60)``, 6.0e-25 at ``(0.7,
 30)`` against the asymptotic series summed to 35 digits), 29 or more at
@@ -261,3 +262,49 @@ def mittag_leffler(lam, t) -> mp.mpf:
         pole = [mp.exp(sign * mp.pi * (1 - lam) * 2**k) for k in range(-2, 6) for sign in (-1, 1)]
         pts = sorted(p for p in {*knee, *pole, mp.mpf(1)} if p < end)
         return mp.sin(lam * mp.pi) / (lam * mp.pi) * mp.quad(f, [0, *pts, end])
+
+
+def hermite_sum(coeffs, x) -> mp.mpf:
+    """``sum_n c_n He_n(x)`` with the probabilists' Hermite polynomials, by
+    their recurrence ``He_{n+1} = x He_n - n He_{n-1}`` at the working
+    precision."""
+    total, h_prev, h = mp.mpf(0), mp.mpf(0), mp.mpf(1)
+    for n, c in enumerate(coeffs):
+        total += c * h
+        h_prev, h = h, x * h - n * h_prev
+    return total
+
+
+@lru_cache(maxsize=None)
+def _hermite_rule(order: int, dps: int):
+    with mp.workdps(dps):
+        return mp.gauss_quadrature(order, "hermite")
+
+
+def s_transform(coeffs, xi) -> mp.mpf:
+    """``S(phi)(xi) = E[phi(X + xi)]`` for ``phi = sum_n c_n He_n`` and a
+    standard Gaussian ``X``, to ``DPS`` digits, from the definition: the
+    Hermite sum at ``X + xi`` integrated against the Gaussian density by an
+    ``order``-point Gauss-Hermite rule (``order`` a multiple of 16 with ``2
+    order > degree``), which is exact for the polynomial.  It does not use
+    ``E He_n(X + xi) = xi^n``, the identity ``fock.s_transform_1d`` sums.
+
+    Only rounding is left, and the terms reach about ``sqrt(n!)`` however
+    small the value, so the rule runs at ``DPS + 20`` digits and then at
+    twice as many, until two values agree to ``DPS`` digits (to ``10^-2DPS``
+    absolutely for a value below ``10^-DPS``)."""
+    coeffs = [mp.mpf(float(c)) for c in coeffs]  # doubles are exact in mpf
+    xi = mp.mpf(float(xi))
+    order = 16 * -(-len(coeffs) // 32)
+    dps, prev = DPS + 20, None
+    while dps <= 64 * DPS:
+        nodes, weights = _hermite_rule(order, dps)
+        with mp.workdps(dps):
+            root2 = mp.sqrt(2)
+            value = mp.fsum(w * hermite_sum(coeffs, root2 * x + xi)
+                            for x, w in zip(nodes, weights)) / mp.sqrt(mp.pi)
+        tol = mp.mpf(10) ** -DPS * max(abs(value), mp.mpf(10) ** -DPS)
+        if prev is not None and abs(value - prev) <= tol:
+            return value
+        prev, dps = value, 2 * dps
+    raise ArithmeticError(f"the S-transform oracle did not settle by {dps // 2} digits")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import json
 import math
@@ -541,17 +542,30 @@ def test_suite_matches_the_benchmark_reference(tmp_path, capsys):
     assert compare.failed_jobs(compare.read_artifacts(str(out)), reference["files"]) == {}
 
 
-def test_suite_does_not_import_numpy_ma():
-    # np.unique, np.isin and np.median import numpy.ma on first use, which
-    # costs a cold suite 11-20 ms; the grids use sort-based helpers instead.
-    # This process has numpy.ma loaded already, so a fresh one runs the suite.
+@pytest.fixture(scope="module")
+def suite_imports():
+    """The numpy submodules a suite loads, from one run in a fresh
+    interpreter: this process has them loaded already."""
     src = str(Path(growthcalc.__file__).resolve().parents[1])
     code = ("import sys; from growthcalc import cli; rc = cli.main(['suite']); "
-            "print(rc, 'numpy.ma' in sys.modules)")
+            "print(rc, sorted(m for m in sys.modules if m.startswith('numpy.')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    rc, modules = proc.stdout.splitlines()[-1].split(" ", 1)
+    assert rc == "0"
+    return set(ast.literal_eval(modules))
+
+
+def test_suite_does_not_import_numpy_ma(suite_imports):
+    # np.unique, np.isin and np.median import numpy.ma on first use, which
+    # costs a cold suite 11-20 ms; the grids use sort-based helpers instead.
+    assert "numpy.ma" not in suite_imports
+
+
+def test_suite_does_not_import_numpy_polynomial(suite_imports):
+    # about 3.5 ms of import; the S-transform sums its power series itself
+    assert "numpy.polynomial" not in suite_imports
 
 
 def test_lseries_queries_match_the_benchmark_reference():

@@ -117,7 +117,6 @@ CONTRACT = {
         {"coeffs": np.array([1.0, 0.5]), "K": 4.0, "a": 1.0, "radius_grid": GRID},
         (HypothesisViolationError,)),
     "exp_vector_norm": (lambda xi_abs: gc.exp_vector_norm(xi_abs, EV), {"xi_abs": 0.5}),
-    "hermite_eval_1d": (lambda x: gc.hermite_eval_1d(SEQ, x), {"x": GRID}),
     "s_transform_1d": (lambda xi: gc.s_transform_1d(SEQ, xi), {"xi": 0.5}),
     "MeasureSurrogate": (lambda **kw: MeasureSurrogate("grey", **kw),
                          {"rho": 0.5, "q": 1, "theta": 1.0, "w": 1.0, "lam": 0.5, "n": 200,
@@ -213,13 +212,12 @@ def test_counts_past_the_size_cap_raise_a_capacity_error(name, param):
 
 
 @pytest.mark.parametrize("n", [301, 369, 1200])
-def test_s_transform_past_its_degree_cap_raises_a_capacity_error(n):
-    # From degree 369 the Gauss-Hermite rule overflows: a RuntimeWarning, or
-    # NaN nodes where warnings pass (seen at 1200).
+def test_s_transform_has_no_degree_cap(n):
+    # sqrt(n!), the Gaussian L^2 norm of He_n, passes the doubles at 301; a
+    # Gauss-Hermite rule's weights overflow from 369.  0.5^1200 underflows.
     with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(CapacityError, match="degrees up to 300"):
-            gc.s_transform_1d(ChaosSequence.delta(n), 0.5)
+        warnings.simplefilter("error")
+        assert gc.s_transform_1d(ChaosSequence.delta(n), 0.5) == 0.5**n
 
 
 #: Parameters whose ``None`` asks for their default.

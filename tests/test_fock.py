@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from growthcalc import (
     ChaosSequence,
     HypothesisViolationError,
@@ -18,7 +20,6 @@ from growthcalc import (
     dual_norm,
     exp_vector_norm,
     exponential,
-    hermite_eval_1d,
     kondratiev_streit,
     l_function,
     legendre_sequence,
@@ -127,22 +128,15 @@ def test_exp_vector_norm_is_inf_past_the_double_range():
 
 
 def test_hermite_matches_numpy():
+    # the S-transform oracle's Hermite sum
     rng = np.random.default_rng(11)
-    x = np.linspace(-4.0, 4.0, 33)
     for _ in range(5):
         coeffs = rng.normal(size=rng.integers(1, 9))
-        seq = ChaosSequence(tuple(coeffs))
-        oracle = np.polynomial.hermite_e.HermiteE(coeffs)(x)
-        np.testing.assert_allclose(hermite_eval_1d(seq, x), oracle, rtol=1e-12)
-    assert hermite_eval_1d(ChaosSequence.delta(2), 3.0) == pytest.approx(8.0)
-
-
-@pytest.mark.parametrize("bad", [math.inf, math.nan])
-def test_hermite_eval_rejects_a_non_finite_x(bad):
-    xs = np.append(np.linspace(-3.0, 3.0, 61), bad)
-    with pytest.raises(ParameterError, match=re.escape(
-            f"x must be a number in (-inf, inf), got {bad}")):
-        hermite_eval_1d(ChaosSequence((0.0, 1.0)), xs)
+        for x in (-4.0, -0.3, 0.0, 1.7, 4.0):
+            oracle = np.polynomial.hermite_e.HermiteE(coeffs)(x)
+            got = float(oracles.hermite_sum([float(c) for c in coeffs], x))
+            assert got == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+    assert float(oracles.hermite_sum([0.0, 0.0, 1.0], 3.0)) == 8.0
 
 
 def test_s_transform_monomials():
@@ -154,26 +148,63 @@ def test_s_transform_monomials():
 
 
 @pytest.mark.parametrize("n, xi", [(30, 0.5), (50, 1.5), (2, 1.3e154)])
+def test_s_transform_of_he_n_is_xi_to_the_n(n, xi):
+    # A Gauss-Hermite rule in doubles cancels here to -2.39 and -1.03e17, and
+    # overflows for 1.3e154^2 = 1.69e308, which is a double.
+    assert abs(s_transform_1d(ChaosSequence.delta(n), xi) - xi**n) <= 1e-12 * max(1.0, xi**n)
+
+
+@pytest.mark.parametrize("n, xi", [(2, 1e200)])
 def test_s_transform_refuses_a_value_its_rounding_does_not_certify(n, xi):
-    # The quadrature read -2.39 for 0.5^30 = 9.3e-10 and -1.03e17 for
-    # 1.5^50 = 6.4e8; its sum for 1.3e154^2 = 1.69e308 overflows to inf.
+    # 1e200^2 overflows a double
     with pytest.raises(CapacityError, match=re.escape(f"degree {n} at xi={xi:g} is not")):
         s_transform_1d(ChaosSequence.delta(n), xi)
 
 
+def test_s_transform_refuses_an_ill_conditioned_sum():
+    # sum (-10)^n 3^n / n! = e^-30 against sum 30^n / n! = e^30
+    coeffs = [(-10.0) ** n / math.factorial(n) for n in range(81)]
+    with pytest.raises(CapacityError, match="degree 80 at xi=3 is not certified"):
+        s_transform_1d(ChaosSequence(coeffs), 3.0)
+
+
 def test_s_transform_returns_only_values_within_1e_8():
-    # unchecked, the rule's error passes 1e-8 by degree 43 at every |xi| <= 3
-    outcomes = set()
-    for n in range(0, 80, 3):
+    # He_n is summed exactly up to the rounding of xi^n
+    for n in range(80):
         for xi in (-3.0, -0.5, 0.0, 0.5, 1.5, 3.0, 5.0):
-            try:
-                value = s_transform_1d(ChaosSequence.delta(n), xi)
-            except CapacityError:
-                outcomes.add("refused")
-                continue
-            outcomes.add("returned")
-            assert abs(value - xi**n) <= 1e-8 * max(1.0, abs(xi) ** n), (n, xi, value)
-    assert outcomes == {"refused", "returned"}
+            value = s_transform_1d(ChaosSequence.delta(n), xi)
+            assert abs(value - xi**n) <= 1e-12 * max(1.0, abs(xi) ** n), (n, xi, value)
+
+
+def test_s_transform_matches_the_oracle_on_random_sequences():
+    # degree <= 60 and |xi| <= 3: each of these sums is certified
+    rng = np.random.default_rng(35)
+    for _ in range(40):
+        coeffs = rng.normal(size=rng.integers(1, 62)) * rng.choice([1e-3, 1.0, 1e3])
+        xi = float(rng.uniform(-3.0, 3.0))
+        value = s_transform_1d(ChaosSequence(coeffs), xi)
+        want = float(oracles.s_transform(coeffs, xi))
+        assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), (coeffs.size, xi, value, want)
+
+
+def test_chaos_sequence_holds_one_double_per_coefficient():
+    n = 2**20
+    tracemalloc.start()
+    try:
+        seq = ChaosSequence.delta(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * (n + 1)
+    assert not seq.values.flags.writeable
+    assert s_transform_1d(ChaosSequence.delta(10**5), 1.0) == 1.0
+
+
+def test_chaos_sequence_copies_a_writeable_input():
+    coeffs = np.array([1.0, 0.5])
+    seq = ChaosSequence(coeffs)
+    coeffs[0] = 7.0
+    assert seq.values.tolist() == [1.0, 0.5] and coeffs.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import time
 import tracemalloc
 
 import mpmath as mp
@@ -411,8 +412,6 @@ def _grey_estimate_reference(lam, w, x, seed):
                       (0.3, "stable"), (1.0, "heavy"), (5.0, "heavy"))
 ] + [(1.0, 50.0, "overflow"), (0.5, 2000.0, "overflow")])
 def test_grey_estimate_matches_the_log_sum_formulas(lam, w, branch):
-    from growthcalc.measures import _grey_estimate
-
     x = grey_sample(lam, 20_000, 5)
     want = _grey_estimate_reference(lam, w, x, 5)
     got = _grey_estimate(lam, w, x.copy(), 5)
@@ -428,6 +427,15 @@ def test_grey_estimate_matches_the_log_sum_formulas(lam, w, branch):
     assert math.isclose(got.stderr, want.stderr, rel_tol=1e-13 * cond)
 
 
+def _grey_estimate(lam, w, x, seed):
+    """:func:`grey_integrability` on the sample ``x`` drawn with ``seed``,
+    read in the grey Monte Carlo's blocks."""
+    from growthcalc.measures import _grey_moments, _grey_spans
+
+    blocks = (x[i:j] for _, i, j in _grey_spans(x.size))
+    return _grey_moments(lam, (w,), blocks, x.size, seed)[0]
+
+
 def _peak_in_samples(call, n):
     """Peak traced allocation of ``call()``, in units of ``n`` doubles."""
     tracemalloc.start()
@@ -439,7 +447,7 @@ def _peak_in_samples(call, n):
 
 
 def test_grey_monte_carlo_works_in_one_array_per_sample():
-    from growthcalc.measures import _grey_cf, _grey_estimate
+    from growthcalc.measures import _grey_cf
 
     # The draws and their reads go through block buffers: lambda < 1 holds
     # one sample-sized array, S, which becomes the sample in place; lambda = 1
@@ -658,6 +666,21 @@ def test_hida_grey_draws_one_sample_for_every_level(catalog, monkeypatch):
         assert level["finite"] == (res.stable and math.isfinite(res.value))
         for key in ("value", "stderr", "top_share", "note"):
             assert level[key] == getattr(res, key), key
+
+
+@pytest.mark.parametrize("surrogate, fid", [
+    (MeasureSurrogate("gaussian"), "ks0"), (MeasureSurrogate("poisson", theta=1.0), "g2"),
+    (MeasureSurrogate("grey", lam=0.5, n=1000, seed=3), "ks05")])
+def test_hida_levels_stop_at_the_level_cap(catalog, surrogate, fid):
+    from growthcalc.measures import _HIDA_LEVEL_CAP
+
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match=re.escape(
+            f"p must be at most the level cap 64, got {_HIDA_LEVEL_CAP + 1}")):
+        hida_condition(surrogate, catalog[fid], p=_HIDA_LEVEL_CAP + 1)
+    assert time.perf_counter() - start < 0.01
+    report = hida_condition(surrogate, catalog[fid], p=_HIDA_LEVEL_CAP)
+    assert [level["p"] for level in report.levels] == list(range(_HIDA_LEVEL_CAP + 1))
 
 
 def test_hida_kind_function_mismatch(catalog, u2):

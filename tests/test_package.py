@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import growthcalc
+import test_surface
 from growthcalc import legendre
 
 
@@ -68,7 +69,7 @@ def test_dir_and_star_import_give_every_export():
     namespace: dict = {}
     exec("from growthcalc import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == growthcalc.__all__
-    assert len(growthcalc.__all__) == 77
+    assert len(growthcalc.__all__) == test_surface.EXPORTS
     assert set(growthcalc.__all__) <= set(dir(growthcalc))
 
 

@@ -7,8 +7,8 @@ import inspect
 
 import growthcalc
 
-EXPORTS = 77
-OPTIONS = 62
+EXPORTS = 76
+OPTIONS = 61
 
 
 def _options(obj) -> list[str]:
