@@ -52,7 +52,7 @@ class ChaosSequence:
         vals = _reals(self.values, "values", domain)
         if vals.ndim != 1 or not vals.size:
             raise ParameterError("a chaos sequence needs a nonempty list of coefficients")
-        object.__setattr__(self, "values", _read_only(vals))
+        object.__setattr__(self, "values", _read_only(vals, self.values))
 
     def __len__(self) -> int:
         return self.values.size

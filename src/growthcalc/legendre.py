@@ -22,15 +22,23 @@ so it needs no search over ``t``.
 Tables carry ``log ell`` and the minimizer ``r*``; every value is log-domain.
 The table rule sums the stored terms of ``L_u`` within 46 nats of the
 largest, from windows computed once per table, and accepts the sum when a
-geometric bound on the terms past the table end is small against it.  Far
-beyond any storable table (the verification grids reach arguments ~1e9)
-evaluation switches to a Laplace/quadrature rule driven by a cached cubic
-Hermite spline of ``log ell(e^sigma) / e^sigma``.  The L functions take one
-radius or an array of radii; an array is evaluated a block of radii at a
-time.  A block's table rule sums one window of columns, the union of its
-radii's windows, so a radius in a block may sum more terms than a lone
-call, each below e^-46 of its largest: the two values agree to a few ulp,
-and both take the same tail bound.
+geometric bound on the terms past the table end is small against it.  No
+sum exceeds ``N + 1`` times its peak term where ``log ell`` is concave, so
+a radius whose tail bound is past that share of it is routed out before
+any sum: :func:`l_function` raises for it, and :func:`l_function_wide`
+sends it straight on.  Far beyond any storable table (the verification
+grids reach arguments ~1e9) evaluation switches to a Laplace/quadrature
+rule driven by a cached cubic Hermite spline of
+``log ell(e^sigma) / e^sigma``.  Its window edges, where the integrand has
+fallen 70 nats below its peak, are found by doubling steps out of the peak
+and then Newton started at the secant root of the last two steps.
+
+The L functions take one radius or an array of radii; an array is evaluated
+a block of radii at a time.  A block's table rule sums one window of
+columns, the union of its radii's windows (routed-out radii included), so a
+radius in a block may sum more terms than a lone call, each below e^-46 of
+its largest: the two values agree to a few ulp, and both take the same
+tail bound.
 """
 
 from __future__ import annotations
@@ -210,8 +218,10 @@ def _newton_transform(spec: GrowthFunctionSpec, ts: np.ndarray) -> tuple[np.ndar
     bad = (ts > spec.t_sup) | (i == grid.size)
     if bad.any():
         raise _range_error(spec, float(ts[bad.argmax()]))
-    s_star = np.full(ts.size, _S_FLOOR)
-    act = np.flatnonzero(i > 0)
+    # A t at or below the floor's slope keeps s = grid[0] = _S_FLOOR, and one
+    # equal to a grid slope has its root on that grid point: neither is solved.
+    s_star = grid[i]
+    act = np.flatnonzero((i > 0) & (slope[i] > ts))
     if act.size:
         t, a, b = ts[act], grid[i[act] - 1], grid[i[act]]
         fa, fb = slope[i[act] - 1], slope[i[act]]
@@ -238,9 +248,12 @@ def _newton_transform(spec: GrowthFunctionSpec, ts: np.ndarray) -> tuple[np.ndar
     return log_ell, np.exp(s_star)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """``a`` flagged read-only, copied first if it is writeable."""
-    a = a.copy() if a.flags.writeable else a
+def _read_only(a: np.ndarray, given) -> np.ndarray:
+    """``a``, the array ``_reals`` read from ``given``, flagged read-only.  It
+    is copied first if it is writeable and ``_reals`` did not make it: when
+    it is ``given`` itself or a view, whose memory the caller may change."""
+    if a.flags.writeable and (a is given or not a.flags.owndata):
+        a = a.copy()
     a.setflags(write=False)
     return a
 
@@ -258,7 +271,7 @@ class LegendreTable:
     r_star: np.ndarray
 
     def __post_init__(self) -> None:
-        cols = [_read_only(_reals(col, name, domain)) for col, name, domain in (
+        cols = [_read_only(_reals(col, name, domain), col) for col, name, domain in (
             (self.t, "t", "[0, inf)"), (self.log_ell, "log_ell", "[-inf, inf)"),
             (self.r_star, "r_star", "[0, inf)"))]
         self.t, self.log_ell, self.r_star = cols
@@ -365,10 +378,10 @@ def _blockwise(rule, rs: np.ndarray):
 
 def _peak_windows(log_ell: np.ndarray):
     """The table rule's per-table bounds: the running max ``dec`` of the
-    decrements ``log ell(n) - log ell(n+1)``, and per peak index ``p`` the
+    decrements ``log ell(n) - log ell(n+1)``; per peak index ``p`` the
     first index and one past the last of a window that holds every term
     within ``_TERM_DROP`` nats of the largest at any radius whose peak is
-    ``p``.
+    ``p``; and ``slack``, the most by which any term exceeds the peak term.
 
     The peak of the terms ``log ell(n) + n x``, ``x = log r``, is the number
     of decrements below ``x``, so ``p`` holds for ``x`` from ``dec[p-1]`` to
@@ -377,12 +390,15 @@ def _peak_windows(log_ell: np.ndarray):
     ends; at an end, ``log ell`` being concave, the drop falls towards the
     peak on both sides, so bisection finds the window's edges.  A table that
     is not concave to within 1e-6 of its decrements gets whole-table
-    windows."""
+    windows and an infinite ``slack``.  In a concave one, a term past the
+    peak exceeds the peak term by at most the sum of ``dec - d`` (0 where
+    ``log ell`` is concave to rounding), and a term before it not at all;
+    a table with a ``-inf`` entry has a NaN ``slack``."""
     N = log_ell.size - 1
     d = log_ell[:-1] - log_ell[1:]
     dec = np.maximum.accumulate(d)
     if (dec - d > 1e-6 * np.maximum(1.0, np.abs(d))).any():
-        return dec, np.zeros(N + 1, dtype=np.intp), np.full(N + 1, N + 1)
+        return dec, np.zeros(N + 1, dtype=np.intp), np.full(N + 1, N + 1), math.inf
     j = np.arange(N)  # the end between peaks j and j + 1, at x = dec[j]
     peak = log_ell[:-1] + j * dec
 
@@ -402,7 +418,7 @@ def _peak_windows(log_ell: np.ndarray):
     # Peak p's ends are j = p - 1 and j = p (only one for p = 0 and p = N).
     lo = np.minimum(np.append(first[0], first), np.append(first, N))
     hi = np.maximum(np.append(last[0], last), np.append(last, N))
-    return dec, lo, hi + 1
+    return dec, lo, hi + 1, float((dec - d).sum())
 
 
 #: The table rule's windows of the tables last used: an entry goes with its
@@ -428,10 +444,15 @@ def _table_rule(
     :func:`_peak_windows`, so each radius sums at least the terms within
     ``_TERM_DROP`` nats of its peak; NaN where the geometric bound on the
     terms past the table end is not at most ``_L_REL_TOL`` of it, and the
-    error of the first such radius, or ``None``."""
+    error of the first such radius, or ``None``.
+
+    A radius whose tail bound exceeds ``_L_REL_TOL`` of ``(N + 1) e^slack``
+    times its peak term, more than its terms can sum to, is ruled out
+    before any sum.  The others sum the window of the whole block, so their
+    values do not depend on which radii are ruled out."""
     le = table.log_ell
     N = le.size - 1
-    dec, first, stop = _table_windows(table)
+    dec, first, stop, slack = _table_windows(table)
     zero = rs == 0.0
     lr = np.log(np.where(zero, 1.0, rs))
     # log ell is concave, so no ratio past the table end exceeds the last one.
@@ -439,19 +460,16 @@ def _table_rule(
     log_last = end - (lr * table.t[-2] + le[-2])
     log_rho = np.minimum(log_last, -1e-12)
     tail = end + log_rho - np.log1p(-np.exp(log_rho))
+    log_tol = math.log(_L_REL_TOL)
     peak = dec.searchsorted(lr)
-    cols = slice(min(first[peak].tolist()), max(stop[peak].tolist()))
-    lt = np.multiply.outer(lr, table.t[cols])
-    lt += le[cols]
-    m = lt.max(axis=1)
-    lt -= m[:, None]  # in place: the block's terms are its largest array
-    # Shifted terms below e^_EXP_FLOOR are raised to it, as np.exp is many
-    # times slower on arguments that underflow.  Each row holds its largest
-    # term e^0 = 1, and n raised terms add at most n e^-700 (< 1e-298 for
-    # n <= 2^18) to that sum: far below half an ulp of 1.  NaN stays NaN.
-    np.maximum(lt, _EXP_FLOOR, out=lt)
-    vals = m + np.log(np.exp(lt, out=lt).sum(axis=1))
-    passed = tail <= math.log(_L_REL_TOL) + vals  # a NaN bound fails
+    # A NaN slack rules nothing out.
+    doomed = tail > log_tol + (lr * table.t[peak] + le[peak]) + math.log(N + 1.0) + slack
+    summed = ~(doomed | zero)
+    vals = np.full(rs.size, np.nan)
+    if summed.any():
+        cols = slice(min(first[peak].tolist()), max(stop[peak].tolist()))
+        vals[summed] = _log_sum(lr[summed], table.t[cols], le[cols])
+    passed = tail <= log_tol + vals  # a NaN bound fails
     passed |= zero
     failed = ~passed
     vals[zero] = le[0]
@@ -464,6 +482,21 @@ def _table_rule(
     msg = (f"the terms past n={N} are not bounded by {_L_REL_TOL:g} of the sum "
            f"at r={rs[j]:g} (last term ratio {last:.3g})")
     return vals, InsufficientTableError(msg, last_ratio=last, n_max=N)
+
+
+def _log_sum(lr: np.ndarray, t: np.ndarray, log_ell: np.ndarray) -> np.ndarray:
+    """Per ``log r`` in ``lr``, ``log sum_n ell(t_n) r^t_n`` over the columns
+    ``t``, ``log_ell``."""
+    lt = np.multiply.outer(lr, t)
+    lt += log_ell
+    m = lt.max(axis=1)
+    lt -= m[:, None]  # in place: the block's terms are its largest array
+    # Shifted terms below e^_EXP_FLOOR are raised to it, as np.exp is many
+    # times slower on arguments that underflow.  Each row holds its largest
+    # term e^0 = 1, and n raised terms add at most n e^-700 (< 1e-298 for
+    # n <= 2^18) to that sum: far below half an ulp of 1.  NaN stays NaN.
+    np.maximum(lt, _EXP_FLOOR, out=lt)
+    return m + np.log(np.exp(lt, out=lt).sum(axis=1))
 
 
 def l_function(evaluator: LFunctionEvaluator, r: float | np.ndarray):
@@ -634,7 +667,7 @@ def _laplace_rule(spec: GrowthFunctionSpec, rs: np.ndarray) -> np.ndarray:
     row = np.arange(2 * n) % n
     end = np.where(side < 0.0, ce.sigma[0], ce.sigma[-1])
     target = h_star[row] - _H_DROP
-    s_in = s_star[row]
+    s_in, h_in = s_star[row], h_star[row]
     step = np.sqrt(2.0 * _H_DROP / np.abs(np.exp(s_star) * dq))[row]
     s_out = np.empty(2 * n)
     h_out = np.empty(2 * n)
@@ -648,7 +681,7 @@ def _laplace_rule(spec: GrowthFunctionSpec, rs: np.ndarray) -> np.ndarray:
         s_out[act], h_out[act] = s, h
         at_end[act[crossed]] = True
         moving = ~(crossed | (h <= target[act]))
-        s_in[act[moving]] = s[moving]
+        s_in[act[moving]], h_in[act[moving]] = s[moving], h[moving]
         step[act[moving]] *= 2.0
         act = act[moving]
     clipped = row[at_end & (h_out > h_star[row] - 45.0)]
@@ -665,7 +698,13 @@ def _laplace_rule(spec: GrowthFunctionSpec, rs: np.ndarray) -> np.ndarray:
         e = np.exp(s)
         return e * (v + lr[row[k]]) - target[k], e * (v + d1 + lr[row[k]])
 
-    s_out[inner] = _bracketed_newton(drop, s_out[inner], s_in[inner], s_out[inner])[0]
+    # Newton starts at the secant root between the last two steps, or at
+    # s_out where that root leaves the open bracket.
+    a, b = s_in[inner], s_out[inner]
+    ha, hb = h_in[inner] - target[inner], h_out[inner] - target[inner]
+    x0 = a + (b - a) * (ha / (ha - hb))
+    x0 = np.where((x0 - a) * (x0 - b) < 0.0, x0, b)
+    s_out[inner] = _bracketed_newton(drop, x0, a, b)[0]
 
     x, w = _gl_nodes(192)
     t_a, t_b = np.exp(s_out[:n]), np.exp(s_out[n:])
