@@ -489,10 +489,15 @@ def _reals(v, name: str = "r", domain: str = "[0, inf)") -> np.ndarray:
     if a is None:
         raise ParameterError(f"{name} must be a list of numbers in {domain}, got {v!r}")
     lo, hi, with_lo, with_hi = _interval(domain)
-    inside = (lo <= a) if with_lo else (lo < a)
-    inside &= (a <= hi) if with_hi else (a < hi)
-    if not inside.all():
-        raise ParameterError(f"{name} must be a number in {domain}, got {float(a[~inside][0])!r}")
+
+    def inside(x):
+        ok = (lo <= x) if with_lo else (lo < x)
+        return ok & ((x <= hi) if with_hi else (x < hi))
+
+    # Only the ends are tested (a NaN is both), so a valid array makes no
+    # second array; the first entry outside is sought only on failure.
+    if a.size and not (inside(a.min()) and inside(a.max())):
+        raise ParameterError(f"{name} must be a number in {domain}, got {float(a[~inside(a)][0])!r}")
     return a
 
 

@@ -24,8 +24,8 @@ The table rule sums the stored terms of ``L_u`` within 46 nats of the
 largest, from windows computed once per table, and accepts the sum when a
 geometric bound on the terms past the table end is small against it.  No
 sum exceeds ``N + 1`` times its peak term where ``log ell`` is concave, so
-a radius whose tail bound is past that share of it is routed out before
-any sum: :func:`l_function` raises for it, and :func:`l_function_wide`
+a radius whose tail bound exceeds 1e-12 of that is routed out before any
+sum: :func:`l_function` raises for it, and :func:`l_function_wide`
 sends it straight on.  Far beyond any storable table (the verification
 grids reach arguments ~1e9) evaluation switches to a Laplace/quadrature
 rule driven by a cached cubic Hermite spline of

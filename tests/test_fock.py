@@ -200,6 +200,18 @@ def test_chaos_sequence_holds_one_double_per_coefficient():
     assert s_transform_1d(ChaosSequence.delta(10**5), 1.0) == 1.0
 
 
+def test_chaos_sequence_of_integers_keeps_the_one_float_array_it_makes():
+    ints = np.arange(10**6)
+    tracemalloc.start()
+    try:
+        seq = ChaosSequence(ints)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * ints.size
+    assert np.array_equal(seq.values, ints) and not seq.values.flags.writeable
+
+
 def test_chaos_sequence_copies_a_writeable_input():
     coeffs = np.array([1.0, 0.5])
     seq = ChaosSequence(coeffs)

@@ -904,6 +904,102 @@ def test_table_windows_go_with_their_table_and_stay_bounded():
     assert len(_WINDOWS) == 0
 
 
+#: Radii past the table's reach, and the error the table rule raised there
+#: when it summed the stored terms of every radius before testing the bound.
+PAST_REACH_ERRORS = [
+    ("ks0", 1e3, "r=1000 (last term ratio 0.834)", 0.8336807244353136),
+    ("ks0", 1.5e9, "r=1.5e+09 (last term ratio 1.25e+06)", 1250521.0866504766),
+    ("ks05", 1e6, "r=1e+06 (last term ratio 24.1)", 24.07130525973761),
+    ("g3", 1e8, "r=1e+08 (last term ratio 143)", 143.0295856705424),
+    ("u2", 1e4, "r=10000 (last term ratio 0.987)", 0.9872159848446168),
+]
+
+
+@pytest.mark.parametrize("fid,r,where,last", PAST_REACH_ERRORS)
+def test_a_radius_past_the_reach_raises_the_error_of_the_summed_rule(
+        kind_evaluators, fid, r, where, last):
+    ev = kind_evaluators[fid]
+    n_max = ev.table.n_max
+    with pytest.raises(InsufficientTableError) as exc:
+        l_function(ev, r)
+    assert str(exc.value) == (f"the terms past n={n_max} are not bounded by 1e-12 "
+                              f"of the sum at {where}")
+    assert (exc.value.last_ratio, exc.value.n_max) == (last, n_max)
+    assert l_function_wide(ev, r) == l_function_integral(ev.spec, r)
+
+
+@pytest.mark.parametrize("fid,r", [case[:2] for case in PAST_REACH_ERRORS])
+def test_a_ruled_out_radius_makes_no_window_sum(kind_evaluators, monkeypatch, fid, r):
+    from growthcalc import legendre
+
+    real, sums = legendre._log_sum, []
+
+    def spy(lr, *cols):
+        sums.append(lr.copy())
+        return real(lr, *cols)
+
+    monkeypatch.setattr(legendre, "_log_sum", spy)
+    ev = kind_evaluators[fid]
+    l_function_wide(ev, r)
+    assert sums == []
+    l_function_wide(ev, np.array([1.0, r, 2.0]))
+    assert len(sums) == 1 and np.array_equal(sums[0], np.log([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("fid", ["ks0", "ks05", "g2", "g3", "exp2"])
+def test_a_block_sums_its_reachable_radii_over_the_window_of_all(kind_evaluators, fid):
+    # The block's window is the union of every radius's peak window, ruled
+    # out or not, as when every radius was summed: the reachable radii keep
+    # the bits of those sums, written out here as they were.
+    from growthcalc.legendre import _EXP_FLOOR, _peak_windows, _table_rule
+
+    table = kind_evaluators[fid].table
+    rs = np.geomspace(1e-3, 1e9, 64)
+    np.random.default_rng(36).shuffle(rs)
+    dec, first, stop = _peak_windows(table.log_ell)[:3]
+    lr = np.log(rs)
+    peak = dec.searchsorted(lr)
+    cols = slice(first[peak].min(), stop[peak].max())
+    lt = np.multiply.outer(lr, table.t[cols]) + table.log_ell[cols]
+    m = lt.max(axis=1)
+    want = m + np.log(np.exp(np.maximum(lt - m[:, None], _EXP_FLOOR)).sum(axis=1))
+    got, err = _table_rule(table, rs)
+    ok = ~np.isnan(got)
+    assert err is not None and 0 < ok.sum() < rs.size
+    assert stop[peak[ok]].max() < cols.stop  # the ruled-out radii widen the window
+    assert np.array_equal(np.isnan(got), np.isnan(_full_table_rule(table, rs)[0]))
+    assert np.array_equal(got[ok], want[ok])
+
+
+@pytest.mark.parametrize("spec", [kondratiev_streit(0.0), exponential(1.0), iterated_exp_sqrt(3)],
+                         ids=["ks0", "exp1", "g3"])
+def test_laplace_edge_newton_starts_at_the_walks_secant(monkeypatch, spec):
+    # Each Laplace call makes the peak solve, then the edge solve; the edge
+    # passes are the calls of its function.
+    from growthcalc import legendre
+
+    legendre._continuous_ell(spec)  # the spline is built outside the spy
+    real, passes = legendre._bracketed_newton, []
+
+    def spy(fun, x, pos, neg):
+        calls = [0]
+
+        def counted(xs, idx):
+            calls[0] += 1
+            return fun(xs, idx)
+
+        out = real(counted, x, pos, neg)
+        passes.append(calls[0])
+        return out
+
+    monkeypatch.setattr(legendre, "_bracketed_newton", spy)
+    rs = np.geomspace(1e5, 1e9, 20)
+    for r in rs:
+        l_function_integral(spec, r)
+    assert len(passes) == 2 * rs.size
+    assert np.mean(passes[1::2]) <= 4.5
+
+
 @pytest.mark.parametrize("fid", ["ks0", "ks05", "g2", "g3", "exp2", "u2"])
 def test_laplace_peak_knot_is_the_argmax_over_every_knot(spline_specs, fid):
     from growthcalc.legendre import _continuous_ell, _peak_knot
@@ -973,6 +1069,26 @@ def test_newton_transform_of_a_power_series():
     want = np.array([legendre_transform(spec, t) for t in ts])
     assert _close(log_ell, want[:, 0], 1e-12)
     np.testing.assert_allclose(r_star, want[:, 1], rtol=1e-6)
+
+
+@pytest.mark.parametrize("spec", [kondratiev_streit(0.0), exponential(1.0)], ids=["ks0", "exp1"])
+def test_newton_transform_takes_a_root_on_a_grid_point_as_it_is(monkeypatch, spec):
+    # f'(0) = 1 for both: the t = 1 row's root is the grid point s = 0, and
+    # every other row starts at its exact root, so one pass ends the solve.
+    from growthcalc import legendre
+
+    real, passes = legendre._bracketed_newton, []
+
+    def spy(fun, x, pos, neg):
+        def counted(xs, idx):
+            passes.append(xs.size)
+            return fun(xs, idx)
+
+        return real(counted, x, pos, neg)
+
+    monkeypatch.setattr(legendre, "_bracketed_newton", spy)
+    _, r_star = legendre._newton_transform(spec, np.arange(1.0, 1201.0))
+    assert len(passes) <= 2 and r_star[0] == 1.0
 
 
 @pytest.mark.parametrize("case", ["u2-past-t_sup", "degree-3"])
