@@ -62,9 +62,8 @@ BELL_SERIES = "bell_series"
 POWER_SERIES = "power_series"
 EXPONENTIAL = "exponential"
 
-#: Entries kept by each cache keyed by a spec (or by a Legendre table):
-#: callers can build any number of them, and each entry holds arrays or a
-#: spline.
+#: Entries kept by each cache keyed by a spec: callers can build any number
+#: of them, and each entry holds arrays or a spline.
 _SPEC_CACHE = 64
 
 CONDITION_IDS = ("U0", "U1", "U2", "U3", "C+,1/2", "C+,log")
@@ -134,23 +133,11 @@ def _stirling_series(x: np.ndarray) -> np.ndarray:
     return y * (1 / 12 - y2 * (1 / 360 - y2 * (1 / 1260 - y2 / 1680)))
 
 
-def _logsumexp(a: np.ndarray):
-    """``log sum exp`` over a 1-d array, as a float, or over each row of a
-    2-d one, each row bit for bit what it gives alone.  The maxima leave the
-    sum and come back as ``log1p(rest / count) + log(count) + max``, so a
-    dominant term adds no rounding of its own; a maximum that is not finite
-    is the result."""
-    if a.ndim == 2:
-        m = a.max(1)
-        finite = np.isfinite(m)
-        if not finite.all():
-            out = m.copy()
-            out[finite] = _logsumexp(a[finite])
-            return out
-        top = a == m[:, None]
-        count = np.count_nonzero(top, axis=1)
-        rest = np.exp(np.where(top, -math.inf, a - m[:, None])).sum(1)
-        return np.log1p(rest / count) + np.log(count) + m
+def _logsumexp(a: np.ndarray) -> float:
+    """``log sum exp`` over a 1-d array.  The maxima leave the sum and come
+    back as ``log1p(rest / count) + log(count) + max``, so a dominant term
+    adds no rounding of its own; a maximum that is not finite is the
+    result."""
     m = a.max()
     if not math.isfinite(m):
         return float(m)
@@ -676,14 +663,12 @@ def _bell_kernels(spec: GrowthFunctionSpec):
 
 
 def _power_series_kernels(spec: GrowthFunctionSpec):
-    """Log-sum-exp over every stored term: a power series is taken at face
-    value (a finite sum is a legitimate function), so no truncation guard
-    applies.  The grid kernel takes it row by row over the (radii x terms)
-    matrix, in blocks of at most ``_SERIES_BLOCK`` cells; the scalar kernel
-    is its one-element case; ``r = 0`` and ``r = inf`` take their limits."""
+    """The s-kernel's log-sum-exp over every stored term at ``log r``: a power
+    series is taken at face value (a finite sum is a legitimate function),
+    so no truncation guard applies.  The scalar kernel is the grid's
+    one-element case; ``r = 0`` and ``r = inf`` take their limits."""
     logc = _series_logc(spec)
-    index = np.arange(logc.size, dtype=float)
-    rows = max(1, _SERIES_BLOCK // logc.size)
+    s_kernel = spec.s_kernel
     # log u(inf): inf past a term with n >= 1, else the constant log c_0.
     at_inf = math.inf if np.isfinite(logc[1:]).any() else logc[0]
 
@@ -691,9 +676,8 @@ def _power_series_kernels(spec: GrowthFunctionSpec):
         out = np.full(rs.size, logc[0])  # log u(0) = log c_0
         out[rs == math.inf] = at_inf
         pos = np.flatnonzero((rs != 0.0) & (rs != math.inf))
-        for a in range(0, pos.size, rows):
-            i = pos[a:a + rows]
-            out[i] = _logsumexp(logc + index * _logs(rs[i])[:, None])
+        if logc.max() > -math.inf:  # else u = 0, and out holds log c_0 = -inf
+            out[pos] = s_kernel(_logs(rs[pos]))[0]
         return out
 
     return lambda r: float(grid(np.array([r]))[0]), grid
@@ -876,7 +860,7 @@ def _bell_s_kernel(spec: GrowthFunctionSpec):
 
 
 def _power_series_s_kernel(spec: GrowthFunctionSpec):
-    """Every stored term, as in the scalar kernel."""
+    """Every stored term: a power series is taken at face value."""
     logc = _series_logc(spec)
 
     def kernel(s):

@@ -55,7 +55,7 @@ _POISSON_K_CAP = 100_000
 #: this, and gives up after ``_FERNIQUE_K_CAP`` factors.
 _FERNIQUE_TAIL_TOL = 1e-14
 _FERNIQUE_K_CAP = 10**6
-#: The most draws in one block of the grey Monte Carlo (:func:`_grey_spans`).
+#: Draws in one block of the grey Monte Carlo (:func:`_grey_blocks`).
 _GREY_BLOCK = 1 << 14
 
 #: The domain of each surrogate field, which the functions below taking the
@@ -269,23 +269,13 @@ def _trig_of_double(half: np.ndarray, sine: bool) -> np.ndarray:
     return d
 
 
-def _grey_spans(n: int, lo: int = 0, depth: int = 0) -> list[tuple[int, int, int]]:
-    """``[lo, lo + n)`` in blocks of at most ``_GREY_BLOCK``, as ``(depth,
-    start, stop)``: the leaves of numpy's pairwise summation tree (halves cut
-    down to a multiple of 8), so block sums added up it are numpy's sum."""
-    if n <= _GREY_BLOCK:
-        return [(depth, lo, lo + n)]
-    half = max(n // 2 - n // 2 % 8, 1)
-    return _grey_spans(half, lo, depth + 1) + _grey_spans(n - half, lo + half, depth + 1)
-
-
 def _grey_blocks(lam: float, n: int, seed: int, out: np.ndarray | None = None):
-    """Yield :func:`grey_sample`'s ``X`` in the blocks of :func:`_grey_spans`,
+    """Yield :func:`grey_sample`'s ``X`` in blocks of ``_GREY_BLOCK`` draws,
     each valid until the next, drawing ``u``, ``w`` and ``z`` in turn into a
     block buffer.  For ``lam < 1``, ``S`` is built in one ``n``-array (``out``
     or a fresh one) and becomes ``X`` in place; ``lam = 1`` keeps none."""
     rng = np.random.default_rng(seed)
-    spans = [(i, j) for _, i, j in _grey_spans(n)]
+    spans = [(i, min(i + _GREY_BLOCK, n)) for i in range(0, n, _GREY_BLOCK)]
     buf = np.empty(min(n, _GREY_BLOCK))
     if lam == 1.0:
         for i, j in spans:
@@ -342,24 +332,23 @@ def _grey_cf(lam: float, n: int, seed: int, xis) -> list[dict]:
     each ``xi``, the sample mean of ``cos(xi X)`` over ``grey_sample(lam, n,
     seed)``, its standard error, the target ``E_lam(-xi^2)`` and their
     distance in standard errors.  Cosines come from :func:`_trig_of_double`
-    in a block buffer; block sums and centred sums of squares merge up the
-    tree of :func:`_grey_spans` (Chan, Golub and LeVeque 1983).  The
+    in a block buffer; each block's sum and centred sum of squares merge
+    into the running ones in draw order (Chan, Golub and LeVeque 1983).  The
     arguments are checked as a grey :class:`MeasureSurrogate`'s fields."""
     m = MeasureSurrogate(_GREY, lam=lam, n=n, seed=seed)
     xis, c = [float(xi) for xi in xis], np.empty(min(m.n, _GREY_BLOCK))
-    stacks = [[] for _ in xis]  # per xi: (depth, count, sum, centred sum of squares)
-    for (depth, i, j), x in zip(_grey_spans(m.n), _grey_blocks(m.lam, m.n, m.seed)):
-        for stack, xi in zip(stacks, xis):
-            cb = _trig_of_double(np.multiply(x, 0.5 * xi, out=c[:j - i]), sine=False)
-            total = float(cb.sum())
-            cb -= total / (j - i)
-            node = (depth, j - i, total, float(np.einsum("i,i->", cb, cb)))
-            while stack and stack[-1][0] == node[0]:  # two siblings make their parent
-                (d, k, t, q), (_, k2, t2, q2) = stack.pop(), node
-                node = (d - 1, k + k2, t + t2, q + q2 + (t / k - t2 / k2) ** 2 * k * k2 / (k + k2))
-            stack.append(node)
+    sums = [(0, 0.0, 0.0) for _ in xis]  # per xi: count, sum, centred sum of squares
+    for x in _grey_blocks(m.lam, m.n, m.seed):
+        for a, xi in enumerate(xis):
+            cb = _trig_of_double(np.multiply(x, 0.5 * xi, out=c[:x.size]), sine=False)
+            (k, t, q), k2, t2 = sums[a], x.size, float(cb.sum())
+            cb -= t2 / k2
+            q += float(np.einsum("i,i->", cb, cb))
+            if k:
+                q += (t / k - t2 / k2) ** 2 * k * k2 / (k + k2)
+            sums[a] = (k + k2, t + t2, q)
     rows = []
-    for xi, [(_, _, total, square)] in zip(xis, stacks):
+    for xi, (_, total, square) in zip(xis, sums):
         emp, se = total / m.n, math.sqrt(square / (m.n - 1)) / math.sqrt(m.n)
         target = mittag_leffler(m.lam, xi * xi)
         rows.append({"xi": xi, "empirical": emp, "target": target,

@@ -935,6 +935,7 @@ def test_series_grids_equal_the_scalar_kernel_at_every_landmark(spec):
 @pytest.mark.parametrize("coeffs,want", [
     ([0.0, -1.0, -3.0], math.inf), ([0.0, -math.inf, -2.0], math.inf),
     ([-math.inf, 1.0], math.inf), ([2.0], 2.0), ([0.0, -math.inf], 0.0),
+    ([-math.inf, -math.inf], -math.inf),
 ])
 def test_power_series_log_u_at_infinity_is_its_limit(coeffs, want):
     # inf past a finite term with n >= 1, else log c_0; the kernels took
@@ -945,6 +946,35 @@ def test_power_series_log_u_at_infinity_is_its_limit(coeffs, want):
     rs = [0.0, 1.0, math.inf, 3.0]
     assert log_u_grid(spec, np.array(rs)).tolist() == [
         _scalar_log_u(spec, 0.0), _scalar_log_u(spec, 1.0), want, _scalar_log_u(spec, 3.0)]
+
+
+@pytest.mark.parametrize("spec", [
+    truncated_square_exponential(degree=40), power_series([0.0, -1.0, -3.0]),
+    power_series([0.0, -math.inf, 5.0, -math.inf, 2.0]),
+    power_series((-np.cumsum(np.random.default_rng(3).uniform(0.5, 8.0, 399))).tolist()),
+], ids=lambda s: s.function_id)
+def test_power_series_log_u_is_its_s_kernel_at_log_r(spec):
+    # One summation: both kernels read the s-kernel's value at math.log(r),
+    # and take the limits log c_0 at r = 0 and inf (or log c_0) at r = inf.
+    rs = np.geomspace(1e-300, 1e300, 2001)
+    want = spec.s_kernel(np.array([math.log(r) for r in rs.tolist()]))[0]
+    assert log_u_grid(spec, rs).tolist() == want.tolist()
+    assert [spec.log_u(r) for r in rs.tolist()] == want.tolist()
+    logc = growth._series_logc(spec)
+    assert spec.log_u(0.0) == logc[0]
+    assert spec.log_u(math.inf) == (math.inf if np.isfinite(logc[1:]).any() else logc[0])
+    assert log_u_grid(spec, np.array([0.0, math.inf])).tolist() == [
+        spec.log_u(0.0), spec.log_u(math.inf)]
+
+
+@pytest.mark.parametrize("coeffs,k", [([0.0] * k, k) for k in (2, 3, 4, 7, 64, 1000)]
+                         + [([0.0, -1e-300, 0.0, 0.0], 4)])
+def test_power_series_log_u_at_a_tie_of_its_top_terms(coeffs, k):
+    # k equal terms of 1 at r = 1 (the -1e-300 term rounds to 1 too): the
+    # value is log k, within 2 ulp.
+    spec = power_series(coeffs)
+    for got in (spec.log_u(1.0), float(log_u_grid(spec, np.array([1.0]))[0])):
+        assert abs(got - math.log(k)) <= 2 * np.spacing(math.log(k))
 
 
 def test_power_series_grids_pass_blocks_of_rows(monkeypatch):
