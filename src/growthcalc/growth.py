@@ -62,8 +62,9 @@ BELL_SERIES = "bell_series"
 POWER_SERIES = "power_series"
 EXPONENTIAL = "exponential"
 
-#: Entries kept by each cache keyed by a spec: callers can build any number
-#: of them, and each entry holds arrays or a spline.
+#: Entries kept by each cache keyed by a spec (or by a Legendre table):
+#: callers can build any number of them, and each entry holds arrays or a
+#: spline.
 _SPEC_CACHE = 64
 
 CONDITION_IDS = ("U0", "U1", "U2", "U3", "C+,1/2", "C+,log")

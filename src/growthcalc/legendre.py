@@ -44,8 +44,9 @@ tail bound.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -279,11 +280,6 @@ class LegendreTable:
         if np.any(np.diff(self.t) <= 0.0):
             raise ParameterError("table t-grid must be strictly increasing")
 
-    @cached_property
-    def _windows(self):
-        """The table rule's :func:`_peak_windows`, computed once per table."""
-        return _peak_windows(self.log_ell)
-
     @property
     def n_points(self) -> int:
         return len(self.t)
@@ -425,6 +421,21 @@ def _peak_windows(log_ell: np.ndarray):
     return dec, lo, hi + 1, float((dec - d).sum())
 
 
+#: The table rule's windows of the tables last used: an entry goes with its
+#: table, and at most ``_SPEC_CACHE`` are kept.
+_WINDOWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _table_windows(table: LegendreTable):
+    windows = _WINDOWS.get(table)
+    if windows is None:
+        windows = _peak_windows(table.log_ell)
+        while len(_WINDOWS) >= _SPEC_CACHE:
+            _WINDOWS.pop(next(iter(_WINDOWS)), None)  # the oldest entry
+        _WINDOWS[table] = windows
+    return windows
+
+
 def _table_rule(
     table: LegendreTable, rs: np.ndarray
 ) -> tuple[np.ndarray, InsufficientTableError | None]:
@@ -441,7 +452,7 @@ def _table_rule(
     values do not depend on which radii are ruled out."""
     le = table.log_ell
     N = le.size - 1
-    dec, first, stop, slack = table._windows
+    dec, first, stop, slack = _table_windows(table)
     zero = rs == 0.0
     lr = np.log(np.where(zero, 1.0, rs))
     # log ell is concave, so no ratio past the table end exceeds the last one.

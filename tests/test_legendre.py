@@ -887,26 +887,21 @@ def test_windowed_table_rule_matches_the_full_sum(fid):
 
 def test_table_windows_go_with_their_table_and_stay_bounded():
     import gc
-    import weakref
 
-    from growthcalc.legendre import _peak_windows, _table_rule
+    from growthcalc.legendre import _WINDOWS, _table_rule
+    from growthcalc.growth import _SPEC_CACHE
 
     n = np.arange(41.0)
     tables = [LegendreTable(f"t{k}", n, -n * np.log1p(n) / (k + 1.0), np.ones_like(n))
-              for k in range(6)]
+              for k in range(_SPEC_CACHE + 6)]
     for table in tables:
         _table_rule(table, np.array([0.5, 2.0]))
-        windows = table.__dict__["_windows"]
-        _table_rule(table, np.array([3.0]))
-        assert table._windows is windows  # computed once per table
-        want = _peak_windows(table.log_ell)
-        assert all(np.array_equal(got, w) for got, w in zip(windows[:3], want[:3]))
-        assert windows[3] == want[3]
-    # Each table's windows are freed with it: nothing else holds them.
-    refs = [weakref.ref(table._windows[0]) for table in tables]
-    del table, tables, windows
+        assert len(_WINDOWS) <= _SPEC_CACHE
+    # The last _SPEC_CACHE tables hold every entry, and take them along.
+    assert all(t in _WINDOWS for t in tables[6:]) and len(_WINDOWS) == _SPEC_CACHE
+    del table, tables
     gc.collect()
-    assert all(ref() is None for ref in refs)
+    assert len(_WINDOWS) == 0
 
 
 #: Radii past the table's reach, and the error the table rule raised there
