@@ -208,8 +208,10 @@ def _newton_transform(spec: GrowthFunctionSpec, ts: np.ndarray) -> tuple[np.ndar
 
     ``f'`` is nondecreasing (``f`` is convex), so one sample of it on an
     s-grid brackets every root at once; safeguarded Newton then refines all
-    of them together.  A ``t`` at or below ``f'`` at the grid's floor keeps
-    its minimizer there, as the ternary search's does.
+    of them together.  Three kinds of row are seeded: a ``t`` at or below
+    ``f'`` at the floor keeps its minimizer there, as the ternary's does; one
+    equal to ``f'`` at a grid point, or strictly inside the jump of ``f'`` at
+    g_k's clamp kink (a kink's subdifferential), has it at that point.
     """
     kernel = spec.s_kernel
     grid = np.append(np.arange(_S_FLOOR, spec.s_max, _BRACKET_STEP), spec.s_max)
@@ -218,10 +220,17 @@ def _newton_transform(spec: GrowthFunctionSpec, ts: np.ndarray) -> tuple[np.ndar
     bad = (ts > spec.t_sup) | (i == grid.size)
     if bad.any():
         raise _range_error(spec, float(ts[bad.argmax()]))
-    # A t at or below the floor's slope keeps s = grid[0] = _S_FLOOR, and one
-    # equal to a grid slope has its root on that grid point: neither is solved.
     s_star = grid[i]
     act = np.flatnonzero((i > 0) & (slope[i] > ts))
+    if spec.kind == ITERATED_EXP_SQRT and 2 <= spec.k <= 4:
+        # f' jumps at s = 2 exp^{k-2}(1) (past s_max for k > 4), which the
+        # kernel meets a few ulp off: read each end 1e-9 away, then go back.
+        kink = 2.0 * (1.0, math.e, math.e**math.e)[spec.k - 2]
+        off = np.array([-1e-9, 1e-9])
+        d1, d2 = kernel(kink + off)[1:]
+        lo, hi = d1 - off * d2  # the tangents' values at the kink
+        band = (lo < ts) & (ts < hi)
+        s_star[band], act = kink, act[~band[act]]
     if act.size:
         t, a, b = ts[act], grid[i[act] - 1], grid[i[act]]
         fa, fb = slope[i[act] - 1], slope[i[act]]
@@ -234,17 +243,8 @@ def _newton_transform(spec: GrowthFunctionSpec, ts: np.ndarray) -> tuple[np.ndar
                 d1, d2 = kernel(x)[1:]
                 return d1 - t[k], d2
 
-            s_star[act], _, pos, neg = _bracketed_newton(g, x0, b, a)
+            s_star[act] = _bracketed_newton(g, x0, b, a)[0]
     log_ell = kernel(s_star)[0] - ts * s_star
-    if spec.kind == ITERATED_EXP_SQRT and 2 <= spec.k <= 4 and act.size:
-        # f' jumps where g_k's outer clamp binds, s = 2 exp^{k-2}(1) (past
-        # s_max for k > 4), which Newton nears only to _NEWTON_TOL: rows whose
-        # final bracket straddles it keep phi there if smaller.
-        kink = 2.0 * (1.0, math.e, math.e**math.e)[spec.k - 2]
-        on = act[(neg <= kink) & (kink <= pos)]
-        phi = kernel(np.full(on.size, kink))[0] - ts[on] * kink
-        low = phi < log_ell[on]
-        log_ell[on[low]], s_star[on[low]] = phi[low], kink
     return log_ell, np.exp(s_star)
 
 
@@ -600,8 +600,8 @@ def _bracketed_newton(fun, x: np.ndarray, pos: np.ndarray, neg: np.ndarray):
     when it leaves the bracket.  ``fun(x, idx)`` gives the values and slopes
     at the entries ``idx``; ``pos`` and ``neg`` are bracket ends where the
     value is positive and not.  Converged entries stop moving, so an entry's
-    result does not depend on the others.  Returns the roots, the last
-    slopes and the final bracket ends."""
+    result does not depend on the others.  Returns the roots and the last
+    slopes; :func:`_newton_transform` passes only the rows it cannot seed."""
     x, pos, neg = x.copy(), pos.copy(), neg.copy()
     slope = np.empty_like(x)
     act = np.arange(x.size)
@@ -620,7 +620,7 @@ def _bracketed_newton(fun, x: np.ndarray, pos: np.ndarray, neg: np.ndarray):
         act = act[np.abs(step - xa) > _NEWTON_TOL]
         if act.size == 0:
             break
-    return x, slope, pos, neg
+    return x, slope
 
 
 _NEAR = np.arange(-2, 2)

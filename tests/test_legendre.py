@@ -1071,10 +1071,10 @@ def test_newton_transform_of_a_power_series():
     np.testing.assert_allclose(r_star, want[:, 1], rtol=1e-6)
 
 
-@pytest.mark.parametrize("spec", [kondratiev_streit(0.0), exponential(1.0)], ids=["ks0", "exp1"])
-def test_newton_transform_takes_a_root_on_a_grid_point_as_it_is(monkeypatch, spec):
-    # f'(0) = 1 for both: the t = 1 row's root is the grid point s = 0, and
-    # every other row starts at its exact root, so one pass ends the solve.
+@pytest.fixture
+def newton_passes(monkeypatch):
+    """The sizes of the active sets of every ``_bracketed_newton`` pass made
+    while the test runs, one entry per pass."""
     from growthcalc import legendre
 
     real, passes = legendre._bracketed_newton, []
@@ -1087,8 +1087,51 @@ def test_newton_transform_takes_a_root_on_a_grid_point_as_it_is(monkeypatch, spe
         return real(counted, x, pos, neg)
 
     monkeypatch.setattr(legendre, "_bracketed_newton", spy)
+    return passes
+
+
+@pytest.mark.parametrize("spec", [kondratiev_streit(0.0), exponential(1.0)], ids=["ks0", "exp1"])
+def test_newton_transform_takes_a_root_on_a_grid_point_as_it_is(newton_passes, spec):
+    # f'(0) = 1 for both: the t = 1 row's root is the grid point s = 0, and
+    # every other row starts at its exact root, so one pass ends the solve.
+    from growthcalc import legendre
+
     _, r_star = legendre._newton_transform(spec, np.arange(1.0, 1201.0))
-    assert len(passes) <= 2 and r_star[0] == 1.0
+    assert len(newton_passes) <= 2 and r_star[0] == 1.0
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_newton_transform_does_not_bisect_the_clamp_band(newton_passes, k):
+    # Rows t = 3, 4 (g2) and 16, 17 (g3) lie inside the jump of f' at the
+    # clamp kink; bisected toward it, they kept the solve going for 38-42
+    # passes.
+    from growthcalc import legendre
+
+    spec = iterated_exp_sqrt(k)
+    legendre._newton_transform(spec, np.arange(1.0, 1201.0))
+    assert len(newton_passes) <= 6
+    newton_passes.clear()
+    legendre._continuous_ell.__wrapped__(spec)
+    assert len(newton_passes) <= 6
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_clamp_band_rows_have_their_minimizer_at_the_kink(k):
+    # Where g_k's outer clamp binds, f(s) = 2 e^{s/2}; at the kink s = 2 P_k,
+    # P_k = exp^{k-2}(1), f' jumps from f/2 to (f/2)(1 + 1/(2 P_2 ... P_k)),
+    # and every t strictly inside the jump has its minimizer at the kink.
+    from growthcalc.legendre import _newton_transform
+
+    spec = iterated_exp_sqrt(k)
+    kink = 2.0 * (1.0, math.e, math.e**math.e)[k - 2]
+    f = 2.0 * math.exp(kink / 2.0)
+    lo, hi = f / 2.0, f / 2.0 * (1.0 + 0.5 / (1.0, math.e, math.e ** (math.e + 1.0))[k - 2])
+    ts = np.concatenate([np.arange(math.ceil(lo), hi), np.linspace(lo, hi, 2001)[1:-1]])
+    log_ell, r_star = _newton_transform(spec, ts)
+    assert np.all(r_star == math.exp(kink))
+    assert np.array_equal(log_ell, spec.s_kernel(np.full(ts.size, kink))[0] - ts * kink)
+    outside = _newton_transform(spec, np.array([lo * (1.0 - 1e-6), hi * (1.0 + 1e-6)]))[1]
+    assert np.all(np.abs(np.log(outside) - kink) > 1e-7)
 
 
 @pytest.mark.parametrize("case", ["u2-past-t_sup", "degree-3"])
@@ -1288,6 +1331,7 @@ def test_l_function_matches_the_oracle_near_the_table_reach(kind_evaluators, fid
 
 def test_l_function_integral_matches_the_oracle():
     ks0 = kondratiev_streit(0.0)
-    for r in (400.0, 900.0):
-        want = float(oracles.log_l(ks0, r))
-        assert l_function_integral(ks0, r) == pytest.approx(want, rel=1e-12, abs=0.0), r
+    for spec, r in ((ks0, 400.0), (ks0, 900.0), (kondratiev_streit(0.5), 3e4),
+                    (kondratiev_streit(0.75), 2e5), (exponential(2.0), 470.0)):
+        want = float(oracles.log_l(spec, r))
+        assert l_function_integral(spec, r) == pytest.approx(want, rel=1e-12, abs=0.0), r

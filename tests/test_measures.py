@@ -539,6 +539,20 @@ def test_poisson_raises_a_capacity_error_at_its_term_cap():
         poisson_integrability(2e5, poisson_sqrtlog_integrand())
 
 
+@pytest.mark.parametrize("theta,n_terms", [(1e6, 12), (1e9, 15)])
+def test_poisson_sums_a_falling_integrand_past_its_term_cap(theta, n_terms):
+    # theta is far past the term cap, but g(k) = e^{-k^2} falls faster than
+    # the weights rise: the terms peak near k = log(theta)/2 and the sum
+    # converges there.  A cap test on theta alone would raise here; only a
+    # nondecreasing integrand peaks no earlier than the weights' mode.
+    res = poisson_integrability(theta, lambda k: -float(k) * k)
+    with mp.workdps(30):
+        terms = [-k * k - theta + k * mp.log(theta) - mp.loggamma(k + 1) for k in range(60)]
+        want = float(mp.log(mp.fsum(mp.exp(x) for x in terms)))
+    assert res.finite and res.n_terms == n_terms
+    assert res.log_value == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("call,fragment", [
     (lambda: fernique_product(0.5, math.nan, 0.1), "q must be a number in [0, inf), got nan"),
     (lambda: fernique_product(0.5, 1, math.nan), "c2 must be a number in [0, inf), got nan"),
