@@ -30,8 +30,9 @@ sends it straight on.  Far beyond any storable table (the verification
 grids reach arguments ~1e9) evaluation switches to a Laplace/quadrature
 rule driven by a cached cubic Hermite spline of
 ``log ell(e^sigma) / e^sigma``.  Its window edges, where the integrand has
-fallen 70 nats below its peak, are found by doubling steps out of the peak
-and then Newton started at the secant root of the last two steps.
+fallen 70 nats below its peak, come from one bracketed Newton solve between
+the peak and the spline's domain ends: the integrand rises and then falls,
+so a side whose end is still above that drop keeps the end as its edge.
 
 The L functions take one radius or an array of radii; an array is evaluated
 a block of radii at a time.  A block's table rule sums one window of
@@ -660,37 +661,22 @@ def _laplace_rule(spec: GrowthFunctionSpec, rs: np.ndarray) -> np.ndarray:
     s_star, dq = _bracketed_newton(q, ce.sigma[i], ce.sigma[i - 2], ce.sigma[i + 2])[:2]
     h_star = np.exp(s_star) * (spline(s_star) + lr)
 
-    # Window edges, where h falls _H_DROP below the peak: steps out of the
-    # peak, starting at the Gaussian width and doubling, until h drops below
-    # the target or the wide domain ends, then Newton inside the bracket.
+    # Window edges, where h falls _H_DROP below the peak.  h rises and then
+    # falls in sigma, so a side's edge lies inside (peak, domain end) exactly
+    # when h at that end is at or below the target; a side whose end is
+    # above it takes the end, unless h there is within 45 nats of the peak.
     side = np.repeat([-1.0, 1.0], n)
     row = np.arange(2 * n) % n
-    end = np.where(side < 0.0, ce.sigma[0], ce.sigma[-1])
+    end = ce.sigma[np.repeat([0, -1], n)]
     target = h_star[row] - _H_DROP
-    s_in, h_in = s_star[row], h_star[row]
-    step = np.sqrt(2.0 * _H_DROP / np.abs(np.exp(s_star) * dq))[row]
-    s_out = np.empty(2 * n)
-    h_out = np.empty(2 * n)
-    at_end = np.zeros(2 * n, dtype=bool)
-    act = np.arange(2 * n)
-    while act.size:
-        s = s_in[act] + side[act] * step[act]
-        crossed = ~(side[act] * (end[act] - s) > 0.0)  # NaN ends the search too
-        s = np.where(crossed, end[act], s)
-        h = np.exp(s) * (spline(s) + lr[row[act]])
-        s_out[act], h_out[act] = s, h
-        at_end[act[crossed]] = True
-        moving = ~(crossed | (h <= target[act]))
-        s_in[act[moving]], h_in[act[moving]] = s[moving], h[moving]
-        step[act[moving]] *= 2.0
-        act = act[moving]
-    clipped = row[at_end & (h_out > h_star[row] - 45.0)]
+    h_end = np.exp(end) * (spline(end) + lr[row])
+    clipped = row[h_end > h_star[row] - 45.0]
     if clipped.size:
         raise CapacityError(
             f"integration window for r={rs[clipped.min()]:g} is clipped at the "
             f"wide-domain edge of {spec.function_id}"
         )
-    inner = np.flatnonzero(~at_end)
+    inner = np.flatnonzero(h_end <= target)
 
     def drop(s, idx):
         k = inner[idx]
@@ -698,12 +684,12 @@ def _laplace_rule(spec: GrowthFunctionSpec, rs: np.ndarray) -> np.ndarray:
         e = np.exp(s)
         return e * (v + lr[row[k]]) - target[k], e * (v + d1 + lr[row[k]])
 
-    # Newton starts at the secant root between the last two steps, or at
-    # s_out where that root leaves the open bracket.
-    a, b = s_in[inner], s_out[inner]
-    ha, hb = h_in[inner] - target[inner], h_out[inner] - target[inner]
-    x0 = a + (b - a) * (ha / (ha - hb))
-    x0 = np.where((x0 - a) * (x0 - b) < 0.0, x0, b)
+    # One Newton solve on the bracket (peak, end), started at the Gaussian
+    # width, or at the bracket midpoint where that start leaves the bracket.
+    a, b = s_star[row[inner]], end[inner]
+    x0 = a + side[inner] * np.sqrt(2.0 * _H_DROP / np.abs(np.exp(s_star) * dq))[row[inner]]
+    x0 = np.where((x0 - a) * (x0 - b) < 0.0, x0, 0.5 * (a + b))
+    s_out = end.copy()
     s_out[inner] = _bracketed_newton(drop, x0, a, b)[0]
 
     x, w = _gl_nodes(192)

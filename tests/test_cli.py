@@ -615,6 +615,39 @@ def test_cli_legendre_one_off_table_size(capsys, flags, n_max):
                                                           n_max).csv_text()
 
 
+def test_cli_legendre_one_off_on_an_explicit_t_grid(capsys):
+    code, payload, _ = one_off(capsys, "legendre", "--spec", json.dumps(KS0), "--t", 0.5, 2.0)
+    assert code == 0 and payload["n_points"] == 2
+    assert payload["csv"] == growthcalc.legendre_table(kondratiev_streit(0.0),
+                                                       np.array([0.5, 2.0])).csv_text()
+
+
+def test_cli_legendre_csv_without_out_writes_the_absolute_path(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, payload, _ = one_off(capsys, "legendre", "--spec", json.dumps(KS0), "--csv", "t.csv")
+    assert code == 0 and "csv" not in payload
+    assert payload["artifact"] == str(tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_text() == legendre_sequence(kondratiev_streit(0.0),
+                                                                 8).csv_text()
+
+
+def test_cli_conditions_without_expect_reports_the_failed_conditions(capsys):
+    code, payload, _ = one_off(capsys, "conditions", "--spec", json.dumps(KS0))
+    assert code == 0 and payload["status"] == "pass"
+    assert payload["failed"] == [] and "mismatches" not in payload
+
+
+def test_cli_one_off_reads_a_function_declared_in_the_config(capsys, tmp_path):
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps(manifest([])))
+    code, payload, _ = one_off(capsys, "eval", "--function", "ks0", "--config", cfg, "--r", 2.0)
+    assert code == 0 and payload["log_u"] == [2.0]
+    code, payload, err = one_off(capsys, "eval", "--function", "ghost", "--config", cfg,
+                                 "--r", 2.0)
+    assert code == 2 and payload is None
+    assert "--function 'ghost' needs a --config manifest declaring it" in err
+
+
 def test_cli_verify_one_off_runs_the_checks_given(capsys):
     code, payload, _ = one_off(capsys, "verify", "--spec", json.dumps(KS0),
                                "--checks", "log-concavity", "decreasing-tail")

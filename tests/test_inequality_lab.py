@@ -385,6 +385,52 @@ def test_audit_tolerance_is_relative_to_the_entry(tables60):
     assert bad.status == "fail" and bad.witness["t"] == 17.0
 
 
+def _with_row(tab, index, r_star, log_ell=None):
+    """A copy of ``tab`` with row ``index`` set to ``r_star`` (and ``log_ell``)."""
+    from growthcalc import LegendreTable
+
+    cols = [tab.log_ell.copy(), tab.r_star.copy()]
+    for col, value in zip(cols, (log_ell, r_star)):
+        col[index] = col[index] if value is None else value
+    return LegendreTable(tab.function_id, tab.t, *cols)
+
+
+def test_audit_fails_a_t_zero_row_with_a_minimizer(tables60):
+    # ell(0) is the infimum over all r, attained at no finite r*: a stored
+    # r* there fails by at least 1, whatever the value.
+    report = check_table_definition(kondratiev_streit(0.0), _with_row(tables60["ks0"], 0, 1.0))
+    assert report.status == "fail" and report.worst_margin <= -1.0
+    assert report.witness == {"t": 0.0, "property": "grid-infimum"}
+
+
+def test_audit_fails_a_nonpositive_minimizer(tables60):
+    report = check_table_definition(kondratiev_streit(0.0), _with_row(tables60["ks0"], 3, 0.0))
+    assert report.status == "fail" and report.worst_margin == -1.0
+    assert report.witness == {"t": 3.0, "property": "r_star-positive"}
+
+
+def test_audit_skips_the_probes_past_the_trusted_radius(u2):
+    # At t = 2e5 the probes 2 r* and 4 r* pass u2's trusted radius, where
+    # log u raises; the audit leaves them out and checks the rest.
+    from growthcalc import legendre_table
+
+    tab = legendre_table(u2, np.array([2e5]))
+    assert 1.1 * tab.r_star[0] <= u2.trusted_radius < 2.0 * tab.r_star[0]
+    with pytest.raises(CapacityError):
+        u2.log_u(2.0 * tab.r_star[0])
+    assert check_table_definition(u2, tab).passed
+
+
+def test_audit_names_the_probe_below_a_consistent_row(tables60):
+    # A row that is log u(r*) - t log r* at a wrong r* = 2t (ks0's minimizer
+    # is r* = t) passes the value test; the probe at r*/2 lies below it.
+    spec = kondratiev_streit(0.0)
+    bad = _with_row(tables60["ks0"], 10, 20.0, spec.log_u(20.0) - 10.0 * math.log(20.0))
+    report = check_table_definition(spec, bad)
+    assert report.status == "fail" and report.worst_margin < -1.0
+    assert report.witness == {"t": 10.0, "property": "infimum@0.5r*"}
+
+
 @pytest.mark.parametrize("fid", ["ks05", "g2"])
 def test_sandwich_evaluates_the_refined_grid_once(catalog, evaluators, monkeypatch, fid):
     from growthcalc import inequality_lab

@@ -91,6 +91,20 @@ def test_transform_beyond_series_capacity():
         legendre_transform(u2, u2.t_sup * 1.5)
 
 
+@pytest.mark.parametrize("route", ["ternary", "newton"])
+def test_a_t_past_t_sup_raises_a_capacity_error_naming_t_sup(route):
+    from growthcalc.legendre import _newton_transform
+
+    u2 = bell_series(2)
+    t = 1.01 * u2.t_sup
+    with pytest.raises(CapacityError, match=re.escape(
+            f"t={t:g} exceeds the safe transform range of u2 (t_sup ~ {u2.t_sup:.3g})")):
+        if route == "ternary":
+            legendre_transform(u2, t)
+        else:
+            _newton_transform(u2, np.array([10.0, t]))
+
+
 def test_transform_raises_where_t_log_r_overflows():
     # exp(1e300 r): at t = 1e307 and 1.7e308, t s overflows on the bracket,
     # phi read inf - inf and the ternary returned NaN.  At t = 1e306 it
@@ -974,8 +988,9 @@ def test_a_block_sums_its_reachable_radii_over_the_window_of_all(kind_evaluators
 @pytest.mark.parametrize("spec", [kondratiev_streit(0.0), exponential(1.0), iterated_exp_sqrt(3)],
                          ids=["ks0", "exp1", "g3"])
 def test_laplace_edge_newton_starts_at_the_walks_secant(monkeypatch, spec):
-    # Each Laplace call makes the peak solve, then the edge solve; the edge
-    # passes are the calls of its function.
+    # Each Laplace call makes the peak solve, then the edge solve, started
+    # at the Gaussian width; the edge passes are the calls of its function.
+    # The name keeps the secant start that this one replaced.
     from growthcalc import legendre
 
     legendre._continuous_ell(spec)  # the spline is built outside the spy
@@ -998,6 +1013,56 @@ def test_laplace_edge_newton_starts_at_the_walks_secant(monkeypatch, spec):
         l_function_integral(spec, r)
     assert len(passes) == 2 * rs.size
     assert np.mean(passes[1::2]) <= 4.5
+
+
+@pytest.mark.parametrize("spec,r_lo", [
+    (kondratiev_streit(0.0), 46.0), (kondratiev_streit(0.5), 170.0), (exponential(1.0), 46.0),
+    (iterated_exp_sqrt(2), 200.0), (iterated_exp_sqrt(3), 460.0), (bell_series(2), 320.0),
+], ids=["ks0", "ks05", "exp1", "g2", "g3", "u2"])
+def test_laplace_window_edges_sit_on_the_drop_or_on_the_domain_end(monkeypatch, spec, r_lo):
+    # h(sigma) = e^sigma (f(sigma) + log r) rises and then falls, so a side is
+    # solved exactly when h at its domain end is at or below h* - 70: each
+    # solved edge is a root of h - target to Newton's step, and every other
+    # side keeps its domain end as the quadrature window's edge.
+    from growthcalc import legendre
+
+    ce = legendre._continuous_ell(spec)
+    spline, ends = ce.spline, ce.sigma[[0, -1]]
+    real, solves, windows = legendre._bracketed_newton, [], []
+
+    def spy(fun, x, pos, neg):
+        out = real(fun, x, pos, neg)
+        solves.append((pos, neg, out[0]))
+        return out
+
+    def quadrature_spy(s, k=0):
+        if np.ndim(s) == 2:  # the Gauss-Legendre nodes, t = mid + half x
+            t = np.exp(s[0])
+            windows.append((t[0] + t[-1]) / 2.0 + np.array([-1.0, 1.0]) * (t[-1] - t[0])
+                           / (2.0 * legendre._gl_nodes(192)[0][-1]))
+        return spline(s, k)
+
+    monkeypatch.setattr(legendre, "_bracketed_newton", spy)
+    monkeypatch.setattr(ce, "spline", quadrature_spy)
+    unsolved = 0
+    for r in np.geomspace(r_lo, 1.8e9, 20):
+        solves.clear(), windows.clear()
+        l_function_integral(spec, r)
+        lr = math.log(r)
+        (s_star,), (pos, neg, edges) = solves[0][2], solves[1]
+        target = math.exp(s_star) * (spline(s_star) + lr) - 70.0
+        assert len(solves) == 2 and np.all(pos == s_star)
+        want = np.exp(ends)
+        for edge, end in zip(edges, neg):
+            v, d1 = spline(edge, 1)
+            h, dh = math.exp(edge) * (v + lr), math.exp(edge) * (v + d1 + lr)
+            assert abs(h - target) <= 1e-11 * abs(dh), (r, edge)
+            want[ends == end] = math.exp(edge)
+        for end in ends[~np.isin(ends, neg)]:
+            unsolved += 1
+            assert math.exp(end) * (spline(end) + lr) > target, (r, end)
+        np.testing.assert_allclose(windows[0], want, rtol=0.0, atol=1e-12 * want[1])
+    assert unsolved > 0  # the range's low end keeps a domain end
 
 
 @pytest.mark.parametrize("fid", ["ks0", "ks05", "g2", "g3", "exp2", "u2"])
